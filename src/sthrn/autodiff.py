@@ -145,13 +145,20 @@ def _tree_sum(parts):
     """Pairwise sum: adjacent pairs first, then pairs of those, and so on.
 
     [a, b, c] gives (a + b) + c and six parts ((a + b) + (c + d)) + (e + f).
+    ``parts`` may be a generator; pairs are added as soon as both exist,
+    so at most one partial sum per level is alive at a time.
     """
-    while len(parts) > 1:
-        paired = [parts[i] + parts[i + 1] for i in range(0, len(parts) - 1, 2)]
-        if len(parts) % 2:
-            paired.append(parts[-1])
-        parts = paired
-    return parts[0]
+    stack: list[tuple[int, object]] = []  # (parts summed, partial sum)
+    for part in parts:
+        size = 1
+        while stack and stack[-1][0] == size:
+            part = stack.pop()[1] + part
+            size *= 2
+        stack.append((size, part))
+    total = stack.pop()[1]
+    while stack:
+        total = stack.pop()[1] + total
+    return total
 
 
 def sub(a, b) -> Tensor:
@@ -235,18 +242,14 @@ def linear(terms) -> Tensor:
     ``add(add(matmul(x, w), matmul(y, v)), b)``.
     """
     pairs: list[tuple[Tensor, Tensor | None]] = []
-    values = []
     for term in terms:
         if isinstance(term, tuple):
             x, w = _as_tensor(term[0]), _as_tensor(term[1])
             _check_matmul(x, w)
             pairs.append((x, w))
-            values.append(x.data @ w.data)
         else:
-            t = _as_tensor(term)
-            pairs.append((t, None))
-            values.append(t.data)
-    out_data = _tree_sum(values)
+            pairs.append((_as_tensor(term), None))
+    out_data = _tree_sum(x.data if w is None else x.data @ w.data for x, w in pairs)
     if not _grad_enabled:
         return Tensor(out_data)
 
@@ -309,64 +312,82 @@ def narrow(a, key) -> Tensor:
     return Tensor(out_data, "narrow", (a,), vjp)
 
 
-def shift_rows(a, n: int) -> Tensor:
-    """Rows moved down by ``n`` (up for negative ``n``); the rows left
-    empty are zeros and rows pushed past the end are dropped."""
-    a = _as_tensor(a)
-    rows = a.data.shape[0]
-    k = min(abs(n), rows)
-    out_data = np.zeros_like(a.data)
+def _shift_blocks(x: np.ndarray, n: int, block: int) -> np.ndarray:
+    rows = x.shape[0]
+    k = min(abs(n), block)
+    out = np.zeros(x.shape, dtype=x.dtype)
     if n >= 0:
-        out_data[k:] = a.data[:rows - k]
+        out[k:] = x[:rows - k]
     else:
-        out_data[:rows - k] = a.data[k:]
+        out[:rows - k] = x[k:]
+    if block < rows:  # clear the rows shifted in from a neighbouring block
+        runs = out.reshape(rows // block, block, -1)
+        if n >= 0:
+            runs[:, :k] = 0.0
+        else:
+            runs[:, block - k:] = 0.0
+    return out
+
+
+def shift_rows(a, n: int, block: int | None = None) -> Tensor:
+    """Rows moved down by ``n`` (up for negative ``n``) within each run
+    of ``block`` consecutive rows (default: all rows as one run).  The
+    rows left empty are zeros and rows pushed past the end of a run are
+    dropped, so nothing crosses from one run into the next."""
+    a = _as_tensor(a)
+    block = a.data.shape[0] if block is None else block
+    out_data = _shift_blocks(a.data, n, block)
     if not _grad_enabled:
         return Tensor(out_data)
 
     def vjp(g):
-        if n >= 0:
-            a.grad[:rows - k] += g[k:]
-        else:
-            a.grad[k:] += g[:rows - k]
+        a.grad += _shift_blocks(g, -n, block)
 
     return Tensor(out_data, "shift", (a,), vjp)
-
-
-def gather_rows(a, idx) -> Tensor:
-    """Rows ``a[idx]`` for an integer index array; repeats allowed."""
-    a = _as_tensor(a)
-    idx = np.asarray(idx)
-    out_data = a.data[idx]
-    if not _grad_enabled:
-        return Tensor(out_data)
-
-    def vjp(g):
-        np.add.at(a.grad, idx, g)
-
-    return Tensor(out_data, "gather", (a,), vjp)
 
 
 # -- reductions -------------------------------------------------------------
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = _as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    out_data = a.data.sum(axis=axis)
     if not _grad_enabled:
         return Tensor(out_data)
 
     def vjp(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         a.grad += np.broadcast_to(g, a.data.shape)
 
     return Tensor(out_data, "sum", (a,), vjp)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def _pool(x: np.ndarray, grid_shape: tuple, axis: int) -> np.ndarray:
+    """Sum of ``x`` viewed as ``grid_shape`` over ``axis``, as 2-D rows."""
+    return x.reshape(grid_shape).sum(axis=axis).reshape(-1, grid_shape[-1])
+
+
+def _spread(g: np.ndarray, grid_shape: tuple, axis: int) -> np.ndarray:
+    """Transpose of ``_pool``: each row of ``g`` copied back over ``axis``."""
+    pooled = grid_shape[:axis] + grid_shape[axis + 1:]
+    return np.broadcast_to(np.expand_dims(g.reshape(pooled), axis), grid_shape)
+
+
+def mean_rows(a, grid_shape: tuple, axis: int) -> Tensor:
+    """Mean of ``a`` viewed as ``grid_shape`` over ``axis``, returned as
+    one row per remaining grid index: a (B, T, K, h) grid pooled over
+    frames (axis 1) gives (B * K, h)."""
     a = _as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    s = 1.0 / grid_shape[axis]
+    out_data = _pool(a.data, grid_shape, axis) * s
+    if not _grad_enabled:
+        return Tensor(out_data)
+
+    def vjp(g):
+        a.grad += _spread(g * s, grid_shape, axis).reshape(a.data.shape)
+
+    return Tensor(out_data, "mean", (a,), vjp)
 
 
 def l2norm(a, axis: int = -1) -> Tensor:
@@ -374,7 +395,9 @@ def l2norm(a, axis: int = -1) -> Tensor:
 
     The gradient at an exactly zero vector is NaN by construction (the
     norm has a kink there); grad_check reports such components as
-    non-differentiable instead of comparing them.
+    non-differentiable instead of comparing them.  A norm the root does
+    not depend on (zero incoming gradient) passes back zeros, kink or
+    not: in a batch, another row's kink must not poison this one.
     """
     a = _as_tensor(a)
     out_data = np.sqrt((a.data * a.data).sum(axis=axis))
@@ -383,7 +406,8 @@ def l2norm(a, axis: int = -1) -> Tensor:
 
     def vjp(g):
         with np.errstate(divide="ignore", invalid="ignore"):
-            a.grad += np.expand_dims(g / out_data, axis) * a.data
+            ratio = np.where(g == 0.0, 0.0, g / out_data)
+            a.grad += np.expand_dims(ratio, axis) * a.data
 
     return Tensor(out_data, "l2norm", (a,), vjp)
 
@@ -438,7 +462,7 @@ def _gated_forward(pre: np.ndarray, sources: list):
     s = _sigmoid(pre[:, :(n + 1) * d])
     cand = np.tanh(pre[:, (n + 1) * d:])
     inputs = [cand, *sources]
-    c = _tree_sum([s[:, k * d:(k + 1) * d] * inputs[k] for k in range(n)])
+    c = _tree_sum(s[:, k * d:(k + 1) * d] * inputs[k] for k in range(n))
     tc = np.tanh(c)
     return s, cand, c, tc, s[:, n * d:] * tc
 
@@ -516,11 +540,12 @@ def pooled_cell(h, c, g_prev, c_prev, g_rows, weights, grid_shape,
     """A global state pooled from a grid of cells; returns the new (g, c).
 
     ``h`` and ``c`` are the grid's (rows, hidden) states, ``grid_shape``
-    their (T, K, hidden) view, and the pool runs over ``axis`` of it.
-    ``g_prev``/``c_prev`` are the previous global states, one row per
-    remaining grid index, and ``g_rows`` is ``g_prev`` expanded to one
-    row per grid cell.  ``weights`` is (w_c, z_c, b_c, w_f, z_f, b_f,
-    w_o, z_o, b_o):
+    their (..., hidden) view, for example (B, T, K, hidden) for B
+    windows, and the pool runs over ``axis`` of it.  ``g_prev`` and
+    ``c_prev`` are the previous global states, one row per remaining
+    grid index in row-major order, and ``g_rows`` is ``g_prev`` expanded
+    to one row per grid cell.  ``weights`` is (w_c, z_c, b_c, w_f, z_f,
+    b_f, w_o, z_o, b_o):
 
         cell = sigmoid(h w_c + g_rows z_c + b_c)      per grid cell
         f    = sigmoid(mean(h) w_f + g_prev z_f + b_f)
@@ -536,8 +561,8 @@ def pooled_cell(h, c, g_prev, c_prev, g_rows, weights, grid_shape,
     w_c, z_c, b_c, w_f, z_f, b_f, w_o, z_o, b_o = (t.data for t in weights)
     n = grid_shape[axis]
     cell = _sigmoid((h.data @ w_c + g_rows.data @ z_c) + b_c)
-    contrib = (cell * c.data).reshape(grid_shape).sum(axis=axis)
-    h_mean = h.data.reshape(grid_shape).sum(axis=axis) * (1.0 / n)
+    contrib = _pool(cell * c.data, grid_shape, axis)
+    h_mean = _pool(h.data, grid_shape, axis) * (1.0 / n)
     f = _sigmoid((h_mean @ w_f + g_prev.data @ z_f) + b_f)
     out = _sigmoid((h_mean @ w_o + g_prev.data @ z_o) + b_o)
     c_new = contrib + f * c_prev.data
@@ -558,7 +583,7 @@ def pooled_cell(h, c, g_prev, c_prev, g_rows, weights, grid_shape,
             _acc(tb, dz)
             g_prev.grad += dz @ tz.data.T
         d_mean = (d_f @ tw_f.data.T + d_o @ tw_o.data.T) * (1.0 / n)
-        spread = np.broadcast_to(np.expand_dims(dc, axis), grid_shape).reshape(h.data.shape)
+        spread = _spread(dc, grid_shape, axis).reshape(h.data.shape)
         c.grad += spread * cell
         d_cell = spread * c.data * cell * (1.0 - cell)
         tw_c.grad += h.data.T @ d_cell
@@ -566,7 +591,7 @@ def pooled_cell(h, c, g_prev, c_prev, g_rows, weights, grid_shape,
         _acc(tb_c, d_cell)
         g_rows.grad += d_cell @ tz_c.data.T
         h.grad += d_cell @ tw_c.data.T
-        h.grad += np.broadcast_to(np.expand_dims(d_mean, axis), grid_shape).reshape(h.data.shape)
+        h.grad += _spread(d_mean, grid_shape, axis).reshape(h.data.shape)
 
     parents = (h, c, g_prev, c_prev, g_rows, *weights)
     return _cell_outputs(g_new, c_new, "pooled_cell", parents, vjp)

@@ -45,8 +45,8 @@ class LstmParams:
 
 @dataclass
 class LstmState:
-    h: Tensor  # (1, hidden)
-    c: Tensor  # (1, hidden)
+    h: Tensor  # (B, hidden)
+    c: Tensor  # (B, hidden)
 
 
 def lstm_step(x: Tensor, state: LstmState, p: LstmParams) -> LstmState:
@@ -107,28 +107,27 @@ class DecoderState:
 
 
 def init_decoder(enc: EncoderState, params: DecoderParams) -> DecoderState:
-    """Decoder start state from the encoder's final layer.
+    """Decoder start state from the encoder's final layer, one row per
+    window.
 
     With t observed frames the encoder saw t - 1 of them; per frame its
     grid states concatenate (bone-major) to rows of width K * hidden.
-    Layer 0 starts from the mean of those rows (hidden and cell alike);
-    layer 1 starts from the same mean cell and from
+    Layer 0 starts from the mean of a window's rows (hidden and cell
+    alike); layer 1 starts from the same mean cell and from
     (sum of hidden rows + flattened g_t) / t.  Remaining LSTMs start
     at zero.
     """
-    t_minus_1, k = enc.frames, enc.entries
+    b, t_minus_1, k = enc.windows, enc.frames, enc.entries
     hidden = enc.h.data.shape[1]
     d = k * hidden
-    h_rows = ad.reshape(enc.h, (t_minus_1, d))
-    c_rows = ad.reshape(enc.c, (t_minus_1, d))
-    h_sum = ad.tsum(h_rows, axis=0, keepdims=True)
-    c_mean = ad.scale(ad.tsum(c_rows, axis=0, keepdims=True), 1.0 / t_minus_1)
+    h_sum = ad.tsum(ad.reshape(enc.h, (b, t_minus_1, d)), axis=1)
+    c_mean = ad.mean_rows(enc.c, (b, t_minus_1, d), axis=1)
     h_mean = ad.scale(h_sum, 1.0 / t_minus_1)
-    gt_flat = ad.reshape(enc.g_t, (1, d))
+    gt_flat = ad.reshape(enc.g_t, (b, d))
     h_second = ad.scale(ad.add(h_sum, gt_flat), 1.0 / (t_minus_1 + 1))
 
     def zeros():
-        return LstmState(h=Tensor(np.zeros((1, d))), c=Tensor(np.zeros((1, d))))
+        return LstmState(h=Tensor(np.zeros((b, d))), c=Tensor(np.zeros((b, d))))
 
     cells: dict[str, LstmState] = {}
     first, second = (("overall", "spine") if params.kind == "structured"
@@ -142,24 +141,26 @@ def init_decoder(enc: EncoderState, params: DecoderParams) -> DecoderState:
 
 
 def _wrap_rows(w: Tensor, k: int) -> Tensor:
-    """Re-wrap each 3-entry of a (1, 3K) pose to norm <= pi.
+    """Re-wrap each 3-entry of a (B, 3K) batch of poses to norm <= pi.
 
     A no-op (the identical tensor) when no entry exceeds pi, so the
     common path adds nothing to the tape.  Otherwise the wrap count is
-    a constant per evaluation and the scaling stays differentiable.
+    a constant per evaluation and the scaling stays differentiable;
+    entries that need no wrap keep their exact values.
     """
-    w3 = w.data.reshape(k, 3)
+    rows = w.data.shape[0] * k
+    w3 = w.data.reshape(rows, 3)
     norms = np.sqrt((w3 * w3).sum(axis=1))
     if norms.max() <= np.pi:  # False for NaN, as np.all(norms <= pi) is
         return w
     over = (norms > np.pi).astype(np.float64)[:, None]
     turns = np.round(norms / _TWO_PI)[:, None]
     adj = Tensor(-_TWO_PI * turns * over)             # per-entry angle shift
-    grid = ad.reshape(w, (k, 3))
-    theta = ad.reshape(ad.l2norm(grid, axis=1), (k, 1))
+    grid = ad.reshape(w, (rows, 3))
+    theta = ad.reshape(ad.l2norm(grid, axis=1), (rows, 1))
     theta_safe = ad.add(theta, Tensor(1.0 - over))    # keep unwrapped rows off zero
     wrapped = ad.add(grid, ad.mul(grid, ad.div(adj, theta_safe)))
-    return ad.reshape(wrapped, (1, 3 * k))
+    return ad.reshape(wrapped, w.data.shape)
 
 
 def decode_step(w_prev: Tensor, state: DecoderState, params: DecoderParams,

@@ -169,11 +169,12 @@ class EncoderParams:
 
 @dataclass
 class EncoderState:
-    """Grid and global states after some number of layers.
+    """Grid and global states of B windows after some number of layers.
 
-    h and c are (T*K, hidden) with row i*K + j holding cell (i, j);
-    g_t / c_gt are per bone (K, hidden), g_s / c_gs per frame
-    (T, hidden).
+    Rows are window-major: h and c are (B*T*K, hidden) with row
+    (b*T + i)*K + j holding cell (i, j) of window b; g_t / c_gt are per
+    window and bone (B*K, hidden), g_s / c_gs per window and frame
+    (B*T, hidden).
     """
 
     h: Tensor
@@ -184,27 +185,46 @@ class EncoderState:
     c_gs: Tensor
     frames: int
     entries: int
+    windows: int = 1
+
+    @property
+    def grid_shape(self) -> tuple[int, int, int, int]:
+        return (self.windows, self.frames, self.entries, self.h.data.shape[1])
+
+
+def _as_windows(p: np.ndarray, k: int) -> np.ndarray:
+    """(B, T, K, 3) inputs; a single (T, K, 3) window is B = 1."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim == 3:
+        p = p[None]
+    if p.ndim != 4 or p.shape[2:] != (k, 3):
+        raise ad.ShapeMismatch(f"expected (T, {k}, 3) or (B, T, {k}, 3) inputs, "
+                               f"got {p.shape}")
+    return p
 
 
 def init_states(p: np.ndarray, params: EncoderParams, layout: ChainLayout,
                 global_temporal: bool = True, global_spatial: bool = True) -> EncoderState:
-    """Layer-0 states: h = c = embed(p), globals = means of those."""
-    T, K, hidden = p.shape[0], layout.num_entries, params.hidden
-    if p.shape != (T, K, 3):
-        raise ad.ShapeMismatch(f"expected ({T}, {K}, 3) inputs, got {p.shape}")
-    flat = Tensor(p.reshape(T * K, 3), op="input")
+    """Layer-0 states: h = c = embed(p), globals = means of those.
+
+    ``p`` is one (T, K, 3) window or B of them stacked as (B, T, K, 3).
+    """
+    p = _as_windows(p, layout.num_entries)
+    B, T, K, _ = p.shape
+    flat = Tensor(p.reshape(B * T * K, 3), op="input")
     e = ad.add(ad.matmul(flat, params.embed_w), params.embed_b)
-    grid = ad.reshape(e, (T, K, hidden))
+    grid_shape = (B, T, K, params.hidden)
+    grid = ad.reshape(e, grid_shape)
     if global_temporal:
-        g_t = ad.scale(ad.tsum(grid, axis=0), 1.0 / T)
+        g_t = ad.mean_rows(grid, grid_shape, axis=1)
     else:
-        g_t = Tensor(np.zeros((K, hidden)))
+        g_t = Tensor(np.zeros((B * K, params.hidden)))
     if global_spatial:
-        g_s = ad.scale(ad.tsum(grid, axis=1), 1.0 / K)
+        g_s = ad.mean_rows(grid, grid_shape, axis=2)
     else:
-        g_s = Tensor(np.zeros((T, hidden)))
+        g_s = Tensor(np.zeros((B * T, params.hidden)))
     return EncoderState(h=e, c=e, g_t=g_t, c_gt=g_t, g_s=g_s, c_gs=g_s,
-                        frames=T, entries=K)
+                        frames=T, entries=K, windows=B)
 
 
 def _fused_gate_params(params: EncoderParams):
@@ -244,15 +264,16 @@ def _repeat_rows(t: Tensor, times: int) -> Tensor:
     return Tensor(out_data, "repeat", (t,), vjp)
 
 
-def _tile_rows(t: Tensor, reps: int) -> Tensor:
-    """The whole block stacked ``reps`` times: (R, h) -> (reps*R, h)."""
-    out_data = np.concatenate([t.data] * reps, axis=0)
+def _tile_rows(t: Tensor, reps: int, windows: int = 1) -> Tensor:
+    """Each window's block of R rows stacked ``reps`` times where it
+    stands: (B*R, h) -> (B*reps*R, h)."""
+    r, h = t.data.shape[0] // windows, t.data.shape[1]
+    out_data = np.repeat(t.data.reshape(windows, 1, r, h), reps, axis=1).reshape(-1, h)
     if not ad._grad_enabled:
         return Tensor(out_data)
-    r, h = t.data.shape
 
     def vjp(g):
-        t.grad += g.reshape(reps, r, h).sum(axis=0)
+        t.grad += g.reshape(windows, reps, r, h).sum(axis=1).reshape(t.data.shape)
 
     return Tensor(out_data, "tile", (t,), vjp)
 
@@ -262,26 +283,28 @@ def _layer_step(state: EncoderState, p_proj: Tensor, fused, params: EncoderParam
                 global_temporal: bool, global_spatial: bool) -> EncoderState:
     """One layer over the whole grid; ``p_proj`` is the layer-invariant
     input projection U p, computed once per encode."""
-    T, K, hidden = state.frames, state.entries, params.hidden
+    B, T, K = state.windows, state.frames, state.entries
     _, w_all, z_all, gs_all, gt_all, b_all = fused
-    # row i*K + j holds cell (i, j): frame neighbors sit K rows away, the
-    # spatial predecessor one row up (masked off at chain heads)
-    h_left = ad.shift_rows(state.h, K)
-    h_right = ad.shift_rows(state.h, -K)
+    # row (b*T + i)*K + j holds cell (i, j) of window b: frame neighbors
+    # sit K rows away within the window's T*K rows, the spatial
+    # predecessor one row up (masked off at chain heads, which include
+    # the first row of every window)
+    h_left = ad.shift_rows(state.h, K, T * K)
+    h_right = ad.shift_rows(state.h, -K, T * K)
     h_sp = _mask_mul(ad.shift_rows(state.h, 1), sp_mask)
     triple = ad.concat([h_left, h_right, state.h], axis=1)
     gs_rows = _repeat_rows(state.g_s, K)
-    gt_rows = _tile_rows(state.g_t, T)
+    gt_rows = _tile_rows(state.g_t, T, B)
 
     pre = ad.linear([
         p_proj, (triple, w_all), (h_sp, z_all), (gs_rows, gs_all), (gt_rows, gt_all), b_all,
     ])
 
-    c_left = ad.shift_rows(state.c, K)
-    c_right = ad.shift_rows(state.c, -K)
+    c_left = ad.shift_rows(state.c, K, T * K)
+    c_right = ad.shift_rows(state.c, -K, T * K)
     c_sp = _mask_mul(ad.shift_rows(state.c, 1), sp_mask)
     cgs_rows = _repeat_rows(state.c_gs, K)
-    cgt_rows = _tile_rows(state.c_gt, T)
+    cgt_rows = _tile_rows(state.c_gt, T, B)
 
     # GATE_ORDER is the gated-cell column layout: the "in" gate on the
     # candidate, one gate per cell source below, "out", then "cand"
@@ -292,26 +315,27 @@ def _layer_step(state: EncoderState, p_proj: Tensor, fused, params: EncoderParam
     if global_temporal:
         g_t, c_gt = _global_step(
             h_new, c_new, state.g_t, state.c_gt, gt_rows, params.gtemp,
-            (T, K, hidden), axis=0,
+            state.grid_shape, axis=1,
         )
     else:
         g_t, c_gt = state.g_t, state.c_gt
     if global_spatial:
         g_s, c_gs = _global_step(
             h_new, c_new, state.g_s, state.c_gs, gs_rows, params.gspat,
-            (T, K, hidden), axis=1,
+            state.grid_shape, axis=2,
         )
     else:
         g_s, c_gs = state.g_s, state.c_gs
 
     return EncoderState(h=h_new, c=c_new, g_t=g_t, c_gt=c_gt, g_s=g_s, c_gs=c_gs,
-                        frames=T, entries=K)
+                        frames=T, entries=K, windows=B)
 
 
 def _global_step(h_new: Tensor, c_new: Tensor, g_prev: Tensor, c_prev: Tensor,
                  g_prev_rows: Tensor, gp: GlobalParams, grid_shape, axis: int):
-    """Shared update for the global temporal (axis 0, sums over frames)
-    and global spatial (axis 1, sums over bones) states.
+    """Shared update for the global temporal (axis 1 of the (B, T, K,
+    hidden) grid, sums over frames) and global spatial (axis 2, sums
+    over bones) states.
 
     Every grid cell's new cell state enters through its own sigmoid
     gate; the previous global cell passes a forget gate; an output
@@ -327,19 +351,21 @@ def _global_step(h_new: Tensor, c_new: Tensor, g_prev: Tensor, c_prev: Tensor,
 def encode(p: np.ndarray, params: EncoderParams, layout: ChainLayout,
            layers: int, global_temporal: bool = True,
            global_spatial: bool = True) -> EncoderState:
-    """Run the full encoder over (T, K, 3) Lie-entry inputs.
+    """Run the full encoder over (T, K, 3) Lie-entry inputs, or over B
+    windows at once stacked as (B, T, K, 3).
 
-    Disabling a global state replaces its gate inputs and cell
-    contributions with zeros and skips its updates.
+    Windows never see each other: each window's states are those of its
+    own (T, K, 3) encode.  Disabling a global state replaces its gate
+    inputs and cell contributions with zeros and skips its updates.
     """
-    p = np.asarray(p, dtype=np.float64)
+    p = _as_windows(p, layout.num_entries)
     state = init_states(p, params, layout, global_temporal, global_spatial)
-    T, K = state.frames, state.entries
-    flat_p = Tensor(p.reshape(T * K, 3), op="input")
+    B, T, K = state.windows, state.frames, state.entries
+    flat_p = Tensor(p.reshape(B * T * K, 3), op="input")
     fused = _fused_gate_params(params)
     p_proj = ad.matmul(flat_p, fused[0])
     sp_mask = (layout.spatial_prev() >= 0).astype(np.float64)
-    sp_mask = np.tile(sp_mask, T)[:, None]  # (T*K, 1)
+    sp_mask = np.tile(sp_mask, B * T)[:, None]  # (B*T*K, 1)
     for _ in range(layers):
         state = _layer_step(state, p_proj, fused, params, sp_mask,
                             global_temporal, global_spatial)

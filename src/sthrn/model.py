@@ -44,44 +44,57 @@ class ModelParams:
 def forward(params: ModelParams, config: ModelConfig, layout: ChainLayout,
             observed: np.ndarray, horizon: int,
             feed: np.ndarray | None = None) -> list[Tensor]:
-    """Predicted frames as (1, 3K) tape tensors.
+    """Predicted frames as one (B, 3K) tape tensor per step.
 
-    ``observed`` is (t, K, 3) with t >= 2: the first t - 1 frames drive
+    ``observed`` is one window (t, K, 3), which is B = 1, or B windows
+    stacked as (B, t, K, 3), with t >= 2: the first t - 1 frames drive
     the encoder and the last one seeds the decoder.  Decoding consumes
-    its own outputs; passing ``feed`` (horizon, K, 3) instead feeds the
-    true previous frame at each step (teacher forcing).
+    its own outputs; passing ``feed`` (horizon, K, 3), or (B, horizon,
+    K, 3) for stacked windows, instead feeds the true previous frame at
+    each step (teacher forcing).
     """
     observed = np.asarray(observed, dtype=np.float64)
     k = layout.num_entries
-    if observed.ndim != 3 or observed.shape[1:] != (k, 3):
-        raise ad.ShapeMismatch(f"observed must be (t, {k}, 3), got {observed.shape}")
-    if observed.shape[0] < 2:
+    if observed.ndim not in (3, 4) or observed.shape[-2:] != (k, 3):
+        raise ad.ShapeMismatch(
+            f"observed must be (t, {k}, 3) or (B, t, {k}, 3), got {observed.shape}")
+    if observed.shape[-3] < 2:
         raise ad.ShapeMismatch("need at least 2 observed frames")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    enc = encode(observed[:-1], params.encoder, layout, config.layers,
+    if observed.ndim == 3:
+        observed = observed[None]
+        feed = None if feed is None else np.asarray(feed)[None]
+    b = observed.shape[0]
+    enc = encode(observed[:, :-1], params.encoder, layout, config.layers,
                  config.global_temporal, config.global_spatial)
     state = init_decoder(enc, params.decoder)
-    w = Tensor(observed[-1].reshape(1, 3 * k), op="input")
+    w = Tensor(observed[:, -1].reshape(b, 3 * k), op="input")
     outs: list[Tensor] = []
     for n in range(horizon):
         w, state = decode_step(w, state, params.decoder, layout)
         outs.append(w)
         if feed is not None and n + 1 < horizon:
-            w = Tensor(feed[n].reshape(1, 3 * k), op="input")
+            w = Tensor(feed[:, n].reshape(b, 3 * k), op="input")
     return outs
 
 
 def frames_tensor(outs: list[Tensor], k: int) -> Tensor:
-    """Stack step outputs into one (horizon, K, 3) tensor."""
-    stacked = outs[0] if len(outs) == 1 else ad.concat(outs, axis=0)
-    return ad.reshape(stacked, (len(outs), k, 3))
+    """Stack step outputs into one (B * horizon, K, 3) tensor.
+
+    Rows are window-major: window b's frames are rows b * horizon to
+    (b + 1) * horizon - 1, so one window gives (horizon, K, 3).
+    """
+    stacked = outs[0] if len(outs) == 1 else ad.concat(outs, axis=1)
+    return ad.reshape(stacked, (stacked.data.shape[0] * len(outs), k, 3))
 
 
 def predict(params: ModelParams, config: ModelConfig, layout: ChainLayout,
             observed: np.ndarray, horizon: int) -> np.ndarray:
-    """Value-only prediction: (horizon, K, 3) future Lie frames."""
+    """Value-only prediction of (horizon, K, 3) future Lie frames from a
+    (t, K, 3) window, or (B, horizon, K, 3) from (B, t, K, 3) windows."""
     with ad.no_grad():
         outs = forward(params, config, layout, observed, horizon)
     k = layout.num_entries
-    return np.stack([t.data.reshape(k, 3) for t in outs], axis=0)
+    frames = np.stack([t.data.reshape(-1, k, 3) for t in outs], axis=1)
+    return frames if np.ndim(observed) == 4 else frames[0]

@@ -26,7 +26,7 @@ _MAGIC = b"STHRN1\n"
 
 
 class TrainingDiverged(RuntimeError):
-    """The loss became NaN or infinite."""
+    """The loss or a gradient became NaN or infinite."""
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,12 @@ def bone_weights(entry_lengths: np.ndarray) -> np.ndarray:
 
 
 def weighted_loss(pred: Tensor, target: np.ndarray, theta: np.ndarray) -> Tensor:
-    """Mean over frames of sum_z Theta(z) * ||pred_z - target_z||_2."""
+    """Mean over frames of sum_z Theta(z) * ||pred_z - target_z||_2.
+
+    ``pred`` and ``target`` are (frames, K, 3); the frames of B windows
+    stacked window-major, as ``frames_tensor`` gives them, make this
+    the mean over windows of each window's loss.
+    """
     target = np.asarray(target, dtype=np.float64)
     if pred.data.shape != target.shape:
         raise ad.ShapeMismatch(f"loss shapes {pred.data.shape} vs {target.shape}")
@@ -59,7 +64,8 @@ def weighted_loss(pred: Tensor, target: np.ndarray, theta: np.ndarray) -> Tensor
 
 
 def l2_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean over frames of the summed squared entry errors."""
+    """Mean over frames of the summed squared entry errors; like
+    ``weighted_loss``, stacked windows average over windows too."""
     target = np.asarray(target, dtype=np.float64)
     if pred.data.shape != target.shape:
         raise ad.ShapeMismatch(f"loss shapes {pred.data.shape} vs {target.shape}")
@@ -101,6 +107,14 @@ def adam_step(named: dict[str, Tensor], state: AdamState, lr: float = 1e-3,
         m += (1.0 - beta1) * (g - m)
         v += (1.0 - beta2) * (g * g - v)
         t.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def first_nonfinite(named: dict[str, Tensor]) -> str | None:
+    """Name of the first tensor whose gradient holds a NaN or inf."""
+    for name, t in named.items():
+        if not np.isfinite(t.grad).all():
+            return name
+    return None
 
 
 def clip_gradients(named: dict[str, Tensor], max_norm: float) -> float:
@@ -146,11 +160,18 @@ def train(sequences: list[MotionSequence], layout: ChainLayout, theta: np.ndarra
           params: ModelParams | None = None) -> TrainResult:
     """Seeded minibatch training over uniformly sampled windows.
 
-    The same seed reproduces the exact loss curve.  Raises
-    TrainingDiverged when the loss stops being finite.
+    Each iteration stacks its ``batch_size`` windows and runs them as
+    one batch: one forward pass, one loss (the mean over windows) and
+    one tape walk.  The same seed reproduces the exact loss curve.
+    Raises TrainingDiverged when the loss or a gradient stops being
+    finite, before the parameters are touched.
     """
     if train_config.loss not in ("weighted", "l2"):
         raise ValueError(f"unknown loss {train_config.loss!r}")
+    if train_config.batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {train_config.batch_size}")
+    if train_config.iterations < 1:
+        raise ValueError(f"iterations must be at least 1, got {train_config.iterations}")
     rng = np.random.default_rng(train_config.seed)
     if params is None:
         params = ModelParams.init(model_config, layout, seed=train_config.seed)
@@ -160,26 +181,27 @@ def train(sequences: list[MotionSequence], layout: ChainLayout, theta: np.ndarra
     metrics: list[tuple[int, float, float]] = []
     for it in range(train_config.iterations):
         t0 = time.perf_counter()
-        losses = []
+        windows = []
         for _ in range(train_config.batch_size):
             si = int(rng.integers(len(sequences)))
-            window = sample_windows(sequences[si], train_config.observed,
-                                    train_config.horizon, 1, rng)[0]
-            feed = window.target if train_config.teacher_forcing else None
-            outs = forward(params, model_config, layout, window.observed,
-                           train_config.horizon, feed=feed)
-            pred = frames_tensor(outs, k)
-            if train_config.loss == "weighted":
-                losses.append(weighted_loss(pred, window.target, theta))
-            else:
-                losses.append(l2_loss(pred, window.target))
-        total = losses[0]
-        for extra in losses[1:]:
-            total = ad.add(total, extra)
-        loss = ad.scale(total, 1.0 / len(losses))
+            windows.append(sample_windows(sequences[si], train_config.observed,
+                                          train_config.horizon, 1, rng)[0])
+        targets = np.stack([w.target for w in windows])
+        feed = targets if train_config.teacher_forcing else None
+        outs = forward(params, model_config, layout,
+                       np.stack([w.observed for w in windows]),
+                       train_config.horizon, feed=feed)
+        pred, target = frames_tensor(outs, k), targets.reshape(-1, k, 3)
+        if train_config.loss == "weighted":
+            loss = weighted_loss(pred, target, theta)
+        else:
+            loss = l2_loss(pred, target)
         if not np.isfinite(loss.data):
             raise TrainingDiverged(f"non-finite loss at iteration {it}")
         backward(loss, leaves=named.values())
+        bad = first_nonfinite(named)
+        if bad is not None:
+            raise TrainingDiverged(f"non-finite gradient of {bad} at iteration {it}")
         clip_gradients(named, train_config.clip_norm)
         adam_step(named, adam, lr=train_config.learning_rate,
                   beta1=train_config.beta1, beta2=train_config.beta2,

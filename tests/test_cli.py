@@ -295,3 +295,14 @@ def test_parse_frames_specs():
         _parse_frames("25", 20)
     with pytest.raises(ValidationError):
         _parse_frames("a,b", 20)
+
+
+@pytest.mark.parametrize("flags, config, message", [
+    (["--iterations", "0"], TINY, "iterations must be at least 1"),
+    ([], TINY.replace("batch_size = 2", "batch_size = 0"), "batch_size must be at least 1"),
+], ids=["iterations", "batch_size"])
+def test_train_rejects_empty_runs_exits_2(tmp_path, capsys, flags, config, message):
+    rc = main(["train", "--data", lie_file(tmp_path, "d.lie"), "--topology",
+               topo_file(tmp_path), "--config", write_config(tmp_path, config), *flags])
+    assert rc == 2
+    assert message in capsys.readouterr().err

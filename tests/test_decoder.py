@@ -5,7 +5,7 @@ import pytest
 from scipy.special import expit
 
 import sthrn.autodiff as ad
-from sthrn.autodiff import Tensor, grad_check
+from sthrn.autodiff import Tensor, backward, grad_check
 from sthrn.decoder import (
     DecoderParams,
     DecoderState,
@@ -188,6 +188,23 @@ def test_wrap_rows_gradient_away_from_boundary():
     report = grad_check(f, {"w": leaf})
     assert report.max_rel_error < 1e-4
     assert report.skipped == []
+
+
+def test_wrap_rows_batch_wraps_each_window_alone():
+    # one window needs a wrap and the other does not; the second keeps
+    # its exact values and passes its gradient through unchanged, even
+    # at an entry that is exactly zero
+    rng = np.random.default_rng(13)
+    w3 = rng.normal(size=(2, 2, 3))
+    w3 *= np.array([[[1.5], [0.4]], [[0.7], [0.0]]]) * np.pi / np.linalg.norm(
+        w3, axis=2, keepdims=True)
+    batch = Tensor(w3.reshape(2, 6))
+    out = _wrap_rows(batch, 2)
+    assert np.array_equal(out.data[0], _wrap_rows(Tensor(w3[0].reshape(1, 6)), 2).data[0])
+    assert np.array_equal(out.data[1], batch.data[1])
+    weights = np.arange(1.0, 13.0).reshape(2, 6)
+    backward(ad.tsum(ad.mul(out, Tensor(weights))), leaves=[batch])
+    assert np.array_equal(batch.grad[1], weights[1])
 
 
 # -- decode step -------------------------------------------------------------------

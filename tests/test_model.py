@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import sthrn.autodiff as ad
-from sthrn.encoder import ChainLayout
+from sthrn.autodiff import backward
+from sthrn.encoder import ChainLayout, encode
 from sthrn.model import ModelConfig, ModelParams, forward, frames_tensor, predict
 from sthrn.skeleton import builtin_topology, synth_motion
+from sthrn.training import bone_weights, weighted_loss
 
 TOPO = builtin_topology("fork7")
 LAYOUT = ChainLayout.from_topology(TOPO)
@@ -105,3 +107,90 @@ def test_predicted_entries_stay_wrapped():
     obs = observed_frames(6, seed=11)
     out = predict(params, CFG, LAYOUT, obs, horizon=20)
     assert np.all(np.linalg.norm(out, axis=2) <= np.pi + 1e-12)
+
+
+# -- batched windows against per-window oracles ------------------------------------
+
+H = 3
+THETA = bone_weights(TOPO.entry_lengths())
+BATCH_CONFIGS = {
+    "structured": ModelConfig(hidden_size=4, layers=2),
+    "plain": ModelConfig(hidden_size=4, layers=2, decoder="plain"),
+    "no-global-temporal": ModelConfig(hidden_size=4, layers=2, global_temporal=False),
+    "no-global-spatial": ModelConfig(hidden_size=4, layers=2, global_spatial=False),
+}
+
+
+def three_windows(t=6):
+    """Three (t, K, 3) observed windows and their (H, K, 3) targets, cut
+    from sequences unlike each other so a leak between windows shows."""
+    seqs = [observed_frames(t + H + 7 * b, seed=30 + b)[7 * b:] for b in range(3)]
+    return [s[:t] for s in seqs], [s[t:] for s in seqs]
+
+
+def rel_err(got, want):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+
+
+@pytest.mark.parametrize("teacher", [False, True], ids=["free", "teacher"])
+@pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
+def test_batched_tape_matches_mean_of_window_tapes(name, teacher):
+    cfg = BATCH_CONFIGS[name]
+    params = ModelParams.init(cfg, LAYOUT, seed=12)
+    named = params.named()
+    k = LAYOUT.num_entries
+    obs, targets = three_windows()
+
+    def loss_of(observed, target, feed):
+        outs = forward(params, cfg, LAYOUT, observed, H, feed=feed)
+        return weighted_loss(frames_tensor(outs, k), target, THETA)
+
+    want_loss = 0.0
+    want = {n: np.zeros_like(t.data) for n, t in named.items()}
+    for o, tg in zip(obs, targets):
+        loss = loss_of(o, tg, tg if teacher else None)
+        backward(loss, leaves=named.values())
+        want_loss += float(loss.data) / 3
+        for n, t in named.items():
+            want[n] += t.grad / 3
+
+    stacked = np.stack(targets)
+    loss = loss_of(np.stack(obs), stacked.reshape(-1, k, 3), stacked if teacher else None)
+    backward(loss, leaves=named.values())
+    assert abs(float(loss.data) - want_loss) <= 1e-12 * abs(want_loss)
+    for n, t in named.items():
+        if not np.any(want[n]):
+            assert not np.any(t.grad), n
+        else:
+            assert rel_err(t.grad, want[n]) <= 1e-12, n
+
+
+@pytest.mark.parametrize("name", ["structured", "no-global-temporal", "no-global-spatial"])
+def test_batched_encode_keeps_windows_apart(name):
+    cfg = BATCH_CONFIGS[name]
+    params = ModelParams.init(cfg, LAYOUT, seed=13)
+    obs, _ = three_windows(t=5)
+    args = (params.encoder, LAYOUT, cfg.layers, cfg.global_temporal, cfg.global_spatial)
+    batched = encode(np.stack(obs), *args)
+    t, k = obs[0].shape[0], LAYOUT.num_entries
+    assert batched.grid_shape == (3, t, k, cfg.hidden_size)
+    rows = {"h": t * k, "c": t * k, "g_t": k, "c_gt": k, "g_s": t, "c_gs": t}
+    for b, o in enumerate(obs):
+        single = encode(o, *args)
+        for field, n in rows.items():
+            got = getattr(batched, field).data[b * n:(b + 1) * n]
+            want = getattr(single, field).data
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want))), \
+                (b, field)
+
+
+def test_batched_predict_matches_stacked_predicts():
+    params = ModelParams.init(CFG, LAYOUT, seed=14)
+    obs, _ = three_windows()
+    got = predict(params, CFG, LAYOUT, np.stack(obs), horizon=8)
+    assert got.shape == (3, 8, 4, 3)
+    want = np.stack([predict(params, CFG, LAYOUT, o, horizon=8) for o in obs])
+    assert rel_err(got, want) <= 1e-12
+    one = predict(params, CFG, LAYOUT, obs[0][None], horizon=8)
+    assert one.shape == (1, 8, 4, 3)
+    assert np.array_equal(one[0], want[0])

@@ -9,7 +9,7 @@ import sthrn.autodiff as ad
 from sthrn.autodiff import Tensor, backward
 from sthrn.encoder import ChainLayout
 from sthrn.model import ModelConfig, ModelParams, predict
-from sthrn.skeleton import ParseError, builtin_topology, synth_motion
+from sthrn.skeleton import MotionSequence, ParseError, builtin_topology, synth_motion
 from sthrn.training import (
     AdamState,
     TrainConfig,
@@ -336,3 +336,28 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path.write_bytes(data[:-16])
     with pytest.raises(ParseError):
         load_checkpoint(path)
+
+
+def test_train_stops_at_a_nan_gradient_before_touching_params():
+    # A zero decoder predicts the last observed pose again; on static
+    # motion that is the target exactly, where the weighted loss is 0 and
+    # its gradient NaN (the norm's kink).  Clipping would pass the NaN
+    # norm through and Adam would poison every parameter.
+    frame = synth_motion("sinusoid", 1, TOPO, seed=7).frames[0]
+    seqs = [MotionSequence(fps=25.0, frames=np.repeat(frame[None], 30, axis=0), kind="lie")]
+    theta = bone_weights(TOPO.entry_lengths())
+    params = ModelParams.init(CFG, LAYOUT, seed=0)
+    for t in params.decoder.named().values():
+        t.data[:] = 0.0
+    before = {n: t.data.copy() for n, t in params.named().items()}
+    with pytest.raises(TrainingDiverged, match="non-finite gradient of enc.embed.w"):
+        train(seqs, LAYOUT, theta, CFG, tiny_train_config(), params=params)
+    for n, t in params.named().items():
+        assert np.array_equal(t.data, before[n]), n
+
+
+@pytest.mark.parametrize("field", ["batch_size", "iterations"])
+def test_train_rejects_empty_runs(field):
+    seqs = [synth_motion("sinusoid", 30, TOPO, seed=3)]
+    with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+        train(seqs, LAYOUT, np.ones(4), CFG, tiny_train_config(**{field: 0}))
