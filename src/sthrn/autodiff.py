@@ -312,6 +312,18 @@ def narrow(a, key) -> Tensor:
     return Tensor(out_data, "narrow", (a,), vjp)
 
 
+def mask_mul(t: Tensor, mask: np.ndarray) -> Tensor:
+    """Elementwise product with a constant 0/1 mask (no tape leaf)."""
+    out_data = t.data * mask
+    if not _grad_enabled:
+        return Tensor(out_data)
+
+    def vjp(g):
+        t.grad += g * mask
+
+    return Tensor(out_data, "mask", (t,), vjp)
+
+
 def _shift_blocks(x: np.ndarray, n: int, block: int) -> np.ndarray:
     rows = x.shape[0]
     k = min(abs(n), block)
@@ -369,9 +381,10 @@ def _pool(x: np.ndarray, grid_shape: tuple, axis: int) -> np.ndarray:
 
 
 def _spread(g: np.ndarray, grid_shape: tuple, axis: int) -> np.ndarray:
-    """Transpose of ``_pool``: each row of ``g`` copied back over ``axis``."""
-    pooled = grid_shape[:axis] + grid_shape[axis + 1:]
-    return np.broadcast_to(np.expand_dims(g.reshape(pooled), axis), grid_shape)
+    """Transpose of ``_pool``: each row of ``g`` copied back over ``axis``,
+    as 2-D rows."""
+    copies = np.repeat(g.reshape(grid_shape[:axis] + (1, -1)), grid_shape[axis], axis=axis)
+    return copies.reshape(-1, grid_shape[-1])
 
 
 def mean_rows(a, grid_shape: tuple, axis: int) -> Tensor:
@@ -388,6 +401,22 @@ def mean_rows(a, grid_shape: tuple, axis: int) -> Tensor:
         a.grad += _spread(g * s, grid_shape, axis).reshape(a.data.shape)
 
     return Tensor(out_data, "mean", (a,), vjp)
+
+
+def spread_rows(a, grid_shape: tuple, axis: int) -> Tensor:
+    """Transpose of ``mean_rows`` without the scale: each row of ``a``
+    copied over ``axis`` of ``grid_shape``, one row per grid index.  Over
+    frames (axis 1) of a (B, T, K, h) grid, (B * K, h) rows tile each
+    window's K rows T times; over bones (axis 2), (B * T, h) rows repeat."""
+    a = _as_tensor(a)
+    out_data = _spread(a.data, grid_shape, axis)
+    if not _grad_enabled:
+        return Tensor(out_data)
+
+    def vjp(g):
+        a.grad += _pool(g, grid_shape, axis)
+
+    return Tensor(out_data, "spread", (a,), vjp)
 
 
 def l2norm(a, axis: int = -1) -> Tensor:

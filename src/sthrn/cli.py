@@ -31,11 +31,14 @@ from .skeleton import (
     RootConfig,
     SkeletonTopology,
     ValidationError,
+    length_lines,
     lie_to_pose,
     load_motion,
     load_topology,
     normalize_lengths,
+    parse_length,
     pose_to_lie,
+    read_lines,
     resample_fps,
     save_motion,
 )
@@ -86,19 +89,15 @@ def _parse_bool(value: str, key: str) -> bool:
 
 def parse_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if not key or not value:
-                raise ParseError(f"{path}:{lineno}: empty key or value")
-            if key in values:
-                raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = value
+    for lineno, line in read_lines(path):
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key or not value:
+            raise ParseError(f"{path}:{lineno}: empty key or value")
+        if key in values:
+            raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = value
     return values
 
 
@@ -142,30 +141,6 @@ def _resolve_seed(flag_seed, config_values: dict[str, str]) -> int:
     return 0
 
 
-def _read_lengths(path) -> dict[str, float]:
-    out: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected '<bone> <length>'")
-            try:
-                out[parts[0]] = float(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad length {parts[1]!r}") from exc
-    return out
-
-
-def _write_lengths(path, topo: SkeletonTopology) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# normalized bone lengths\n")
-        for _, child in topo.bones():
-            fh.write(f"{child} {topo.lengths[child]!r}\n")
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -182,7 +157,8 @@ def cmd_preprocess(args) -> int:
     lie = np.stack([pose_to_lie(frame, topo) for frame in seq.frames], axis=0)
     save_motion(args.out, MotionSequence(fps=seq.fps, frames=lie, kind="lie"))
     lengths_out = args.lengths_out or (str(args.out) + ".lengths")
-    _write_lengths(lengths_out, topo)
+    with open(lengths_out, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(["# normalized bone lengths", *length_lines(topo)]) + "\n")
     print(f"wrote {lie.shape[0]} frames, k={lie.shape[1]}, fps={seq.fps:g} -> {args.out}")
     return 0
 
@@ -199,7 +175,8 @@ def cmd_train(args) -> int:
         raise ValidationError("a topology is required (flag --topology or config key)")
     topo = load_topology(topo_path)
     if args.lengths:
-        topo = replace(topo, lengths={**topo.lengths, **_read_lengths(args.lengths)})
+        sidecar = dict(parse_length(args.lengths, n, line) for n, line in read_lines(args.lengths))
+        topo = replace(topo, lengths={**topo.lengths, **sidecar})
         topo.validate()
     layout = ChainLayout.from_topology(topo)
     sequences = [load_motion(path, topo) for path in args.data]

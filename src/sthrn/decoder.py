@@ -54,41 +54,56 @@ def lstm_step(x: Tensor, state: LstmState, p: LstmParams) -> LstmState:
     return LstmState(h=h, c=c)
 
 
+def wiring(kind: str, layout: ChainLayout):
+    """The decoder wiring table for ``layout``, as (cells, heads).
+
+    Cells, in random-draw and step order, are (name, sources): "pose" is
+    the previous pose, a cell name that cell's new h; several sources are
+    concatenated.  Heads, in chain order, are (source cell, chain ids
+    written); a structured head per chain reads its ``decoder_groups``
+    group's cell.  Cells nothing reads (no arm or leg chains) are dropped.
+    """
+    trunk, arms, _ = layout.decoder_groups()
+    chains = tuple(range(len(layout.entry_counts)))
+    table = {
+        "structured": ((("overall", ("pose",)), ("spine", ("overall",)),
+                        ("arm", ("overall", "spine")), ("leg", ("overall", "spine"))),
+                       tuple(("spine" if c in trunk else "arm" if c in arms else "leg", (c,))
+                             for c in chains)),
+        "plain": ((("layer0", ("pose",)), ("layer1", ("layer0",))), (("layer1", chains),)),
+    }
+    if kind not in table:
+        raise ValueError(f"unknown decoder kind {kind!r}")
+    cells, heads = table[kind]
+    read = {s for _, sources in cells for s in sources} | {cell for cell, _ in heads}
+    return tuple(cell for cell in cells if cell[0] in read), heads
+
+
 @dataclass
 class DecoderParams:
     kind: str                     # "structured" | "plain"
-    cells: dict[str, LstmParams]  # structured: overall/spine/arm/leg, plain: layer0/layer1
-    proj_w: list[Tensor]          # structured: one head per chain; plain: one head
+    cells: dict[str, LstmParams]  # in wiring order
+    proj_w: list[Tensor]          # one head per wiring head
     proj_b: list[Tensor]
     hidden: int                   # K * encoder hidden
+    wiring: tuple                 # wiring(kind, layout), resolved once
 
     @classmethod
     def init(cls, layout: ChainLayout, enc_hidden: int, rng: np.random.Generator,
              kind: str = "structured", sigma: float = 0.1) -> "DecoderParams":
+        cell_sources, heads = wired = wiring(kind, layout)
         k = layout.num_entries
         hidden = k * enc_hidden
-        cells: dict[str, LstmParams] = {}
-        proj_w: list[Tensor] = []
-        proj_b: list[Tensor] = []
-        if kind == "structured":
-            _, arms, legs = layout.decoder_groups()
-            cells["overall"] = LstmParams.init(3 * k, hidden, rng, sigma)
-            cells["spine"] = LstmParams.init(hidden, hidden, rng, sigma)
-            if arms:
-                cells["arm"] = LstmParams.init(2 * hidden, hidden, rng, sigma)
-            if legs:
-                cells["leg"] = LstmParams.init(2 * hidden, hidden, rng, sigma)
-            for kc in layout.entry_counts:
-                proj_w.append(Tensor(rng.normal(0.0, sigma, size=(hidden, 3 * kc))))
-                proj_b.append(Tensor(np.zeros(3 * kc)))
-        elif kind == "plain":
-            cells["layer0"] = LstmParams.init(3 * k, hidden, rng, sigma)
-            cells["layer1"] = LstmParams.init(hidden, hidden, rng, sigma)
-            proj_w.append(Tensor(rng.normal(0.0, sigma, size=(hidden, 3 * k))))
-            proj_b.append(Tensor(np.zeros(3 * k)))
-        else:
-            raise ValueError(f"unknown decoder kind {kind!r}")
-        return cls(kind=kind, cells=cells, proj_w=proj_w, proj_b=proj_b, hidden=hidden)
+        cells = {
+            name: LstmParams.init(sum(3 * k if s == "pose" else hidden for s in sources),
+                                  hidden, rng, sigma)
+            for name, sources in cell_sources
+        }
+        widths = [3 * sum(layout.entry_counts[c] for c in chains) for _, chains in heads]
+        proj_w = [Tensor(rng.normal(0.0, sigma, size=(hidden, n))) for n in widths]
+        proj_b = [Tensor(np.zeros(n)) for n in widths]
+        return cls(kind=kind, cells=cells, proj_w=proj_w, proj_b=proj_b,
+                   hidden=hidden, wiring=wired)
 
     def named(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -112,10 +127,10 @@ def init_decoder(enc: EncoderState, params: DecoderParams) -> DecoderState:
 
     With t observed frames the encoder saw t - 1 of them; per frame its
     grid states concatenate (bone-major) to rows of width K * hidden.
-    Layer 0 starts from the mean of a window's rows (hidden and cell
-    alike); layer 1 starts from the same mean cell and from
-    (sum of hidden rows + flattened g_t) / t.  Remaining LSTMs start
-    at zero.
+    The first cell of the wiring starts from the mean of a window's rows
+    (hidden and cell alike); the second starts from the same mean cell
+    and from (sum of hidden rows + flattened g_t) / t.  Remaining cells
+    start at zero.
     """
     b, t_minus_1, k = enc.windows, enc.frames, enc.entries
     hidden = enc.h.data.shape[1]
@@ -126,18 +141,10 @@ def init_decoder(enc: EncoderState, params: DecoderParams) -> DecoderState:
     gt_flat = ad.reshape(enc.g_t, (b, d))
     h_second = ad.scale(ad.add(h_sum, gt_flat), 1.0 / (t_minus_1 + 1))
 
-    def zeros():
-        return LstmState(h=Tensor(np.zeros((b, d))), c=Tensor(np.zeros((b, d))))
-
-    cells: dict[str, LstmState] = {}
-    first, second = (("overall", "spine") if params.kind == "structured"
-                     else ("layer0", "layer1"))
-    cells[first] = LstmState(h=h_mean, c=c_mean)
-    cells[second] = LstmState(h=h_second, c=c_mean)
-    for name in params.cells:
-        if name not in cells:
-            cells[name] = zeros()
-    return DecoderState(cells=cells)
+    zeros = [LstmState(h=Tensor(np.zeros((b, d))), c=Tensor(np.zeros((b, d))))
+             for _ in range(len(params.cells) - 2)]
+    starts = [LstmState(h=h_mean, c=c_mean), LstmState(h=h_second, c=c_mean), *zeros]
+    return DecoderState(cells=dict(zip(params.cells, starts)))  # in wiring order
 
 
 def _wrap_rows(w: Tensor, k: int) -> Tensor:
@@ -166,31 +173,15 @@ def _wrap_rows(w: Tensor, k: int) -> Tensor:
 def decode_step(w_prev: Tensor, state: DecoderState, params: DecoderParams,
                 layout: ChainLayout) -> tuple[Tensor, DecoderState]:
     """One autoregressive step: new pose and advanced LSTM states."""
-    k = layout.num_entries
-    s = state.cells
     new: dict[str, LstmState] = {}
-    if params.kind == "structured":
-        new["overall"] = lstm_step(w_prev, s["overall"], params.cells["overall"])
-        new["spine"] = lstm_step(new["overall"].h, s["spine"], params.cells["spine"])
-        if "arm" in params.cells or "leg" in params.cells:
-            limb_x = ad.concat([new["overall"].h, new["spine"].h], axis=1)
-        for name in ("arm", "leg"):
-            if name in params.cells:
-                new[name] = lstm_step(limb_x, s[name], params.cells[name])
-        trunk, arms, _ = layout.decoder_groups()
-        deltas = []
-        for ci in range(len(layout.entry_counts)):
-            if ci in trunk:
-                src = new["spine"].h
-            elif ci in arms:
-                src = new["arm"].h
-            else:
-                src = new["leg"].h
-            deltas.append(ad.linear([(src, params.proj_w[ci]), params.proj_b[ci]]))
-        delta = deltas[0] if len(deltas) == 1 else ad.concat(deltas, axis=1)
-    else:
-        new["layer0"] = lstm_step(w_prev, s["layer0"], params.cells["layer0"])
-        new["layer1"] = lstm_step(new["layer0"].h, s["layer1"], params.cells["layer1"])
-        delta = ad.linear([(new["layer1"].h, params.proj_w[0]), params.proj_b[0]])
-    w_next = _wrap_rows(ad.add(w_prev, delta), k)
-    return w_next, DecoderState(cells=new)
+    inputs: dict[tuple[str, ...], Tensor] = {}  # one concat per source list
+    cell_sources, heads = params.wiring
+    for name, sources in cell_sources:
+        if sources not in inputs:
+            parts = [w_prev if s == "pose" else new[s].h for s in sources]
+            inputs[sources] = parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
+        new[name] = lstm_step(inputs[sources], state.cells[name], params.cells[name])
+    deltas = [ad.linear([(new[cell].h, w), b])
+              for (cell, _), w, b in zip(heads, params.proj_w, params.proj_b)]
+    delta = deltas[0] if len(deltas) == 1 else ad.concat(deltas, axis=1)
+    return _wrap_rows(ad.add(w_prev, delta), layout.num_entries), DecoderState(cells=new)

@@ -239,45 +239,6 @@ def _fused_gate_params(params: EncoderParams):
     )
 
 
-def _mask_mul(t: Tensor, mask: np.ndarray) -> Tensor:
-    """Elementwise product with a constant 0/1 mask (no tape leaf)."""
-    out_data = t.data * mask
-    if not ad._grad_enabled:
-        return Tensor(out_data)
-
-    def vjp(g):
-        t.grad += g * mask
-
-    return Tensor(out_data, "mask", (t,), vjp)
-
-
-def _repeat_rows(t: Tensor, times: int) -> Tensor:
-    """Each row repeated ``times`` consecutively: (R, h) -> (R*times, h)."""
-    out_data = np.repeat(t.data, times, axis=0)
-    if not ad._grad_enabled:
-        return Tensor(out_data)
-    r, h = t.data.shape
-
-    def vjp(g):
-        t.grad += g.reshape(r, times, h).sum(axis=1)
-
-    return Tensor(out_data, "repeat", (t,), vjp)
-
-
-def _tile_rows(t: Tensor, reps: int, windows: int = 1) -> Tensor:
-    """Each window's block of R rows stacked ``reps`` times where it
-    stands: (B*R, h) -> (B*reps*R, h)."""
-    r, h = t.data.shape[0] // windows, t.data.shape[1]
-    out_data = np.repeat(t.data.reshape(windows, 1, r, h), reps, axis=1).reshape(-1, h)
-    if not ad._grad_enabled:
-        return Tensor(out_data)
-
-    def vjp(g):
-        t.grad += g.reshape(windows, reps, r, h).sum(axis=1).reshape(t.data.shape)
-
-    return Tensor(out_data, "tile", (t,), vjp)
-
-
 def _layer_step(state: EncoderState, p_proj: Tensor, fused, params: EncoderParams,
                 sp_mask: np.ndarray,
                 global_temporal: bool, global_spatial: bool) -> EncoderState:
@@ -291,10 +252,10 @@ def _layer_step(state: EncoderState, p_proj: Tensor, fused, params: EncoderParam
     # the first row of every window)
     h_left = ad.shift_rows(state.h, K, T * K)
     h_right = ad.shift_rows(state.h, -K, T * K)
-    h_sp = _mask_mul(ad.shift_rows(state.h, 1), sp_mask)
+    h_sp = ad.mask_mul(ad.shift_rows(state.h, 1), sp_mask)
     triple = ad.concat([h_left, h_right, state.h], axis=1)
-    gs_rows = _repeat_rows(state.g_s, K)
-    gt_rows = _tile_rows(state.g_t, T, B)
+    gs_rows = ad.spread_rows(state.g_s, state.grid_shape, axis=2)
+    gt_rows = ad.spread_rows(state.g_t, state.grid_shape, axis=1)
 
     pre = ad.linear([
         p_proj, (triple, w_all), (h_sp, z_all), (gs_rows, gs_all), (gt_rows, gt_all), b_all,
@@ -302,9 +263,9 @@ def _layer_step(state: EncoderState, p_proj: Tensor, fused, params: EncoderParam
 
     c_left = ad.shift_rows(state.c, K, T * K)
     c_right = ad.shift_rows(state.c, -K, T * K)
-    c_sp = _mask_mul(ad.shift_rows(state.c, 1), sp_mask)
-    cgs_rows = _repeat_rows(state.c_gs, K)
-    cgt_rows = _tile_rows(state.c_gt, T, B)
+    c_sp = ad.mask_mul(ad.shift_rows(state.c, 1), sp_mask)
+    cgs_rows = ad.spread_rows(state.c_gs, state.grid_shape, axis=2)
+    cgt_rows = ad.spread_rows(state.c_gt, state.grid_shape, axis=1)
 
     # GATE_ORDER is the gated-cell column layout: the "in" gate on the
     # candidate, one gate per cell source below, "out", then "cand"

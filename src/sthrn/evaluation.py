@@ -22,6 +22,8 @@ HORIZON_MS = (80, 160, 320, 400, 560, 640, 720, 1000)
 
 def horizon_frames(fps: float = 25.0, grid_ms=HORIZON_MS) -> tuple[int, ...]:
     """1-based predicted-frame index of each millisecond horizon."""
+    if not fps > 0.0:
+        raise ValueError(f"fps must be positive, got {fps}")
     return tuple(int(round(ms * fps / 1000.0)) for ms in grid_ms)
 
 

@@ -22,6 +22,11 @@ class ModelConfig:
     global_spatial: bool = True
     decoder: str = "structured"
 
+    def __post_init__(self):
+        for key in ("hidden_size", "layers"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+
 
 @dataclass
 class ModelParams:
@@ -29,7 +34,8 @@ class ModelParams:
     decoder: DecoderParams
 
     @classmethod
-    def init(cls, config: ModelConfig, layout: ChainLayout, seed: int) -> "ModelParams":
+    def init(cls, config: ModelConfig, layout: ChainLayout,
+             seed: int | np.random.Generator) -> "ModelParams":
         rng = np.random.default_rng(seed)
         enc = EncoderParams.init(config.hidden_size, rng)
         dec = DecoderParams.init(layout, config.hidden_size, rng, kind=config.decoder)
@@ -93,6 +99,10 @@ def predict(params: ModelParams, config: ModelConfig, layout: ChainLayout,
             observed: np.ndarray, horizon: int) -> np.ndarray:
     """Value-only prediction of (horizon, K, 3) future Lie frames from a
     (t, K, 3) window, or (B, horizon, K, 3) from (B, t, K, 3) windows."""
+    if not np.isfinite(observed).all():
+        *window, frame = np.argwhere(~np.isfinite(observed))[0][:-2]
+        where = f"window {window[0]} frame {frame}" if window else f"frame {frame}"
+        raise ValueError(f"observed {where} is not finite")
     with ad.no_grad():
         outs = forward(params, config, layout, observed, horizon)
     k = layout.num_entries

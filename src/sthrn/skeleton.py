@@ -80,9 +80,6 @@ class SkeletonTopology:
             out.extend(self.chain_bones(c))
         return out
 
-    def chain_bone_counts(self) -> tuple[int, ...]:
-        return tuple(len(chain) - 1 for chain in self.chains)
-
     def entry_counts(self) -> tuple[int, ...]:
         """Lie entries per chain: one fewer than the chain's bone count."""
         return tuple(len(chain) - 2 for chain in self.chains)
@@ -206,10 +203,10 @@ class SampleWindow:
 
 
 # ---------------------------------------------------------------------------
-# topology file IO
+# line-based text: topologies, config files and lengths sidecars
 #
-# Line-oriented text with three sections.  '#' starts a comment, blank
-# lines are ignored:
+# '#' starts a comment, blank lines are ignored.  A topology has three
+# sections; a lengths sidecar is the [lengths] lines alone:
 #
 #   [joints]   one joint name per line, fixing raw-file column order
 #   [chains]   whitespace-separated joint names, head first
@@ -219,39 +216,51 @@ class SampleWindow:
 _SECTIONS = ("joints", "chains", "lengths")
 
 
+def read_lines(path) -> list[tuple[int, str]]:
+    """(line number, text) of each line not blank once '#' comments go."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [(n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(fh, start=1)]
+    return [(n, text) for n, text in lines if text]
+
+
+def parse_length(path, lineno: int, text: str) -> tuple[str, float]:
+    """The (bone, length) of one "<bone> <length>" line."""
+    parts = text.split()
+    if len(parts) != 2:
+        raise ParseError(f"{path}:{lineno}: expected '<bone> <length>'")
+    try:
+        return parts[0], float(parts[1])
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: bad length {parts[1]!r}") from exc
+
+
+def length_lines(topo: SkeletonTopology) -> list[str]:
+    """One "<bone> <length>" line per bone, exact through repr."""
+    return [f"{child} {float(topo.lengths[child])!r}" for _, child in topo.bones()]
+
+
 def load_topology(path) -> SkeletonTopology:
     """Parse and validate a topology file."""
     joints: list[str] = []
     chains: list[tuple[str, ...]] = []
     lengths: dict[str, float] = {}
     section = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].strip()
-                if section not in _SECTIONS:
-                    raise ParseError(f"{path}:{lineno}: unknown section [{section}]")
-                continue
-            if section is None:
-                raise ParseError(f"{path}:{lineno}: content before any section header")
-            if section == "joints":
-                if len(line.split()) != 1:
-                    raise ParseError(f"{path}:{lineno}: one joint name per line")
-                joints.append(line)
-            elif section == "chains":
-                chains.append(tuple(line.split()))
-            else:
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ParseError(f"{path}:{lineno}: expected '<bone> <length>'")
-                name, value = parts
-                try:
-                    lengths[name] = float(value)
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad length {value!r}") from exc
+    for lineno, line in read_lines(path):
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if section not in _SECTIONS:
+                raise ParseError(f"{path}:{lineno}: unknown section [{section}]")
+        elif section is None:
+            raise ParseError(f"{path}:{lineno}: content before any section header")
+        elif section == "joints":
+            if len(line.split()) != 1:
+                raise ParseError(f"{path}:{lineno}: one joint name per line")
+            joints.append(line)
+        elif section == "chains":
+            chains.append(tuple(line.split()))
+        else:
+            name, length = parse_length(path, lineno, line)
+            lengths[name] = length
     topo = SkeletonTopology(tuple(joints), tuple(chains), lengths)
     topo.validate()
     return topo
@@ -263,7 +272,7 @@ def save_topology(path, topo: SkeletonTopology) -> None:
     lines.append("[chains]")
     lines.extend(" ".join(chain) for chain in topo.chains)
     lines.append("[lengths]")
-    lines.extend(f"{child} {float(topo.lengths[child])!r}" for _, child in topo.bones())
+    lines.extend(length_lines(topo))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -445,10 +454,11 @@ def resample_fps(seq: MotionSequence, target_fps: float) -> MotionSequence:
     The stride is round(fps / target_fps) and the stored rate is the
     true resulting rate fps / stride.
     """
+    if not target_fps > 0.0:
+        raise UnsupportedRate(f"target frame rate must be positive, got {target_fps}")
     if target_fps > seq.fps:
         raise UnsupportedRate(f"cannot resample {seq.fps} fps up to {target_fps}")
     stride = int(round(seq.fps / target_fps))
-    stride = max(stride, 1)
     return MotionSequence(
         fps=seq.fps / stride,
         frames=seq.frames[::stride].copy(),

@@ -10,9 +10,10 @@ the tips.  Theta is constant once bone lengths are normalized.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -235,29 +236,43 @@ def write_metrics(path, metrics: list[tuple[int, float, float]]) -> None:
 # ---------------------------------------------------------------------------
 
 
+class _ZeroDraws(np.random.Generator):
+    """Seeds ``ModelParams.init`` to build zeros without drawing a number."""
+
+    def __init__(self):
+        super().__init__(np.random.PCG64(0))
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return np.zeros(size)
+
+
+def _tensors(params: ModelParams, adam: AdamState | None) -> dict[str, np.ndarray]:
+    """A checkpoint's tensors in file order: parameters, then Adam moments."""
+    named = {name: t.data for name, t in params.named().items()}
+    if adam is None:
+        return named
+    return {**named, **{f"adam.m.{n}": adam.m[n] for n in named},
+            **{f"adam.v.{n}": adam.v[n] for n in named}}
+
+
 def save_checkpoint(path, params: ModelParams, config: ModelConfig,
                     layout: ChainLayout, iteration: int = 0,
                     adam: AdamState | None = None) -> None:
-    tensors: list[tuple[str, np.ndarray]] = [
-        (name, t.data) for name, t in params.named().items()
-    ]
-    if adam is not None:
-        tensors.extend((f"adam.m.{n}", a) for n, a in adam.m.items())
-        tensors.extend((f"adam.v.{n}", a) for n, a in adam.v.items())
+    tensors = _tensors(params, adam)
     header = {
         "version": 1,
         "config": asdict(config),
         "chains": list(layout.entry_counts),
         "iteration": iteration,
         "adam_step": adam.step if adam is not None else None,
-        "tensors": [{"name": n, "shape": list(a.shape)} for n, a in tensors],
+        "tensors": [{"name": n, "shape": list(a.shape)} for n, a in tensors.items()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for _, a in tensors:
+        for a in tensors.values():
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
@@ -271,40 +286,44 @@ class Checkpoint:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Bit-exact reload of a saved checkpoint."""
+    """Bit-exact reload of a saved checkpoint.
+
+    The header must list exactly the tensors, in save order, that its
+    config and chains imply; each is built from its shape and bytes,
+    with no random draws.  Any other file raises ParseError naming the
+    path.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
+        if fh.read(len(_MAGIC)) != _MAGIC:
             raise ParseError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("version") != 1:
-            raise ParseError(f"{path}: unsupported checkpoint version")
-        loaded: dict[str, np.ndarray] = {}
-        for spec_ in header["tensors"]:
-            shape = tuple(spec_["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                raise ParseError(f"{path}: truncated tensor {spec_['name']!r}")
-            loaded[spec_["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    config = ModelConfig(**header["config"])
-    layout = ChainLayout(tuple(header["chains"]))
-    params = ModelParams.init(config, layout, seed=0)
-    named = params.named()
-    for name, t in named.items():
-        if name not in loaded:
-            raise ParseError(f"{path}: missing tensor {name!r}")
-        if loaded[name].shape != t.data.shape:
-            raise ParseError(f"{path}: tensor {name!r} has shape "
-                             f"{loaded[name].shape}, expected {t.data.shape}")
-        t.data = loaded[name]
-    adam = None
-    if header.get("adam_step") is not None:
-        adam = AdamState(
-            step=int(header["adam_step"]),
-            m={n: loaded[f"adam.m.{n}"] for n in named},
-            v={n: loaded[f"adam.v.{n}"] for n in named},
-        )
+        try:
+            (size,) = struct.unpack("<Q", fh.read(8))
+            blob = fh.read(min(size, os.fstat(fh.fileno()).st_size))  # never past the end
+            header = json.loads(blob.decode("utf-8"))
+            if header["version"] != 1:
+                raise ParseError(f"unsupported checkpoint version {header['version']!r}")
+            config = ModelConfig(**header["config"])
+            layout = ChainLayout(tuple(header["chains"]))
+            iteration = int(header["iteration"])
+            listed = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
+            params = ModelParams.init(config, layout, seed=_ZeroDraws())
+            adam_step = header.get("adam_step")
+            adam = None if adam_step is None else replace(AdamState.init(params.named()),
+                                                           step=int(adam_step))
+        except (KeyError, TypeError, ValueError, struct.error) as exc:
+            raise ParseError(f"{path}: bad header ({type(exc).__name__}: {exc})") from exc
+        tensors = _tensors(params, adam)  # zeros, filled in place below
+        implied = [(name, a.shape) for name, a in tensors.items()]
+        if listed != implied:
+            differ = [x for x in listed + implied if (x in listed) != (x in implied)]
+            raise ParseError(f"{path}: header tensors differ from its config's: "
+                             f"{differ or 'in order'}")
+        for name, a in tensors.items():
+            raw = fh.read(a.nbytes)
+            if len(raw) != a.nbytes:
+                raise ParseError(f"{path}: truncated tensor {name!r}")
+            a[...] = np.frombuffer(raw, dtype="<f8").reshape(a.shape)
+        if fh.read(1):
+            raise ParseError(f"{path}: trailing bytes after the last tensor")
     return Checkpoint(params=params, config=config, layout=layout,
-                      iteration=int(header["iteration"]), adam=adam)
+                      iteration=iteration, adam=adam)

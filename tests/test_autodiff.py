@@ -336,6 +336,23 @@ def test_mean_rows_pools_each_window():
     assert report.max_rel_error < 1e-6
 
 
+@pytest.mark.parametrize("axis", [1, 2])
+def test_spread_rows_copies_within_each_window(axis):
+    grid = (2, 3, 4, 2)
+    rows = 2 * (4 if axis == 1 else 3)
+    x = np.random.default_rng(6).normal(size=(rows, 2))
+    t = leaf(x.copy())
+    out = ad.spread_rows(t, grid, axis)
+    if axis == 1:  # each window's 4 bone rows tiled over its 3 frames
+        want = np.concatenate([np.tile(x[4 * b:4 * b + 4], (3, 1)) for b in range(2)])
+    else:  # each frame row repeated for its 4 bones
+        want = np.repeat(x, 4, axis=0)
+    assert np.array_equal(out.data, want)
+    weights = leaf(np.random.default_rng(7).normal(size=(24, 2)))
+    report = grad_check(lambda: ad.tsum(ad.spread_rows(t, grid, axis) * weights), {"t": t})
+    assert report.max_rel_error < 1e-6
+
+
 def test_reshape_transposes_gradient_back():
     a = leaf(np.arange(4.0))
     out = ad.reshape(a, (2, 2))

@@ -1,9 +1,13 @@
 """End-to-end command tests: every subcommand runs in a temp dir."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from sthrn.cli import _parse_frames, _resolve_seed, main, parse_config_file
+from sthrn.encoder import ChainLayout
 from sthrn.evaluation import read_report
 from sthrn.skeleton import (
     MotionSequence,
@@ -17,7 +21,8 @@ from sthrn.skeleton import (
     save_topology,
     synth_motion,
 )
-from sthrn.training import load_checkpoint
+from sthrn.model import ModelConfig, ModelParams
+from sthrn.training import load_checkpoint, save_checkpoint
 
 
 def topo_file(tmp_path, name="fork7"):
@@ -231,6 +236,100 @@ def test_missing_checkpoint_exits_2(tmp_path, capsys):
                "--horizon", "2", "--out", str(tmp_path / "p.lie")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def pack_checkpoint(header, body):
+    blob = json.dumps(header).encode()
+    return b"STHRN1\n" + struct.pack("<Q", len(blob)) + blob + body
+
+
+def without(header, key):
+    return {k: v for k, v in header.items() if k != key}
+
+
+CORRUPTIONS = {
+    "header-length-cut-short": lambda h, b: pack_checkpoint(h, b)[:10],
+    "header-length-past-the-end": lambda h, b: (
+        b"STHRN1\n" + struct.pack("<Q", 2 ** 62) + pack_checkpoint(h, b)[15:]),
+    "trailing-bytes": lambda h, b: pack_checkpoint(h, b) + bytes(8),
+    "unknown-config-key": lambda h, b: pack_checkpoint(
+        {**h, "config": {**h["config"], "width": 3}}, b),
+    "hidden-size-0": lambda h, b: pack_checkpoint(
+        {**h, "config": {**h["config"], "hidden_size": 0}}, b),
+    "adam-tensors-missing": lambda h, b: pack_checkpoint({**h, "adam_step": 3}, b),
+    "no-config": lambda h, b: pack_checkpoint(without(h, "config"), b),
+    "no-chains": lambda h, b: pack_checkpoint(without(h, "chains"), b),
+    "no-iteration": lambda h, b: pack_checkpoint(without(h, "iteration"), b),
+    "no-tensors": lambda h, b: pack_checkpoint(without(h, "tensors"), b),
+    "tensor-not-in-config": lambda h, b: pack_checkpoint(
+        {**h, "tensors": h["tensors"] + [{"name": "extra", "shape": [2]}]}, b + bytes(16)),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_malformed_checkpoint_exits_2(tmp_path, capsys, corruption):
+    layout = ChainLayout.from_topology(builtin_topology("fork7"))
+    config = ModelConfig(hidden_size=2, layers=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, ModelParams.init(config, layout, seed=0), config, layout)
+    data = path.read_bytes()
+    size = struct.unpack("<Q", data[7:15])[0]
+    header, body = json.loads(data[15:15 + size]), data[15 + size:]
+    path.write_bytes(CORRUPTIONS[corruption](header, body))
+    with pytest.raises(ParseError):
+        load_checkpoint(path)
+    rc = main(["predict", "--checkpoint", str(path), "--data",
+               lie_file(tmp_path, "d.lie", frames=10), "--horizon", "2",
+               "--out", str(tmp_path / "p.lie")])
+    assert rc == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, bad, key", [("hidden_size = 4", "hidden_size = 0", "hidden_size"),
+                                            ("layers = 1", "layers = -2", "layers")],
+                         ids=["hidden_size", "layers"])
+def test_model_sizes_below_one_exit_2(tmp_path, capsys, line, bad, key):
+    config = TINY.replace(line, bad)
+    rc = main(["train", "--data", lie_file(tmp_path, "d.lie"), "--topology",
+               topo_file(tmp_path), "--config", write_config(tmp_path, config)])
+    assert rc == 2
+    assert f"{key} must be at least 1" in capsys.readouterr().err
+
+
+def test_predict_refuses_non_finite_frames_exits_2(tmp_path, capsys):
+    topo = topo_file(tmp_path)
+    config = write_config(tmp_path, TINY)
+    ckpt = str(tmp_path / "model.ckpt")
+    assert main(["train", "--data", lie_file(tmp_path, "train.lie"), "--config", config,
+                 "--topology", topo, "--out-checkpoint", ckpt]) == 0
+    seq = synth_motion("sinusoid", 10, builtin_topology("fork7"), seed=11)
+    frames = seq.frames.copy()
+    frames[6, 2, 1] = np.nan
+    frames[8, 0, 0] = np.inf
+    obs = tmp_path / "nan.lie"
+    save_motion(obs, MotionSequence(fps=25.0, frames=frames, kind="lie"))
+    out = tmp_path / "p.lie"
+    rc = main(["predict", "--checkpoint", ckpt, "--data", str(obs),
+               "--horizon", "3", "--out", str(out)])
+    assert rc == 2
+    assert "observed frame 6 is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["preprocess", "--fps", "0"],
+                                     ["preprocess", "--fps", "-5"],
+                                     ["eval", "--fps", "0"]],
+                         ids=["preprocess-0", "preprocess-negative", "eval-0"])
+def test_non_positive_frame_rates_exit_2(tmp_path, capsys, command):
+    if command[0] == "preprocess":
+        argv = ["preprocess", "--in", joints_file(tmp_path, "raw.txt"),
+                "--topology", topo_file(tmp_path), "--out", str(tmp_path / "m.lie")]
+    else:
+        a = lie_file(tmp_path, "a.lie", frames=5)
+        argv = ["eval", "--pred", a, "--target", a, "--out", str(tmp_path / "r.csv")]
+    rc = main(argv + command[1:])
+    assert rc == 2
+    assert "must be positive" in capsys.readouterr().err
 
 
 # -- config and flag plumbing -------------------------------------------------

@@ -101,6 +101,10 @@ def test_structured_params_two_chains_has_no_leg():
     params = DecoderParams.init(fork_layout(), enc_hidden=3, rng=np.random.default_rng(2))
     assert set(params.cells) == {"overall", "spine", "arm"}
     assert len(params.proj_w) == 2
+    # one chain (chain3): the trunk alone, no arm or leg cell
+    params = DecoderParams.init(ChainLayout((1,)), enc_hidden=3, rng=np.random.default_rng(2))
+    assert set(params.cells) == {"overall", "spine"}
+    assert [w.data.shape for w in params.proj_w] == [(3, 3)]
 
 
 def test_plain_params_single_head():

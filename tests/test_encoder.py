@@ -12,9 +12,6 @@ from sthrn.encoder import (
     EncoderParams,
     GlobalParams,
     _global_step,
-    _mask_mul,
-    _repeat_rows,
-    _tile_rows,
     encode,
     encode_reference,
     init_states,
@@ -288,13 +285,13 @@ def test_encode_rejects_bad_input_shape():
 def test_mask_mul_gradient():
     t = Tensor(np.arange(6.0).reshape(3, 2))
     mask = np.array([[1.0], [0.0], [1.0]])
-    backward(ad.tsum(_mask_mul(t, mask)), leaves=[t])
+    backward(ad.tsum(ad.mask_mul(t, mask)), leaves=[t])
     assert np.array_equal(t.grad, np.broadcast_to(mask, (3, 2)))
 
 
 def test_repeat_rows_gradient():
     t = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = _repeat_rows(t, 3)
+    out = ad.spread_rows(t, (1, 2, 3, 2), axis=2)  # each frame's row over 3 bones
     assert np.array_equal(out.data, np.repeat(t.data, 3, axis=0))
     w = Tensor(np.arange(12.0).reshape(6, 2))
     backward(ad.tsum(out * w), leaves=[t])
@@ -303,7 +300,7 @@ def test_repeat_rows_gradient():
 
 def test_tile_rows_gradient():
     t = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = _tile_rows(t, 3)
+    out = ad.spread_rows(t, (1, 3, 2, 2), axis=1)  # the 2 bone rows over 3 frames
     assert np.array_equal(out.data, np.tile(t.data, (3, 1)))
     w = Tensor(np.arange(12.0).reshape(6, 2))
     backward(ad.tsum(out * w), leaves=[t])

@@ -338,6 +338,25 @@ def test_checkpoint_rejects_truncation(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_load_makes_no_random_draws(tmp_path, monkeypatch):
+    params = ModelParams.init(CFG, LAYOUT, seed=13)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, CFG, LAYOUT)
+
+    class Refusing(np.random.Generator):
+        def normal(self, *args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+    def default_rng(seed=None):  # numpy passes a Generator through unaltered
+        return seed if isinstance(seed, np.random.Generator) else Refusing(
+            np.random.PCG64(seed))
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    reloaded = load_checkpoint(path).params.named()
+    for name, t in params.named().items():
+        assert np.array_equal(t.data, reloaded[name].data), name
+
+
 def test_train_stops_at_a_nan_gradient_before_touching_params():
     # A zero decoder predicts the last observed pose again; on static
     # motion that is the target exactly, where the weighted loss is 0 and
