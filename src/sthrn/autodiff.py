@@ -43,8 +43,9 @@ class no_grad:
 class Tensor:
     """A float64 array plus its place on the tape.
 
-    ``grad`` is populated by ``backward``; leaves kept in a model are
-    long-lived while interior nodes are rebuilt every forward pass.
+    ``grad`` is populated by ``backward``, which leaves it None on
+    interior nodes; leaves kept in a model are long-lived while interior
+    nodes are rebuilt every forward pass.
     """
 
     __slots__ = ("data", "grad", "op", "parents", "vjp")
@@ -630,14 +631,21 @@ def pooled_cell(h, c, g_prev, c_prev, g_rows, weights, grid_shape,
 
 
 def backward(root: Tensor, leaves=()) -> None:
-    """Populate ``.grad`` on every tensor reachable from ``root``.
+    """Populate ``.grad`` on the tensors that ``root`` depends on.
 
-    Gradients are freshly assigned on each call, so repeated calls from
-    the same root give identical results.  Tensors in ``leaves`` that
-    the root does not depend on get zero gradients instead of None.
+    After the walk, tensors without a vjp (parameters, inputs, consts)
+    and every tensor in ``leaves`` hold their gradient; interior nodes
+    end with ``grad = None``.  A node's buffer is allocated just before
+    the first vjp writes into it and released once its own vjp has run.
+    Gradients are freshly assigned on each call and the tape is left
+    intact, so repeated calls from the same root give identical
+    results.  Tensors in ``leaves`` that the root does not depend on
+    get zero gradients instead of None.
     """
     if root.data.size != 1:
         raise NonScalarRoot(f"backward root must be scalar, got shape {root.data.shape}")
+    leaves = tuple(leaves)
+    keep = {id(leaf) for leaf in leaves}
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -649,16 +657,21 @@ def backward(root: Tensor, leaves=()) -> None:
         if id(node) in seen:
             continue
         seen.add(id(node))
+        node.grad = None
         stack.append((node, True))
         for parent in node.parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
-    for node in order:
-        node.grad = np.zeros_like(node.data)
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
-        if node.vjp is not None:
-            node.vjp(node.grad)
+        if node.vjp is None:
+            continue
+        for parent in node.parents:
+            if parent.grad is None:
+                parent.grad = np.zeros_like(parent.data)
+        node.vjp(node.grad)
+        if id(node) not in keep:
+            node.grad = None
     for leaf in leaves:
         if id(leaf) not in seen:
             leaf.grad = np.zeros_like(leaf.data)

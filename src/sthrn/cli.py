@@ -24,7 +24,7 @@ import numpy as np
 from .encoder import ChainLayout
 from .evaluation import ReportRow, format_report, mae, write_report
 from .geometry import DimensionMismatch
-from .model import ModelConfig, predict
+from .model import ModelConfig, field_types, predict
 from .skeleton import (
     MotionSequence,
     ParseError,
@@ -54,27 +54,8 @@ from .training import (
 
 CHAIN_COLORS = ("#1a1a1a", "#e0b400", "#2a9d2a", "#00b0b8", "#7a2fbf")
 
-_MODEL_KEYS = {
-    "hidden_size": int,
-    "layers": int,
-    "global_temporal": None,  # bool
-    "global_spatial": None,
-    "decoder": str,
-}
-_TRAIN_KEYS = {
-    "iterations": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "beta1": float,
-    "beta2": float,
-    "epsilon": float,
-    "clip_norm": float,
-    "observed": int,
-    "horizon": int,
-    "loss": str,
-    "seed": int,
-    "teacher_forcing": None,
-}
+_MODEL_KEYS = field_types(ModelConfig)
+_TRAIN_KEYS = field_types(TrainConfig)
 _EXTRA_KEYS = {"topology": str}
 
 
@@ -108,11 +89,9 @@ def build_configs(values: dict[str, str]) -> tuple[ModelConfig, TrainConfig, dic
     extras: dict[str, str] = {}
     for key, value in values.items():
         if key in _MODEL_KEYS:
-            conv = _MODEL_KEYS[key]
-            model_kw[key] = _parse_bool(value, key) if conv is None else _convert(conv, key, value)
+            model_kw[key] = _convert(_MODEL_KEYS[key], key, value)
         elif key in _TRAIN_KEYS:
-            conv = _TRAIN_KEYS[key]
-            train_kw[key] = _parse_bool(value, key) if conv is None else _convert(conv, key, value)
+            train_kw[key] = _convert(_TRAIN_KEYS[key], key, value)
         elif key in _EXTRA_KEYS:
             extras[key] = value
         else:
@@ -121,6 +100,8 @@ def build_configs(values: dict[str, str]) -> tuple[ModelConfig, TrainConfig, dic
 
 
 def _convert(conv, key: str, value: str):
+    if conv is bool:
+        return _parse_bool(value, key)
     try:
         return conv(value)
     except ValueError as exc:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -10,6 +10,14 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .decoder import DecoderParams, decode_step, init_decoder
 from .encoder import ChainLayout, EncoderParams, encode
+
+
+_FIELD_TYPES = {kind.__name__: kind for kind in (int, float, str, bool)}
+
+
+def field_types(config_class) -> dict[str, type]:
+    """Each field of a config dataclass and its type: int, float, str or bool."""
+    return {f.name: _FIELD_TYPES[f.type] for f in fields(config_class)}
 
 
 @dataclass(frozen=True)
@@ -23,6 +31,10 @@ class ModelConfig:
     decoder: str = "structured"
 
     def __post_init__(self):
+        for key, kind in field_types(ModelConfig).items():
+            value = getattr(self, key)
+            if type(value) is not kind:
+                raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
         for key in ("hidden_size", "layers"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")

@@ -163,7 +163,8 @@ def train(sequences: list[MotionSequence], layout: ChainLayout, theta: np.ndarra
 
     Each iteration stacks its ``batch_size`` windows and runs them as
     one batch: one forward pass, one loss (the mean over windows) and
-    one tape walk.  The same seed reproduces the exact loss curve.
+    one tape walk; each tape is released before the next iteration
+    builds its own.  The same seed reproduces the exact loss curve.
     Raises TrainingDiverged when the loss or a gradient stops being
     finite, before the parameters are touched.
     """
@@ -208,6 +209,7 @@ def train(sequences: list[MotionSequence], layout: ChainLayout, theta: np.ndarra
                   beta1=train_config.beta1, beta2=train_config.beta2,
                   eps=train_config.epsilon)
         metrics.append((it, float(loss.data), (time.perf_counter() - t0) * 1000.0))
+        del outs, pred, loss  # free this tape before the next forward builds one
     return TrainResult(params=params, metrics=metrics, adam=adam)
 
 
@@ -319,10 +321,12 @@ def load_checkpoint(path) -> Checkpoint:
             raise ParseError(f"{path}: header tensors differ from its config's: "
                              f"{differ or 'in order'}")
         for name, a in tensors.items():
-            raw = fh.read(a.nbytes)
-            if len(raw) != a.nbytes:
+            # straight into the array: a bytes copy per tensor, freed
+            # between the arrays that stay, fragments the heap and lifts RSS
+            if fh.readinto(a.view(np.uint8).reshape(-1)) != a.nbytes:
                 raise ParseError(f"{path}: truncated tensor {name!r}")
-            a[...] = np.frombuffer(raw, dtype="<f8").reshape(a.shape)
+            if not np.little_endian:
+                a.byteswap(inplace=True)
         if fh.read(1):
             raise ParseError(f"{path}: trailing bytes after the last tensor")
     return Checkpoint(params=params, config=config, layout=layout,

@@ -14,6 +14,10 @@ from sthrn.autodiff import (
     grad_check,
     no_grad,
 )
+from sthrn.encoder import ChainLayout
+from sthrn.model import ModelConfig, ModelParams, forward, frames_tensor
+from sthrn.skeleton import builtin_topology, synth_motion
+from sthrn.training import bone_weights, weighted_loss
 
 
 def leaf(x):
@@ -377,6 +381,98 @@ def test_backward_is_idempotent():
     first = x.grad.copy()
     backward(root, leaves=[x])
     assert np.array_equal(x.grad, first)
+
+
+def tape_nodes(root):
+    """Every tensor the root depends on, itself included."""
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node.parents)
+    return list(nodes.values())
+
+
+def eager_backward(root, leaves=()):
+    """Oracle: the walk that gives every tape node a zero gradient up
+    front and keeps them all afterwards."""
+    order, seen = [], set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node.parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    for node in order:
+        node.grad = np.zeros_like(node.data)
+    root.grad = np.ones_like(root.data)
+    for node in reversed(order):
+        if node.vjp is not None:
+            node.vjp(node.grad)
+    for t in leaves:
+        if id(t) not in seen:
+            t.grad = np.zeros_like(t.data)
+
+
+def model_loss(topo_name, config, windows, observed, horizon, seed):
+    """Root of a batched forward pass and the model's named leaves."""
+    topo = builtin_topology(topo_name)
+    layout = ChainLayout.from_topology(topo)
+    params = ModelParams.init(config, layout, seed=seed)
+    seq = synth_motion("sinusoid", observed + horizon + windows - 1, topo, seed=3)
+    frames = np.stack([seq.frames[i:i + observed + horizon] for i in range(windows)])
+    outs = forward(params, config, layout, frames[:, :observed], horizon)
+    k = layout.num_entries
+    loss = weighted_loss(frames_tensor(outs, k), frames[:, observed:].reshape(-1, k, 3),
+                         bone_weights(topo.entry_lengths()))
+    return loss, params.named()
+
+
+LOSS_FIXTURES = {
+    # test_acceptance.tiny_loss_fixture: fork7, hidden 6, 2 layers, 6 -> 3 frames
+    "criterion-4": lambda: model_loss("fork7", ModelConfig(hidden_size=6, layers=2),
+                                      windows=1, observed=6, horizon=3, seed=7),
+    "human-batch-3": lambda: model_loss("human", ModelConfig(hidden_size=3),
+                                        windows=3, observed=6, horizon=3, seed=11),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(LOSS_FIXTURES))
+def test_backward_matches_eager_walk_and_frees_interior_gradients(fixture):
+    root, named = LOSS_FIXTURES[fixture]()
+    nodes = tape_nodes(root)
+    eager_backward(root, named.values())
+    want = {id(t): t.grad.copy() for t in nodes if t.vjp is None}
+    assert {id(t) for t in named.values()} <= set(want)
+    for _ in range(2):  # repeated calls from the same root agree
+        backward(root, leaves=named.values())
+        for t in nodes:
+            if t.vjp is None:
+                assert np.array_equal(t.grad, want[id(t)]), t
+            else:
+                assert t.grad is None, t
+
+
+def test_backward_keeps_gradients_of_listed_tensors():
+    x, unused = leaf([1.0, 2.0]), leaf(np.ones((2, 2)))
+    u = x * x
+    root = ad.tsum(u * u)
+    backward(root, leaves=[x, u, unused])
+    assert np.array_equal(u.grad, 2.0 * u.data)
+    assert np.array_equal(x.grad, 4.0 * x.data ** 3)
+    assert np.array_equal(unused.grad, np.zeros((2, 2)))
+    assert root.grad is None
+    backward(root, leaves=[x])
+    assert u.grad is None
+    assert np.array_equal(x.grad, 4.0 * x.data ** 3)
 
 
 def test_backward_rejects_non_scalar_root():

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from sthrn.cli import _parse_frames, _resolve_seed, main, parse_config_file
+from sthrn.cli import _parse_frames, _resolve_seed, build_configs, main, parse_config_file
 from sthrn.encoder import ChainLayout
 from sthrn.evaluation import read_report
 from sthrn.skeleton import (
@@ -22,7 +22,7 @@ from sthrn.skeleton import (
     synth_motion,
 )
 from sthrn.model import ModelConfig, ModelParams
-from sthrn.training import load_checkpoint, save_checkpoint
+from sthrn.training import TrainConfig, load_checkpoint, save_checkpoint
 
 
 def topo_file(tmp_path, name="fork7"):
@@ -256,6 +256,13 @@ CORRUPTIONS = {
         {**h, "config": {**h["config"], "width": 3}}, b),
     "hidden-size-0": lambda h, b: pack_checkpoint(
         {**h, "config": {**h["config"], "hidden_size": 0}}, b),
+    # "false" is truthy: loaded as is, it would switch the global temporal state on
+    "bool-as-string": lambda h, b: pack_checkpoint(
+        {**h, "config": {**h["config"], "global_temporal": "false"}}, b),
+    "int-as-float": lambda h, b: pack_checkpoint(
+        {**h, "config": {**h["config"], "hidden_size": 2.0}}, b),
+    "int-as-bool": lambda h, b: pack_checkpoint(
+        {**h, "config": {**h["config"], "layers": True}}, b),
     "adam-tensors-missing": lambda h, b: pack_checkpoint({**h, "adam_step": 3}, b),
     "no-config": lambda h, b: pack_checkpoint(without(h, "config"), b),
     "no-chains": lambda h, b: pack_checkpoint(without(h, "chains"), b),
@@ -405,3 +412,11 @@ def test_train_rejects_empty_runs_exits_2(tmp_path, capsys, flags, config, messa
                topo_file(tmp_path), "--config", write_config(tmp_path, config), *flags])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_config_file_sets_every_config_field():
+    model = ModelConfig(hidden_size=3, layers=4, global_temporal=False, decoder="plain")
+    train_cfg = TrainConfig(iterations=7, learning_rate=0.25, teacher_forcing=True)
+    values = {f: str(v) for cfg in (model, train_cfg) for f, v in vars(cfg).items()}
+    assert build_configs({**values, "topology": "t.topo"}) == (
+        model, train_cfg, {"topology": "t.topo"})

@@ -77,6 +77,14 @@ def test_forward_input_validation():
         forward(params, CFG, LAYOUT, observed_frames(4), 0)
 
 
+@pytest.mark.parametrize("key, value", [("global_temporal", "false"), ("global_spatial", 1),
+                                        ("hidden_size", 4.0), ("layers", True),
+                                        ("decoder", None)])
+def test_model_config_rejects_mistyped_fields(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be"):
+        ModelConfig(**{key: value})
+
+
 def test_ablation_configs_run():
     obs = observed_frames(5)
     for cfg in (

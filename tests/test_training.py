@@ -1,6 +1,7 @@
 """Loss, optimizer, training-loop, and checkpoint checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,27 @@ def test_train_l2_and_teacher_forcing_paths():
     assert len(r.metrics) == 3
     r = train(seqs, LAYOUT, theta, CFG, tiny_train_config(teacher_forcing=True))
     assert len(r.metrics) == 3
+
+
+def test_train_holds_one_tape_at_a_time():
+    # each iteration's tape must be gone before the next forward pass
+    # builds one, so three iterations peak no higher than one does
+    topo = builtin_topology("human")
+    layout = ChainLayout.from_topology(topo)
+    seqs = [synth_motion("sinusoid", 40, topo, seed=3)]
+    theta = bone_weights(topo.entry_lengths())
+
+    def traced_peak(iterations):
+        tracemalloc.start()
+        try:
+            train(seqs, layout, theta, ModelConfig(hidden_size=4, layers=2),
+                  TrainConfig(iterations=iterations, batch_size=2, observed=20, horizon=5))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, three = traced_peak(1), traced_peak(3)
+    assert three <= 1.05 * one, (one, three)
 
 
 def test_train_rejects_unknown_loss():
