@@ -1,12 +1,13 @@
 """Reverse-mode automatic differentiation over numpy float64 arrays.
 
 Each operation returns a new ``Tensor`` whose value is computed
-eagerly; when gradients are enabled the output also records its parent
-tensors and a closure that accumulates vector-Jacobian products into
-them.  ``backward`` walks that dynamic tape once, in reverse
-topological order, from a scalar root.  Inside ``no_grad()`` the same
-operations run value-only, which is what finite-difference probing
-uses.
+eagerly.  Every op hands its value to ``_apply``, which decides what
+the result is: while gradients are enabled, a tape node recording the
+op's parents, its vjp and the values the vjp needs; inside
+``no_grad()``, a bare value with no parents, which is what
+finite-difference probing uses.  ``backward`` walks the tape once, in
+reverse topological order, from a scalar root, and every vjp adds its
+gradients into the parents through ``_acc``.
 """
 
 from __future__ import annotations
@@ -43,14 +44,18 @@ class no_grad:
 class Tensor:
     """A float64 array plus its place on the tape.
 
-    ``grad`` is populated by ``backward``, which leaves it None on
-    interior nodes; leaves kept in a model are long-lived while interior
-    nodes are rebuilt every forward pass.
+    ``op`` is "leaf" for a tensor built directly (a parameter, or a
+    value-only result), "const" for an array an op took as an operand,
+    or else the op that made this tape node, which holds its
+    ``parents``, its ``vjp`` and the values the vjp reads (``saved``).
+    ``backward`` gives leaves a ``grad``, never consts, and leaves None
+    on interior nodes, which are rebuilt every forward pass.
     """
 
-    __slots__ = ("data", "grad", "op", "parents", "vjp")
+    __slots__ = ("data", "grad", "op", "parents", "vjp", "saved")
 
-    def __init__(self, data, op: str = "leaf", parents: tuple = (), vjp=None):
+    def __init__(self, data, op: str = "leaf", parents: tuple = (), vjp=None,
+                 saved: tuple = ()):
         # float64 is the working dtype; wider floats are passed through so
         # grad_check can re-probe finite differences in extended precision.
         # Full reductions hand back numpy scalars, hence np.generic.  Op
@@ -65,6 +70,7 @@ class Tensor:
         self.op = op
         self.parents = parents
         self.vjp = vjp
+        self.saved = saved
 
     @property
     def shape(self):
@@ -109,6 +115,26 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, op="const")
 
 
+def _apply(out, op: str, parents: tuple, vjp, *saved):
+    """An op's value ``out`` as a tape node, or inside ``no_grad()`` as a
+    bare Tensor with no parents: the one place that decides.
+
+    ``vjp(node, g)`` adds the op's gradients into ``node.parents``
+    through ``_acc``, reading ``saved`` as ``node.saved``.  A fused
+    cell's (h, c) pair comes back as a pair: taped, one node holds
+    [h | c] and the two states are narrows of it.
+    """
+    if type(out) is tuple:
+        if not _grad_enabled:
+            return Tensor(out[0]), Tensor(out[1])
+        node = Tensor(np.concatenate(out, axis=1), op, parents, vjp, saved)
+        d = out[0].shape[1]
+        return narrow(node, np.s_[:, :d]), narrow(node, np.s_[:, d:])
+    if not _grad_enabled:
+        return Tensor(out)
+    return Tensor(out, op, parents, vjp, saved)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""
     if g.shape == shape:
@@ -122,24 +148,32 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _acc(t: Tensor, g: np.ndarray) -> None:
-    t.grad += _unbroadcast(g, t.data.shape)
+def _acc(t: Tensor, g: np.ndarray, key: tuple | None = None) -> None:
+    """Add ``g``, summed back to ``t``'s shape where it was broadcast, into
+    ``t.grad`` (its ``key`` part if given), allocating zeros on the first
+    write; the one owner of gradient writes.  Consts never get one."""
+    if t.op == "const":
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    if key is None:
+        t.grad += _unbroadcast(g, t.data.shape)
+    else:
+        t.grad[key] += g
 
 
 # -- arithmetic -------------------------------------------------------------
 
 
+def _add_vjp(node, g):
+    a, b = node.parents
+    _acc(a, g)
+    _acc(b, g)
+
+
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data + b.data
-    if not _grad_enabled:
-        return Tensor(out_data)
-
-    def vjp(g):
-        _acc(a, g)
-        _acc(b, g)
-
-    return Tensor(out_data, "add", (a, b), vjp)
+    return _apply(a.data + b.data, "add", (a, b), _add_vjp)
 
 
 def _tree_sum(parts):
@@ -162,57 +196,48 @@ def _tree_sum(parts):
     return total
 
 
+def _sub_vjp(node, g):
+    a, b = node.parents
+    _acc(a, g)
+    _acc(b, -g)
+
+
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data - b.data
-    if not _grad_enabled:
-        return Tensor(out_data)
+    return _apply(a.data - b.data, "sub", (a, b), _sub_vjp)
 
-    def vjp(g):
-        _acc(a, g)
-        _acc(b, -g)
 
-    return Tensor(out_data, "sub", (a, b), vjp)
+def _mul_vjp(node, g):
+    a, b = node.parents
+    _acc(a, g * b.data)
+    _acc(b, g * a.data)
 
 
 def mul(a, b) -> Tensor:
     """Elementwise (Hadamard) product with numpy broadcasting."""
     a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data * b.data
-    if not _grad_enabled:
-        return Tensor(out_data)
+    return _apply(a.data * b.data, "mul", (a, b), _mul_vjp)
 
-    def vjp(g):
-        _acc(a, g * b.data)
-        _acc(b, g * a.data)
 
-    return Tensor(out_data, "mul", (a, b), vjp)
+def _div_vjp(node, g):
+    a, b = node.parents
+    _acc(a, g / b.data)
+    _acc(b, -g * node.data / b.data)
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data / b.data
-    if not _grad_enabled:
-        return Tensor(out_data)
+    return _apply(a.data / b.data, "div", (a, b), _div_vjp)
 
-    def vjp(g):
-        _acc(a, g / b.data)
-        _acc(b, -g * out_data / b.data)
 
-    return Tensor(out_data, "div", (a, b), vjp)
+def _scale_vjp(node, g):
+    _acc(node.parents[0], g * node.saved[0])
 
 
 def scale(a, s: float) -> Tensor:
     """Product with a python scalar (no tape node for the scalar)."""
     a = _as_tensor(a)
-    out_data = a.data * s
-    if not _grad_enabled:
-        return Tensor(out_data)
-
-    def vjp(g):
-        a.grad += g * s
-
-    return Tensor(out_data, "scale", (a,), vjp)
+    return _apply(a.data * s, "scale", (a,), _scale_vjp, s)
 
 
 def _check_matmul(a: Tensor, b: Tensor) -> None:
@@ -220,18 +245,25 @@ def _check_matmul(a: Tensor, b: Tensor) -> None:
         raise ShapeMismatch(f"matmul: {a.data.shape} @ {b.data.shape}")
 
 
+def _matmul_vjp(node, g):
+    a, b = node.parents
+    _acc(a, g @ b.data.T)
+    _acc(b, a.data.T @ g)
+
+
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_matmul(a, b)
-    out_data = a.data @ b.data
-    if not _grad_enabled:
-        return Tensor(out_data)
+    return _apply(a.data @ b.data, "matmul", (a, b), _matmul_vjp)
 
-    def vjp(g):
-        a.grad += g @ b.data.T
-        b.grad += a.data.T @ g
 
-    return Tensor(out_data, "matmul", (a, b), vjp)
+def _linear_vjp(node, g):
+    for x, w in node.saved[0]:
+        if w is None:
+            _acc(x, g)
+        else:
+            _acc(x, g @ w.data.T)
+            _acc(w, x.data.T @ g)
 
 
 def linear(terms) -> Tensor:
@@ -243,86 +275,69 @@ def linear(terms) -> Tensor:
     ``add(add(matmul(x, w), matmul(y, v)), b)``.
     """
     pairs: list[tuple[Tensor, Tensor | None]] = []
+    parents: list[Tensor] = []
     for term in terms:
         if isinstance(term, tuple):
             x, w = _as_tensor(term[0]), _as_tensor(term[1])
             _check_matmul(x, w)
-            pairs.append((x, w))
+            parents += x, w
         else:
-            pairs.append((_as_tensor(term), None))
-    out_data = _tree_sum(x.data if w is None else x.data @ w.data for x, w in pairs)
-    if not _grad_enabled:
-        return Tensor(out_data)
-
-    def vjp(g):
-        for x, w in pairs:
-            if w is None:
-                _acc(x, g)
-            else:
-                x.grad += g @ w.data.T
-                w.grad += x.data.T @ g
-
-    parents = tuple(t for pair in pairs for t in pair if t is not None)
-    return Tensor(out_data, "linear", parents, vjp)
+            x, w = _as_tensor(term), None
+            parents.append(x)
+        pairs.append((x, w))
+    out = _tree_sum(x.data if w is None else x.data @ w.data for x, w in pairs)
+    return _apply(out, "linear", tuple(parents), _linear_vjp, pairs)
 
 
 # -- shape ------------------------------------------------------------------
 
 
+def _reshape_vjp(node, g):
+    a = node.parents[0]
+    _acc(a, g.reshape(a.data.shape))
+
+
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    out_data = a.data.reshape(shape)
-    if not _grad_enabled:
-        return Tensor(out_data)
+    return _apply(a.data.reshape(shape), "reshape", (a,), _reshape_vjp)
 
-    def vjp(g):
-        a.grad += g.reshape(a.data.shape)
 
-    return Tensor(out_data, "reshape", (a,), vjp)
+def _concat_vjp(node, g):
+    axis = node.saved[0]
+    moved = np.moveaxis(g, axis, 0)
+    lo = 0
+    for p in node.parents:
+        hi = lo + p.data.shape[axis]
+        _acc(p, np.moveaxis(moved[lo:hi], 0, axis))
+        lo = hi
 
 
 def concat(parts, axis: int = 0) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
     try:
-        out_data = np.concatenate([p.data for p in parts], axis=axis)
+        out = np.concatenate([p.data for p in parts], axis=axis)
     except ValueError as exc:
         raise ShapeMismatch(f"concat: {[p.data.shape for p in parts]}") from exc
-    if not _grad_enabled:
-        return Tensor(out_data)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    return _apply(out, "concat", tuple(parts), _concat_vjp, axis)
 
-    def vjp(g):
-        moved = np.moveaxis(g, axis, 0)
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            p.grad += np.moveaxis(moved[lo:hi], 0, axis)
 
-    return Tensor(out_data, "concat", tuple(parts), vjp)
+_BASIC_INDEX = (int, np.integer, slice, type(Ellipsis), type(None))
+
+
+def _narrow_vjp(node, g):
+    _acc(node.parents[0], g, node.saved[0])
 
 
 def narrow(a, key) -> Tensor:
-    """Basic (non-repeating) indexing; gradient scatters into zeros."""
+    """Basic indexing (ints, slices, ``...``, ``None`` or a tuple of them)
+    selects each element at most once, so its gradient adds into the
+    selected part; any other key raises ShapeMismatch."""
+    key = key if type(key) is tuple else (key,)
+    for k in key:
+        if not isinstance(k, _BASIC_INDEX) or isinstance(k, bool):
+            raise ShapeMismatch(f"narrow: {k!r} is not a basic index")
     a = _as_tensor(a)
-    out_data = a.data[key]
-    if not _grad_enabled:
-        return Tensor(out_data)
-
-    def vjp(g):
-        a.grad[key] += g
-
-    return Tensor(out_data, "narrow", (a,), vjp)
-
-
-def mask_mul(t: Tensor, mask: np.ndarray) -> Tensor:
-    """Elementwise product with a constant 0/1 mask (no tape leaf)."""
-    out_data = t.data * mask
-    if not _grad_enabled:
-        return Tensor(out_data)
-
-    def vjp(g):
-        t.grad += g * mask
-
-    return Tensor(out_data, "mask", (t,), vjp)
+    return _apply(a.data[key], "narrow", (a,), _narrow_vjp, key)
 
 
 def _shift_blocks(x: np.ndarray, n: int, block: int) -> np.ndarray:
@@ -342,6 +357,11 @@ def _shift_blocks(x: np.ndarray, n: int, block: int) -> np.ndarray:
     return out
 
 
+def _shift_vjp(node, g):
+    n, block = node.saved
+    _acc(node.parents[0], _shift_blocks(g, -n, block))
+
+
 def shift_rows(a, n: int, block: int | None = None) -> Tensor:
     """Rows moved down by ``n`` (up for negative ``n``) within each run
     of ``block`` consecutive rows (default: all rows as one run).  The
@@ -349,31 +369,22 @@ def shift_rows(a, n: int, block: int | None = None) -> Tensor:
     dropped, so nothing crosses from one run into the next."""
     a = _as_tensor(a)
     block = a.data.shape[0] if block is None else block
-    out_data = _shift_blocks(a.data, n, block)
-    if not _grad_enabled:
-        return Tensor(out_data)
-
-    def vjp(g):
-        a.grad += _shift_blocks(g, -n, block)
-
-    return Tensor(out_data, "shift", (a,), vjp)
+    return _apply(_shift_blocks(a.data, n, block), "shift", (a,), _shift_vjp, n, block)
 
 
 # -- reductions -------------------------------------------------------------
 
 
+def _sum_vjp(node, g):
+    a, axis = node.parents[0], node.saved[0]
+    if axis is not None:
+        g = np.expand_dims(g, axis)
+    _acc(a, np.broadcast_to(g, a.data.shape))
+
+
 def tsum(a, axis=None) -> Tensor:
     a = _as_tensor(a)
-    out_data = a.data.sum(axis=axis)
-    if not _grad_enabled:
-        return Tensor(out_data)
-
-    def vjp(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        a.grad += np.broadcast_to(g, a.data.shape)
-
-    return Tensor(out_data, "sum", (a,), vjp)
+    return _apply(a.data.sum(axis=axis), "sum", (a,), _sum_vjp, axis)
 
 
 def _pool(x: np.ndarray, grid_shape: tuple, axis: int) -> np.ndarray:
@@ -388,20 +399,23 @@ def _spread(g: np.ndarray, grid_shape: tuple, axis: int) -> np.ndarray:
     return copies.reshape(-1, grid_shape[-1])
 
 
+def _mean_vjp(node, g):
+    a, (grid_shape, axis) = node.parents[0], node.saved
+    s = 1.0 / grid_shape[axis]
+    _acc(a, _spread(g * s, grid_shape, axis).reshape(a.data.shape))
+
+
 def mean_rows(a, grid_shape: tuple, axis: int) -> Tensor:
     """Mean of ``a`` viewed as ``grid_shape`` over ``axis``, returned as
     one row per remaining grid index: a (B, T, K, h) grid pooled over
     frames (axis 1) gives (B * K, h)."""
     a = _as_tensor(a)
-    s = 1.0 / grid_shape[axis]
-    out_data = _pool(a.data, grid_shape, axis) * s
-    if not _grad_enabled:
-        return Tensor(out_data)
+    out = _pool(a.data, grid_shape, axis) * (1.0 / grid_shape[axis])
+    return _apply(out, "mean", (a,), _mean_vjp, grid_shape, axis)
 
-    def vjp(g):
-        a.grad += _spread(g * s, grid_shape, axis).reshape(a.data.shape)
 
-    return Tensor(out_data, "mean", (a,), vjp)
+def _spread_vjp(node, g):
+    _acc(node.parents[0], _pool(g, *node.saved))
 
 
 def spread_rows(a, grid_shape: tuple, axis: int) -> Tensor:
@@ -410,14 +424,15 @@ def spread_rows(a, grid_shape: tuple, axis: int) -> Tensor:
     frames (axis 1) of a (B, T, K, h) grid, (B * K, h) rows tile each
     window's K rows T times; over bones (axis 2), (B * T, h) rows repeat."""
     a = _as_tensor(a)
-    out_data = _spread(a.data, grid_shape, axis)
-    if not _grad_enabled:
-        return Tensor(out_data)
+    return _apply(_spread(a.data, grid_shape, axis), "spread", (a,), _spread_vjp,
+                  grid_shape, axis)
 
-    def vjp(g):
-        a.grad += _pool(g, grid_shape, axis)
 
-    return Tensor(out_data, "spread", (a,), vjp)
+def _l2norm_vjp(node, g):
+    a, axis = node.parents[0], node.saved[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(g == 0.0, 0.0, g / node.data)
+        _acc(a, np.expand_dims(ratio, axis) * a.data)
 
 
 def l2norm(a, axis: int = -1) -> Tensor:
@@ -430,16 +445,8 @@ def l2norm(a, axis: int = -1) -> Tensor:
     not: in a batch, another row's kink must not poison this one.
     """
     a = _as_tensor(a)
-    out_data = np.sqrt((a.data * a.data).sum(axis=axis))
-    if not _grad_enabled:
-        return Tensor(out_data)
-
-    def vjp(g):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(g == 0.0, 0.0, g / out_data)
-            a.grad += np.expand_dims(ratio, axis) * a.data
-
-    return Tensor(out_data, "l2norm", (a,), vjp)
+    return _apply(np.sqrt((a.data * a.data).sum(axis=axis)), "l2norm", (a,), _l2norm_vjp,
+                  axis)
 
 
 # -- nonlinearities ---------------------------------------------------------
@@ -449,28 +456,22 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _sigmoid_vjp(node, g):
+    _acc(node.parents[0], g * node.data * (1.0 - node.data))
+
+
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    out_data = _sigmoid(a.data)
-    if not _grad_enabled:
-        return Tensor(out_data)
+    return _apply(_sigmoid(a.data), "sigmoid", (a,), _sigmoid_vjp)
 
-    def vjp(g):
-        a.grad += g * out_data * (1.0 - out_data)
 
-    return Tensor(out_data, "sigmoid", (a,), vjp)
+def _tanh_vjp(node, g):
+    _acc(node.parents[0], g * (1.0 - node.data * node.data))
 
 
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
-    out_data = np.tanh(a.data)
-    if not _grad_enabled:
-        return Tensor(out_data)
-
-    def vjp(g):
-        a.grad += g * (1.0 - out_data * out_data)
-
-    return Tensor(out_data, "tanh", (a,), vjp)
+    return _apply(np.tanh(a.data), "tanh", (a,), _tanh_vjp)
 
 
 # -- fused cells ------------------------------------------------------------
@@ -510,12 +511,13 @@ def _gated_backward(grad: np.ndarray, s, cand, sources: list, tc):
     return np.concatenate([ds, dcand], axis=1), dsources
 
 
-def _cell_outputs(h, c, op: str, parents: tuple, vjp) -> tuple[Tensor, Tensor]:
-    if not _grad_enabled:
-        return Tensor(h), Tensor(c)
-    d = h.shape[1]
-    node = Tensor(np.concatenate([h, c], axis=1), op, parents, vjp)
-    return narrow(node, np.s_[:, :d]), narrow(node, np.s_[:, d:])
+def _gated_vjp(node, grad):
+    pre, *sources = node.parents
+    s, cand, tc = node.saved
+    dpre, dsources = _gated_backward(grad, s, cand, [t.data for t in sources], tc)
+    _acc(pre, dpre)
+    for t, g in zip(sources, dsources):
+        _acc(t, g)
 
 
 def gated_cell(pre, sources) -> tuple[Tensor, Tensor]:
@@ -526,16 +528,21 @@ def gated_cell(pre, sources) -> tuple[Tensor, Tensor]:
     """
     pre = _as_tensor(pre)
     sources = list(map(_as_tensor, sources))
-    src = [t.data for t in sources]
-    s, cand, c, tc, h = _gated_forward(pre.data, src)
+    s, cand, c, tc, h = _gated_forward(pre.data, [t.data for t in sources])
+    return _apply((h, c), "gated_cell", (pre, *sources), _gated_vjp, s, cand, tc)
 
-    def vjp(grad):
-        dpre, dsources = _gated_backward(grad, s, cand, src, tc)
-        pre.grad += dpre
-        for t, g in zip(sources, dsources):
-            _acc(t, g)
 
-    return _cell_outputs(h, c, "gated_cell", (pre, *sources), vjp)
+def _lstm_vjp(node, grad):
+    x, h, c, w, b = node.parents
+    xh, s, cand, tc = node.saved
+    dz, (dc,) = _gated_backward(grad, s, cand, [c.data], tc)
+    _acc(b, dz)
+    _acc(w, xh.T @ dz)
+    dxh = dz @ w.data.T
+    nx = x.data.shape[1]
+    _acc(x, dxh[:, :nx])
+    _acc(h, dxh[:, nx:])
+    _acc(c, dc)
 
 
 def lstm_cell(x, h, c, w, b) -> tuple[Tensor, Tensor]:
@@ -549,20 +556,34 @@ def lstm_cell(x, h, c, w, b) -> tuple[Tensor, Tensor]:
     """
     x, h, c, w, b = map(_as_tensor, (x, h, c, w, b))
     xh = np.concatenate([x.data, h.data], axis=1)
-    z = xh @ w.data + b.data
-    s, cand, c_new, tc, h_new = _gated_forward(z, [c.data])
-    nx = x.data.shape[1]
+    s, cand, c_new, tc, h_new = _gated_forward(xh @ w.data + b.data, [c.data])
+    return _apply((h_new, c_new), "lstm_cell", (x, h, c, w, b), _lstm_vjp, xh, s, cand, tc)
 
-    def vjp(grad):
-        dz, (dc,) = _gated_backward(grad, s, cand, [c.data], tc)
-        _acc(b, dz)
-        w.grad += xh.T @ dz
-        dxh = dz @ w.data.T
-        x.grad += dxh[:, :nx]
-        h.grad += dxh[:, nx:]
-        c.grad += dc
 
-    return _cell_outputs(h_new, c_new, "lstm_cell", (x, h, c, w, b), vjp)
+def _pooled_vjp(node, grad):
+    h, c, g_prev, c_prev, g_rows, w_c, z_c, b_c, w_f, z_f, b_f, w_o, z_o, b_o = node.parents
+    cell, h_mean, f, out, tc, grid_shape, axis = node.saved
+    d = out.shape[1]
+    gg, gc = grad[:, :d], grad[:, d:]
+    dc = gc + gg * out * (1.0 - tc * tc)
+    _acc(c_prev, dc * f)
+    d_f = dc * c_prev.data * f * (1.0 - f)
+    d_o = gg * tc * out * (1.0 - out)
+    for dz, tw, tz, tb in ((d_f, w_f, z_f, b_f), (d_o, w_o, z_o, b_o)):
+        _acc(tw, h_mean.T @ dz)
+        _acc(tz, g_prev.data.T @ dz)
+        _acc(tb, dz)
+        _acc(g_prev, dz @ tz.data.T)
+    d_mean = (d_f @ w_f.data.T + d_o @ w_o.data.T) * (1.0 / grid_shape[axis])
+    spread = _spread(dc, grid_shape, axis).reshape(h.data.shape)
+    _acc(c, spread * cell)
+    d_cell = spread * c.data * cell * (1.0 - cell)
+    _acc(w_c, h.data.T @ d_cell)
+    _acc(z_c, g_rows.data.T @ d_cell)
+    _acc(b_c, d_cell)
+    _acc(g_rows, d_cell @ z_c.data.T)
+    _acc(h, d_cell @ w_c.data.T)
+    _acc(h, _spread(d_mean, grid_shape, axis).reshape(h.data.shape))
 
 
 def pooled_cell(h, c, g_prev, c_prev, g_rows, weights, grid_shape,
@@ -586,45 +607,18 @@ def pooled_cell(h, c, g_prev, c_prev, g_rows, weights, grid_shape,
     composition of linear, sigmoid, mul, reshape, tsum, scale, add and
     tanh that spells this out.
     """
-    h, c, g_prev, c_prev, g_rows = map(_as_tensor, (h, c, g_prev, c_prev, g_rows))
-    weights = tuple(map(_as_tensor, weights))
-    w_c, z_c, b_c, w_f, z_f, b_f, w_o, z_o, b_o = (t.data for t in weights)
-    n = grid_shape[axis]
-    cell = _sigmoid((h.data @ w_c + g_rows.data @ z_c) + b_c)
-    contrib = _pool(cell * c.data, grid_shape, axis)
-    h_mean = _pool(h.data, grid_shape, axis) * (1.0 / n)
-    f = _sigmoid((h_mean @ w_f + g_prev.data @ z_f) + b_f)
-    out = _sigmoid((h_mean @ w_o + g_prev.data @ z_o) + b_o)
-    c_new = contrib + f * c_prev.data
+    parents = tuple(map(_as_tensor, (h, c, g_prev, c_prev, g_rows, *weights)))
+    h, c, g_prev, c_prev, g_rows, w_c, z_c, b_c, w_f, z_f, b_f, w_o, z_o, b_o = (
+        t.data for t in parents)
+    cell = _sigmoid((h @ w_c + g_rows @ z_c) + b_c)
+    contrib = _pool(cell * c, grid_shape, axis)
+    h_mean = _pool(h, grid_shape, axis) * (1.0 / grid_shape[axis])
+    f = _sigmoid((h_mean @ w_f + g_prev @ z_f) + b_f)
+    out = _sigmoid((h_mean @ w_o + g_prev @ z_o) + b_o)
+    c_new = contrib + f * c_prev
     tc = np.tanh(c_new)
-    g_new = out * tc
-
-    def vjp(grad):
-        tw_c, tz_c, tb_c, tw_f, tz_f, tb_f, tw_o, tz_o, tb_o = weights
-        d = g_new.shape[1]
-        gg, gc = grad[:, :d], grad[:, d:]
-        dc = gc + gg * out * (1.0 - tc * tc)
-        c_prev.grad += dc * f
-        d_f = dc * c_prev.data * f * (1.0 - f)
-        d_o = gg * tc * out * (1.0 - out)
-        for dz, tw, tz, tb in ((d_f, tw_f, tz_f, tb_f), (d_o, tw_o, tz_o, tb_o)):
-            tw.grad += h_mean.T @ dz
-            tz.grad += g_prev.data.T @ dz
-            _acc(tb, dz)
-            g_prev.grad += dz @ tz.data.T
-        d_mean = (d_f @ tw_f.data.T + d_o @ tw_o.data.T) * (1.0 / n)
-        spread = _spread(dc, grid_shape, axis).reshape(h.data.shape)
-        c.grad += spread * cell
-        d_cell = spread * c.data * cell * (1.0 - cell)
-        tw_c.grad += h.data.T @ d_cell
-        tz_c.grad += g_rows.data.T @ d_cell
-        _acc(tb_c, d_cell)
-        g_rows.grad += d_cell @ tz_c.data.T
-        h.grad += d_cell @ tw_c.data.T
-        h.grad += _spread(d_mean, grid_shape, axis).reshape(h.data.shape)
-
-    parents = (h, c, g_prev, c_prev, g_rows, *weights)
-    return _cell_outputs(g_new, c_new, "pooled_cell", parents, vjp)
+    return _apply((out * tc, c_new), "pooled_cell", parents, _pooled_vjp,
+                  cell, h_mean, f, out, tc, grid_shape, axis)
 
 
 # -- tape walk --------------------------------------------------------------
@@ -633,14 +627,15 @@ def pooled_cell(h, c, g_prev, c_prev, g_rows, weights, grid_shape,
 def backward(root: Tensor, leaves=()) -> None:
     """Populate ``.grad`` on the tensors that ``root`` depends on.
 
-    After the walk, tensors without a vjp (parameters, inputs, consts)
-    and every tensor in ``leaves`` hold their gradient; interior nodes
-    end with ``grad = None``.  A node's buffer is allocated just before
-    the first vjp writes into it and released once its own vjp has run.
-    Gradients are freshly assigned on each call and the tape is left
-    intact, so repeated calls from the same root give identical
-    results.  Tensors in ``leaves`` that the root does not depend on
-    get zero gradients instead of None.
+    After the walk, every leaf the root depends on (a tensor with no
+    vjp that is not a const, such as a parameter) and every tensor in
+    ``leaves`` holds its gradient; consts and interior nodes end with
+    ``grad = None``.  A buffer is allocated by the first vjp that
+    writes into it (``_acc``) and an interior node's is released once
+    its own vjp has run.  Gradients are freshly assigned on each call
+    and the tape is left intact, so repeated calls from the same root
+    give identical results.  Tensors in ``leaves`` that the root does
+    not depend on get zero gradients instead of None.
     """
     if root.data.size != 1:
         raise NonScalarRoot(f"backward root must be scalar, got shape {root.data.shape}")
@@ -666,10 +661,7 @@ def backward(root: Tensor, leaves=()) -> None:
     for node in reversed(order):
         if node.vjp is None:
             continue
-        for parent in node.parents:
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-        node.vjp(node.grad)
+        node.vjp(node, node.grad)
         if id(node) not in keep:
             node.grad = None
     for leaf in leaves:

@@ -141,9 +141,9 @@ def init_decoder(enc: EncoderState, params: DecoderParams) -> DecoderState:
     gt_flat = ad.reshape(enc.g_t, (b, d))
     h_second = ad.scale(ad.add(h_sum, gt_flat), 1.0 / (t_minus_1 + 1))
 
-    zeros = [LstmState(h=Tensor(np.zeros((b, d))), c=Tensor(np.zeros((b, d))))
-             for _ in range(len(params.cells) - 2)]
-    starts = [LstmState(h=h_mean, c=c_mean), LstmState(h=h_second, c=c_mean), *zeros]
+    zero = Tensor(np.zeros((b, d)), op="const")
+    starts = [LstmState(h=h_mean, c=c_mean), LstmState(h=h_second, c=c_mean),
+              *[LstmState(h=zero, c=zero)] * (len(params.cells) - 2)]
     return DecoderState(cells=dict(zip(params.cells, starts)))  # in wiring order
 
 
@@ -162,15 +162,15 @@ def _wrap_rows(w: Tensor, k: int) -> Tensor:
         return w
     over = (norms > np.pi).astype(np.float64)[:, None]
     turns = np.round(norms / _TWO_PI)[:, None]
-    adj = Tensor(-_TWO_PI * turns * over)             # per-entry angle shift
+    adj = -_TWO_PI * turns * over             # per-entry angle shift
     grid = ad.reshape(w, (rows, 3))
     theta = ad.reshape(ad.l2norm(grid, axis=1), (rows, 1))
-    theta_safe = ad.add(theta, Tensor(1.0 - over))    # keep unwrapped rows off zero
+    theta_safe = ad.add(theta, 1.0 - over)    # keep unwrapped rows off zero
     wrapped = ad.add(grid, ad.mul(grid, ad.div(adj, theta_safe)))
     return ad.reshape(wrapped, w.data.shape)
 
 
-def decode_step(w_prev: Tensor, state: DecoderState, params: DecoderParams,
+def decode_step(w_prev: Tensor | np.ndarray, state: DecoderState, params: DecoderParams,
                 layout: ChainLayout) -> tuple[Tensor, DecoderState]:
     """One autoregressive step: new pose and advanced LSTM states."""
     new: dict[str, LstmState] = {}

@@ -211,18 +211,17 @@ def init_states(p: np.ndarray, params: EncoderParams, layout: ChainLayout,
     """
     p = _as_windows(p, layout.num_entries)
     B, T, K, _ = p.shape
-    flat = Tensor(p.reshape(B * T * K, 3), op="input")
-    e = ad.add(ad.matmul(flat, params.embed_w), params.embed_b)
+    e = ad.add(ad.matmul(p.reshape(B * T * K, 3), params.embed_w), params.embed_b)
     grid_shape = (B, T, K, params.hidden)
     grid = ad.reshape(e, grid_shape)
     if global_temporal:
         g_t = ad.mean_rows(grid, grid_shape, axis=1)
     else:
-        g_t = Tensor(np.zeros((B * K, params.hidden)))
+        g_t = Tensor(np.zeros((B * K, params.hidden)), op="const")
     if global_spatial:
         g_s = ad.mean_rows(grid, grid_shape, axis=2)
     else:
-        g_s = Tensor(np.zeros((B * T, params.hidden)))
+        g_s = Tensor(np.zeros((B * T, params.hidden)), op="const")
     return EncoderState(h=e, c=e, g_t=g_t, c_gt=g_t, g_s=g_s, c_gs=g_s,
                         frames=T, entries=K, windows=B)
 
@@ -240,7 +239,7 @@ def _fused_gate_params(params: EncoderParams):
 
 
 def _layer_step(state: EncoderState, p_proj: Tensor, fused, params: EncoderParams,
-                sp_mask: np.ndarray,
+                sp_mask: Tensor,
                 global_temporal: bool, global_spatial: bool) -> EncoderState:
     """One layer over the whole grid; ``p_proj`` is the layer-invariant
     input projection U p, computed once per encode."""
@@ -252,7 +251,7 @@ def _layer_step(state: EncoderState, p_proj: Tensor, fused, params: EncoderParam
     # the first row of every window)
     h_left = ad.shift_rows(state.h, K, T * K)
     h_right = ad.shift_rows(state.h, -K, T * K)
-    h_sp = ad.mask_mul(ad.shift_rows(state.h, 1), sp_mask)
+    h_sp = ad.mul(ad.shift_rows(state.h, 1), sp_mask)
     triple = ad.concat([h_left, h_right, state.h], axis=1)
     gs_rows = ad.spread_rows(state.g_s, state.grid_shape, axis=2)
     gt_rows = ad.spread_rows(state.g_t, state.grid_shape, axis=1)
@@ -263,7 +262,7 @@ def _layer_step(state: EncoderState, p_proj: Tensor, fused, params: EncoderParam
 
     c_left = ad.shift_rows(state.c, K, T * K)
     c_right = ad.shift_rows(state.c, -K, T * K)
-    c_sp = ad.mask_mul(ad.shift_rows(state.c, 1), sp_mask)
+    c_sp = ad.mul(ad.shift_rows(state.c, 1), sp_mask)
     cgs_rows = ad.spread_rows(state.c_gs, state.grid_shape, axis=2)
     cgt_rows = ad.spread_rows(state.c_gt, state.grid_shape, axis=1)
 
@@ -322,11 +321,10 @@ def encode(p: np.ndarray, params: EncoderParams, layout: ChainLayout,
     p = _as_windows(p, layout.num_entries)
     state = init_states(p, params, layout, global_temporal, global_spatial)
     B, T, K = state.windows, state.frames, state.entries
-    flat_p = Tensor(p.reshape(B * T * K, 3), op="input")
     fused = _fused_gate_params(params)
-    p_proj = ad.matmul(flat_p, fused[0])
+    p_proj = ad.matmul(p.reshape(B * T * K, 3), fused[0])
     sp_mask = (layout.spatial_prev() >= 0).astype(np.float64)
-    sp_mask = np.tile(sp_mask, B * T)[:, None]  # (B*T*K, 1)
+    sp_mask = Tensor(np.tile(sp_mask, B * T)[:, None], op="const")  # (B*T*K, 1)
     for _ in range(layers):
         state = _layer_step(state, p_proj, fused, params, sp_mask,
                             global_temporal, global_spatial)

@@ -20,6 +20,15 @@ def field_types(config_class) -> dict[str, type]:
     return {f.name: _FIELD_TYPES[f.type] for f in fields(config_class)}
 
 
+def check_field_types(config) -> None:
+    """Raise ValueError naming the first field of a config dataclass whose
+    value is not of its type; an int is also accepted for a float."""
+    for key, kind in field_types(type(config)).items():
+        value = getattr(config, key)
+        if type(value) is not kind and not (kind is float and type(value) is int):
+            raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture switches; widths follow the encoder hidden size."""
@@ -31,10 +40,7 @@ class ModelConfig:
     decoder: str = "structured"
 
     def __post_init__(self):
-        for key, kind in field_types(ModelConfig).items():
-            value = getattr(self, key)
-            if type(value) is not kind:
-                raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
+        check_field_types(self)
         for key in ("hidden_size", "layers"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
@@ -87,13 +93,13 @@ def forward(params: ModelParams, config: ModelConfig, layout: ChainLayout,
     enc = encode(observed[:, :-1], params.encoder, layout, config.layers,
                  config.global_temporal, config.global_spatial)
     state = init_decoder(enc, params.decoder)
-    w = Tensor(observed[:, -1].reshape(b, 3 * k), op="input")
+    w = observed[:, -1].reshape(b, 3 * k)
     outs: list[Tensor] = []
     for n in range(horizon):
         w, state = decode_step(w, state, params.decoder, layout)
         outs.append(w)
         if feed is not None and n + 1 < horizon:
-            w = Tensor(feed[:, n].reshape(b, 3 * k), op="input")
+            w = feed[:, n].reshape(b, 3 * k)
     return outs
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .encoder import ChainLayout
-from .model import ModelConfig, ModelParams, forward, frames_tensor
+from .model import ModelConfig, ModelParams, check_field_types, forward, frames_tensor
 from .skeleton import MotionSequence, ParseError, sample_windows
 
 _MAGIC = b"STHRN1\n"
@@ -58,9 +58,9 @@ def weighted_loss(pred: Tensor, target: np.ndarray, theta: np.ndarray) -> Tensor
     if pred.data.shape != target.shape:
         raise ad.ShapeMismatch(f"loss shapes {pred.data.shape} vs {target.shape}")
     frames = target.shape[0]
-    diff = ad.sub(pred, Tensor(target))
+    diff = ad.sub(pred, target)
     norms = ad.l2norm(diff, axis=2)                      # (frames, K)
-    weighted = ad.mul(norms, Tensor(np.asarray(theta)))  # broadcast over frames
+    weighted = ad.mul(norms, theta)                      # broadcast over frames
     return ad.scale(ad.tsum(weighted), 1.0 / frames)
 
 
@@ -71,7 +71,7 @@ def l2_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     if pred.data.shape != target.shape:
         raise ad.ShapeMismatch(f"loss shapes {pred.data.shape} vs {target.shape}")
     frames = target.shape[0]
-    diff = ad.sub(pred, Tensor(target))
+    diff = ad.sub(pred, target)
     return ad.scale(ad.tsum(ad.mul(diff, diff)), 1.0 / frames)
 
 
@@ -148,6 +148,14 @@ class TrainConfig:
     seed: int = 0
     teacher_forcing: bool = False
 
+    def __post_init__(self):
+        check_field_types(self)
+        if self.loss not in ("weighted", "l2"):
+            raise ValueError(f"unknown loss {self.loss!r}")
+        for key in ("batch_size", "iterations"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+
 
 @dataclass
 class TrainResult:
@@ -168,12 +176,6 @@ def train(sequences: list[MotionSequence], layout: ChainLayout, theta: np.ndarra
     Raises TrainingDiverged when the loss or a gradient stops being
     finite, before the parameters are touched.
     """
-    if train_config.loss not in ("weighted", "l2"):
-        raise ValueError(f"unknown loss {train_config.loss!r}")
-    if train_config.batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {train_config.batch_size}")
-    if train_config.iterations < 1:
-        raise ValueError(f"iterations must be at least 1, got {train_config.iterations}")
     rng = np.random.default_rng(train_config.seed)
     if params is None:
         params = ModelParams.init(model_config, layout, seed=train_config.seed)

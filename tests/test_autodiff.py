@@ -1,6 +1,7 @@
 """Tape op and reverse-pass checks against hand-derived gradients."""
 
 from contextlib import nullcontext
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -124,6 +125,19 @@ def test_narrow_scatters_gradient():
     m = leaf(np.arange(6.0).reshape(2, 3))
     backward(ad.tsum(m[0, 1:]), leaves=[m])
     assert np.array_equal(m.grad, [[0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+
+
+def test_narrow_refuses_keys_that_are_not_basic():
+    # x[[0, 0, 2]] selects x[0] twice: its gradient is 2, but a scatter
+    # into x.grad[key] counts the repeat once, so such keys are refused
+    x = leaf([1.0, 2.0, 3.0])
+    m = leaf(np.arange(6.0).reshape(2, 3))
+    for t, key in ((x, [0, 0, 2]), (x, np.array([0, 0, 2])), (x, np.array([True, False, True])),
+                   (x, True), (m, (slice(None), [0, 0])), (m, (0, np.int64(1), [1]))):
+        with pytest.raises(ShapeMismatch):
+            t[key]
+    backward(ad.tsum(m[None, ..., np.int64(1)] * leaf([[2.0, 3.0]])), leaves=[m])
+    assert np.array_equal(m.grad, [[0.0, 2.0, 0.0], [0.0, 3.0, 0.0]])
 
 
 def test_concat_splits_gradient():
@@ -364,6 +378,91 @@ def test_reshape_transposes_gradient_back():
     assert np.array_equal(a.grad, [1.0, 2.0, 3.0, 4.0])
 
 
+# -- every op through the one path ------------------------------------------------
+
+
+_TABLE_RNG = np.random.default_rng(40)
+
+
+def _r(*shape):
+    return _TABLE_RNG.normal(size=shape)
+
+
+# op -> (call on operands, operand arrays); each operand is passed either
+# as a leaf Tensor or as a raw array, which the op takes as a const
+OPS = {
+    "add": (ad.add, [_r(3, 2), _r(2)]),
+    "sub": (ad.sub, [_r(3, 2), _r(3, 1)]),
+    "mul": (ad.mul, [_r(3, 2), _r(1, 2)]),
+    "div": (ad.div, [_r(3, 2), 2.0 + np.abs(_r(3, 2))]),
+    "scale": (lambda a: ad.scale(a, -1.5), [_r(3, 2)]),
+    "matmul": (ad.matmul, [_r(3, 4), _r(4, 2)]),
+    "linear": (lambda x, w, y, v, b: ad.linear([(x, w), b, (y, v)]),
+               [_r(3, 4), _r(4, 2), _r(3, 1), _r(1, 2), _r(2)]),
+    "reshape": (lambda a: ad.reshape(a, (2, 3)), [_r(3, 2)]),
+    "concat": (lambda a, b, c: ad.concat([a, b, c], axis=1), [_r(3, 2), _r(3, 1), _r(3, 2)]),
+    "narrow": (lambda a: ad.narrow(a, np.s_[1:, ::2]), [_r(3, 4)]),
+    "shift_rows": (lambda a: ad.shift_rows(a, -1, block=2), [_r(4, 2)]),
+    "tsum": (lambda a: ad.tsum(a, axis=0), [_r(3, 2)]),
+    "mean_rows": (lambda a: ad.mean_rows(a, (2, 3, 2), axis=1), [_r(6, 2)]),
+    "spread_rows": (lambda a: ad.spread_rows(a, (2, 3, 2), axis=1), [_r(2, 2)]),
+    "l2norm": (lambda a: ad.l2norm(a, axis=1), [_r(3, 2)]),
+    "sigmoid": (ad.sigmoid, [_r(3, 2)]),
+    "tanh": (ad.tanh, [_r(3, 2)]),
+    "gated_cell": (lambda pre, s0, s1: ad.gated_cell(pre, [s0, s1]),
+                   [0.3 * _r(3, 10), _r(3, 2), _r(3, 2)]),
+    "lstm_cell": (ad.lstm_cell, [_r(2, 3), _r(2, 2), _r(2, 2), 0.3 * _r(5, 8), _r(8)]),
+    "pooled_cell": (lambda h, c, gp, cp, gr, *w: ad.pooled_cell(h, c, gp, cp, gr, w,
+                                                                (3, 2, 2), 0),
+                    [_r(6, 2), _r(6, 2), _r(2, 2), _r(2, 2), _r(6, 2)]
+                    + [0.3 * _r(2, 2), 0.3 * _r(2, 2), _r(2)] * 3),
+}
+
+
+def test_op_table_covers_every_public_op():
+    public = {name for name, value in vars(ad).items()
+              if callable(value) and not name.startswith("_")
+              and getattr(value, "__module__", None) == ad.__name__
+              and not isinstance(value, type)}
+    assert public - {"backward", "grad_check"} == set(OPS)
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+@pytest.mark.parametrize("leaf_parity", [0, 1])
+def test_every_op_takes_the_one_path(op, leaf_parity):
+    """Taped and value-only values agree, a value-only result keeps no
+    parents, consts end without a gradient and leaves get the right one."""
+    call, arrays = OPS[op]
+    leaves = {f"x{i}": leaf(a.copy()) for i, a in enumerate(arrays) if i % 2 == leaf_parity}
+    operands = [leaves.get(f"x{i}", a) for i, a in enumerate(arrays)]
+
+    def outputs():
+        out = call(*operands)
+        return out if isinstance(out, tuple) else (out,)
+
+    taped = outputs()
+    with no_grad():
+        bare = outputs()
+    for t, b in zip(taped, bare, strict=True):
+        assert np.array_equal(t.data, b.data)
+        assert b.parents == ()
+    rng = np.random.default_rng(41)
+    heads = [rng.normal(size=t.data.shape) for t in taped]
+
+    def f():
+        return reduce(ad.add, [ad.tsum(ad.mul(t, h)) for t, h in zip(outputs(), heads)])
+
+    root = f()
+    backward(root, leaves=leaves.values())
+    consts = [t for t in tape_nodes(root) if t.op == "const"]
+    assert len(consts) >= len(arrays) - len(leaves) + len(heads)
+    assert all(t.grad is None for t in consts)
+    if leaves:
+        report = grad_check(f, leaves)
+        assert report.skipped == []
+        assert report.max_rel_error < 1e-6, report.per_leaf
+
+
 # -- backward mechanics -----------------------------------------------------------
 
 
@@ -396,7 +495,8 @@ def tape_nodes(root):
 
 def eager_backward(root, leaves=()):
     """Oracle: the walk that gives every tape node a zero gradient up
-    front and keeps them all afterwards."""
+    front and keeps them all afterwards (``_acc`` leaves a const's at
+    zero)."""
     order, seen = [], set()
     stack = [(root, False)]
     while stack:
@@ -416,7 +516,7 @@ def eager_backward(root, leaves=()):
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
         if node.vjp is not None:
-            node.vjp(node.grad)
+            node.vjp(node, node.grad)
     for t in leaves:
         if id(t) not in seen:
             t.grad = np.zeros_like(t.data)
@@ -450,14 +550,15 @@ def test_backward_matches_eager_walk_and_frees_interior_gradients(fixture):
     root, named = LOSS_FIXTURES[fixture]()
     nodes = tape_nodes(root)
     eager_backward(root, named.values())
-    want = {id(t): t.grad.copy() for t in nodes if t.vjp is None}
+    want = {id(t): t.grad.copy() for t in nodes if t.vjp is None and t.op != "const"}
     assert {id(t) for t in named.values()} <= set(want)
+    assert any(t.op == "const" for t in nodes)
     for _ in range(2):  # repeated calls from the same root agree
         backward(root, leaves=named.values())
         for t in nodes:
-            if t.vjp is None:
+            if id(t) in want:
                 assert np.array_equal(t.grad, want[id(t)]), t
-            else:
+            else:  # interior nodes and consts
                 assert t.grad is None, t
 
 
@@ -536,14 +637,11 @@ def test_grad_check_catches_wrong_gradient():
     # an op with a deliberately wrong vjp must be flagged
     x = leaf([0.5, -0.3])
 
+    def bad_vjp(node, g):
+        ad._acc(node.parents[0], 3.0 * g)  # wrong on purpose: the factor is 2
+
     def bad_double(t):
-        out = Tensor(t.data * 2.0, "bad", (t,), None)
-
-        def vjp(g):
-            t.grad += 3.0 * g  # wrong on purpose: the factor is 2
-
-        out.vjp = vjp
-        return out
+        return Tensor(t.data * 2.0, "bad", (t,), bad_vjp)
 
     def f():
         return ad.tsum(bad_double(x))

@@ -285,8 +285,10 @@ def test_encode_rejects_bad_input_shape():
 def test_mask_mul_gradient():
     t = Tensor(np.arange(6.0).reshape(3, 2))
     mask = np.array([[1.0], [0.0], [1.0]])
-    backward(ad.tsum(ad.mask_mul(t, mask)), leaves=[t])
+    out = ad.mul(t, mask)  # a raw mask enters as a const: no gradient of its own
+    backward(ad.tsum(out), leaves=[t])
     assert np.array_equal(t.grad, np.broadcast_to(mask, (3, 2)))
+    assert out.parents[1].op == "const" and out.parents[1].grad is None
 
 
 def test_repeat_rows_gradient():

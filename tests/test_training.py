@@ -402,3 +402,22 @@ def test_train_rejects_empty_runs(field):
     seqs = [synth_motion("sinusoid", 30, TOPO, seed=3)]
     with pytest.raises(ValueError, match=f"{field} must be at least 1"):
         train(seqs, LAYOUT, np.ones(4), CFG, tiny_train_config(**{field: 0}))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("teacher_forcing", "false", "teacher_forcing must be bool"),
+    ("batch_size", 2.0, "batch_size must be int"),
+    ("clip_norm", True, "clip_norm must be float"),
+    ("loss", "huber", "unknown loss 'huber'"),
+])
+def test_train_config_rejects_bad_fields(key, value, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{key: value})
+
+
+def test_train_config_accepts_int_for_float():
+    seqs = [synth_motion("sinusoid", 30, TOPO, seed=3)]
+    theta = bone_weights(TOPO.entry_lengths())
+    ints = train(seqs, LAYOUT, theta, CFG, tiny_train_config(clip_norm=0, learning_rate=1))
+    floats = train(seqs, LAYOUT, theta, CFG, tiny_train_config(clip_norm=0.0, learning_rate=1.0))
+    assert [m[1] for m in ints.metrics] == [m[1] for m in floats.metrics]

@@ -1,0 +1,136 @@
+"""Print one ``case sha256`` line per deterministic output of ``sthrn``.
+
+A change that promises bit-identical outputs runs this script against
+both checkouts and compares the lines.  The cases are:
+
+- ``train/<topology>/<decoder>/<feeding>/<loss>``: 4 iterations of
+  ``train()`` at batch 3 on human, fork7 and chain3 (hidden 5, 3
+  layers), with the structured and plain decoders, free-running and
+  teacher-forced, and the weighted and l2 losses; ``/losses`` hashes
+  every loss, ``/params`` every parameter and ``/checkpoint`` the
+  ``save_checkpoint`` bytes with the Adam moments;
+- ``criterion-4/loss`` and ``criterion-4/grad/<leaf>``: the taped
+  weighted loss of the criterion-4 fixture (fork7, hidden 6, 2 layers,
+  6 observed frames, horizon 3) and every leaf gradient ``backward``
+  leaves on it;
+- ``gradcheck-tiny``: the full ``grad_check`` report on that fixture's
+  gradcheck-tiny leaf set (the benchmark workload's six leaves);
+- ``predict/human``: value-only ``predict`` of 25 frames from 50 by the
+  default human model.
+
+Only the package's public API is used, so the same script runs against
+an older checkout.  From the repository root, with the parent commit in
+a worktree::
+
+    git worktree add ../sthrn-parent HEAD~1
+    PYTHONPATH=../sthrn-parent/src python3 tools/fingerprint.py > parent.txt
+    PYTHONPATH=src python3 tools/fingerprint.py > change.txt
+    diff parent.txt change.txt && echo identical
+    git worktree remove ../sthrn-parent
+
+It takes about 5 s on a 2-vCPU Xeon VM.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import tempfile
+
+import numpy as np
+
+import sthrn
+from sthrn.model import frames_tensor
+
+# benchmarks/workloads.py GRADCHECK_LEAVES
+GRADCHECK_LEAVES = ("enc.gate.gs.gs", "enc.gt.w_f", "enc.gs.w_f", "enc.gs.z_o",
+                    "dec.spine.b", "dec.proj.1.w")
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode("utf-8"))
+    return h.hexdigest()
+
+
+def array_digest(named: dict[str, np.ndarray]) -> str:
+    return digest(*(x for name, a in named.items()
+                    for x in (name, a.dtype.str, a.shape, np.ascontiguousarray(a).tobytes())))
+
+
+def train_cases(workdir: str):
+    for topo_name in ("human", "fork7", "chain3"):
+        topo = sthrn.builtin_topology(topo_name)
+        layout = sthrn.ChainLayout.from_topology(topo)
+        theta = sthrn.bone_weights(topo.entry_lengths())
+        seqs = [sthrn.synth_motion("sinusoid", 70, topo, seed=s) for s in (3, 4)]
+        for decoder in ("structured", "plain"):
+            model = sthrn.ModelConfig(hidden_size=5, layers=3, decoder=decoder)
+            for forcing in (False, True):
+                for loss in ("weighted", "l2"):
+                    config = sthrn.TrainConfig(iterations=4, batch_size=3, loss=loss,
+                                               teacher_forcing=forcing, seed=11)
+                    result = sthrn.train(seqs, layout, theta, model, config)
+                    path = os.path.join(workdir, "fingerprint.ckpt")
+                    sthrn.save_checkpoint(path, result.params, model, layout,
+                                          iteration=4, adam=result.adam)
+                    with open(path, "rb") as fh:
+                        blob = fh.read()
+                    case = (f"train/{topo_name}/{decoder}/"
+                            f"{'forced' if forcing else 'free'}/{loss}")
+                    yield f"{case}/losses", digest(*(m[1] for m in result.metrics))
+                    yield f"{case}/params", array_digest(
+                        {n: t.data for n, t in result.params.named().items()})
+                    yield f"{case}/checkpoint", digest(blob)
+
+
+def criterion_4_fixture(frames: np.ndarray):
+    topo = sthrn.builtin_topology("fork7")
+    layout = sthrn.ChainLayout.from_topology(topo)
+    config = sthrn.ModelConfig(hidden_size=6, layers=2)
+    params = sthrn.ModelParams.init(config, layout, seed=7)
+    theta = sthrn.bone_weights(topo.entry_lengths())
+    k = layout.num_entries
+
+    def loss():
+        outs = sthrn.forward(params, config, layout, frames[:6], 3)
+        return sthrn.weighted_loss(frames_tensor(outs, k), frames[6:9], theta)
+
+    return loss, params.named()
+
+
+def gradient_cases():
+    topo = sthrn.builtin_topology("fork7")
+    loss, named = criterion_4_fixture(sthrn.synth_motion("sinusoid", 9, topo, seed=3).frames)
+    root = loss()
+    sthrn.backward(root, leaves=named.values())
+    yield "criterion-4/loss", array_digest({"loss": root.data})
+    for name, t in named.items():
+        yield f"criterion-4/grad/{name}", array_digest({name: t.grad})
+
+    loss, named = criterion_4_fixture(sthrn.synth_motion("sinusoid", 9, topo, seed=5).frames)
+    report = sthrn.grad_check(loss, {n: named[n] for n in GRADCHECK_LEAVES})
+    yield "gradcheck-tiny", digest(report.max_rel_error, sorted(report.per_leaf.items()),
+                                   report.skipped)
+
+
+def predict_cases():
+    topo = sthrn.builtin_topology("human")
+    layout = sthrn.ChainLayout.from_topology(topo)
+    config = sthrn.ModelConfig()
+    params = sthrn.ModelParams.init(config, layout, seed=7)
+    observed = sthrn.synth_motion("sinusoid", 50, topo, seed=9).frames
+    yield "predict/human", array_digest(
+        {"frames": sthrn.predict(params, config, layout, observed, 25)})
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as workdir:
+        for cases in (train_cases(workdir), gradient_cases(), predict_cases()):
+            for case, sha in cases:
+                print(case, sha, flush=True)
+
+
+if __name__ == "__main__":
+    main()
