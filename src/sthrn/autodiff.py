@@ -1,16 +1,21 @@
 """Reverse-mode automatic differentiation over numpy float64 arrays.
 
 Each operation returns a new ``Tensor`` whose value is computed
-eagerly.  Every op hands its value to ``_apply``, which decides what
-the result is: while gradients are enabled, a tape node recording the
-op's parents, its vjp and the values the vjp needs; inside
-``no_grad()``, a bare value with no parents, which is what
-finite-difference probing uses.  ``backward`` walks the tape once, in
-reverse topological order, from a scalar root, and every vjp adds its
-gradients into the parents through ``_acc``.
+eagerly by one module-level forward function of its static arguments
+and its parents' arrays.  Every op hands that value and the forward to
+``_apply``, which decides what the result is: while gradients are
+enabled, a tape node recording the op's parents, its forward, its vjp
+and the values the vjp needs; inside ``no_grad()``, a bare value with
+no parents.  ``backward`` walks the tape once, in reverse topological
+order, from a scalar root, and every vjp adds its gradients into the
+parents through ``_acc``.  ``grad_check`` re-runs the recorded
+forwards of the nodes a perturbed leaf reaches instead of the whole
+function (``_cone`` and ``_replay``).
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -46,20 +51,22 @@ class Tensor:
 
     ``op`` is "leaf" for a tensor built directly (a parameter, or a
     value-only result), "const" for an array an op took as an operand,
-    or else the op that made this tape node, which holds its
-    ``parents``, its ``vjp`` and the values the vjp reads (``saved``).
-    ``backward`` gives leaves a ``grad``, never consts, and leaves None
-    on interior nodes, which are rebuilt every forward pass.
+    or else the op that made this tape node.  A node holds its
+    ``parents``, its forward ``fwd`` and static ``args`` (its value is
+    ``fwd(*args, *parent arrays)``), its ``vjp`` and the values the vjp
+    reads (``saved``).  ``backward`` gives leaves a ``grad``, never
+    consts, and leaves None on interior nodes, which are rebuilt every
+    forward pass.
     """
 
-    __slots__ = ("data", "grad", "op", "parents", "vjp", "saved")
+    __slots__ = ("data", "grad", "op", "parents", "vjp", "saved", "fwd", "args")
 
     def __init__(self, data, op: str = "leaf", parents: tuple = (), vjp=None,
                  saved: tuple = ()):
         # float64 is the working dtype; wider floats are passed through so
         # grad_check can re-probe finite differences in extended precision.
-        # Full reductions hand back numpy scalars, hence np.generic.  Op
-        # results are float arrays already and take the first branch.
+        # Numpy scalars become 0-d arrays.  Op results do not come through
+        # here (``_result``).
         if type(data) is np.ndarray and data.dtype.kind == "f":
             self.data = data
         elif isinstance(data, (np.ndarray, np.generic)) and data.dtype.kind == "f":
@@ -71,6 +78,8 @@ class Tensor:
         self.parents = parents
         self.vjp = vjp
         self.saved = saved
+        self.fwd = None  # a node made here by hand has no forward to replay
+        self.args = ()
 
     @property
     def shape(self):
@@ -115,24 +124,55 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, op="const")
 
 
-def _apply(out, op: str, parents: tuple, vjp, *saved):
-    """An op's value ``out`` as a tape node, or inside ``no_grad()`` as a
-    bare Tensor with no parents: the one place that decides.
+_new_object = object.__new__
+
+
+def _result(out, op: str = "leaf", parents: tuple = (), vjp=None, saved: tuple = (),
+            fwd=None, args: tuple = ()) -> Tensor:
+    """A Tensor for an op's value, built without ``Tensor.__init__``.
+    An op's value is a float array, or a numpy scalar from a full
+    reduction, so it needs none of __init__'s conversions, and skipping
+    the call keeps the per-op cost down."""
+    t = _new_object(Tensor)
+    t.data = out if type(out) is np.ndarray else np.asarray(out)
+    t.grad = None
+    t.op = op
+    t.parents = parents
+    t.vjp = vjp
+    t.saved = saved
+    t.fwd = fwd
+    t.args = args
+    return t
+
+
+def _value(out):
+    """A forward's result as a node's value: a cell's (h, c, *saved)
+    becomes [h | c]."""
+    return np.concatenate(out[:2], axis=1) if type(out) is tuple else out
+
+
+def _apply(out, op: str, parents: tuple, vjp, fwd, *args):
+    """An op's value ``out = fwd(*args, *parent arrays)``, which the op
+    computes by calling ``fwd`` itself, as a tape node, or inside
+    ``no_grad()`` as a bare Tensor with no parents: the one place that
+    decides.  The node keeps ``fwd`` and ``args``, so replay re-runs
+    the very forward that made it.
 
     ``vjp(node, g)`` adds the op's gradients into ``node.parents``
-    through ``_acc``, reading ``saved`` as ``node.saved``.  A fused
-    cell's (h, c) pair comes back as a pair: taped, one node holds
-    [h | c] and the two states are narrows of it.
+    through ``_acc``, reading ``node.args`` and ``node.saved``.  A fused
+    cell's forward returns (h, c, *saved) and the cell comes back as an
+    (h, c) pair: taped, one node holds [h | c], keeps the rest as
+    ``saved``, and the two states are narrows of it.
     """
     if type(out) is tuple:
         if not _grad_enabled:
-            return Tensor(out[0]), Tensor(out[1])
-        node = Tensor(np.concatenate(out, axis=1), op, parents, vjp, saved)
+            return _result(out[0]), _result(out[1])
+        node = _result(_value(out), op, parents, vjp, out[2:], fwd, args)
         d = out[0].shape[1]
-        return narrow(node, np.s_[:, :d]), narrow(node, np.s_[:, d:])
+        return _narrow(node, np.s_[:, :d]), _narrow(node, np.s_[:, d:])
     if not _grad_enabled:
-        return Tensor(out)
-    return Tensor(out, op, parents, vjp, saved)
+        return _result(out)
+    return _result(out, op, parents, vjp, (), fwd, args)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -163,6 +203,8 @@ def _acc(t: Tensor, g: np.ndarray, key: tuple | None = None) -> None:
 
 
 # -- arithmetic -------------------------------------------------------------
+#
+# The binary ops' forwards are numpy's own ufuncs: ``a + b`` is np.add.
 
 
 def _add_vjp(node, g):
@@ -173,7 +215,7 @@ def _add_vjp(node, g):
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return _apply(a.data + b.data, "add", (a, b), _add_vjp)
+    return _apply(np.add(a.data, b.data), "add", (a, b), _add_vjp, np.add)
 
 
 def _tree_sum(parts):
@@ -204,7 +246,7 @@ def _sub_vjp(node, g):
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return _apply(a.data - b.data, "sub", (a, b), _sub_vjp)
+    return _apply(np.subtract(a.data, b.data), "sub", (a, b), _sub_vjp, np.subtract)
 
 
 def _mul_vjp(node, g):
@@ -216,7 +258,7 @@ def _mul_vjp(node, g):
 def mul(a, b) -> Tensor:
     """Elementwise (Hadamard) product with numpy broadcasting."""
     a, b = _as_tensor(a), _as_tensor(b)
-    return _apply(a.data * b.data, "mul", (a, b), _mul_vjp)
+    return _apply(np.multiply(a.data, b.data), "mul", (a, b), _mul_vjp, np.multiply)
 
 
 def _div_vjp(node, g):
@@ -227,17 +269,21 @@ def _div_vjp(node, g):
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return _apply(a.data / b.data, "div", (a, b), _div_vjp)
+    return _apply(np.true_divide(a.data, b.data), "div", (a, b), _div_vjp, np.true_divide)
+
+
+def _scale_fwd(s, a):
+    return a * s
 
 
 def _scale_vjp(node, g):
-    _acc(node.parents[0], g * node.saved[0])
+    _acc(node.parents[0], g * node.args[0])
 
 
 def scale(a, s: float) -> Tensor:
     """Product with a python scalar (no tape node for the scalar)."""
     a = _as_tensor(a)
-    return _apply(a.data * s, "scale", (a,), _scale_vjp, s)
+    return _apply(_scale_fwd(s, a.data), "scale", (a,), _scale_vjp, _scale_fwd, s)
 
 
 def _check_matmul(a: Tensor, b: Tensor) -> None:
@@ -254,16 +300,26 @@ def _matmul_vjp(node, g):
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_matmul(a, b)
-    return _apply(a.data @ b.data, "matmul", (a, b), _matmul_vjp)
+    return _apply(np.matmul(a.data, b.data), "matmul", (a, b), _matmul_vjp, np.matmul)
+
+
+def _linear_fwd(pairs, *arrays):
+    """``pairs[k]`` says whether term k is a product of the next two
+    arrays or the next array alone."""
+    it = iter(arrays)
+    return _tree_sum(next(it) @ next(it) if pair else next(it) for pair in pairs)
 
 
 def _linear_vjp(node, g):
-    for x, w in node.saved[0]:
-        if w is None:
-            _acc(x, g)
-        else:
+    it = iter(node.parents)
+    for pair in node.args[0]:
+        x = next(it)
+        if pair:
+            w = next(it)
             _acc(x, g @ w.data.T)
             _acc(w, x.data.T @ g)
+        else:
+            _acc(x, g)
 
 
 def linear(terms) -> Tensor:
@@ -274,22 +330,31 @@ def linear(terms) -> Tensor:
     order, so ``linear([(x, w), (y, v), b])`` has exactly the value of
     ``add(add(matmul(x, w), matmul(y, v)), b)``.
     """
-    pairs: list[tuple[Tensor, Tensor | None]] = []
+    pairs: list[bool] = []
     parents: list[Tensor] = []
+    arrays: list[np.ndarray] = []
     for term in terms:
         if isinstance(term, tuple):
             x, w = _as_tensor(term[0]), _as_tensor(term[1])
             _check_matmul(x, w)
             parents += x, w
+            arrays += x.data, w.data
+            pairs.append(True)
         else:
-            x, w = _as_tensor(term), None
+            x = _as_tensor(term)
             parents.append(x)
-        pairs.append((x, w))
-    out = _tree_sum(x.data if w is None else x.data @ w.data for x, w in pairs)
-    return _apply(out, "linear", tuple(parents), _linear_vjp, pairs)
+            arrays.append(x.data)
+            pairs.append(False)
+    pairs = tuple(pairs)
+    return _apply(_linear_fwd(pairs, *arrays), "linear", tuple(parents), _linear_vjp,
+                  _linear_fwd, pairs)
 
 
 # -- shape ------------------------------------------------------------------
+
+
+def _reshape_fwd(shape, a):
+    return a.reshape(shape)
 
 
 def _reshape_vjp(node, g):
@@ -299,11 +364,19 @@ def _reshape_vjp(node, g):
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    return _apply(a.data.reshape(shape), "reshape", (a,), _reshape_vjp)
+    return _apply(_reshape_fwd(shape, a.data), "reshape", (a,), _reshape_vjp, _reshape_fwd,
+                  shape)
+
+
+def _concat_fwd(axis, *arrays):
+    try:
+        return np.concatenate(arrays, axis=axis)
+    except ValueError as exc:
+        raise ShapeMismatch(f"concat: {[a.shape for a in arrays]}") from exc
 
 
 def _concat_vjp(node, g):
-    axis = node.saved[0]
+    axis = node.args[0]
     moved = np.moveaxis(g, axis, 0)
     lo = 0
     for p in node.parents:
@@ -314,18 +387,19 @@ def _concat_vjp(node, g):
 
 def concat(parts, axis: int = 0) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
-    try:
-        out = np.concatenate([p.data for p in parts], axis=axis)
-    except ValueError as exc:
-        raise ShapeMismatch(f"concat: {[p.data.shape for p in parts]}") from exc
-    return _apply(out, "concat", tuple(parts), _concat_vjp, axis)
+    return _apply(_concat_fwd(axis, *[p.data for p in parts]), "concat", tuple(parts),
+                  _concat_vjp, _concat_fwd, axis)
 
 
 _BASIC_INDEX = (int, np.integer, slice, type(Ellipsis), type(None))
 
 
+def _narrow_fwd(key, a):
+    return a[key]
+
+
 def _narrow_vjp(node, g):
-    _acc(node.parents[0], g, node.saved[0])
+    _acc(node.parents[0], g, node.args[0])
 
 
 def narrow(a, key) -> Tensor:
@@ -336,11 +410,15 @@ def narrow(a, key) -> Tensor:
     for k in key:
         if not isinstance(k, _BASIC_INDEX) or isinstance(k, bool):
             raise ShapeMismatch(f"narrow: {k!r} is not a basic index")
-    a = _as_tensor(a)
-    return _apply(a.data[key], "narrow", (a,), _narrow_vjp, key)
+    return _narrow(_as_tensor(a), key)
 
 
-def _shift_blocks(x: np.ndarray, n: int, block: int) -> np.ndarray:
+def _narrow(a: Tensor, key: tuple) -> Tensor:
+    """``narrow`` for a key already known to be a tuple of basic indices."""
+    return _apply(_narrow_fwd(key, a.data), "narrow", (a,), _narrow_vjp, _narrow_fwd, key)
+
+
+def _shift_blocks(n: int, block: int, x: np.ndarray) -> np.ndarray:
     rows = x.shape[0]
     k = min(abs(n), block)
     out = np.zeros(x.shape, dtype=x.dtype)
@@ -358,8 +436,8 @@ def _shift_blocks(x: np.ndarray, n: int, block: int) -> np.ndarray:
 
 
 def _shift_vjp(node, g):
-    n, block = node.saved
-    _acc(node.parents[0], _shift_blocks(g, -n, block))
+    n, block = node.args
+    _acc(node.parents[0], _shift_blocks(-n, block, g))
 
 
 def shift_rows(a, n: int, block: int | None = None) -> Tensor:
@@ -369,14 +447,19 @@ def shift_rows(a, n: int, block: int | None = None) -> Tensor:
     dropped, so nothing crosses from one run into the next."""
     a = _as_tensor(a)
     block = a.data.shape[0] if block is None else block
-    return _apply(_shift_blocks(a.data, n, block), "shift", (a,), _shift_vjp, n, block)
+    return _apply(_shift_blocks(n, block, a.data), "shift", (a,), _shift_vjp, _shift_blocks,
+                  n, block)
 
 
 # -- reductions -------------------------------------------------------------
 
 
+def _sum_fwd(axis, a):
+    return a.sum(axis=axis)
+
+
 def _sum_vjp(node, g):
-    a, axis = node.parents[0], node.saved[0]
+    a, axis = node.parents[0], node.args[0]
     if axis is not None:
         g = np.expand_dims(g, axis)
     _acc(a, np.broadcast_to(g, a.data.shape))
@@ -384,25 +467,29 @@ def _sum_vjp(node, g):
 
 def tsum(a, axis=None) -> Tensor:
     a = _as_tensor(a)
-    return _apply(a.data.sum(axis=axis), "sum", (a,), _sum_vjp, axis)
+    return _apply(_sum_fwd(axis, a.data), "sum", (a,), _sum_vjp, _sum_fwd, axis)
 
 
-def _pool(x: np.ndarray, grid_shape: tuple, axis: int) -> np.ndarray:
+def _pool(grid_shape: tuple, axis: int, x: np.ndarray) -> np.ndarray:
     """Sum of ``x`` viewed as ``grid_shape`` over ``axis``, as 2-D rows."""
     return x.reshape(grid_shape).sum(axis=axis).reshape(-1, grid_shape[-1])
 
 
-def _spread(g: np.ndarray, grid_shape: tuple, axis: int) -> np.ndarray:
+def _spread(grid_shape: tuple, axis: int, g: np.ndarray) -> np.ndarray:
     """Transpose of ``_pool``: each row of ``g`` copied back over ``axis``,
     as 2-D rows."""
     copies = np.repeat(g.reshape(grid_shape[:axis] + (1, -1)), grid_shape[axis], axis=axis)
     return copies.reshape(-1, grid_shape[-1])
 
 
+def _mean_fwd(grid_shape, axis, a):
+    return _pool(grid_shape, axis, a) * (1.0 / grid_shape[axis])
+
+
 def _mean_vjp(node, g):
-    a, (grid_shape, axis) = node.parents[0], node.saved
+    a, (grid_shape, axis) = node.parents[0], node.args
     s = 1.0 / grid_shape[axis]
-    _acc(a, _spread(g * s, grid_shape, axis).reshape(a.data.shape))
+    _acc(a, _spread(grid_shape, axis, g * s).reshape(a.data.shape))
 
 
 def mean_rows(a, grid_shape: tuple, axis: int) -> Tensor:
@@ -410,12 +497,12 @@ def mean_rows(a, grid_shape: tuple, axis: int) -> Tensor:
     one row per remaining grid index: a (B, T, K, h) grid pooled over
     frames (axis 1) gives (B * K, h)."""
     a = _as_tensor(a)
-    out = _pool(a.data, grid_shape, axis) * (1.0 / grid_shape[axis])
-    return _apply(out, "mean", (a,), _mean_vjp, grid_shape, axis)
+    return _apply(_mean_fwd(grid_shape, axis, a.data), "mean", (a,), _mean_vjp, _mean_fwd,
+                  grid_shape, axis)
 
 
 def _spread_vjp(node, g):
-    _acc(node.parents[0], _pool(g, *node.saved))
+    _acc(node.parents[0], _pool(*node.args, g))
 
 
 def spread_rows(a, grid_shape: tuple, axis: int) -> Tensor:
@@ -424,12 +511,16 @@ def spread_rows(a, grid_shape: tuple, axis: int) -> Tensor:
     frames (axis 1) of a (B, T, K, h) grid, (B * K, h) rows tile each
     window's K rows T times; over bones (axis 2), (B * T, h) rows repeat."""
     a = _as_tensor(a)
-    return _apply(_spread(a.data, grid_shape, axis), "spread", (a,), _spread_vjp,
+    return _apply(_spread(grid_shape, axis, a.data), "spread", (a,), _spread_vjp, _spread,
                   grid_shape, axis)
 
 
+def _l2norm_fwd(axis, a):
+    return np.sqrt((a * a).sum(axis=axis))
+
+
 def _l2norm_vjp(node, g):
-    a, axis = node.parents[0], node.saved[0]
+    a, axis = node.parents[0], node.args[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(g == 0.0, 0.0, g / node.data)
         _acc(a, np.expand_dims(ratio, axis) * a.data)
@@ -445,8 +536,7 @@ def l2norm(a, axis: int = -1) -> Tensor:
     not: in a batch, another row's kink must not poison this one.
     """
     a = _as_tensor(a)
-    return _apply(np.sqrt((a.data * a.data).sum(axis=axis)), "l2norm", (a,), _l2norm_vjp,
-                  axis)
+    return _apply(_l2norm_fwd(axis, a.data), "l2norm", (a,), _l2norm_vjp, _l2norm_fwd, axis)
 
 
 # -- nonlinearities ---------------------------------------------------------
@@ -462,7 +552,7 @@ def _sigmoid_vjp(node, g):
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    return _apply(_sigmoid(a.data), "sigmoid", (a,), _sigmoid_vjp)
+    return _apply(_sigmoid(a.data), "sigmoid", (a,), _sigmoid_vjp, _sigmoid)
 
 
 def _tanh_vjp(node, g):
@@ -471,7 +561,65 @@ def _tanh_vjp(node, g):
 
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
-    return _apply(np.tanh(a.data), "tanh", (a,), _tanh_vjp)
+    return _apply(np.tanh(a.data), "tanh", (a,), _tanh_vjp, np.tanh)
+
+
+# -- rotation wrap ----------------------------------------------------------
+
+_TWO_PI = 2.0 * np.pi
+
+
+def _wrap_shift(w3: np.ndarray):
+    """None when no row of the (rows, 3) ``w3`` has a norm above pi, else
+    (norms, q, safe norms) with q the angle shift over the safe norm: a
+    row wraps to w + w * q.  Rows at or below pi shift by zero and keep
+    their values; a NaN norm takes this branch, as ``norms.max() <= pi``
+    is False for it."""
+    norms = np.sqrt((w3 * w3).sum(axis=1))
+    if norms.max() <= np.pi:
+        return None
+    over = (norms > np.pi).astype(np.float64)[:, None]
+    turns = np.round(norms / _TWO_PI)[:, None]
+    safe = norms[:, None] + (1.0 - over)  # keep unwrapped rows off zero
+    return norms, -_TWO_PI * turns * over / safe, safe
+
+
+def _wrap_fwd(a):
+    w3 = a.reshape(-1, 3)
+    shift = _wrap_shift(w3)
+    if shift is None:
+        return a
+    return (w3 + w3 * shift[1]).reshape(a.shape)
+
+
+def _wrap_vjp(node, g):
+    a = node.parents[0]
+    if node.data is a.data:  # no row exceeded pi
+        _acc(a, g)
+        return
+    w3 = a.data.reshape(-1, 3)
+    norms, q, safe = _wrap_shift(w3)
+    g3 = g.reshape(-1, 3)
+    # the gradient of w + w * q with the wrap count held constant, its
+    # terms summed in the order the vjps of the add/mul/div/l2norm
+    # composition this op replaces summed them: bit-identical gradients
+    d_norm = (-(g3 * w3).sum(axis=1, keepdims=True) * q / safe).reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(d_norm == 0.0, 0.0, d_norm / norms)
+    _acc(a, ((g3 + g3 * q) + ratio[:, None] * w3).reshape(a.data.shape))
+
+
+def wrap_rows(a) -> Tensor:
+    """Re-wrap each 3-vector of ``a``'s rows (B poses of K Lie entries,
+    (B, 3K)) to norm <= pi.
+
+    When no entry exceeds pi the value is ``a``'s own array and the
+    gradient passes through unchanged.  Otherwise the wrap count is a
+    constant per evaluation and the scaling stays differentiable;
+    entries that need no wrap keep their exact values.
+    """
+    a = _as_tensor(a)
+    return _apply(_wrap_fwd(a.data), "wrap", (a,), _wrap_vjp, _wrap_fwd)
 
 
 # -- fused cells ------------------------------------------------------------
@@ -486,8 +634,8 @@ def tanh(a) -> Tensor:
 # holds [h | c] and the two states are narrows of it.
 
 
-def _gated_forward(pre: np.ndarray, sources: list):
-    """(gates, candidate, c, tanh(c), h) of a gated cell."""
+def _gated_fwd(pre: np.ndarray, *sources):
+    """(h, c, gates, candidate, tanh(c)) of a gated cell."""
     n = len(sources) + 1
     d = pre.shape[1] // (n + 2)
     s = _sigmoid(pre[:, :(n + 1) * d])
@@ -495,7 +643,7 @@ def _gated_forward(pre: np.ndarray, sources: list):
     inputs = [cand, *sources]
     c = _tree_sum(s[:, k * d:(k + 1) * d] * inputs[k] for k in range(n))
     tc = np.tanh(c)
-    return s, cand, c, tc, s[:, n * d:] * tc
+    return s[:, n * d:] * tc, c, s, cand, tc
 
 
 def _gated_backward(grad: np.ndarray, s, cand, sources: list, tc):
@@ -526,10 +674,16 @@ def gated_cell(pre, sources) -> tuple[Tensor, Tensor]:
     ``pre`` is (rows, (len(sources) + 3) * hidden), laid out as in the
     section comment above.
     """
-    pre = _as_tensor(pre)
-    sources = list(map(_as_tensor, sources))
-    s, cand, c, tc, h = _gated_forward(pre.data, [t.data for t in sources])
-    return _apply((h, c), "gated_cell", (pre, *sources), _gated_vjp, s, cand, tc)
+    parents = (_as_tensor(pre), *map(_as_tensor, sources))
+    return _apply(_gated_fwd(*[t.data for t in parents]), "gated_cell", parents, _gated_vjp,
+                  _gated_fwd)
+
+
+def _lstm_fwd(x, h, c, w, b):
+    """(h, c, [x | h], gates, candidate, tanh(c)) of one LSTM step."""
+    xh = np.concatenate([x, h], axis=1)
+    h_new, c_new, s, cand, tc = _gated_fwd(xh @ w + b, c)
+    return h_new, c_new, xh, s, cand, tc
 
 
 def _lstm_vjp(node, grad):
@@ -554,15 +708,29 @@ def lstm_cell(x, h, c, w, b) -> tuple[Tensor, Tensor]:
     The values are bit-identical to composing concat, matmul, add,
     sigmoid, tanh and mul, at one node instead of fifteen.
     """
-    x, h, c, w, b = map(_as_tensor, (x, h, c, w, b))
-    xh = np.concatenate([x.data, h.data], axis=1)
-    s, cand, c_new, tc, h_new = _gated_forward(xh @ w.data + b.data, [c.data])
-    return _apply((h_new, c_new), "lstm_cell", (x, h, c, w, b), _lstm_vjp, xh, s, cand, tc)
+    x, h, c, w, b = parents = tuple(map(_as_tensor, (x, h, c, w, b)))
+    return _apply(_lstm_fwd(x.data, h.data, c.data, w.data, b.data), "lstm_cell", parents,
+                  _lstm_vjp, _lstm_fwd)
+
+
+def _pooled_fwd(grid_shape, axis, h, c, g_prev, c_prev, g_rows,
+                w_c, z_c, b_c, w_f, z_f, b_f, w_o, z_o, b_o):
+    """(g, c, cell gates, mean h, forget gate, out gate, tanh(c)) of a
+    pooled cell."""
+    cell = _sigmoid((h @ w_c + g_rows @ z_c) + b_c)
+    contrib = _pool(grid_shape, axis, cell * c)
+    h_mean = _pool(grid_shape, axis, h) * (1.0 / grid_shape[axis])
+    f = _sigmoid((h_mean @ w_f + g_prev @ z_f) + b_f)
+    out = _sigmoid((h_mean @ w_o + g_prev @ z_o) + b_o)
+    c_new = contrib + f * c_prev
+    tc = np.tanh(c_new)
+    return out * tc, c_new, cell, h_mean, f, out, tc
 
 
 def _pooled_vjp(node, grad):
     h, c, g_prev, c_prev, g_rows, w_c, z_c, b_c, w_f, z_f, b_f, w_o, z_o, b_o = node.parents
-    cell, h_mean, f, out, tc, grid_shape, axis = node.saved
+    grid_shape, axis = node.args
+    cell, h_mean, f, out, tc = node.saved
     d = out.shape[1]
     gg, gc = grad[:, :d], grad[:, d:]
     dc = gc + gg * out * (1.0 - tc * tc)
@@ -575,7 +743,7 @@ def _pooled_vjp(node, grad):
         _acc(tb, dz)
         _acc(g_prev, dz @ tz.data.T)
     d_mean = (d_f @ w_f.data.T + d_o @ w_o.data.T) * (1.0 / grid_shape[axis])
-    spread = _spread(dc, grid_shape, axis).reshape(h.data.shape)
+    spread = _spread(grid_shape, axis, dc).reshape(h.data.shape)
     _acc(c, spread * cell)
     d_cell = spread * c.data * cell * (1.0 - cell)
     _acc(w_c, h.data.T @ d_cell)
@@ -583,7 +751,7 @@ def _pooled_vjp(node, grad):
     _acc(b_c, d_cell)
     _acc(g_rows, d_cell @ z_c.data.T)
     _acc(h, d_cell @ w_c.data.T)
-    _acc(h, _spread(d_mean, grid_shape, axis).reshape(h.data.shape))
+    _acc(h, _spread(grid_shape, axis, d_mean).reshape(h.data.shape))
 
 
 def pooled_cell(h, c, g_prev, c_prev, g_rows, weights, grid_shape,
@@ -608,20 +776,32 @@ def pooled_cell(h, c, g_prev, c_prev, g_rows, weights, grid_shape,
     tanh that spells this out.
     """
     parents = tuple(map(_as_tensor, (h, c, g_prev, c_prev, g_rows, *weights)))
-    h, c, g_prev, c_prev, g_rows, w_c, z_c, b_c, w_f, z_f, b_f, w_o, z_o, b_o = (
-        t.data for t in parents)
-    cell = _sigmoid((h @ w_c + g_rows @ z_c) + b_c)
-    contrib = _pool(cell * c, grid_shape, axis)
-    h_mean = _pool(h, grid_shape, axis) * (1.0 / grid_shape[axis])
-    f = _sigmoid((h_mean @ w_f + g_prev @ z_f) + b_f)
-    out = _sigmoid((h_mean @ w_o + g_prev @ z_o) + b_o)
-    c_new = contrib + f * c_prev
-    tc = np.tanh(c_new)
-    return _apply((out * tc, c_new), "pooled_cell", parents, _pooled_vjp,
-                  cell, h_mean, f, out, tc, grid_shape, axis)
+    out = _pooled_fwd(grid_shape, axis, *[t.data for t in parents])
+    return _apply(out, "pooled_cell", parents, _pooled_vjp, _pooled_fwd, grid_shape, axis)
 
 
 # -- tape walk --------------------------------------------------------------
+
+
+def _tape_order(root: Tensor) -> tuple[list[Tensor], set[int]]:
+    """Every tensor ``root`` depends on, each after its parents, ``root``
+    last; and the set of their ids."""
+    order: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node.parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    return order, seen
 
 
 def backward(root: Tensor, leaves=()) -> None:
@@ -641,22 +821,9 @@ def backward(root: Tensor, leaves=()) -> None:
         raise NonScalarRoot(f"backward root must be scalar, got shape {root.data.shape}")
     leaves = tuple(leaves)
     keep = {id(leaf) for leaf in leaves}
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
+    order, seen = _tape_order(root)
+    for node in order:
         node.grad = None
-        stack.append((node, True))
-        for parent in node.parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
         if node.vjp is None:
@@ -669,21 +836,72 @@ def backward(root: Tensor, leaves=()) -> None:
             leaf.grad = np.zeros_like(leaf.data)
 
 
+# -- re-evaluating a recorded tape ------------------------------------------
+
+
+def _cone(order: list[Tensor], leaf: Tensor):
+    """The nodes of ``order`` that depend on ``leaf``, as replay steps
+    (forward, args, parent arrays, [(parent position, step)] of the
+    parents that are steps themselves), in tape order; None when one of
+    them has no forward to re-run (a node made by hand).
+
+    Every other node, ``leaf`` included, is read through its recorded
+    array, so a step sees the leaf's current values; a node the root
+    does not depend on is not in ``order`` and never re-runs.
+    """
+    step_of = {id(leaf): None}
+    steps = []
+    for node in order:
+        hits = [(i, step_of[id(p)]) for i, p in enumerate(node.parents) if id(p) in step_of]
+        if not hits:
+            continue
+        if node.fwd is None:
+            return None
+        step_of[id(node)] = len(steps)
+        steps.append((node.fwd, node.args, [p.data for p in node.parents],
+                      [(i, k) for i, k in hits if k is not None]))
+    return steps
+
+
+def _replay(steps, root: Tensor):
+    """``root``'s value re-evaluated from the leaf's current values: each
+    step of ``_cone`` re-runs its forward, in tape order, into a scratch
+    list.  With no steps the root does not depend on the leaf (or is the
+    leaf) and keeps its recorded value."""
+    vals = []
+    for fwd, args, arrays, inner in steps:
+        if inner:
+            arrays = arrays.copy()
+            for i, k in inner:
+                arrays[i] = vals[k]
+        vals.append(_value(fwd(*args, *arrays)))
+    return vals[-1] if vals else root.data
+
+
 # -- gradient checking ------------------------------------------------------
 
 
 class GradCheckReport:
-    """Outcome of comparing tape gradients against central differences."""
+    """Outcome of comparing tape gradients against central differences,
+    and what the comparison cost."""
 
-    def __init__(self, max_rel_error, per_leaf, skipped):
+    def __init__(self, max_rel_error, per_leaf, skipped, forward_calls, replays, fallbacks,
+                 refined, seconds):
         self.max_rel_error = max_rel_error
         self.per_leaf = per_leaf          # name -> worst relative error
         self.skipped = skipped            # (name, flat index) of NaN/inf grads
+        self.forward_calls = forward_calls  # calls of f(), the taped one included
+        self.replays = replays            # losses re-evaluated on the recorded tape
+        self.fallbacks = fallbacks        # leaves probed by calling f() alone
+        self.refined = refined            # components re-probed in extended precision
+        self.seconds = seconds            # wall time of the whole check
 
     def __repr__(self) -> str:
         return (
             f"GradCheckReport(max_rel_error={self.max_rel_error!r}, "
-            f"skipped={len(self.skipped)})"
+            f"skipped={len(self.skipped)}, forward_calls={self.forward_calls}, "
+            f"replays={self.replays}, fallbacks={self.fallbacks}, "
+            f"refined={self.refined}, seconds={self.seconds:.3f})"
         )
 
 
@@ -732,43 +950,81 @@ def grad_check(
     ``skipped`` rather than compared: the function is not differentiable
     there.
 
+    The perturbed losses come from replaying the tape of the one taped
+    ``f()`` call: only the nodes that depend on the probed leaf re-run
+    their recorded forwards, and every other node keeps its value.  That
+    is exact when every decision that depends on a value lives inside an
+    op.  As a guard, the first and last probed component of each leaf
+    are also measured by calling ``f()``; if the two disagree at all, or
+    the leaf reaches a node with no recorded forward, that leaf is
+    probed by calling ``f()`` throughout and counts as a fallback.
+
     A float64 difference quotient is noise-limited once the component is
     small, so any component whose relative error exceeds
-    ``refine_threshold`` is re-measured in extended precision before it
-    is scored.  Pass ``refine_threshold=None`` to keep the raw float64
-    numbers.
+    ``refine_threshold`` is re-measured in extended precision, by
+    calling ``f()`` with the leaf widened, before it is scored.  Pass
+    ``refine_threshold=None`` to keep the raw float64 numbers.
     """
+    start = time.perf_counter()
     out = f()
     backward(out, leaves=leaves.values())
     analytic = {name: t.grad.copy() for name, t in leaves.items()}
+    order, _ = _tape_order(out)
     per_leaf: dict[str, float] = {}
     skipped: list[tuple[str, int]] = []
     worst = 0.0
     refine = refine_threshold is not None and _REFINE_AVAILABLE
+    calls, replays, fallbacks, refined = 1, 0, 0, 0
+
+    def called():
+        nonlocal calls
+        calls += 1
+        return float(f().data)
+
+    def replayed():
+        nonlocal replays
+        replays += 1
+        return float(_replay(steps, out))
+
     with no_grad():
         for name, t in leaves.items():
             flat = t.data.reshape(-1)
             aflat = analytic[name].reshape(-1)
-            leaf_worst = 0.0
-            for i in range(flat.size):
-                a = aflat[i]
-                if not np.isfinite(a):
-                    skipped.append((name, i))
-                    continue
+            finite = np.isfinite(aflat)
+            skipped += [(name, int(i)) for i in np.flatnonzero(~finite)]
+            probed = [int(i) for i in np.flatnonzero(finite)]
+
+            def probe(i, evaluate):
                 orig = flat[i]
                 flat[i] = orig + step
-                fp = float(f().data)
+                fp = evaluate()
                 flat[i] = orig - step
-                fm = float(f().data)
+                fm = evaluate()
                 flat[i] = orig
+                return fp, fm
+
+            steps = _cone(order, t)
+            # the guard: the first and last probed component by f() and by replay
+            by_f = {i: probe(i, called) for i in {probed[0], probed[-1]}} if probed else {}
+            evaluate = replayed
+            if steps is None or any(probe(i, replayed) != fpm for i, fpm in by_f.items()):
+                evaluate = called
+                fallbacks += bool(probed)
+            leaf_worst = 0.0
+            for i in probed:
+                fp, fm = by_f[i] if i in by_f else probe(i, evaluate)
+                a = aflat[i]
                 fd = (fp - fm) / (2.0 * step)
                 err = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
                 if refine and err > refine_threshold:
                     fd = _refine_fd(f, t, i, step)
+                    calls += 2
+                    refined += 1
                     err = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
                 if err > leaf_worst:
                     leaf_worst = err
             per_leaf[name] = leaf_worst
             if leaf_worst > worst:
                 worst = leaf_worst
-    return GradCheckReport(worst, per_leaf, skipped)
+    return GradCheckReport(worst, per_leaf, skipped, calls, replays, fallbacks, refined,
+                           time.perf_counter() - start)

@@ -24,8 +24,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .encoder import ChainLayout, EncoderState
 
-_TWO_PI = 2.0 * np.pi
-
 
 @dataclass
 class LstmParams:
@@ -147,31 +145,8 @@ def init_decoder(enc: EncoderState, params: DecoderParams) -> DecoderState:
     return DecoderState(cells=dict(zip(params.cells, starts)))  # in wiring order
 
 
-def _wrap_rows(w: Tensor, k: int) -> Tensor:
-    """Re-wrap each 3-entry of a (B, 3K) batch of poses to norm <= pi.
-
-    A no-op (the identical tensor) when no entry exceeds pi, so the
-    common path adds nothing to the tape.  Otherwise the wrap count is
-    a constant per evaluation and the scaling stays differentiable;
-    entries that need no wrap keep their exact values.
-    """
-    rows = w.data.shape[0] * k
-    w3 = w.data.reshape(rows, 3)
-    norms = np.sqrt((w3 * w3).sum(axis=1))
-    if norms.max() <= np.pi:  # False for NaN, as np.all(norms <= pi) is
-        return w
-    over = (norms > np.pi).astype(np.float64)[:, None]
-    turns = np.round(norms / _TWO_PI)[:, None]
-    adj = -_TWO_PI * turns * over             # per-entry angle shift
-    grid = ad.reshape(w, (rows, 3))
-    theta = ad.reshape(ad.l2norm(grid, axis=1), (rows, 1))
-    theta_safe = ad.add(theta, 1.0 - over)    # keep unwrapped rows off zero
-    wrapped = ad.add(grid, ad.mul(grid, ad.div(adj, theta_safe)))
-    return ad.reshape(wrapped, w.data.shape)
-
-
-def decode_step(w_prev: Tensor | np.ndarray, state: DecoderState, params: DecoderParams,
-                layout: ChainLayout) -> tuple[Tensor, DecoderState]:
+def decode_step(w_prev: Tensor | np.ndarray, state: DecoderState,
+                params: DecoderParams) -> tuple[Tensor, DecoderState]:
     """One autoregressive step: new pose and advanced LSTM states."""
     new: dict[str, LstmState] = {}
     inputs: dict[tuple[str, ...], Tensor] = {}  # one concat per source list
@@ -184,4 +159,4 @@ def decode_step(w_prev: Tensor | np.ndarray, state: DecoderState, params: Decode
     deltas = [ad.linear([(new[cell].h, w), b])
               for (cell, _), w, b in zip(heads, params.proj_w, params.proj_b)]
     delta = deltas[0] if len(deltas) == 1 else ad.concat(deltas, axis=1)
-    return _wrap_rows(ad.add(w_prev, delta), layout.num_entries), DecoderState(cells=new)
+    return ad.wrap_rows(ad.add(w_prev, delta)), DecoderState(cells=new)

@@ -96,7 +96,7 @@ def forward(params: ModelParams, config: ModelConfig, layout: ChainLayout,
     w = observed[:, -1].reshape(b, 3 * k)
     outs: list[Tensor] = []
     for n in range(horizon):
-        w, state = decode_step(w, state, params.decoder, layout)
+        w, state = decode_step(w, state, params.decoder)
         outs.append(w)
         if feed is not None and n + 1 < horizon:
             w = feed[:, n].reshape(b, 3 * k)

@@ -277,7 +277,12 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for a in tensors.values():
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+            # straight from the array: a freed bytes copy of a large tensor
+            # raises glibc's dynamic mmap threshold, later loads then put
+            # their arrays on the heap, and the peak RSS of a process that
+            # saves and then loads the human model read 86 or 94 MB by heap
+            # layout alone
+            fh.write(np.ascontiguousarray(a, dtype="<f8").view(np.uint8).reshape(-1))
 
 
 @dataclass

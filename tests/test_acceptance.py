@@ -49,6 +49,12 @@ def tiny_loss_fixture(config, seed=7):
     return f, params, layout, observed
 
 
+def cost(report):
+    """What a gradient check cost, as its report counts it."""
+    return (f"{report.forward_calls} calls of f, {report.replays} replays, "
+            f"{report.fallbacks} fallbacks, {report.refined} refined")
+
+
 def test_criterion_01_exp_log_roundtrip():
     rng = np.random.default_rng(101)
     axes = rng.normal(size=(1000, 3))
@@ -116,7 +122,7 @@ def test_criterion_04_full_gradient_check():
     assert not report.skipped
     assert elapsed < 60.0
     print(f"\ncriterion 4: PASS {n} parameters, max rel error "
-          f"{report.max_rel_error:.3e}, {elapsed:.1f} s")
+          f"{report.max_rel_error:.3e}, {elapsed:.1f} s, {cost(report)}")
 
 
 @pytest.mark.skipif(not autodiff._REFINE_AVAILABLE,
@@ -245,7 +251,7 @@ def test_criterion_09_ablation_gradients():
         assert report.max_rel_error < 1e-4
         assert not report.skipped
         assert elapsed < 60.0
-        lines.append(f"{name} {report.max_rel_error:.2e} in {elapsed:.0f} s")
+        lines.append(f"{name} {report.max_rel_error:.2e} in {elapsed:.0f} s ({cost(report)})")
     print("\ncriterion 9: PASS " + "; ".join(lines))
 
 

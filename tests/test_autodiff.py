@@ -388,6 +388,12 @@ def _r(*shape):
     return _TABLE_RNG.normal(size=shape)
 
 
+def _entries(*norms):
+    """One row of 3-vectors with the given norms."""
+    w3 = _r(len(norms), 3)
+    return (w3 * (np.array(norms)[:, None] / np.linalg.norm(w3, axis=1, keepdims=True))).reshape(1, -1)
+
+
 # op -> (call on operands, operand arrays); each operand is passed either
 # as a leaf Tensor or as a raw array, which the op takes as a const
 OPS = {
@@ -409,6 +415,7 @@ OPS = {
     "l2norm": (lambda a: ad.l2norm(a, axis=1), [_r(3, 2)]),
     "sigmoid": (ad.sigmoid, [_r(3, 2)]),
     "tanh": (ad.tanh, [_r(3, 2)]),
+    "wrap_rows": (ad.wrap_rows, [np.concatenate([_entries(0.5, 4.0), _entries(2.0, 7.0)])]),
     "gated_cell": (lambda pre, s0, s1: ad.gated_cell(pre, [s0, s1]),
                    [0.3 * _r(3, 10), _r(3, 2), _r(3, 2)]),
     "lstm_cell": (ad.lstm_cell, [_r(2, 3), _r(2, 2), _r(2, 2), 0.3 * _r(5, 8), _r(8)]),
@@ -430,8 +437,9 @@ def test_op_table_covers_every_public_op():
 @pytest.mark.parametrize("op", sorted(OPS))
 @pytest.mark.parametrize("leaf_parity", [0, 1])
 def test_every_op_takes_the_one_path(op, leaf_parity):
-    """Taped and value-only values agree, a value-only result keeps no
-    parents, consts end without a gradient and leaves get the right one."""
+    """Taped and value-only values agree, each node's recorded forward
+    gives its value again, a value-only result keeps no parents, consts
+    end without a gradient and leaves get the right one."""
     call, arrays = OPS[op]
     leaves = {f"x{i}": leaf(a.copy()) for i, a in enumerate(arrays) if i % 2 == leaf_parity}
     operands = [leaves.get(f"x{i}", a) for i, a in enumerate(arrays)]
@@ -446,6 +454,9 @@ def test_every_op_takes_the_one_path(op, leaf_parity):
     for t, b in zip(taped, bare, strict=True):
         assert np.array_equal(t.data, b.data)
         assert b.parents == ()
+    for node in {id(n): n for t in taped for n in tape_nodes(t) if n.parents}.values():
+        again = ad._value(node.fwd(*node.args, *[p.data for p in node.parents]))
+        assert np.array_equal(again, node.data), node
     rng = np.random.default_rng(41)
     heads = [rng.normal(size=t.data.shape) for t in taped]
 
@@ -522,18 +533,33 @@ def eager_backward(root, leaves=()):
             t.grad = np.zeros_like(t.data)
 
 
-def model_loss(topo_name, config, windows, observed, horizon, seed):
-    """Root of a batched forward pass and the model's named leaves."""
+def model_loss_fn(topo_name, config, windows, observed, horizon, seed, biases=None):
+    """A closure that rebuilds the loss of a batched forward pass from the
+    current parameters, and the model's named leaves; ``biases`` maps
+    leaf names to the values they are set to first."""
     topo = builtin_topology(topo_name)
     layout = ChainLayout.from_topology(topo)
     params = ModelParams.init(config, layout, seed=seed)
+    named = params.named()
+    for name, value in (biases or {}).items():
+        named[name].data[...] = value
     seq = synth_motion("sinusoid", observed + horizon + windows - 1, topo, seed=3)
     frames = np.stack([seq.frames[i:i + observed + horizon] for i in range(windows)])
-    outs = forward(params, config, layout, frames[:, :observed], horizon)
     k = layout.num_entries
-    loss = weighted_loss(frames_tensor(outs, k), frames[:, observed:].reshape(-1, k, 3),
-                         bone_weights(topo.entry_lengths()))
-    return loss, params.named()
+    theta = bone_weights(topo.entry_lengths())
+
+    def f():
+        outs = forward(params, config, layout, frames[:, :observed], horizon)
+        return weighted_loss(frames_tensor(outs, k), frames[:, observed:].reshape(-1, k, 3),
+                             theta)
+
+    return f, named
+
+
+def model_loss(*args, **kwargs):
+    """Root of a batched forward pass and the model's named leaves."""
+    f, named = model_loss_fn(*args, **kwargs)
+    return f(), named
 
 
 LOSS_FIXTURES = {
@@ -682,3 +708,144 @@ def test_grad_check_restores_leaf_values():
     grad_check(f, {"x": x})
     assert np.array_equal(x.data, before)
     assert x.data.dtype == np.float64
+
+
+def test_grad_check_report_counts_its_cost():
+    rng = np.random.default_rng(3)
+    x = leaf(rng.normal(size=(3, 4)))
+    w = leaf(rng.normal(size=(4, 2)))
+
+    def f():
+        return ad.tsum(ad.sigmoid(ad.matmul(x, w)))
+
+    report = grad_check(f, {"x": x, "w": w}, refine_threshold=None)
+    # the taped call, then the first and last component of each leaf at
+    # +-step by calling f(); every component is replayed at +-step
+    assert report.forward_calls == 1 + 2 * 2 * 2
+    assert report.replays == 2 * (12 + 8)
+    assert (report.fallbacks, report.refined) == (0, 0)
+    assert report.seconds > 0.0
+    for field in ("forward_calls=9", "replays=40", "fallbacks=0", "refined=0", "seconds="):
+        assert field in repr(report)
+
+
+@pytest.mark.skipif(not ad._REFINE_AVAILABLE,
+                    reason="long double is no wider than float64 here")
+def test_grad_check_counts_refinements_as_calls_of_f():
+    # a gradient of 1e-7 on a loss near 1 sits under float64's
+    # cancellation noise, so its difference quotient is re-probed
+    x = leaf([0.5])
+
+    def f():
+        return ad.tsum(ad.add(ad.scale(x, 1e-7), 1.0))
+
+    report = grad_check(f, {"x": x})
+    assert report.refined == 1
+    assert report.forward_calls == 1 + 2 + 2
+    assert report.max_rel_error < 1e-6
+
+
+def probed_by_f_alone(monkeypatch, f, leaves):
+    """grad_check's report when no leaf may replay: every component is
+    probed by calling f()."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ad, "_cone", lambda order, leaf: None)
+        return grad_check(f, leaves)
+
+
+def same_report(a, b):
+    return (a.max_rel_error, a.per_leaf, a.skipped) == (b.max_rel_error, b.per_leaf, b.skipped)
+
+
+def test_grad_check_falls_back_where_f_branches_outside_any_op(monkeypatch):
+    x = leaf([0.0, 1.0, 2.0])
+
+    def f():
+        y = ad.scale(x, 1.0)
+        # a decision on a value outside any op: the tape records the
+        # branch taken at x[0] = 0, and x[0] + step takes the other one
+        if y.data[0] > 0.0:
+            return ad.tsum(ad.mul(y, y))
+        return ad.tsum(y)
+
+    report = grad_check(f, {"x": x})
+    assert report.fallbacks == 1
+    alone = probed_by_f_alone(monkeypatch, f, {"x": x})
+    assert alone.fallbacks == 1
+    assert same_report(report, alone)
+    assert report.max_rel_error > 0.5
+
+
+@pytest.mark.parametrize("with_forward", [True, False])
+def test_grad_check_falls_back_where_a_node_leaves_a_parent_off(monkeypatch, with_forward):
+    x, y = leaf([0.5, -0.3, 0.8]), leaf([1.5, 2.0, -1.0])
+
+    def leaky_vjp(node, g):
+        ad._acc(node.parents[0], g * y.data)
+
+    def leaky_mul(a, b):
+        # x * y, made by hand with only x on its node: y's changes never
+        # reach a replay, and without a forward nothing replays it at all
+        if with_forward:
+            return ad._apply(np.multiply(b.data, a.data), "leaky_mul", (a,), leaky_vjp,
+                             np.multiply, b.data)
+        return Tensor(a.data * b.data, "leaky_mul", (a,), leaky_vjp)
+
+    def f():
+        return ad.tsum(ad.tanh(leaky_mul(x, y)))
+
+    leaves = {"x": x, "y": y}
+    report = grad_check(f, leaves)
+    assert report.fallbacks == (1 if with_forward else 2)
+    assert same_report(report, probed_by_f_alone(monkeypatch, f, leaves))
+    assert report.per_leaf["x"] < 1e-6
+    assert report.per_leaf["y"] > 0.5
+
+
+# -- replay against calling f() ------------------------------------------------------
+
+TINY = dict(hidden_size=6, layers=2)
+# Head biases that make the criterion-4 decoder wrap an entry past pi at
+# two of its three steps, no entry within 0.48 of pi (as in
+# tools/fingerprint.py)
+WRAP_BIASES = {"dec.proj.0.b": [1.8, 0.3, 0.3, 0.2, 0.3, 0.2],
+               "dec.proj.1.b": [1.4, 0.3, 0.3, 0.2, 0.3, 0.2]}
+REPLAY_FIXTURES = {
+    name: (ModelConfig(**TINY, **switch), biases)
+    for name, switch, biases in (
+        ("criterion-4", {}, None),
+        ("no-global-temporal", {"global_temporal": False}, None),
+        ("no-global-spatial", {"global_spatial": False}, None),
+        ("plain-decoder", {"decoder": "plain"}, None),
+        ("wrap-past-pi", {}, WRAP_BIASES),
+    )
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(REPLAY_FIXTURES))
+def test_replayed_losses_equal_calling_f(fixture):
+    """The oracle for grad_check's replay: at +-step on a component, the
+    loss re-evaluated from the recorded tape is np.array_equal to the loss
+    f() returns.  Every component of leaves with at most 6 (the biases),
+    and the first, last and 4 seeded others of larger leaves."""
+    config, biases = REPLAY_FIXTURES[fixture]
+    f, named = model_loss_fn("fork7", config, windows=1, observed=6, horizon=3, seed=7,
+                             biases=biases)
+    root = f()
+    order, _ = ad._tape_order(root)
+    wraps = [n for n in order if n.op == "wrap" and n.data is not n.parents[0].data]
+    assert len(wraps) == (2 if biases else 0)
+    rng = np.random.default_rng(51)
+    with no_grad():
+        for name, t in named.items():
+            steps = ad._cone(order, t)
+            assert steps is not None, name
+            flat = t.data.reshape(-1)
+            n = flat.size
+            picks = range(n) if n <= 6 else {0, n - 1, *rng.choice(n, 4, replace=False)}
+            for i in picks:
+                orig = flat[i]
+                for value in (orig + 1e-5, orig - 1e-5):
+                    flat[i] = value
+                    assert np.array_equal(ad._replay(steps, root), f().data), (name, i)
+                flat[i] = orig

@@ -11,7 +11,6 @@ from sthrn.decoder import (
     DecoderState,
     LstmParams,
     LstmState,
-    _wrap_rows,
     decode_step,
     init_decoder,
     lstm_step,
@@ -162,13 +161,71 @@ def test_init_decoder_plain_uses_same_recipe():
 # -- output wrap -------------------------------------------------------------------
 
 
-def test_wrap_rows_identity_below_pi_is_same_tensor():
+def wrap_rows_composition(w: Tensor, k: int) -> Tensor:
+    """The wrap as it was composed before it became one op, with its
+    branch on the norms outside any op: the oracle for ``ad.wrap_rows``."""
+    rows = w.data.shape[0] * k
+    w3 = w.data.reshape(rows, 3)
+    norms = np.sqrt((w3 * w3).sum(axis=1))
+    if norms.max() <= np.pi:
+        return w
+    over = (norms > np.pi).astype(np.float64)[:, None]
+    turns = np.round(norms / (2.0 * np.pi))[:, None]
+    adj = -(2.0 * np.pi) * turns * over
+    grid = ad.reshape(w, (rows, 3))
+    theta = ad.reshape(ad.l2norm(grid, axis=1), (rows, 1))
+    theta_safe = ad.add(theta, 1.0 - over)
+    wrapped = ad.add(grid, ad.mul(grid, ad.div(adj, theta_safe)))
+    return ad.reshape(wrapped, w.data.shape)
+
+
+def pose_with_norms(norms, seed):
+    """One (1, 3K) pose whose K entries have the given norms."""
+    rng = np.random.default_rng(seed)
+    w3 = rng.normal(size=(len(norms), 3))
+    w3 *= np.asarray(norms, dtype=np.float64)[:, None] / np.linalg.norm(w3, axis=1, keepdims=True)
+    return w3.reshape(1, -1)
+
+
+# entry norms of one pose: the first entry of "at-pi" is set to exactly
+# (pi, 0, 0), and the first entry of "nan-entry" to NaN
+WRAP_CASES = {
+    "below-pi": [0.3, 1.0, 2.5, 3.1],
+    "at-pi": [1.0, 1.0, 0.0, 2.0],
+    "past-pi": [0.5, 4.0, 1.3, 7.5, 11.0],
+    "past-pi-with-zero-entry": [3.5, 0.0, 1.0],
+    "nan-entry": [1.0, 4.0, 1.0],
+    "nan-entry-below-pi": [1.0, 2.0, 1.0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRAP_CASES))
+def test_wrap_rows_is_bit_identical_to_its_composition(case):
+    w = pose_with_norms(WRAP_CASES[case], seed=14)
+    if case == "at-pi":
+        w[0, :3] = [np.pi, 0.0, 0.0]
+    if case.startswith("nan"):
+        w[0, :3] = np.nan
+    head = np.random.default_rng(15).normal(size=w.shape)
+    got, want = Tensor(w.copy()), Tensor(w.copy())
+    out, ref = ad.wrap_rows(got), wrap_rows_composition(want, w.shape[1] // 3)
+    assert np.array_equal(out.data, ref.data, equal_nan=True)
+    backward(ad.tsum(ad.mul(out, head)), leaves=[got])
+    backward(ad.tsum(ad.mul(ref, head)), leaves=[want])
+    assert np.array_equal(got.grad, want.grad, equal_nan=True)
+
+
+def test_wrap_rows_identity_below_pi_passes_values_and_gradient_through():
     rng = np.random.default_rng(10)
     w3 = rng.normal(size=(4, 3))
     w3 *= (0.9 * np.pi / np.linalg.norm(w3, axis=1, keepdims=True)) * rng.uniform(
         0.1, 1.0, size=(4, 1))
     t = Tensor(w3.reshape(1, 12))
-    assert _wrap_rows(t, 4) is t
+    out = ad.wrap_rows(t)
+    assert np.array_equal(out.data, t.data)
+    head = rng.normal(size=(1, 12))
+    backward(ad.tsum(ad.mul(out, head)), leaves=[t])
+    assert np.array_equal(t.grad, head)
 
 
 def test_wrap_rows_matches_geometry_wrap():
@@ -176,7 +233,7 @@ def test_wrap_rows_matches_geometry_wrap():
     w3 = rng.normal(size=(5, 3))
     w3 *= np.array([[0.5], [2.0], [1.3], [0.8], [1.7]]) * np.pi / np.linalg.norm(
         w3, axis=1, keepdims=True)
-    out = _wrap_rows(Tensor(w3.reshape(1, 15).copy()), 5)
+    out = ad.wrap_rows(Tensor(w3.reshape(1, 15).copy()))
     assert np.allclose(out.data.reshape(5, 3), wrap_so3(w3), atol=1e-12)
 
 
@@ -187,7 +244,7 @@ def test_wrap_rows_gradient_away_from_boundary():
     leaf = Tensor(w3.reshape(1, 6))
 
     def f():
-        return ad.tsum(ad.mul(_wrap_rows(leaf, 2), Tensor(np.arange(1.0, 7.0)[None, :])))
+        return ad.tsum(ad.mul(ad.wrap_rows(leaf), Tensor(np.arange(1.0, 7.0)[None, :])))
 
     report = grad_check(f, {"w": leaf})
     assert report.max_rel_error < 1e-4
@@ -203,8 +260,8 @@ def test_wrap_rows_batch_wraps_each_window_alone():
     w3 *= np.array([[[1.5], [0.4]], [[0.7], [0.0]]]) * np.pi / np.linalg.norm(
         w3, axis=2, keepdims=True)
     batch = Tensor(w3.reshape(2, 6))
-    out = _wrap_rows(batch, 2)
-    assert np.array_equal(out.data[0], _wrap_rows(Tensor(w3[0].reshape(1, 6)), 2).data[0])
+    out = ad.wrap_rows(batch)
+    assert np.array_equal(out.data[0], ad.wrap_rows(Tensor(w3[0].reshape(1, 6))).data[0])
     assert np.array_equal(out.data[1], batch.data[1])
     weights = np.arange(1.0, 13.0).reshape(2, 6)
     backward(ad.tsum(ad.mul(out, Tensor(weights))), leaves=[batch])
@@ -227,12 +284,12 @@ def test_decode_step_shapes_and_state_advance():
     params = DecoderParams.init(lay, 2, np.random.default_rng(13))
     state = zero_state(params)
     w0 = Tensor(np.random.default_rng(14).normal(size=(1, 36)) * 0.3)
-    w1, s1 = decode_step(w0, state, params, lay)
+    w1, s1 = decode_step(w0, state, params)
     assert w1.data.shape == (1, 36)
     assert set(s1.cells) == set(params.cells)
     for name in s1.cells:
         assert not np.array_equal(s1.cells[name].h.data, state.cells[name].h.data)
-    w2, _ = decode_step(w1, s1, params, lay)
+    w2, _ = decode_step(w1, s1, params)
     assert not np.allclose(w2.data, w1.data)
 
 
@@ -245,8 +302,8 @@ def test_zero_projection_heads_hold_pose():
         w.data[:] = 0.0
     w0 = Tensor(np.random.default_rng(16).normal(size=(1, 12)) * 0.5)
     state = zero_state(params)
-    w1, state = decode_step(w0, state, params, lay)
-    w2, _ = decode_step(w1, state, params, lay)
+    w1, state = decode_step(w0, state, params)
+    w2, _ = decode_step(w1, state, params)
     assert np.array_equal(w1.data, w0.data)
     assert np.array_equal(w2.data, w0.data)
 
@@ -255,7 +312,7 @@ def test_decode_step_plain_kind():
     lay = fork_layout()
     params = DecoderParams.init(lay, 2, np.random.default_rng(17), kind="plain")
     w0 = Tensor(np.zeros((1, 12)))
-    w1, s1 = decode_step(w0, zero_state(params), params, lay)
+    w1, s1 = decode_step(w0, zero_state(params), params)
     assert w1.data.shape == (1, 12)
     assert set(s1.cells) == {"layer0", "layer1"}
 
@@ -269,7 +326,7 @@ def test_chain_heads_route_by_group():
         params.proj_w[ci].data[:] = 0.0
         params.proj_b[ci].data[:] = 0.0
     w0 = Tensor(np.random.default_rng(19).normal(size=(1, 36)) * 0.2)
-    w1, _ = decode_step(w0, zero_state(params), params, lay)
+    w1, _ = decode_step(w0, zero_state(params), params)
     got = w1.data.reshape(12, 3)
     was = w0.data.reshape(12, 3)
     entry_chain = lay.entry_chain()

@@ -307,6 +307,25 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(t.data, reloaded[name].data), name
 
 
+def test_checkpoint_save_writes_each_tensor_without_a_copy(tmp_path):
+    # a freed bytes copy of a large tensor moves glibc's mmap threshold and,
+    # with it, where later loads put their arrays
+    layout = ChainLayout.from_topology(builtin_topology("human"))
+    config = ModelConfig(hidden_size=8, layers=1)
+    params = ModelParams.init(config, layout, seed=8)
+    largest = max(t.data.nbytes for t in params.named().values())
+    tracemalloc.start()
+    try:
+        save_checkpoint(tmp_path / "model.ckpt", params, config, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < largest / 2, (peak, largest)
+    reloaded = load_checkpoint(tmp_path / "model.ckpt").params.named()
+    for name, t in params.named().items():
+        assert np.array_equal(t.data, reloaded[name].data), name
+
+
 def test_checkpoint_roundtrip_with_adam(tmp_path):
     seqs = [synth_motion("sinusoid", 30, TOPO, seed=9)]
     theta = bone_weights(TOPO.entry_lengths())

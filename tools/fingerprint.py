@@ -15,10 +15,15 @@ both checkouts and compares the lines.  The cases are:
   leaves on it;
 - ``gradcheck-tiny``: the full ``grad_check`` report on that fixture's
   gradcheck-tiny leaf set (the benchmark workload's six leaves);
+- ``wrap/loss``, ``wrap/grad/<leaf>`` and ``wrap/gradcheck``: the same
+  for the criterion-4 fixture with its head biases raised so that the
+  decoder wraps entries past pi at two of its three steps (WRAP_BIASES),
+  the report on the head and decoder-bias leaves (WRAP_LEAVES);
 - ``predict/human``: value-only ``predict`` of 25 frames from 50 by the
   default human model.
 
-Only the package's public API is used, so the same script runs against
+A report hashes its error, per-leaf errors and skipped components, not
+its cost counters.  Only the package's public API is used, so the same script runs against
 an older checkout.  From the repository root, with the parent commit in
 a worktree::
 
@@ -45,6 +50,14 @@ from sthrn.model import frames_tensor
 # benchmarks/workloads.py GRADCHECK_LEAVES
 GRADCHECK_LEAVES = ("enc.gate.gs.gs", "enc.gt.w_f", "enc.gs.w_f", "enc.gs.z_o",
                     "dec.spine.b", "dec.proj.1.w")
+
+
+# Head biases of the wrap fixture: step 2 wraps entry 0 (norm 3.94) and
+# step 3 entry 2 (4.12); no entry comes within 0.48 of pi.
+WRAP_BIASES = {"dec.proj.0.b": [1.8, 0.3, 0.3, 0.2, 0.3, 0.2],
+               "dec.proj.1.b": [1.4, 0.3, 0.3, 0.2, 0.3, 0.2]}
+WRAP_LEAVES = ("dec.proj.0.w", "dec.proj.0.b", "dec.proj.1.w", "dec.proj.1.b",
+               "dec.spine.b", "enc.gs.z_o")
 
 
 def digest(*parts) -> str:
@@ -100,19 +113,33 @@ def criterion_4_fixture(frames: np.ndarray):
     return loss, params.named()
 
 
-def gradient_cases():
-    topo = sthrn.builtin_topology("fork7")
-    loss, named = criterion_4_fixture(sthrn.synth_motion("sinusoid", 9, topo, seed=3).frames)
+def report_digest(report) -> str:
+    return digest(report.max_rel_error, sorted(report.per_leaf.items()), report.skipped)
+
+
+def loss_cases(case: str, loss, named):
     root = loss()
     sthrn.backward(root, leaves=named.values())
-    yield "criterion-4/loss", array_digest({"loss": root.data})
+    yield f"{case}/loss", array_digest({"loss": root.data})
     for name, t in named.items():
-        yield f"criterion-4/grad/{name}", array_digest({name: t.grad})
+        yield f"{case}/grad/{name}", array_digest({name: t.grad})
+
+
+def gradient_cases():
+    topo = sthrn.builtin_topology("fork7")
+    frames = sthrn.synth_motion("sinusoid", 9, topo, seed=3).frames
+    yield from loss_cases("criterion-4", *criterion_4_fixture(frames))
 
     loss, named = criterion_4_fixture(sthrn.synth_motion("sinusoid", 9, topo, seed=5).frames)
-    report = sthrn.grad_check(loss, {n: named[n] for n in GRADCHECK_LEAVES})
-    yield "gradcheck-tiny", digest(report.max_rel_error, sorted(report.per_leaf.items()),
-                                   report.skipped)
+    yield "gradcheck-tiny", report_digest(
+        sthrn.grad_check(loss, {n: named[n] for n in GRADCHECK_LEAVES}))
+
+    loss, named = criterion_4_fixture(frames)
+    for name, bias in WRAP_BIASES.items():
+        named[name].data[...] = bias
+    yield from loss_cases("wrap", loss, named)
+    yield "wrap/gradcheck", report_digest(
+        sthrn.grad_check(loss, {n: named[n] for n in WRAP_LEAVES}))
 
 
 def predict_cases():
