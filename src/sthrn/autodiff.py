@@ -59,7 +59,7 @@ class Tensor:
     forward pass.
     """
 
-    __slots__ = ("data", "grad", "op", "parents", "vjp", "saved", "fwd", "args")
+    __slots__ = ("data", "grad", "op", "parents", "vjp", "saved", "fwd", "args", "__weakref__")
 
     def __init__(self, data, op: str = "leaf", parents: tuple = (), vjp=None,
                  saved: tuple = ()):
@@ -377,11 +377,11 @@ def _concat_fwd(axis, *arrays):
 
 def _concat_vjp(node, g):
     axis = node.args[0]
-    moved = np.moveaxis(g, axis, 0)
+    lead = (slice(None),) * (axis % g.ndim)
     lo = 0
     for p in node.parents:
         hi = lo + p.data.shape[axis]
-        _acc(p, np.moveaxis(moved[lo:hi], 0, axis))
+        _acc(p, g[(*lead, slice(lo, hi))])
         lo = hi
 
 
@@ -416,39 +416,6 @@ def narrow(a, key) -> Tensor:
 def _narrow(a: Tensor, key: tuple) -> Tensor:
     """``narrow`` for a key already known to be a tuple of basic indices."""
     return _apply(_narrow_fwd(key, a.data), "narrow", (a,), _narrow_vjp, _narrow_fwd, key)
-
-
-def _shift_blocks(n: int, block: int, x: np.ndarray) -> np.ndarray:
-    rows = x.shape[0]
-    k = min(abs(n), block)
-    out = np.zeros(x.shape, dtype=x.dtype)
-    if n >= 0:
-        out[k:] = x[:rows - k]
-    else:
-        out[:rows - k] = x[k:]
-    if block < rows:  # clear the rows shifted in from a neighbouring block
-        runs = out.reshape(rows // block, block, -1)
-        if n >= 0:
-            runs[:, :k] = 0.0
-        else:
-            runs[:, block - k:] = 0.0
-    return out
-
-
-def _shift_vjp(node, g):
-    n, block = node.args
-    _acc(node.parents[0], _shift_blocks(-n, block, g))
-
-
-def shift_rows(a, n: int, block: int | None = None) -> Tensor:
-    """Rows moved down by ``n`` (up for negative ``n``) within each run
-    of ``block`` consecutive rows (default: all rows as one run).  The
-    rows left empty are zeros and rows pushed past the end of a run are
-    dropped, so nothing crosses from one run into the next."""
-    a = _as_tensor(a)
-    block = a.data.shape[0] if block is None else block
-    return _apply(_shift_blocks(n, block, a.data), "shift", (a,), _shift_vjp, _shift_blocks,
-                  n, block)
 
 
 # -- reductions -------------------------------------------------------------
@@ -659,26 +626,6 @@ def _gated_backward(grad: np.ndarray, s, cand, sources: list, tc):
     return np.concatenate([ds, dcand], axis=1), dsources
 
 
-def _gated_vjp(node, grad):
-    pre, *sources = node.parents
-    s, cand, tc = node.saved
-    dpre, dsources = _gated_backward(grad, s, cand, [t.data for t in sources], tc)
-    _acc(pre, dpre)
-    for t, g in zip(sources, dsources):
-        _acc(t, g)
-
-
-def gated_cell(pre, sources) -> tuple[Tensor, Tensor]:
-    """A gated cell over ``sources`` (each (rows, hidden)); returns (h, c).
-
-    ``pre`` is (rows, (len(sources) + 3) * hidden), laid out as in the
-    section comment above.
-    """
-    parents = (_as_tensor(pre), *map(_as_tensor, sources))
-    return _apply(_gated_fwd(*[t.data for t in parents]), "gated_cell", parents, _gated_vjp,
-                  _gated_fwd)
-
-
 def _lstm_fwd(x, h, c, w, b):
     """(h, c, [x | h], gates, candidate, tanh(c)) of one LSTM step."""
     xh = np.concatenate([x, h], axis=1)
@@ -778,6 +725,110 @@ def pooled_cell(h, c, g_prev, c_prev, g_rows, weights, grid_shape,
     parents = tuple(map(_as_tensor, (h, c, g_prev, c_prev, g_rows, *weights)))
     out = _pooled_fwd(grid_shape, axis, *[t.data for t in parents])
     return _apply(out, "pooled_cell", parents, _pooled_vjp, _pooled_fwd, grid_shape, axis)
+
+
+def _shift_blocks(n: int, block: int, x: np.ndarray) -> np.ndarray:
+    """Rows moved down by ``n`` (up for negative ``n``) within each run
+    of ``block`` consecutive rows; the rows left empty are zeros and
+    nothing crosses from one run into the next."""
+    rows = x.shape[0]
+    k = min(abs(n), block)
+    out = np.zeros(x.shape, dtype=x.dtype)
+    if n >= 0:
+        out[k:] = x[:rows - k]
+    else:
+        out[:rows - k] = x[k:]
+    if block < rows:  # clear the rows shifted in from a neighbouring block
+        runs = out.reshape(rows // block, block, -1)
+        if n >= 0:
+            runs[:, :k] = 0.0
+        else:
+            runs[:, block - k:] = 0.0
+    return out
+
+
+def _grid_sources(grid_shape, sp_mask, x: np.ndarray):
+    """Each grid row's frame neighbours (left, right) and chain
+    predecessor, masked off at chain heads: rows of window b's frame i
+    sit at (b*T + i)*K, so frame neighbours are K rows away within the
+    window's T*K rows and the predecessor one row up."""
+    _, T, K, _ = grid_shape
+    return (_shift_blocks(K, T * K, x), _shift_blocks(-K, T * K, x),
+            _shift_blocks(1, x.shape[0], x) * sp_mask)
+
+
+def _grid_sources_vjp(grid_shape, sp_mask, g_left, g_right, g_sp):
+    """Transpose of ``_grid_sources``: each source's gradient moved back
+    onto the rows it came from, in the order (left, right, spatial)."""
+    _, T, K, _ = grid_shape
+    return (_shift_blocks(-K, T * K, g_left), _shift_blocks(K, T * K, g_right),
+            _shift_blocks(-1, g_sp.shape[0], g_sp * sp_mask))
+
+
+_GRID_TERMS = (False, True, True, True, True, False)  # p_proj, 4 products, bias
+
+
+def _grid_fwd(grid_shape, sp_mask, h, c, p_proj, gs_rows, gt_rows, w, z, gs, gt, b,
+              cgs_rows, cgt_rows):
+    """(h, c, gates, candidate, tanh(c)) of an encoder layer's grid cells."""
+    h_left, h_right, h_sp = _grid_sources(grid_shape, sp_mask, h)
+    triple = np.concatenate([h_left, h_right, h], axis=1)
+    pre = _linear_fwd(_GRID_TERMS, p_proj, triple, w, h_sp, z, gs_rows, gs, gt_rows, gt, b)
+    c_left, c_right, c_sp = _grid_sources(grid_shape, sp_mask, c)
+    return _gated_fwd(pre, c_left, c, c_right, c_sp, cgs_rows, cgt_rows)
+
+
+def _grid_vjp(node, grad):
+    h, c, p_proj, gs_rows, gt_rows, w, z, gs, gt, b, cgs_rows, cgt_rows = node.parents
+    grid_shape, sp_mask = node.args
+    s, cand, tc = node.saved
+    c_left, c_right, c_sp = _grid_sources(grid_shape, sp_mask, c.data)
+    dpre, (dc_left, dc_same, dc_right, dc_sp, dcgs, dcgt) = _gated_backward(
+        grad, s, cand, [c_left, c.data, c_right, c_sp, cgs_rows.data, cgt_rows.data], tc)
+    # each parent's gradients in the order the walk of the composition
+    # this op replaces added them, since h is c (and g_s is c_gs) at the
+    # first layer: the cell's own c, the linear terms, h through its own
+    # block of the triple and then its three shifts, c through its shifts
+    _acc(c, dc_same)
+    _acc(cgs_rows, dcgs)
+    _acc(cgt_rows, dcgt)
+    h_left, h_right, h_sp = _grid_sources(grid_shape, sp_mask, h.data)
+    triple = np.concatenate([h_left, h_right, h.data], axis=1)
+    _acc(p_proj, dpre)
+    d_left, d_right, d_self = np.split(dpre @ w.data.T, 3, axis=1)
+    _acc(w, triple.T @ dpre)
+    d_sp = dpre @ z.data.T
+    _acc(z, h_sp.T @ dpre)
+    for x, wx in ((gs_rows, gs), (gt_rows, gt)):
+        _acc(x, dpre @ wx.data.T)
+        _acc(wx, x.data.T @ dpre)
+    _acc(b, dpre)
+    _acc(h, d_self)
+    for g in _grid_sources_vjp(grid_shape, sp_mask, d_left, d_right, d_sp):
+        _acc(h, g)
+    for g in _grid_sources_vjp(grid_shape, sp_mask, dc_left, dc_right, dc_sp):
+        _acc(c, g)
+
+
+def grid_cell(h, c, p_proj, gs_rows, gt_rows, weights, cgs_rows, cgt_rows, grid_shape,
+              sp_mask) -> tuple[Tensor, Tensor]:
+    """One encoder layer's update of every cell of a (B, T, K, hidden)
+    ``grid_shape`` grid with (rows, hidden) states ``h``, ``c``; returns (h, c):
+
+        pre = p_proj + [h_left | h_right | h] w + h_sp z + gs_rows gs + gt_rows gt + b
+        (h', c') = gated cell of pre over [c_left, c, c_right, c_sp, cgs_rows, cgt_rows]
+
+    ``weights`` is (w, z, gs, gt, b), the ``*_rows`` are global states
+    spread to one row per cell, and left, right and sp are the sources
+    of ``_grid_sources``, with ``sp_mask`` (rows, 1) 0 at chain heads.
+    Values and gradients are bit-identical to that composition; the node
+    saves the gates, the candidate and tanh(c'), and its vjp recomputes
+    the shifted copies.
+    """
+    parents = tuple(map(_as_tensor, (h, c, p_proj, gs_rows, gt_rows, *weights, cgs_rows,
+                                     cgt_rows)))
+    out = _grid_fwd(grid_shape, sp_mask, *[t.data for t in parents])
+    return _apply(out, "grid_cell", parents, _grid_vjp, _grid_fwd, grid_shape, sp_mask)
 
 
 # -- tape walk --------------------------------------------------------------

@@ -239,38 +239,19 @@ def _fused_gate_params(params: EncoderParams):
 
 
 def _layer_step(state: EncoderState, p_proj: Tensor, fused, params: EncoderParams,
-                sp_mask: Tensor,
+                sp_mask: np.ndarray,
                 global_temporal: bool, global_spatial: bool) -> EncoderState:
     """One layer over the whole grid; ``p_proj`` is the layer-invariant
     input projection U p, computed once per encode."""
     B, T, K = state.windows, state.frames, state.entries
-    _, w_all, z_all, gs_all, gt_all, b_all = fused
-    # row (b*T + i)*K + j holds cell (i, j) of window b: frame neighbors
-    # sit K rows away within the window's T*K rows, the spatial
-    # predecessor one row up (masked off at chain heads, which include
-    # the first row of every window)
-    h_left = ad.shift_rows(state.h, K, T * K)
-    h_right = ad.shift_rows(state.h, -K, T * K)
-    h_sp = ad.mul(ad.shift_rows(state.h, 1), sp_mask)
-    triple = ad.concat([h_left, h_right, state.h], axis=1)
     gs_rows = ad.spread_rows(state.g_s, state.grid_shape, axis=2)
     gt_rows = ad.spread_rows(state.g_t, state.grid_shape, axis=1)
-
-    pre = ad.linear([
-        p_proj, (triple, w_all), (h_sp, z_all), (gs_rows, gs_all), (gt_rows, gt_all), b_all,
-    ])
-
-    c_left = ad.shift_rows(state.c, K, T * K)
-    c_right = ad.shift_rows(state.c, -K, T * K)
-    c_sp = ad.mul(ad.shift_rows(state.c, 1), sp_mask)
     cgs_rows = ad.spread_rows(state.c_gs, state.grid_shape, axis=2)
     cgt_rows = ad.spread_rows(state.c_gt, state.grid_shape, axis=1)
-
-    # GATE_ORDER is the gated-cell column layout: the "in" gate on the
-    # candidate, one gate per cell source below, "out", then "cand"
-    h_new, c_new = ad.gated_cell(
-        pre, [c_left, state.c, c_right, c_sp, cgs_rows, cgt_rows],
-    )
+    # GATE_ORDER is the grid cell's column layout: the "in" gate on the
+    # candidate, one gate per cell source, "out", then "cand"
+    h_new, c_new = ad.grid_cell(state.h, state.c, p_proj, gs_rows, gt_rows, fused[1:],
+                                cgs_rows, cgt_rows, state.grid_shape, sp_mask)
 
     if global_temporal:
         g_t, c_gt = _global_step(
@@ -324,7 +305,7 @@ def encode(p: np.ndarray, params: EncoderParams, layout: ChainLayout,
     fused = _fused_gate_params(params)
     p_proj = ad.matmul(p.reshape(B * T * K, 3), fused[0])
     sp_mask = (layout.spatial_prev() >= 0).astype(np.float64)
-    sp_mask = Tensor(np.tile(sp_mask, B * T)[:, None], op="const")  # (B*T*K, 1)
+    sp_mask = np.tile(sp_mask, B * T)[:, None]  # (B*T*K, 1), 0 at chain heads
     for _ in range(layers):
         state = _layer_step(state, p_proj, fused, params, sp_mask,
                             global_temporal, global_spatial)

@@ -171,8 +171,10 @@ def train(sequences: list[MotionSequence], layout: ChainLayout, theta: np.ndarra
 
     Each iteration stacks its ``batch_size`` windows and runs them as
     one batch: one forward pass, one loss (the mean over windows) and
-    one tape walk; each tape is released before the next iteration
-    builds its own.  The same seed reproduces the exact loss curve.
+    one tape walk.  The tape is released as soon as the walk has left
+    its gradients on the parameters, so the gradient checks, clipping
+    and the Adam step run with no tape alive.  The same seed reproduces
+    the exact loss curve.
     Raises TrainingDiverged when the loss or a gradient stops being
     finite, before the parameters are touched.
     """
@@ -203,6 +205,8 @@ def train(sequences: list[MotionSequence], layout: ChainLayout, theta: np.ndarra
         if not np.isfinite(loss.data):
             raise TrainingDiverged(f"non-finite loss at iteration {it}")
         backward(loss, leaves=named.values())
+        loss_value = float(loss.data)
+        del outs, pred, loss  # free the tape: only the leaves' gradients are needed now
         bad = first_nonfinite(named)
         if bad is not None:
             raise TrainingDiverged(f"non-finite gradient of {bad} at iteration {it}")
@@ -210,8 +214,7 @@ def train(sequences: list[MotionSequence], layout: ChainLayout, theta: np.ndarra
         adam_step(named, adam, lr=train_config.learning_rate,
                   beta1=train_config.beta1, beta2=train_config.beta2,
                   eps=train_config.epsilon)
-        metrics.append((it, float(loss.data), (time.perf_counter() - t0) * 1000.0))
-        del outs, pred, loss  # free this tape before the next forward builds one
+        metrics.append((it, loss_value, (time.perf_counter() - t0) * 1000.0))
     return TrainResult(params=params, metrics=metrics, adam=adam)
 
 

@@ -20,6 +20,8 @@ from sthrn.model import ModelConfig, ModelParams, forward, frames_tensor
 from sthrn.skeleton import builtin_topology, synth_motion
 from sthrn.training import bone_weights, weighted_loss
 
+import tape_oracles as oracle
+
 
 def leaf(x):
     return Tensor(np.asarray(x, dtype=np.float64))
@@ -236,20 +238,75 @@ def test_gated_cell_matches_unfused_composition():
     leaves = {"pre": pre, **{f"src{k}": t for k, t in enumerate(sources)}}
     for mode in (nullcontext, no_grad):
         with mode():
-            got = ad.gated_cell(pre, sources)
+            got = oracle.gated_cell(pre, sources)
             want = unfused_gated(pre, sources)
         for g_t, w_t in zip(got, want):
             assert np.array_equal(g_t.data, w_t.data)
     head = leaf(rng.normal(size=(rows, 2 * d)))
 
     def f():
-        h, c = ad.gated_cell(pre, sources)
+        h, c = oracle.gated_cell(pre, sources)
         return ad.tsum(ad.mul(ad.concat([h, c], axis=1), head))
 
     report = grad_check(f, leaves)
     assert report.skipped == []
     for name, err in report.per_leaf.items():
         assert err < 1e-6, name
+
+
+@pytest.mark.parametrize("topo", ["fork7", "chain3"])
+@pytest.mark.parametrize("windows", [1, 3])
+@pytest.mark.parametrize("first_layer", [True, False])
+@pytest.mark.parametrize("ablated", [None, "temporal", "spatial"])
+def test_grid_cell_matches_its_composition(topo, windows, first_layer, ablated):
+    """Values, taped and value-only, and every parent's gradient equal
+    the composition the op fuses, bit for bit.  At the first layer h is
+    c and each global state is its own cell (as ``init_states`` makes
+    them), so the fused vjp has to add into the shared tensors in the
+    order the composition's walk did; an ablated global state is a zero
+    const."""
+    layout = ChainLayout.from_topology(builtin_topology(topo))
+    T, K, d = 2, layout.num_entries, 3
+    grid, rows = (windows, T, K, d), windows * T * K
+    rng = np.random.default_rng(61)
+    h = leaf(rng.normal(size=(rows, d)))
+    c = h if first_layer else leaf(rng.normal(size=(rows, d)))
+    states = {}
+    for name, n in (("s", windows * T), ("t", windows * K)):
+        if ablated == {"s": "spatial", "t": "temporal"}[name]:
+            states[name] = (Tensor(np.zeros((n, d)), op="const"),) * 2
+        else:
+            g = leaf(rng.normal(size=(n, d)))
+            states[name] = (g, g if first_layer else leaf(rng.normal(size=(n, d))))
+    (g_s, c_gs), (g_t, c_gt) = states["s"], states["t"]
+    p_proj = leaf(0.3 * rng.normal(size=(rows, 9 * d)))
+    weights = (leaf(0.3 * rng.normal(size=(3 * d, 9 * d))),
+               *[leaf(0.3 * rng.normal(size=(d, 9 * d))) for _ in range(3)],
+               leaf(rng.normal(size=9 * d)))
+    sp_mask = np.tile((layout.spatial_prev() >= 0).astype(np.float64), windows * T)[:, None]
+    heads = [rng.normal(size=(rows, d)) for _ in range(2)]
+
+    def run(cell):
+        spreads = [ad.spread_rows(g_s, grid, 2), ad.spread_rows(g_t, grid, 1),
+                   ad.spread_rows(c_gs, grid, 2), ad.spread_rows(c_gt, grid, 1)]
+        args = (h, c, p_proj, spreads[0], spreads[1], weights, spreads[2], spreads[3], grid,
+                sp_mask)
+        with no_grad():
+            bare = cell(*args)
+        out = cell(*args)
+        root = ad.add(ad.tsum(ad.mul(out[0], heads[0])), ad.tsum(ad.mul(out[1], heads[1])))
+        parents = [h, c, g_s, c_gs, g_t, c_gt, p_proj, *spreads, *weights]
+        backward(root, leaves=parents)
+        grads = [None if t.grad is None else t.grad.copy() for t in parents]
+        return [t.data for t in (*out, *bare)], grads
+
+    got_values, got_grads = run(ad.grid_cell)
+    want_values, want_grads = run(oracle.composed_grid_cell)
+    for got, want in zip(got_values, want_values, strict=True):
+        assert np.array_equal(got, want)
+    for k, (got, want) in enumerate(zip(got_grads, want_grads, strict=True)):
+        assert (got is None) == (want is None), k
+        assert got is None or np.array_equal(got, want), k
 
 
 def unfused_pooled(h, c, g_prev, c_prev, g_rows, weights, grid_shape, axis):
@@ -320,10 +377,10 @@ def test_linear_matches_nested_adds():
 
 def test_shift_rows_past_the_end_gives_zeros():
     t = leaf(np.arange(6.0).reshape(3, 2))
-    assert np.array_equal(ad.shift_rows(t, 0).data, t.data)
-    assert np.array_equal(ad.shift_rows(t, 5).data, np.zeros((3, 2)))
-    assert np.array_equal(ad.shift_rows(t, -3).data, np.zeros((3, 2)))
-    backward(ad.tsum(ad.shift_rows(t, 4)), leaves=[t])
+    assert np.array_equal(oracle.shift_rows(t, 0).data, t.data)
+    assert np.array_equal(oracle.shift_rows(t, 5).data, np.zeros((3, 2)))
+    assert np.array_equal(oracle.shift_rows(t, -3).data, np.zeros((3, 2)))
+    backward(ad.tsum(oracle.shift_rows(t, 4)), leaves=[t])
     assert np.array_equal(t.grad, np.zeros((3, 2)))
 
 
@@ -331,9 +388,9 @@ def test_shift_rows_stays_within_blocks():
     t = leaf(np.arange(12.0).reshape(6, 2))
     rows = [None, None, 0, None, None, 3]           # down 2 in blocks of 3
     want = np.stack([t.data[r] if r is not None else np.zeros(2) for r in rows])
-    down = ad.shift_rows(t, 2, block=3)
+    down = oracle.shift_rows(t, 2, block=3)
     assert np.array_equal(down.data, want)
-    up = ad.shift_rows(t, -1, block=3)
+    up = oracle.shift_rows(t, -1, block=3)
     assert np.array_equal(up.data, t.data[[1, 2, 0, 4, 5, 0]] * [[1], [1], [0], [1], [1], [0]])
     w = np.arange(1.0, 13.0).reshape(6, 2)
     backward(ad.tsum(down * leaf(w)), leaves=[t])
@@ -408,7 +465,7 @@ OPS = {
     "reshape": (lambda a: ad.reshape(a, (2, 3)), [_r(3, 2)]),
     "concat": (lambda a, b, c: ad.concat([a, b, c], axis=1), [_r(3, 2), _r(3, 1), _r(3, 2)]),
     "narrow": (lambda a: ad.narrow(a, np.s_[1:, ::2]), [_r(3, 4)]),
-    "shift_rows": (lambda a: ad.shift_rows(a, -1, block=2), [_r(4, 2)]),
+    "shift_rows": (lambda a: oracle.shift_rows(a, -1, block=2), [_r(4, 2)]),
     "tsum": (lambda a: ad.tsum(a, axis=0), [_r(3, 2)]),
     "mean_rows": (lambda a: ad.mean_rows(a, (2, 3, 2), axis=1), [_r(6, 2)]),
     "spread_rows": (lambda a: ad.spread_rows(a, (2, 3, 2), axis=1), [_r(2, 2)]),
@@ -416,14 +473,23 @@ OPS = {
     "sigmoid": (ad.sigmoid, [_r(3, 2)]),
     "tanh": (ad.tanh, [_r(3, 2)]),
     "wrap_rows": (ad.wrap_rows, [np.concatenate([_entries(0.5, 4.0), _entries(2.0, 7.0)])]),
-    "gated_cell": (lambda pre, s0, s1: ad.gated_cell(pre, [s0, s1]),
+    "gated_cell": (lambda pre, s0, s1: oracle.gated_cell(pre, [s0, s1]),
                    [0.3 * _r(3, 10), _r(3, 2), _r(3, 2)]),
     "lstm_cell": (ad.lstm_cell, [_r(2, 3), _r(2, 2), _r(2, 2), 0.3 * _r(5, 8), _r(8)]),
     "pooled_cell": (lambda h, c, gp, cp, gr, *w: ad.pooled_cell(h, c, gp, cp, gr, w,
                                                                 (3, 2, 2), 0),
                     [_r(6, 2), _r(6, 2), _r(2, 2), _r(2, 2), _r(6, 2)]
                     + [0.3 * _r(2, 2), 0.3 * _r(2, 2), _r(2)] * 3),
+    "grid_cell": (lambda h, c, p, gs_r, gt_r, w, z, gs, gt, b, cgs_r, cgt_r: ad.grid_cell(
+                      h, c, p, gs_r, gt_r, (w, z, gs, gt, b), cgs_r, cgt_r, (1, 2, 3, 2),
+                      np.array([[0.0], [1.0], [1.0]] * 2)),
+                  [_r(6, 2), _r(6, 2), 0.3 * _r(6, 18), _r(6, 2), _r(6, 2)]
+                  + [0.3 * _r(6, 18)] + [0.3 * _r(2, 18) for _ in range(3)]
+                  + [_r(18), _r(6, 2), _r(6, 2)]),
 }
+# the test-local oracle ops take the same checks, since the grid-cell
+# test trusts their values and gradients
+ORACLE_OPS = {"shift_rows", "gated_cell"}
 
 
 def test_op_table_covers_every_public_op():
@@ -431,7 +497,7 @@ def test_op_table_covers_every_public_op():
               if callable(value) and not name.startswith("_")
               and getattr(value, "__module__", None) == ad.__name__
               and not isinstance(value, type)}
-    assert public - {"backward", "grad_check"} == set(OPS)
+    assert public - {"backward", "grad_check"} == set(OPS) - ORACLE_OPS
 
 
 @pytest.mark.parametrize("op", sorted(OPS))

@@ -2,11 +2,13 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import sthrn.autodiff as ad
+import sthrn.training as training
 from sthrn.autodiff import Tensor, backward
 from sthrn.encoder import ChainLayout
 from sthrn.model import ModelConfig, ModelParams, predict
@@ -262,6 +264,33 @@ def test_train_holds_one_tape_at_a_time():
 
     one, three = traced_peak(1), traced_peak(3)
     assert three <= 1.05 * one, (one, three)
+
+
+def test_train_frees_the_tape_before_the_optimizer(monkeypatch):
+    # once backward has left the gradients on the parameters, the tape
+    # is dead weight: the Adam step must run with no loss node alive,
+    # and the loss curve must be the losses that were computed
+    seqs = [synth_motion("sinusoid", 30, TOPO, seed=8)]
+    theta = bone_weights(TOPO.entry_lengths())
+    unpatched = train(seqs, LAYOUT, theta, CFG, tiny_train_config())
+    losses, values, alive = [], [], []
+
+    def loss_spy(*args):
+        loss = weighted_loss(*args)
+        losses.append(weakref.ref(loss))
+        values.append(float(loss.data))
+        return loss
+
+    def adam_spy(*args, **kwargs):
+        alive.append(losses[-1]() is not None)
+        return adam_step(*args, **kwargs)
+
+    monkeypatch.setattr(training, "weighted_loss", loss_spy)
+    monkeypatch.setattr(training, "adam_step", adam_spy)
+    result = train(seqs, LAYOUT, theta, CFG, tiny_train_config())
+    assert alive == [False, False, False]
+    assert [loss for _, loss, _ in result.metrics] == values
+    assert values == [loss for _, loss, _ in unpatched.metrics]
 
 
 def test_train_rejects_unknown_loss():

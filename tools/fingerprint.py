@@ -9,6 +9,9 @@ both checkouts and compares the lines.  The cases are:
   teacher-forced, and the weighted and l2 losses; ``/losses`` hashes
   every loss, ``/params`` every parameter and ``/checkpoint`` the
   ``save_checkpoint`` bytes with the Adam moments;
+- ``train/<topology>/no-global-temporal`` and ``.../no-global-spatial``:
+  the same runs' losses and parameters with one global state ablated
+  (criterion 9's switches; structured decoder, free-running, weighted);
 - ``criterion-4/loss`` and ``criterion-4/grad/<leaf>``: the taped
   weighted loss of the criterion-4 fixture (fork7, hidden 6, 2 layers,
   6 observed frames, horizon 3) and every leaf gradient ``backward``
@@ -96,6 +99,14 @@ def train_cases(workdir: str):
                     yield f"{case}/params", array_digest(
                         {n: t.data for n, t in result.params.named().items()})
                     yield f"{case}/checkpoint", digest(blob)
+        for ablated in ("global_temporal", "global_spatial"):
+            model = sthrn.ModelConfig(hidden_size=5, layers=3, **{ablated: False})
+            config = sthrn.TrainConfig(iterations=4, batch_size=3, seed=11)
+            result = sthrn.train(seqs, layout, theta, model, config)
+            case = f"train/{topo_name}/no-{ablated.replace('_', '-')}"
+            yield f"{case}/losses", digest(*(m[1] for m in result.metrics))
+            yield f"{case}/params", array_digest(
+                {n: t.data for n, t in result.params.named().items()})
 
 
 def criterion_4_fixture(frames: np.ndarray):
