@@ -468,20 +468,6 @@ def mean_rows(a, grid_shape: tuple, axis: int) -> Tensor:
                   grid_shape, axis)
 
 
-def _spread_vjp(node, g):
-    _acc(node.parents[0], _pool(*node.args, g))
-
-
-def spread_rows(a, grid_shape: tuple, axis: int) -> Tensor:
-    """Transpose of ``mean_rows`` without the scale: each row of ``a``
-    copied over ``axis`` of ``grid_shape``, one row per grid index.  Over
-    frames (axis 1) of a (B, T, K, h) grid, (B * K, h) rows tile each
-    window's K rows T times; over bones (axis 2), (B * T, h) rows repeat."""
-    a = _as_tensor(a)
-    return _apply(_spread(grid_shape, axis, a.data), "spread", (a,), _spread_vjp, _spread,
-                  grid_shape, axis)
-
-
 def _l2norm_fwd(axis, a):
     return np.sqrt((a * a).sum(axis=axis))
 
@@ -660,11 +646,11 @@ def lstm_cell(x, h, c, w, b) -> tuple[Tensor, Tensor]:
                   _lstm_vjp, _lstm_fwd)
 
 
-def _pooled_fwd(grid_shape, axis, h, c, g_prev, c_prev, g_rows,
+def _pooled_fwd(grid_shape, axis, h, c, g_prev, c_prev,
                 w_c, z_c, b_c, w_f, z_f, b_f, w_o, z_o, b_o):
     """(g, c, cell gates, mean h, forget gate, out gate, tanh(c)) of a
     pooled cell."""
-    cell = _sigmoid((h @ w_c + g_rows @ z_c) + b_c)
+    cell = _sigmoid((h @ w_c + _spread(grid_shape, axis, g_prev) @ z_c) + b_c)
     contrib = _pool(grid_shape, axis, cell * c)
     h_mean = _pool(grid_shape, axis, h) * (1.0 / grid_shape[axis])
     f = _sigmoid((h_mean @ w_f + g_prev @ z_f) + b_f)
@@ -675,41 +661,45 @@ def _pooled_fwd(grid_shape, axis, h, c, g_prev, c_prev, g_rows,
 
 
 def _pooled_vjp(node, grad):
-    h, c, g_prev, c_prev, g_rows, w_c, z_c, b_c, w_f, z_f, b_f, w_o, z_o, b_o = node.parents
+    h, c, g_prev, c_prev, w_c, z_c, b_c, w_f, z_f, b_f, w_o, z_o, b_o = node.parents
     grid_shape, axis = node.args
     cell, h_mean, f, out, tc = node.saved
     d = out.shape[1]
     gg, gc = grad[:, :d], grad[:, d:]
     dc = gc + gg * out * (1.0 - tc * tc)
-    _acc(c_prev, dc * f)
     d_f = dc * c_prev.data * f * (1.0 - f)
     d_o = gg * tc * out * (1.0 - out)
     for dz, tw, tz, tb in ((d_f, w_f, z_f, b_f), (d_o, w_o, z_o, b_o)):
         _acc(tw, h_mean.T @ dz)
         _acc(tz, g_prev.data.T @ dz)
         _acc(tb, dz)
-        _acc(g_prev, dz @ tz.data.T)
     d_mean = (d_f @ w_f.data.T + d_o @ w_o.data.T) * (1.0 / grid_shape[axis])
     spread = _spread(grid_shape, axis, dc).reshape(h.data.shape)
     _acc(c, spread * cell)
     d_cell = spread * c.data * cell * (1.0 - cell)
     _acc(w_c, h.data.T @ d_cell)
-    _acc(z_c, g_rows.data.T @ d_cell)
+    _acc(z_c, _spread(grid_shape, axis, g_prev.data).T @ d_cell)
     _acc(b_c, d_cell)
-    _acc(g_rows, d_cell @ z_c.data.T)
+    d_rows = _pool(grid_shape, axis, d_cell @ z_c.data.T)
     _acc(h, d_cell @ w_c.data.T)
     _acc(h, _spread(grid_shape, axis, d_mean).reshape(h.data.shape))
+    # the previous states in the order the walk of the composition this
+    # op replaces added them, since g_prev is c_prev at the first layer:
+    # the out gate, the spread of g_prev, the kept cell, the forget gate
+    _acc(g_prev, d_o @ z_o.data.T)
+    _acc(g_prev, d_rows)
+    _acc(c_prev, dc * f)
+    _acc(g_prev, d_f @ z_f.data.T)
 
 
-def pooled_cell(h, c, g_prev, c_prev, g_rows, weights, grid_shape,
-                axis: int) -> tuple[Tensor, Tensor]:
+def pooled_cell(h, c, g_prev, c_prev, weights, grid_shape, axis: int) -> tuple[Tensor, Tensor]:
     """A global state pooled from a grid of cells; returns the new (g, c).
 
     ``h`` and ``c`` are the grid's (rows, hidden) states, ``grid_shape``
     their (..., hidden) view, for example (B, T, K, hidden) for B
     windows, and the pool runs over ``axis`` of it.  ``g_prev`` and
     ``c_prev`` are the previous global states, one row per remaining
-    grid index in row-major order, and ``g_rows`` is ``g_prev`` expanded
+    grid index in row-major order, and ``g_rows`` is ``g_prev`` spread
     to one row per grid cell.  ``weights`` is (w_c, z_c, b_c, w_f, z_f,
     b_f, w_o, z_o, b_o):
 
@@ -719,10 +709,10 @@ def pooled_cell(h, c, g_prev, c_prev, g_rows, weights, grid_shape,
         c'   = sum(cell . c) + f . c_prev,   g' = out . tanh(c')
 
     with means and sums over ``axis``; values are bit-identical to the
-    composition of linear, sigmoid, mul, reshape, tsum, scale, add and
-    tanh that spells this out.
+    composition of a spread, linear, sigmoid, mul, reshape, tsum, scale,
+    add and tanh that spells this out.  The vjp rebuilds ``g_rows``.
     """
-    parents = tuple(map(_as_tensor, (h, c, g_prev, c_prev, g_rows, *weights)))
+    parents = tuple(map(_as_tensor, (h, c, g_prev, c_prev, *weights)))
     out = _pooled_fwd(grid_shape, axis, *[t.data for t in parents])
     return _apply(out, "pooled_cell", parents, _pooled_vjp, _pooled_fwd, grid_shape, axis)
 
@@ -768,30 +758,37 @@ def _grid_sources_vjp(grid_shape, sp_mask, g_left, g_right, g_sp):
 _GRID_TERMS = (False, True, True, True, True, False)  # p_proj, 4 products, bias
 
 
-def _grid_fwd(grid_shape, sp_mask, h, c, p_proj, gs_rows, gt_rows, w, z, gs, gt, b,
-              cgs_rows, cgt_rows):
+def _grid_globals(grid_shape, g_s, g_t):
+    """The per-frame ``g_s`` and per-bone ``g_t`` spread to one row per
+    grid cell."""
+    return _spread(grid_shape, 2, g_s), _spread(grid_shape, 1, g_t)
+
+
+def _grid_fwd(grid_shape, sp_mask, h, c, p_proj, g_s, g_t, w, z, gs, gt, b, c_gs, c_gt):
     """(h, c, gates, candidate, tanh(c)) of an encoder layer's grid cells."""
     h_left, h_right, h_sp = _grid_sources(grid_shape, sp_mask, h)
     triple = np.concatenate([h_left, h_right, h], axis=1)
+    gs_rows, gt_rows = _grid_globals(grid_shape, g_s, g_t)
     pre = _linear_fwd(_GRID_TERMS, p_proj, triple, w, h_sp, z, gs_rows, gs, gt_rows, gt, b)
     c_left, c_right, c_sp = _grid_sources(grid_shape, sp_mask, c)
-    return _gated_fwd(pre, c_left, c, c_right, c_sp, cgs_rows, cgt_rows)
+    return _gated_fwd(pre, c_left, c, c_right, c_sp, *_grid_globals(grid_shape, c_gs, c_gt))
 
 
 def _grid_vjp(node, grad):
-    h, c, p_proj, gs_rows, gt_rows, w, z, gs, gt, b, cgs_rows, cgt_rows = node.parents
+    h, c, p_proj, g_s, g_t, w, z, gs, gt, b, c_gs, c_gt = node.parents
     grid_shape, sp_mask = node.args
     s, cand, tc = node.saved
     c_left, c_right, c_sp = _grid_sources(grid_shape, sp_mask, c.data)
     dpre, (dc_left, dc_same, dc_right, dc_sp, dcgs, dcgt) = _gated_backward(
-        grad, s, cand, [c_left, c.data, c_right, c_sp, cgs_rows.data, cgt_rows.data], tc)
+        grad, s, cand, [c_left, c.data, c_right, c_sp,
+                        *_grid_globals(grid_shape, c_gs.data, c_gt.data)], tc)
     # each parent's gradients in the order the walk of the composition
     # this op replaces added them, since h is c (and g_s is c_gs) at the
     # first layer: the cell's own c, the linear terms, h through its own
-    # block of the triple and then its three shifts, c through its shifts
+    # block of the triple and then its three shifts, c through its shifts,
+    # and last each global state through its spread
     _acc(c, dc_same)
-    _acc(cgs_rows, dcgs)
-    _acc(cgt_rows, dcgt)
+    d_cgs, d_cgt = _pool(grid_shape, 2, dcgs), _pool(grid_shape, 1, dcgt)
     h_left, h_right, h_sp = _grid_sources(grid_shape, sp_mask, h.data)
     triple = np.concatenate([h_left, h_right, h.data], axis=1)
     _acc(p_proj, dpre)
@@ -799,18 +796,22 @@ def _grid_vjp(node, grad):
     _acc(w, triple.T @ dpre)
     d_sp = dpre @ z.data.T
     _acc(z, h_sp.T @ dpre)
-    for x, wx in ((gs_rows, gs), (gt_rows, gt)):
-        _acc(x, dpre @ wx.data.T)
-        _acc(wx, x.data.T @ dpre)
+    gs_rows, gt_rows = _grid_globals(grid_shape, g_s.data, g_t.data)
+    d_gs = _pool(grid_shape, 2, dpre @ gs.data.T)
+    _acc(gs, gs_rows.T @ dpre)
+    d_gt = _pool(grid_shape, 1, dpre @ gt.data.T)
+    _acc(gt, gt_rows.T @ dpre)
     _acc(b, dpre)
     _acc(h, d_self)
     for g in _grid_sources_vjp(grid_shape, sp_mask, d_left, d_right, d_sp):
         _acc(h, g)
     for g in _grid_sources_vjp(grid_shape, sp_mask, dc_left, dc_right, dc_sp):
         _acc(c, g)
+    for state, g in ((g_s, d_gs), (g_t, d_gt), (c_gs, d_cgs), (c_gt, d_cgt)):
+        _acc(state, g)
 
 
-def grid_cell(h, c, p_proj, gs_rows, gt_rows, weights, cgs_rows, cgt_rows, grid_shape,
+def grid_cell(h, c, p_proj, g_s, g_t, weights, c_gs, c_gt, grid_shape,
               sp_mask) -> tuple[Tensor, Tensor]:
     """One encoder layer's update of every cell of a (B, T, K, hidden)
     ``grid_shape`` grid with (rows, hidden) states ``h``, ``c``; returns (h, c):
@@ -818,15 +819,16 @@ def grid_cell(h, c, p_proj, gs_rows, gt_rows, weights, cgs_rows, cgt_rows, grid_
         pre = p_proj + [h_left | h_right | h] w + h_sp z + gs_rows gs + gt_rows gt + b
         (h', c') = gated cell of pre over [c_left, c, c_right, c_sp, cgs_rows, cgt_rows]
 
-    ``weights`` is (w, z, gs, gt, b), the ``*_rows`` are global states
+    ``weights`` is (w, z, gs, gt, b); the global states ``g_s``, ``c_gs``
+    (B*T, hidden) and ``g_t``, ``c_gt`` (B*K, hidden) enter as ``*_rows``,
     spread to one row per cell, and left, right and sp are the sources
     of ``_grid_sources``, with ``sp_mask`` (rows, 1) 0 at chain heads.
-    Values and gradients are bit-identical to that composition; the node
-    saves the gates, the candidate and tanh(c'), and its vjp recomputes
-    the shifted copies.
+    Values and gradients are bit-identical to that composition with one
+    spread node per global state; the node saves the gates, the
+    candidate and tanh(c'), and its vjp recomputes the shifted and
+    spread copies.
     """
-    parents = tuple(map(_as_tensor, (h, c, p_proj, gs_rows, gt_rows, *weights, cgs_rows,
-                                     cgt_rows)))
+    parents = tuple(map(_as_tensor, (h, c, p_proj, g_s, g_t, *weights, c_gs, c_gt)))
     out = _grid_fwd(grid_shape, sp_mask, *[t.data for t in parents])
     return _apply(out, "grid_cell", parents, _grid_vjp, _grid_fwd, grid_shape, sp_mask)
 

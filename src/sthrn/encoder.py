@@ -22,7 +22,7 @@ grid neighbors contribute zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -114,6 +114,10 @@ class GlobalParams:
     z_o: Tensor
     b_o: Tensor
 
+    def weights(self) -> tuple[Tensor, ...]:
+        """The nine weights in field order, as ``ad.pooled_cell`` takes them."""
+        return tuple(getattr(self, f.name) for f in fields(self))
+
 
 @dataclass
 class EncoderParams:
@@ -162,8 +166,8 @@ class EncoderParams:
             for field in ("u", "w", "z", "gs", "gt", "bias"):
                 out[f"enc.gate.{name}.{field}"] = getattr(g, field)
         for prefix, g in (("enc.gt", self.gtemp), ("enc.gs", self.gspat)):
-            for field in ("w_c", "z_c", "b_c", "w_f", "z_f", "b_f", "w_o", "z_o", "b_o"):
-                out[f"{prefix}.{field}"] = getattr(g, field)
+            for f in fields(g):
+                out[f"{prefix}.{f.name}"] = getattr(g, f.name)
         return out
 
 
@@ -242,51 +246,23 @@ def _layer_step(state: EncoderState, p_proj: Tensor, fused, params: EncoderParam
                 sp_mask: np.ndarray,
                 global_temporal: bool, global_spatial: bool) -> EncoderState:
     """One layer over the whole grid; ``p_proj`` is the layer-invariant
-    input projection U p, computed once per encode."""
-    B, T, K = state.windows, state.frames, state.entries
-    gs_rows = ad.spread_rows(state.g_s, state.grid_shape, axis=2)
-    gt_rows = ad.spread_rows(state.g_t, state.grid_shape, axis=1)
-    cgs_rows = ad.spread_rows(state.c_gs, state.grid_shape, axis=2)
-    cgt_rows = ad.spread_rows(state.c_gt, state.grid_shape, axis=1)
+    input projection U p, computed once per encode.  The global temporal
+    state pools the new grid over frames (axis 1), the spatial one over
+    bones (axis 2)."""
+    grid = state.grid_shape
     # GATE_ORDER is the grid cell's column layout: the "in" gate on the
     # candidate, one gate per cell source, "out", then "cand"
-    h_new, c_new = ad.grid_cell(state.h, state.c, p_proj, gs_rows, gt_rows, fused[1:],
-                                cgs_rows, cgt_rows, state.grid_shape, sp_mask)
-
+    h_new, c_new = ad.grid_cell(state.h, state.c, p_proj, state.g_s, state.g_t, fused[1:],
+                                state.c_gs, state.c_gt, grid, sp_mask)
+    g_t, c_gt, g_s, c_gs = state.g_t, state.c_gt, state.g_s, state.c_gs
     if global_temporal:
-        g_t, c_gt = _global_step(
-            h_new, c_new, state.g_t, state.c_gt, gt_rows, params.gtemp,
-            state.grid_shape, axis=1,
-        )
-    else:
-        g_t, c_gt = state.g_t, state.c_gt
+        g_t, c_gt = ad.pooled_cell(h_new, c_new, g_t, c_gt, params.gtemp.weights(),
+                                   grid, axis=1)
     if global_spatial:
-        g_s, c_gs = _global_step(
-            h_new, c_new, state.g_s, state.c_gs, gs_rows, params.gspat,
-            state.grid_shape, axis=2,
-        )
-    else:
-        g_s, c_gs = state.g_s, state.c_gs
-
+        g_s, c_gs = ad.pooled_cell(h_new, c_new, g_s, c_gs, params.gspat.weights(),
+                                   grid, axis=2)
     return EncoderState(h=h_new, c=c_new, g_t=g_t, c_gt=c_gt, g_s=g_s, c_gs=c_gs,
-                        frames=T, entries=K, windows=B)
-
-
-def _global_step(h_new: Tensor, c_new: Tensor, g_prev: Tensor, c_prev: Tensor,
-                 g_prev_rows: Tensor, gp: GlobalParams, grid_shape, axis: int):
-    """Shared update for the global temporal (axis 1 of the (B, T, K,
-    hidden) grid, sums over frames) and global spatial (axis 2, sums
-    over bones) states.
-
-    Every grid cell's new cell state enters through its own sigmoid
-    gate; the previous global cell passes a forget gate; an output
-    gate on the mean of the new hidden states exposes the result.
-    """
-    return ad.pooled_cell(
-        h_new, c_new, g_prev, c_prev, g_prev_rows,
-        (gp.w_c, gp.z_c, gp.b_c, gp.w_f, gp.z_f, gp.b_f, gp.w_o, gp.z_o, gp.b_o),
-        grid_shape, axis,
-    )
+                        frames=state.frames, entries=state.entries, windows=state.windows)
 
 
 def encode(p: np.ndarray, params: EncoderParams, layout: ChainLayout,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import DimensionMismatch
-from .skeleton import ParseError
+from .skeleton import ParseError, ValidationError
 
 HORIZON_MS = (80, 160, 320, 400, 560, 640, 720, 1000)
 
@@ -78,6 +78,13 @@ class ReportRow:
 
 
 def write_report(path, rows: list[ReportRow]) -> None:
+    """Write ``rows`` as the report CSV; an activity or method name that
+    holds a comma or a line break would not read back, so it raises
+    ValidationError before the file is opened."""
+    for row in rows:
+        for field, name in (("activity", row.activity), ("method", row.method)):
+            if any(ch in name for ch in ",\r\n"):
+                raise ValidationError(f"report {field} {name!r} holds a comma or line break")
     header = "activity,method," + ",".join(f"h{ms}" for ms in HORIZON_MS)
     ordered = sorted(rows, key=lambda r: (r.activity, r.method))
     with open(path, "w", encoding="utf-8") as fh:

@@ -1,14 +1,34 @@
 """Tape ops the package no longer has, kept as test oracles.
 
 ``sthrn.autodiff.grid_cell`` fuses one encoder layer's composition of
-``shift_rows``, ``mul`` by the chain-head mask, ``concat``, ``linear``
-and ``gated_cell`` into one node.  The two ops below are those of the
-composition, built the way the package builds its own ops (through
-``_apply`` and ``_acc``), and ``composed_grid_cell`` spells the layer
-out with them, as the encoder did before the fusion.
+``spread_rows`` of each global state, ``shift_rows``, ``mul`` by the
+chain-head mask, ``concat``, ``linear`` and ``gated_cell`` into one
+node, and ``sthrn.autodiff.pooled_cell`` a ``spread_rows`` of the
+previous global state and the op-by-op global update.  The three ops
+below are those of the compositions, built the way the package builds
+its own ops (through ``_apply`` and ``_acc``).  ``composed_grid_cell``
+and ``unfused_pooled`` spell the two cells out with them, taking the
+spread global states as arguments, and ``composed_encode`` is the
+encoder built from them, with one spread node per global state that
+the grid cell and the pooled cell share, as before the fusion.
 """
 
+import numpy as np
+
 import sthrn.autodiff as ad
+from sthrn.encoder import EncoderState, _fused_gate_params, init_states
+
+
+def _spread_vjp(node, g):
+    ad._acc(node.parents[0], ad._pool(*node.args, g))
+
+
+def spread_rows(a, grid_shape: tuple, axis: int):
+    """Transpose of ``mean_rows`` without the scale: each row of ``a``
+    copied over ``axis`` of ``grid_shape``, one row per grid index."""
+    a = ad._as_tensor(a)
+    return ad._apply(ad._spread(grid_shape, axis, a.data), "spread", (a,), _spread_vjp,
+                     ad._spread, grid_shape, axis)
 
 
 def _shift_vjp(node, g):
@@ -57,3 +77,51 @@ def composed_grid_cell(h, c, p_proj, gs_rows, gt_rows, weights, cgs_rows, cgt_ro
     c_right = shift_rows(c, -K, T * K)
     c_sp = ad.mul(shift_rows(c, 1), sp_mask)
     return gated_cell(pre, [c_left, c, c_right, c_sp, cgs_rows, cgt_rows])
+
+
+def unfused_pooled(h, c, g_prev, c_prev, g_rows, weights, grid_shape, axis):
+    """The op-by-op global-state update that ``ad.pooled_cell`` fuses;
+    ``g_rows`` is ``g_prev`` spread over ``axis``."""
+    w_c, z_c, b_c, w_f, z_f, b_f, w_o, z_o, b_o = weights
+    n, rows = grid_shape[axis], (-1, grid_shape[-1])
+
+    def pool(x):
+        return ad.reshape(ad.tsum(ad.reshape(x, grid_shape), axis=axis), rows)
+
+    cell = ad.sigmoid(ad.add(ad.add(ad.matmul(h, w_c), ad.matmul(g_rows, z_c)), b_c))
+    contrib = pool(ad.mul(cell, c))
+    h_mean = ad.scale(pool(h), 1.0 / n)
+    f = ad.sigmoid(ad.add(ad.add(ad.matmul(h_mean, w_f), ad.matmul(g_prev, z_f)), b_f))
+    out = ad.sigmoid(ad.add(ad.add(ad.matmul(h_mean, w_o), ad.matmul(g_prev, z_o)), b_o))
+    c_next = ad.add(contrib, ad.mul(f, c_prev))
+    return ad.mul(out, ad.tanh(c_next)), c_next
+
+
+def composed_encode(p, params, layout, layers, global_temporal=True, global_spatial=True):
+    """``sthrn.encoder.encode`` for B stacked (B, T, K, 3) windows, built
+    from the oracles: per layer one ``spread_rows`` per global state,
+    ``composed_grid_cell`` and ``unfused_pooled``, the latter reading
+    the grid cell's spread of its own previous state."""
+    state = init_states(p, params, layout, global_temporal, global_spatial)
+    B, T, K = state.windows, state.frames, state.entries
+    fused = _fused_gate_params(params)
+    p_proj = ad.matmul(np.asarray(p, dtype=np.float64).reshape(B * T * K, 3), fused[0])
+    sp_mask = np.tile((layout.spatial_prev() >= 0).astype(np.float64), B * T)[:, None]
+    for _ in range(layers):
+        grid = state.grid_shape
+        gs_rows = spread_rows(state.g_s, grid, 2)
+        gt_rows = spread_rows(state.g_t, grid, 1)
+        cgs_rows = spread_rows(state.c_gs, grid, 2)
+        cgt_rows = spread_rows(state.c_gt, grid, 1)
+        h, c = composed_grid_cell(state.h, state.c, p_proj, gs_rows, gt_rows, fused[1:],
+                                  cgs_rows, cgt_rows, grid, sp_mask)
+        g_t, c_gt, g_s, c_gs = state.g_t, state.c_gt, state.g_s, state.c_gs
+        if global_temporal:
+            g_t, c_gt = unfused_pooled(h, c, g_t, c_gt, gt_rows, params.gtemp.weights(),
+                                       grid, 1)
+        if global_spatial:
+            g_s, c_gs = unfused_pooled(h, c, g_s, c_gs, gs_rows, params.gspat.weights(),
+                                       grid, 2)
+        state = EncoderState(h=h, c=c, g_t=g_t, c_gt=c_gt, g_s=g_s, c_gs=c_gs,
+                             frames=T, entries=K, windows=B)
+    return state

@@ -260,11 +260,11 @@ def test_gated_cell_matches_unfused_composition():
 @pytest.mark.parametrize("ablated", [None, "temporal", "spatial"])
 def test_grid_cell_matches_its_composition(topo, windows, first_layer, ablated):
     """Values, taped and value-only, and every parent's gradient equal
-    the composition the op fuses, bit for bit.  At the first layer h is
-    c and each global state is its own cell (as ``init_states`` makes
-    them), so the fused vjp has to add into the shared tensors in the
-    order the composition's walk did; an ablated global state is a zero
-    const."""
+    the composition the op fuses, one spread node per global state
+    included, bit for bit.  At the first layer h is c and each global
+    state is its own cell (as ``init_states`` makes them), so the fused
+    vjp has to add into the shared tensors in the order the
+    composition's walk did; an ablated global state is a zero const."""
     layout = ChainLayout.from_topology(builtin_topology(topo))
     T, K, d = 2, layout.num_entries, 3
     grid, rows = (windows, T, K, d), windows * T * K
@@ -286,22 +286,25 @@ def test_grid_cell_matches_its_composition(topo, windows, first_layer, ablated):
     sp_mask = np.tile((layout.spatial_prev() >= 0).astype(np.float64), windows * T)[:, None]
     heads = [rng.normal(size=(rows, d)) for _ in range(2)]
 
+    def composed(h, c, p_proj, g_s, g_t, weights, c_gs, c_gt, grid, sp_mask):
+        spread = [oracle.spread_rows(g, grid, axis)
+                  for g, axis in ((g_s, 2), (g_t, 1), (c_gs, 2), (c_gt, 1))]
+        return oracle.composed_grid_cell(h, c, p_proj, spread[0], spread[1], weights,
+                                         spread[2], spread[3], grid, sp_mask)
+
     def run(cell):
-        spreads = [ad.spread_rows(g_s, grid, 2), ad.spread_rows(g_t, grid, 1),
-                   ad.spread_rows(c_gs, grid, 2), ad.spread_rows(c_gt, grid, 1)]
-        args = (h, c, p_proj, spreads[0], spreads[1], weights, spreads[2], spreads[3], grid,
-                sp_mask)
+        args = (h, c, p_proj, g_s, g_t, weights, c_gs, c_gt, grid, sp_mask)
         with no_grad():
             bare = cell(*args)
         out = cell(*args)
         root = ad.add(ad.tsum(ad.mul(out[0], heads[0])), ad.tsum(ad.mul(out[1], heads[1])))
-        parents = [h, c, g_s, c_gs, g_t, c_gt, p_proj, *spreads, *weights]
+        parents = [h, c, g_s, c_gs, g_t, c_gt, p_proj, *weights]
         backward(root, leaves=parents)
         grads = [None if t.grad is None else t.grad.copy() for t in parents]
         return [t.data for t in (*out, *bare)], grads
 
     got_values, got_grads = run(ad.grid_cell)
-    want_values, want_grads = run(oracle.composed_grid_cell)
+    want_values, want_grads = run(composed)
     for got, want in zip(got_values, want_values, strict=True):
         assert np.array_equal(got, want)
     for k, (got, want) in enumerate(zip(got_grads, want_grads, strict=True)):
@@ -309,49 +312,42 @@ def test_grid_cell_matches_its_composition(topo, windows, first_layer, ablated):
         assert got is None or np.array_equal(got, want), k
 
 
-def unfused_pooled(h, c, g_prev, c_prev, g_rows, weights, grid_shape, axis):
-    """The op-by-op global-state update that ad.pooled_cell fuses."""
-    w_c, z_c, b_c, w_f, z_f, b_f, w_o, z_o, b_o = weights
-    n = grid_shape[axis]
-    cell = ad.sigmoid(ad.add(ad.add(ad.matmul(h, w_c), ad.matmul(g_rows, z_c)), b_c))
-    contrib = ad.tsum(ad.reshape(ad.mul(cell, c), grid_shape), axis=axis)
-    h_mean = ad.scale(ad.tsum(ad.reshape(h, grid_shape), axis=axis), 1.0 / n)
-    f = ad.sigmoid(ad.add(ad.add(ad.matmul(h_mean, w_f), ad.matmul(g_prev, z_f)), b_f))
-    out = ad.sigmoid(ad.add(ad.add(ad.matmul(h_mean, w_o), ad.matmul(g_prev, z_o)), b_o))
-    c_next = ad.add(contrib, ad.mul(f, c_prev))
-    return ad.mul(out, ad.tanh(c_next)), c_next
-
-
 @pytest.mark.parametrize("axis", [0, 1])
 def test_pooled_cell_matches_unfused_composition(axis):
+    """Values, taped and value-only, and every parent's gradient equal
+    the op-by-op update on a spread node of ``g_prev``, bit for bit,
+    also when ``g_prev`` is ``c_prev`` (the first layer)."""
     rng = np.random.default_rng(32 + axis)
     T, K, d = 3, 4, 2
-    kept = K if axis == 0 else T
+    grid, kept = (T, K, d), K if axis == 0 else T
     h, c = leaf(rng.normal(size=(T * K, d))), leaf(rng.normal(size=(T * K, d)))
-    g_prev, c_prev = leaf(rng.normal(size=(kept, d))), leaf(rng.normal(size=(kept, d)))
-    g_rows = leaf(rng.normal(size=(T * K, d)))
+    g_prev = leaf(rng.normal(size=(kept, d)))
     weights = [leaf(rng.normal(size=(d, d)) if k % 3 < 2 else rng.normal(size=d))
                for k in range(9)]
-    leaves = {"h": h, "c": c, "g_prev": g_prev, "c_prev": c_prev, "g_rows": g_rows,
-              **{f"weight{k}": t for k, t in enumerate(weights)}}
-    args = (h, c, g_prev, c_prev, g_rows, weights, (T, K, d), axis)
-    for mode in (nullcontext, no_grad):
-        with mode():
-            got = ad.pooled_cell(*args)
-            want = unfused_pooled(*args)
-        for g_t, w_t in zip(got, want):
-            assert g_t.data.shape == (kept, d)
-            assert np.array_equal(g_t.data, w_t.data)
-    head = leaf(rng.normal(size=(kept, 2 * d)))
+    head = rng.normal(size=(kept, 2 * d))
 
-    def f():
-        g, c_new = ad.pooled_cell(*args)
-        return ad.tsum(ad.mul(ad.concat([g, c_new], axis=1), head))
+    def composed(h, c, g_prev, c_prev, weights, grid, axis):
+        g_rows = oracle.spread_rows(g_prev, grid, axis)
+        return oracle.unfused_pooled(h, c, g_prev, c_prev, g_rows, weights, grid, axis)
 
-    report = grad_check(f, leaves)
-    assert report.skipped == []
-    for name, err in report.per_leaf.items():
-        assert err < 1e-6, name
+    for c_prev in (leaf(rng.normal(size=(kept, d))), g_prev):
+        parents = [h, c, g_prev, c_prev, *weights]
+
+        def run(cell):
+            args = (h, c, g_prev, c_prev, weights, grid, axis)
+            with no_grad():
+                bare = cell(*args)
+            out = cell(*args)
+            backward(ad.tsum(ad.mul(ad.concat(out, axis=1), head)), leaves=parents)
+            return [t.data for t in (*out, *bare)], [t.grad.copy() for t in parents]
+
+        got_values, got_grads = run(ad.pooled_cell)
+        want_values, want_grads = run(composed)
+        for got, want in zip(got_values, want_values, strict=True):
+            assert got.shape == (kept, d)
+            assert np.array_equal(got, want)
+        for k, (got, want) in enumerate(zip(got_grads, want_grads, strict=True)):
+            assert np.array_equal(got, want), k
 
 
 def test_linear_matches_nested_adds():
@@ -417,14 +413,14 @@ def test_spread_rows_copies_within_each_window(axis):
     rows = 2 * (4 if axis == 1 else 3)
     x = np.random.default_rng(6).normal(size=(rows, 2))
     t = leaf(x.copy())
-    out = ad.spread_rows(t, grid, axis)
+    out = oracle.spread_rows(t, grid, axis)
     if axis == 1:  # each window's 4 bone rows tiled over its 3 frames
         want = np.concatenate([np.tile(x[4 * b:4 * b + 4], (3, 1)) for b in range(2)])
     else:  # each frame row repeated for its 4 bones
         want = np.repeat(x, 4, axis=0)
     assert np.array_equal(out.data, want)
     weights = leaf(np.random.default_rng(7).normal(size=(24, 2)))
-    report = grad_check(lambda: ad.tsum(ad.spread_rows(t, grid, axis) * weights), {"t": t})
+    report = grad_check(lambda: ad.tsum(oracle.spread_rows(t, grid, axis) * weights), {"t": t})
     assert report.max_rel_error < 1e-6
 
 
@@ -468,7 +464,6 @@ OPS = {
     "shift_rows": (lambda a: oracle.shift_rows(a, -1, block=2), [_r(4, 2)]),
     "tsum": (lambda a: ad.tsum(a, axis=0), [_r(3, 2)]),
     "mean_rows": (lambda a: ad.mean_rows(a, (2, 3, 2), axis=1), [_r(6, 2)]),
-    "spread_rows": (lambda a: ad.spread_rows(a, (2, 3, 2), axis=1), [_r(2, 2)]),
     "l2norm": (lambda a: ad.l2norm(a, axis=1), [_r(3, 2)]),
     "sigmoid": (ad.sigmoid, [_r(3, 2)]),
     "tanh": (ad.tanh, [_r(3, 2)]),
@@ -476,16 +471,15 @@ OPS = {
     "gated_cell": (lambda pre, s0, s1: oracle.gated_cell(pre, [s0, s1]),
                    [0.3 * _r(3, 10), _r(3, 2), _r(3, 2)]),
     "lstm_cell": (ad.lstm_cell, [_r(2, 3), _r(2, 2), _r(2, 2), 0.3 * _r(5, 8), _r(8)]),
-    "pooled_cell": (lambda h, c, gp, cp, gr, *w: ad.pooled_cell(h, c, gp, cp, gr, w,
-                                                                (3, 2, 2), 0),
-                    [_r(6, 2), _r(6, 2), _r(2, 2), _r(2, 2), _r(6, 2)]
+    "pooled_cell": (lambda h, c, gp, cp, *w: ad.pooled_cell(h, c, gp, cp, w, (3, 2, 2), 0),
+                    [_r(6, 2), _r(6, 2), _r(2, 2), _r(2, 2)]
                     + [0.3 * _r(2, 2), 0.3 * _r(2, 2), _r(2)] * 3),
-    "grid_cell": (lambda h, c, p, gs_r, gt_r, w, z, gs, gt, b, cgs_r, cgt_r: ad.grid_cell(
-                      h, c, p, gs_r, gt_r, (w, z, gs, gt, b), cgs_r, cgt_r, (1, 2, 3, 2),
+    "grid_cell": (lambda h, c, p, g_s, g_t, w, z, gs, gt, b, c_gs, c_gt: ad.grid_cell(
+                      h, c, p, g_s, g_t, (w, z, gs, gt, b), c_gs, c_gt, (1, 2, 3, 2),
                       np.array([[0.0], [1.0], [1.0]] * 2)),
-                  [_r(6, 2), _r(6, 2), 0.3 * _r(6, 18), _r(6, 2), _r(6, 2)]
+                  [_r(6, 2), _r(6, 2), 0.3 * _r(6, 18), _r(2, 2), _r(3, 2)]
                   + [0.3 * _r(6, 18)] + [0.3 * _r(2, 18) for _ in range(3)]
-                  + [_r(18), _r(6, 2), _r(6, 2)]),
+                  + [_r(18), _r(2, 2), _r(3, 2)]),
 }
 # the test-local oracle ops take the same checks, since the grid-cell
 # test trusts their values and gradients
@@ -535,7 +529,10 @@ def test_every_op_takes_the_one_path(op, leaf_parity):
     assert len(consts) >= len(arrays) - len(leaves) + len(heads)
     assert all(t.grad is None for t in consts)
     if leaves:
-        report = grad_check(f, leaves)
+        # a component the bound would reject is first re-measured in
+        # extended precision: float64 differences of a component near
+        # 1e-5 of the largest carry noise above 1e-6
+        report = grad_check(f, leaves, refine_threshold=1e-6)
         assert report.skipped == []
         assert report.max_rel_error < 1e-6, report.per_leaf
 

@@ -191,6 +191,18 @@ def test_eval_shape_mismatch(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_refuses_a_name_the_report_cannot_hold(tmp_path, capsys):
+    # the target's file stem is the report's activity column, and a comma
+    # in it would give a row that read_report refuses
+    target = lie_file(tmp_path, "walk,1.lie", frames=5)
+    pred = lie_file(tmp_path, "pred.lie", frames=5, seed=2)
+    report = tmp_path / "r.csv"
+    rc = main(["eval", "--pred", pred, "--target", target, "--out", str(report)])
+    assert rc == 2
+    assert "'walk,1'" in capsys.readouterr().err
+    assert not report.exists()
+
+
 # -- failure exit codes -------------------------------------------------------
 
 

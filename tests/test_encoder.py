@@ -1,5 +1,7 @@
 """Encoder grid/global update checks against independent calculators."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -11,7 +13,6 @@ from sthrn.encoder import (
     ChainLayout,
     EncoderParams,
     GlobalParams,
-    _global_step,
     encode,
     encode_reference,
     init_states,
@@ -186,9 +187,8 @@ def test_global_step_zero_params_spatial_six_cells():
     h_new = Tensor(np.random.default_rng(8).normal(size=(T * K, hidden)))
     g_prev = Tensor(np.zeros((T, hidden)))
     c_prev = Tensor(np.zeros((T, hidden)))
-    rows = Tensor(np.zeros((T * K, hidden)))
-    g, c = _global_step(h_new, c_new, g_prev, c_prev, rows,
-                        zero_global_params(hidden), (T, K, hidden), axis=1)
+    g, c = ad.pooled_cell(h_new, c_new, g_prev, c_prev, zero_global_params(hidden).weights(),
+                          (T, K, hidden), axis=1)
     assert np.allclose(c.data, 3.0 * c0, atol=1e-14)
     assert np.allclose(g.data, 0.5 * np.tanh(3.0 * c0), atol=1e-14)
 
@@ -201,10 +201,9 @@ def test_global_step_zero_params_temporal_four_frames():
     prev = np.array([[2.0, 4.0, -6.0]])
     c_new = Tensor(np.tile(c0, (T * K, 1)))
     h_new = Tensor(np.random.default_rng(9).normal(size=(T * K, hidden)))
-    g, c = _global_step(
+    g, c = ad.pooled_cell(
         Tensor(h_new.data), c_new, Tensor(prev.copy()), Tensor(prev.copy()),
-        Tensor(np.zeros((T * K, hidden))), zero_global_params(hidden),
-        (T, K, hidden), axis=0,
+        zero_global_params(hidden).weights(), (T, K, hidden), axis=0,
     )
     assert np.allclose(c.data, 2.0 * c0 + 0.5 * prev, atol=1e-14)
     assert np.allclose(g.data, 0.5 * np.tanh(2.0 * c0 + 0.5 * prev), atol=1e-14)
@@ -295,7 +294,7 @@ def test_mask_mul_gradient():
 
 def test_repeat_rows_gradient():
     t = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = ad.spread_rows(t, (1, 2, 3, 2), axis=2)  # each frame's row over 3 bones
+    out = oracle.spread_rows(t, (1, 2, 3, 2), axis=2)  # each frame's row over 3 bones
     assert np.array_equal(out.data, np.repeat(t.data, 3, axis=0))
     w = Tensor(np.arange(12.0).reshape(6, 2))
     backward(ad.tsum(out * w), leaves=[t])
@@ -304,7 +303,7 @@ def test_repeat_rows_gradient():
 
 def test_tile_rows_gradient():
     t = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = ad.spread_rows(t, (1, 3, 2, 2), axis=1)  # the 2 bone rows over 3 frames
+    out = oracle.spread_rows(t, (1, 3, 2, 2), axis=1)  # the 2 bone rows over 3 frames
     assert np.array_equal(out.data, np.tile(t.data, (3, 1)))
     w = Tensor(np.arange(12.0).reshape(6, 2))
     backward(ad.tsum(out * w), leaves=[t])
@@ -323,6 +322,67 @@ def test_shift_gradients_shift_back():
     assert np.array_equal(up_out.data, np.vstack([t.data[1:], np.zeros((1, 2))]))
     backward(ad.tsum(up_out * w), leaves=[t])
     assert np.array_equal(t.grad, np.vstack([np.zeros((1, 2)), w.data[:-1]]))
+
+
+STATE_FIELDS = ("h", "c", "g_t", "c_gt", "g_s", "c_gs")
+
+
+def interior_nodes(state):
+    """Every tape node the encoder state's tensors depend on."""
+    nodes, stack = {}, [getattr(state, name) for name in STATE_FIELDS]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node.parents)
+    return [n for n in nodes.values() if n.parents]
+
+
+def test_taped_layer_is_one_grid_cell_and_two_pooled_cells():
+    # each layer adds one grid_cell, two pooled_cell and their six
+    # narrows; the global states enter the cells without spread copies
+    lay = fork_layout()
+    params = random_params(3, seed=24)
+    p = np.random.default_rng(25).normal(size=(2, 3, 4, 3))
+    ops = [[n.op for n in interior_nodes(encode(p, params, lay, layers=layers))]
+           for layers in (2, 3)]
+    assert "spread" not in ops[1]
+    assert len(ops[1]) - len(ops[0]) == 9
+    assert sorted(ops[1]) == sorted(ops[0] + ["grid_cell"] + ["pooled_cell"] * 2
+                                    + ["narrow"] * 6)
+
+
+@pytest.mark.parametrize("topo", ["fork7", "chain3"])
+@pytest.mark.parametrize("ablated", [None, "temporal", "spatial"])
+def test_encode_matches_spread_node_layout(topo, ablated):
+    """The encoder built from the oracles, with one spread node per
+    global state that the grid cell and the pooled cell share, gives
+    the same states bit for bit.  Each fused cell pools its own spread
+    gradient, where the shared node pooled their sum, so leaf gradients
+    differ only by that reassociation: round-off."""
+    lay = ChainLayout.from_topology(builtin_topology(topo))
+    params = random_params(4, seed=26)
+    rng = np.random.default_rng(27)
+    B, T, K, d = 2, 3, lay.num_entries, 4
+    p = rng.normal(size=(B, T, K, 3))
+    heads = [rng.normal(size=(rows, d))
+             for rows in (B * T * K,) * 2 + (B * K,) * 2 + (B * T,) * 2]
+    flags = {"global_temporal": ablated != "temporal", "global_spatial": ablated != "spatial"}
+    leaves = list(params.named().values())
+
+    def run(build):
+        state = build(p, params, lay, 3, **flags)
+        outs = [getattr(state, name) for name in STATE_FIELDS]
+        root = reduce(ad.add, [ad.tsum(ad.mul(t, w)) for t, w in zip(outs, heads)])
+        backward(root, leaves=leaves)
+        return [t.data for t in outs], [t.grad.copy() for t in leaves]
+
+    got_states, got_grads = run(encode)
+    want_states, want_grads = run(oracle.composed_encode)
+    for name, got, want in zip(STATE_FIELDS, got_states, want_states, strict=True):
+        assert np.array_equal(got, want), name
+    for name, got, want in zip(params.named(), got_grads, want_grads, strict=True):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
 
 
 def test_encoder_gradients_against_differences():

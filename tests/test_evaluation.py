@@ -15,7 +15,7 @@ from sthrn.evaluation import (
     zero_velocity,
 )
 from sthrn.geometry import DimensionMismatch
-from sthrn.skeleton import ParseError, builtin_topology, synth_motion
+from sthrn.skeleton import ParseError, ValidationError, builtin_topology, synth_motion
 
 
 def test_horizon_grid_frozen():
@@ -90,16 +90,18 @@ def test_report_roundtrip_with_missing_cells(tmp_path):
     rows = [
         ReportRow("walking", "model", {80: 0.25, 1000: 1.5}),
         ReportRow("eating", "zero-velocity", {ms: 0.1 * i for i, ms in enumerate(HORIZON_MS)}),
+        ReportRow("walking dog_2", "sthrn v1.ckpt", {160: 0.125}),  # names a file stem can be
     ]
     path = tmp_path / "report.csv"
     write_report(path, rows)
     back = read_report(path)
     # rows come back sorted by (activity, method)
     assert [(r.activity, r.method) for r in back] == [
-        ("eating", "zero-velocity"), ("walking", "model")
+        ("eating", "zero-velocity"), ("walking", "model"), ("walking dog_2", "sthrn v1.ckpt")
     ]
     assert back[1].values == rows[0].values
     assert back[0].values == rows[1].values
+    assert back[2].values == rows[2].values
 
 
 def test_report_file_layout(tmp_path):
@@ -108,6 +110,16 @@ def test_report_file_layout(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "activity,method,h80,h160,h320,h400,h560,h640,h720,h1000"
     assert lines[1] == "walk,m,_,0.5,_,_,_,_,_,_"
+
+
+@pytest.mark.parametrize("field", ["activity", "method"])
+@pytest.mark.parametrize("name", ["walk,1", "walk\n1", "walk\r"])
+def test_write_report_refuses_names_it_cannot_hold(tmp_path, field, name):
+    path = tmp_path / "report.csv"
+    row = ReportRow(**{"activity": "walk", "method": "m", field: name}, values={80: 0.5})
+    with pytest.raises(ValidationError, match=field):
+        write_report(path, [row])
+    assert not path.exists()
 
 
 def test_read_report_rejects_bad_header(tmp_path):
