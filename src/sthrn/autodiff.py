@@ -10,7 +10,8 @@ no parents.  ``backward`` walks the tape once, in reverse topological
 order, from a scalar root, and every vjp adds its gradients into the
 parents through ``_acc``.  ``grad_check`` re-runs the recorded
 forwards of the nodes a perturbed leaf reaches instead of the whole
-function (``_cone`` and ``_replay``).
+function, for a batch of probes on a leading axis per pass (``_cone``
+and ``_replay``).
 """
 
 from __future__ import annotations
@@ -145,10 +146,21 @@ def _result(out, op: str = "leaf", parents: tuple = (), vjp=None, saved: tuple =
     return t
 
 
+def _cat(arrays, axis: int) -> np.ndarray:
+    """``np.concatenate`` along ``axis``.  In a replay pass some arrays
+    carry a leading probe axis and the rest, which the probed leaf does
+    not reach, are broadcast across it first."""
+    if len({a.ndim for a in arrays}) > 1:
+        big = max(arrays, key=np.ndim)
+        arrays = [a if a.ndim == big.ndim else np.broadcast_to(a, big.shape[:1] + a.shape)
+                  for a in arrays]
+    return np.concatenate(arrays, axis=axis)
+
+
 def _value(out):
     """A forward's result as a node's value: a cell's (h, c, *saved)
     becomes [h | c]."""
-    return np.concatenate(out[:2], axis=1) if type(out) is tuple else out
+    return _cat(out[:2], -1) if type(out) is tuple else out
 
 
 def _apply(out, op: str, parents: tuple, vjp, fwd, *args):
@@ -370,7 +382,7 @@ def reshape(a, shape) -> Tensor:
 
 def _concat_fwd(axis, *arrays):
     try:
-        return np.concatenate(arrays, axis=axis)
+        return _cat(arrays, axis)
     except ValueError as exc:
         raise ShapeMismatch(f"concat: {[a.shape for a in arrays]}") from exc
 
@@ -387,6 +399,8 @@ def _concat_vjp(node, g):
 
 def concat(parts, axis: int = 0) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
+    if len({p.data.ndim for p in parts}) > 1:  # _cat would broadcast the lower rank
+        raise ShapeMismatch(f"concat: {[p.data.shape for p in parts]}")
     return _apply(_concat_fwd(axis, *[p.data for p in parts]), "concat", tuple(parts),
                   _concat_vjp, _concat_fwd, axis)
 
@@ -438,19 +452,23 @@ def tsum(a, axis=None) -> Tensor:
 
 
 def _pool(grid_shape: tuple, axis: int, x: np.ndarray) -> np.ndarray:
-    """Sum of ``x`` viewed as ``grid_shape`` over ``axis``, as 2-D rows."""
-    return x.reshape(grid_shape).sum(axis=axis).reshape(-1, grid_shape[-1])
+    """Sum of the rows ``x``, (..., rows, d), viewed as ``grid_shape``
+    over ``axis``, as rows again; leading (probe) axes stay in front."""
+    lead = x.shape[:-2]
+    pooled = x.reshape(lead + grid_shape).sum(axis=axis - len(grid_shape))
+    return pooled.reshape(lead + (-1, grid_shape[-1]))
 
 
 def _spread(grid_shape: tuple, axis: int, g: np.ndarray) -> np.ndarray:
     """Transpose of ``_pool``: each row of ``g`` copied back over ``axis``,
-    as 2-D rows."""
-    copies = np.repeat(g.reshape(grid_shape[:axis] + (1, -1)), grid_shape[axis], axis=axis)
-    return copies.reshape(-1, grid_shape[-1])
+    as rows."""
+    lead = g.shape[:-2]
+    copies = np.repeat(g.reshape(lead + grid_shape[:axis] + (1, -1)), grid_shape[axis], axis=-2)
+    return copies.reshape(lead + (-1, grid_shape[-1]))
 
 
 def _mean_fwd(grid_shape, axis, a):
-    return _pool(grid_shape, axis, a) * (1.0 / grid_shape[axis])
+    return _pool(grid_shape, axis, a.reshape(-1, grid_shape[-1])) * (1.0 / grid_shape[axis])
 
 
 def _mean_vjp(node, g):
@@ -590,13 +608,13 @@ def wrap_rows(a) -> Tensor:
 def _gated_fwd(pre: np.ndarray, *sources):
     """(h, c, gates, candidate, tanh(c)) of a gated cell."""
     n = len(sources) + 1
-    d = pre.shape[1] // (n + 2)
-    s = _sigmoid(pre[:, :(n + 1) * d])
-    cand = np.tanh(pre[:, (n + 1) * d:])
+    d = pre.shape[-1] // (n + 2)
+    s = _sigmoid(pre[..., :(n + 1) * d])
+    cand = np.tanh(pre[..., (n + 1) * d:])
     inputs = [cand, *sources]
-    c = _tree_sum(s[:, k * d:(k + 1) * d] * inputs[k] for k in range(n))
+    c = _tree_sum(s[..., k * d:(k + 1) * d] * inputs[k] for k in range(n))
     tc = np.tanh(c)
-    return s[:, n * d:] * tc, c, s, cand, tc
+    return s[..., n * d:] * tc, c, s, cand, tc
 
 
 def _gated_backward(grad: np.ndarray, s, cand, sources: list, tc):
@@ -614,7 +632,7 @@ def _gated_backward(grad: np.ndarray, s, cand, sources: list, tc):
 
 def _lstm_fwd(x, h, c, w, b):
     """(h, c, [x | h], gates, candidate, tanh(c)) of one LSTM step."""
-    xh = np.concatenate([x, h], axis=1)
+    xh = _cat([x, h], -1)
     h_new, c_new, s, cand, tc = _gated_fwd(xh @ w + b, c)
     return h_new, c_new, xh, s, cand, tc
 
@@ -721,15 +739,15 @@ def _shift_blocks(n: int, block: int, x: np.ndarray) -> np.ndarray:
     """Rows moved down by ``n`` (up for negative ``n``) within each run
     of ``block`` consecutive rows; the rows left empty are zeros and
     nothing crosses from one run into the next."""
-    rows = x.shape[0]
+    rows = x.shape[-2]
     k = min(abs(n), block)
     out = np.zeros(x.shape, dtype=x.dtype)
     if n >= 0:
-        out[k:] = x[:rows - k]
+        out[..., k:, :] = x[..., :rows - k, :]
     else:
-        out[:rows - k] = x[k:]
+        out[..., :rows - k, :] = x[..., k:, :]
     if block < rows:  # clear the rows shifted in from a neighbouring block
-        runs = out.reshape(rows // block, block, -1)
+        runs = out.reshape(-1, block, x.shape[-1])
         if n >= 0:
             runs[:, :k] = 0.0
         else:
@@ -744,7 +762,7 @@ def _grid_sources(grid_shape, sp_mask, x: np.ndarray):
     window's T*K rows and the predecessor one row up."""
     _, T, K, _ = grid_shape
     return (_shift_blocks(K, T * K, x), _shift_blocks(-K, T * K, x),
-            _shift_blocks(1, x.shape[0], x) * sp_mask)
+            _shift_blocks(1, x.shape[-2], x) * sp_mask)
 
 
 def _grid_sources_vjp(grid_shape, sp_mask, g_left, g_right, g_sp):
@@ -767,7 +785,7 @@ def _grid_globals(grid_shape, g_s, g_t):
 def _grid_fwd(grid_shape, sp_mask, h, c, p_proj, g_s, g_t, w, z, gs, gt, b, c_gs, c_gt):
     """(h, c, gates, candidate, tanh(c)) of an encoder layer's grid cells."""
     h_left, h_right, h_sp = _grid_sources(grid_shape, sp_mask, h)
-    triple = np.concatenate([h_left, h_right, h], axis=1)
+    triple = np.concatenate([h_left, h_right, h], axis=-1)
     gs_rows, gt_rows = _grid_globals(grid_shape, g_s, g_t)
     pre = _linear_fwd(_GRID_TERMS, p_proj, triple, w, h_sp, z, gs_rows, gs, gt_rows, gt, b)
     c_left, c_right, c_sp = _grid_sources(grid_shape, sp_mask, c)
@@ -890,45 +908,95 @@ def backward(root: Tensor, leaves=()) -> None:
 
 
 # -- re-evaluating a recorded tape ------------------------------------------
+#
+# A replay pass re-runs one leaf's cone for P probes at once.  The leaf's
+# probed values are stacked on a leading probe axis, and each cone node
+# runs its recorded forward once, on its parents' values: with the probe
+# axis where the leaf reaches the parent, as recorded otherwise.  Numpy
+# runs an elementwise op or a matmul over the probe axis one slice at a
+# time, so each probe's values equal, bit for bit, those of one
+# unbatched forward.  A parent the leaf reaches enters a node as
+# (P, *its recorded shape), padded with ones to the node's rank where
+# the node broadcasts it: a (4h,) bias is probed as (P, 1, 4h).  The
+# ops whose static arguments name absolute axes, keys or shapes take
+# them from this table instead, given P and the recorded rank ``nd`` of
+# the op's first parent; a mean's rows come out as (P * rows, d), and
+# its readers take them as (P, rows, d).
+_PROBE_ARGS = {
+    "reshape": lambda P, nd, shape: ((P, *shape),),
+    "concat": lambda P, nd, axis: (axis % nd - nd,),
+    "narrow": lambda P, nd, key: ((slice(None), *key),),
+    "sum": lambda P, nd, axis: (tuple(range(-nd, 0)) if axis is None else axis % nd - nd,),
+    "mean": lambda P, nd, grid_shape, axis: ((P, *grid_shape), axis + 1),
+    "l2norm": lambda P, nd, axis: (axis % nd - nd,),
+}
+
+# A pass's memory grows with P times its cone's recorded bytes, so a
+# pass takes as many probes as this budget allows, and at least two: 8
+# to 36 on the criterion-4 fixture, whose cones record 7 to 32 KB.
+_PASS_BYTES = 1 << 18
 
 
 def _cone(order: list[Tensor], leaf: Tensor):
-    """The nodes of ``order`` that depend on ``leaf``, as replay steps
-    (forward, args, parent arrays, [(parent position, step)] of the
-    parents that are steps themselves), in tape order; None when one of
+    """The nodes of ``order`` that depend on ``leaf`` as replay steps, in
+    tape order, and how many components of the leaf one pass probes
+    (``_PASS_BYTES`` over twice their recorded bytes); None when one of
     them has no forward to re-run (a node made by hand).
 
-    Every other node, ``leaf`` included, is read through its recorded
-    array, so a step sees the leaf's current values; a node the root
-    does not depend on is not in ``order`` and never re-runs.
+    A step is (forward, its ``_PROBE_ARGS`` rule or None, static args,
+    recorded rank of its first parent, parent arrays, [(parent position,
+    value index, shape)] of the parents the leaf reaches, [value indices
+    no later step reads]); value 0 is the leaf's, value k + 1 step k's.
+    Every other node is read through its recorded array; a node the
+    root does not depend on is not in ``order``.
     """
-    step_of = {id(leaf): None}
-    steps = []
+    value_of = {id(leaf): 0}
+    steps, last_read, nbytes = [], {}, 0
     for node in order:
-        hits = [(i, step_of[id(p)]) for i, p in enumerate(node.parents) if id(p) in step_of]
+        hits = [(i, value_of[id(p)]) for i, p in enumerate(node.parents) if id(p) in value_of]
         if not hits:
             continue
         if node.fwd is None:
             return None
-        step_of[id(node)] = len(steps)
-        steps.append((node.fwd, node.args, [p.data for p in node.parents],
-                      [(i, k) for i, k in hits if k is not None]))
-    return steps
+        rule = _PROBE_ARGS.get(node.op)
+        inputs = []
+        for i, k in hits:
+            shape = node.parents[i].data.shape
+            pad = () if rule else (1,) * (node.data.ndim - len(shape))
+            inputs.append((i, k, (-1, *pad, *shape)))
+            last_read[k] = len(steps)
+        value_of[id(node)] = len(steps) + 1
+        steps.append((node.fwd, rule, node.args, node.parents[0].data.ndim,
+                      [p.data for p in node.parents], inputs, []))
+        nbytes += node.data.nbytes
+    for k, j in last_read.items():
+        steps[j][-1].append(k)
+    return steps, max(1, _PASS_BYTES // (2 * max(nbytes, 1)))
 
 
-def _replay(steps, root: Tensor):
-    """``root``'s value re-evaluated from the leaf's current values: each
-    step of ``_cone`` re-runs its forward, in tape order, into a scratch
-    list.  With no steps the root does not depend on the leaf (or is the
-    leaf) and keeps its recorded value."""
-    vals = []
-    for fwd, args, arrays, inner in steps:
-        if inner:
-            arrays = arrays.copy()
-            for i, k in inner:
-                arrays[i] = vals[k]
-        vals.append(_value(fwd(*args, *arrays)))
-    return vals[-1] if vals else root.data
+def _replay(steps, root: Tensor, leaf: Tensor, index: list[int], step: float) -> np.ndarray:
+    """The root's values at P = 2 * len(index) probes, in one pass
+    through the ``_cone`` steps: probe 2j moves component index[j] of
+    ``leaf`` to ``orig + step`` and probe 2j + 1 to ``orig - step``.
+    Each value is dropped once its last reader has run.  With no steps
+    the root is the leaf or does not depend on it."""
+    flat = leaf.data.reshape(-1)
+    P = 2 * len(index)
+    probes = np.repeat(flat[None], P, axis=0)
+    probes[np.arange(P), np.repeat(index, 2)] = np.stack(
+        [flat[index] + step, flat[index] - step], axis=1).reshape(-1)
+    vals = [probes.reshape(P, *leaf.data.shape)]
+    del probes  # dropped with vals[0], after its last reader
+    for fwd, rule, args, nd, arrays, inputs, done in steps:
+        arrays = arrays.copy()
+        for i, k, shape in inputs:
+            arrays[i] = vals[k].reshape(shape)
+        vals.append(_value(fwd(*(rule(P, nd, *args) if rule else args), *arrays)))
+        for k in done:
+            vals[k] = None
+    if steps or root is leaf:
+        return vals[-1].reshape(P)
+    return np.repeat(root.data.reshape(-1), P)
 
 
 # -- gradient checking ------------------------------------------------------
@@ -938,13 +1006,14 @@ class GradCheckReport:
     """Outcome of comparing tape gradients against central differences,
     and what the comparison cost."""
 
-    def __init__(self, max_rel_error, per_leaf, skipped, forward_calls, replays, fallbacks,
-                 refined, seconds):
+    def __init__(self, max_rel_error, per_leaf, skipped, forward_calls, replays, passes,
+                 fallbacks, refined, seconds):
         self.max_rel_error = max_rel_error
         self.per_leaf = per_leaf          # name -> worst relative error
         self.skipped = skipped            # (name, flat index) of NaN/inf grads
         self.forward_calls = forward_calls  # calls of f(), the taped one included
         self.replays = replays            # losses re-evaluated on the recorded tape
+        self.passes = passes              # batched replay passes that made them
         self.fallbacks = fallbacks        # leaves probed by calling f() alone
         self.refined = refined            # components re-probed in extended precision
         self.seconds = seconds            # wall time of the whole check
@@ -953,7 +1022,7 @@ class GradCheckReport:
         return (
             f"GradCheckReport(max_rel_error={self.max_rel_error!r}, "
             f"skipped={len(self.skipped)}, forward_calls={self.forward_calls}, "
-            f"replays={self.replays}, fallbacks={self.fallbacks}, "
+            f"replays={self.replays}, passes={self.passes}, fallbacks={self.fallbacks}, "
             f"refined={self.refined}, seconds={self.seconds:.3f})"
         )
 
@@ -1005,12 +1074,14 @@ def grad_check(
 
     The perturbed losses come from replaying the tape of the one taped
     ``f()`` call: only the nodes that depend on the probed leaf re-run
-    their recorded forwards, and every other node keeps its value.  That
-    is exact when every decision that depends on a value lives inside an
-    op.  As a guard, the first and last probed component of each leaf
-    are also measured by calling ``f()``; if the two disagree at all, or
-    the leaf reaches a node with no recorded forward, that leaf is
-    probed by calling ``f()`` throughout and counts as a fallback.
+    their recorded forwards, for a whole batch of probes per pass
+    (``_replay``), and every other node keeps its value.  That is exact
+    when every decision that depends on a value lives inside an op.  As
+    a guard, the first and last probed component of each leaf are also
+    measured by calling ``f()``; if the two disagree at all, a pass
+    raises, or the leaf reaches a node with no recorded forward, that
+    leaf is probed by calling ``f()`` throughout and counts as a
+    fallback.
 
     A float64 difference quotient is noise-limited once the component is
     small, so any component whose relative error exceeds
@@ -1027,17 +1098,12 @@ def grad_check(
     skipped: list[tuple[str, int]] = []
     worst = 0.0
     refine = refine_threshold is not None and _REFINE_AVAILABLE
-    calls, replays, fallbacks, refined = 1, 0, 0, 0
+    calls, replays, passes, fallbacks, refined = 1, 0, 0, 0, 0
 
     def called():
         nonlocal calls
         calls += 1
         return float(f().data)
-
-    def replayed():
-        nonlocal replays
-        replays += 1
-        return float(_replay(steps, out))
 
     with no_grad():
         for name, t in leaves.items():
@@ -1045,27 +1111,39 @@ def grad_check(
             aflat = analytic[name].reshape(-1)
             finite = np.isfinite(aflat)
             skipped += [(name, int(i)) for i in np.flatnonzero(~finite)]
-            probed = [int(i) for i in np.flatnonzero(finite)]
+            probed = np.flatnonzero(finite).tolist()
 
-            def probe(i, evaluate):
+            def probe(i):
                 orig = flat[i]
                 flat[i] = orig + step
-                fp = evaluate()
+                fp = called()
                 flat[i] = orig - step
-                fm = evaluate()
+                fm = called()
                 flat[i] = orig
                 return fp, fm
 
-            steps = _cone(order, t)
             # the guard: the first and last probed component by f() and by replay
-            by_f = {i: probe(i, called) for i in {probed[0], probed[-1]}} if probed else {}
-            evaluate = replayed
-            if steps is None or any(probe(i, replayed) != fpm for i, fpm in by_f.items()):
-                evaluate = called
+            by_f = {i: probe(i) for i in {probed[0], probed[-1]}} if probed else {}
+            cone = _cone(order, t)
+            replayed = None
+            if cone is not None and probed:
+                steps, size = cone
+                losses = []
+                try:
+                    for lo in range(0, len(probed), size):
+                        index = probed[lo:lo + size]
+                        losses += _replay(steps, out, t, index, step).tolist()
+                        passes += 1
+                        replays += 2 * len(index)
+                    replayed = dict(zip(probed, zip(losses[0::2], losses[1::2])))
+                except (ValueError, TypeError, IndexError):
+                    pass  # a forward that cannot take the probe axis: f() decides
+            if replayed is None or any(replayed[i] != fpm for i, fpm in by_f.items()):
+                replayed = by_f  # and every other component by calling f()
                 fallbacks += bool(probed)
             leaf_worst = 0.0
             for i in probed:
-                fp, fm = by_f[i] if i in by_f else probe(i, evaluate)
+                fp, fm = replayed[i] if i in replayed else probe(i)
                 a = aflat[i]
                 fd = (fp - fm) / (2.0 * step)
                 err = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
@@ -1079,5 +1157,5 @@ def grad_check(
             per_leaf[name] = leaf_worst
             if leaf_worst > worst:
                 worst = leaf_worst
-    return GradCheckReport(worst, per_leaf, skipped, calls, replays, fallbacks, refined,
-                           time.perf_counter() - start)
+    return GradCheckReport(worst, per_leaf, skipped, calls, replays, passes, fallbacks,
+                           refined, time.perf_counter() - start)

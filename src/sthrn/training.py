@@ -10,6 +10,7 @@ the tips.  Theta is constant once bone lengths are normalized.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import time
@@ -155,6 +156,19 @@ class TrainConfig:
         for key in ("batch_size", "iterations"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        # settings under which Adam would write non-finite parameters, or
+        # clipping would silently switch off
+        for key, ok, rule in (
+            ("learning_rate", math.isfinite(self.learning_rate) and self.learning_rate > 0,
+             "finite and positive"),
+            ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+            ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+            ("epsilon", math.isfinite(self.epsilon) and self.epsilon > 0, "finite and positive"),
+            ("clip_norm", math.isfinite(self.clip_norm) and self.clip_norm >= 0,
+             "finite and at least 0 (0 turns clipping off)"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
 
 @dataclass
@@ -302,8 +316,8 @@ def load_checkpoint(path) -> Checkpoint:
 
     The header must list exactly the tensors, in save order, that its
     config and chains imply; each is built from its shape and bytes,
-    with no random draws.  Any other file raises ParseError naming the
-    path.
+    with no random draws, and must be finite.  Any other file raises
+    ParseError naming the path.
     """
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
@@ -337,6 +351,9 @@ def load_checkpoint(path) -> Checkpoint:
                 raise ParseError(f"{path}: truncated tensor {name!r}")
             if not np.little_endian:
                 a.byteswap(inplace=True)
+            # min and max make no temporary array; NaN propagates through both
+            if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+                raise ParseError(f"{path}: tensor {name!r} is not finite")
         if fh.read(1):
             raise ParseError(f"{path}: trailing bytes after the last tensor")
     return Checkpoint(params=params, config=config, layout=layout,

@@ -51,8 +51,8 @@ def tiny_loss_fixture(config, seed=7):
 
 def cost(report):
     """What a gradient check cost, as its report counts it."""
-    return (f"{report.forward_calls} calls of f, {report.replays} replays, "
-            f"{report.fallbacks} fallbacks, {report.refined} refined")
+    return (f"{report.forward_calls} calls of f, {report.replays} replays in "
+            f"{report.passes} passes, {report.fallbacks} fallbacks, {report.refined} refined")
 
 
 def test_criterion_01_exp_log_roundtrip():

@@ -535,6 +535,8 @@ def test_every_op_takes_the_one_path(op, leaf_parity):
         report = grad_check(f, leaves, refine_threshold=1e-6)
         assert report.skipped == []
         assert report.max_rel_error < 1e-6, report.per_leaf
+        # the batched replay of every op matched f() at the guard
+        assert report.fallbacks == 0
 
 
 # -- backward mechanics -----------------------------------------------------------
@@ -704,6 +706,8 @@ def test_matmul_shape_errors():
 def test_concat_shape_error():
     with pytest.raises(ShapeMismatch):
         ad.concat([leaf(np.ones((2, 3))), leaf(np.ones((2, 4)))], axis=0)
+    with pytest.raises(ShapeMismatch):  # ranks must agree too
+        ad.concat([leaf(np.ones((2, 3))), leaf(np.ones(3))], axis=0)
 
 
 # -- finite-difference checking ------------------------------------------------------
@@ -783,13 +787,30 @@ def test_grad_check_report_counts_its_cost():
 
     report = grad_check(f, {"x": x, "w": w}, refine_threshold=None)
     # the taped call, then the first and last component of each leaf at
-    # +-step by calling f(); every component is replayed at +-step
+    # +-step by calling f(); every component is replayed at +-step, each
+    # leaf's in one pass
     assert report.forward_calls == 1 + 2 * 2 * 2
     assert report.replays == 2 * (12 + 8)
+    assert report.passes == 2
     assert (report.fallbacks, report.refined) == (0, 0)
     assert report.seconds > 0.0
-    for field in ("forward_calls=9", "replays=40", "fallbacks=0", "refined=0", "seconds="):
+    for field in ("forward_calls=9", "replays=40", "passes=2", "fallbacks=0", "refined=0",
+                  "seconds="):
         assert field in repr(report)
+
+
+def test_grad_check_sizes_its_passes_by_the_cone_bytes():
+    x = leaf([0.3, -0.2, 0.5])
+    big = np.random.default_rng(4).normal(size=(2, ad._PASS_BYTES // 8, 3))
+
+    def f():
+        return ad.tsum(ad.tanh(ad.mul(x, big)))
+
+    order, _ = ad._tape_order(f())
+    assert ad._cone(order, x)[1] == 1
+    report = grad_check(f, {"x": x}, refine_threshold=None)
+    assert (report.replays, report.passes, report.fallbacks) == (6, 3, 0)
+    assert report.max_rel_error < 1e-6
 
 
 @pytest.mark.skipif(not ad._REFINE_AVAILABLE,
@@ -809,10 +830,13 @@ def test_grad_check_counts_refinements_as_calls_of_f():
 
 
 def probed_by_f_alone(monkeypatch, f, leaves):
-    """grad_check's report when no leaf may replay: every component is
-    probed by calling f()."""
+    """grad_check's report when every replay pass raises: every component
+    is probed by calling f()."""
+    def raising(*args):
+        raise ValueError("no replay")
+
     with monkeypatch.context() as patch:
-        patch.setattr(ad, "_cone", lambda order, leaf: None)
+        patch.setattr(ad, "_replay", raising)
         return grad_check(f, leaves)
 
 
@@ -873,42 +897,113 @@ TINY = dict(hidden_size=6, layers=2)
 # tools/fingerprint.py)
 WRAP_BIASES = {"dec.proj.0.b": [1.8, 0.3, 0.3, 0.2, 0.3, 0.2],
                "dec.proj.1.b": [1.4, 0.3, 0.3, 0.2, 0.3, 0.2]}
+
+
+def first_step_wraps(f) -> bool:
+    """Whether the first decoder step of ``f``'s tape wraps an entry."""
+    order, _ = ad._tape_order(f())
+    wrap = next(n for n in order if n.op == "wrap")
+    return wrap.data is not wrap.parents[0].data
+
+
+def at_pi_biases(config, step=1e-5):
+    """A head bias that puts pose entry 0 of the criterion-4 decoder's
+    first step at (pi - step / 2, 0, 0): at +step on ``dec.proj.0.b[0]``
+    it wraps, at -step it does not."""
+    f, _ = model_loss_fn("fork7", config, windows=1, observed=6, horizon=3, seed=7)
+    order, _ = ad._tape_order(f())
+    before_wrap = next(n for n in order if n.op == "wrap").parents[0].data  # bias 0
+    bias = np.zeros(6)
+    bias[:3] = np.array([np.pi - step / 2, 0.0, 0.0]) - before_wrap[0, :3]
+    return {"dec.proj.0.b": bias}
+
+
+# name -> (config, head biases or a function of the config giving them,
+# decoder steps that wrap on the recorded tape)
 REPLAY_FIXTURES = {
-    name: (ModelConfig(**TINY, **switch), biases)
-    for name, switch, biases in (
-        ("criterion-4", {}, None),
-        ("no-global-temporal", {"global_temporal": False}, None),
-        ("no-global-spatial", {"global_spatial": False}, None),
-        ("plain-decoder", {"decoder": "plain"}, None),
-        ("wrap-past-pi", {}, WRAP_BIASES),
-    )
+    "criterion-4": (ModelConfig(**TINY), None, 0),
+    "no-global-temporal": (ModelConfig(**TINY, global_temporal=False), None, 0),
+    "no-global-spatial": (ModelConfig(**TINY, global_spatial=False), None, 0),
+    "plain-decoder": (ModelConfig(**TINY, decoder="plain"), None, 0),
+    "wrap-past-pi": (ModelConfig(**TINY), WRAP_BIASES, 2),
+    "wrap-at-pi": (ModelConfig(**TINY), at_pi_biases, 1),
 }
 
 
 @pytest.mark.parametrize("fixture", sorted(REPLAY_FIXTURES))
 def test_replayed_losses_equal_calling_f(fixture):
-    """The oracle for grad_check's replay: at +-step on a component, the
-    loss re-evaluated from the recorded tape is np.array_equal to the loss
-    f() returns.  Every component of leaves with at most 6 (the biases),
-    and the first, last and 4 seeded others of larger leaves."""
-    config, biases = REPLAY_FIXTURES[fixture]
+    """The oracle for grad_check's replay: every probe's loss from a
+    batched pass through the recorded tape is np.array_equal to the loss
+    f() returns at that probe.  Each leaf is probed as grad_check probes
+    it, in passes of the size its cone gives, at a number of components
+    that is not a multiple of it: the first, last and seeded others to
+    fill one pass and one component of a second (a smaller leaf whole)."""
+    config, biases, recorded_wraps = REPLAY_FIXTURES[fixture]
     f, named = model_loss_fn("fork7", config, windows=1, observed=6, horizon=3, seed=7,
-                             biases=biases)
+                             biases=biases(config) if callable(biases) else biases)
     root = f()
     order, _ = ad._tape_order(root)
     wraps = [n for n in order if n.op == "wrap" and n.data is not n.parents[0].data]
-    assert len(wraps) == (2 if biases else 0)
+    assert len(wraps) == recorded_wraps
+    if fixture == "wrap-at-pi":  # one component's two probes fall on both sides of pi
+        b = named["dec.proj.0.b"].data
+        orig, outcomes = b[0], []
+        for value in (orig + 1e-5, orig - 1e-5):
+            b[0] = value
+            outcomes.append(first_step_wraps(f))
+        b[0] = orig
+        assert outcomes == [True, False]
     rng = np.random.default_rng(51)
     with no_grad():
         for name, t in named.items():
-            steps = ad._cone(order, t)
-            assert steps is not None, name
+            steps, size = ad._cone(order, t)
+            # every value but the root's is dropped after its last reader
+            assert sorted(k for *_, done in steps for k in done) == list(range(len(steps)))
             flat = t.data.reshape(-1)
             n = flat.size
-            picks = range(n) if n <= 6 else {0, n - 1, *rng.choice(n, 4, replace=False)}
-            for i in picks:
-                orig = flat[i]
-                for value in (orig + 1e-5, orig - 1e-5):
-                    flat[i] = value
-                    assert np.array_equal(ad._replay(steps, root), f().data), (name, i)
-                flat[i] = orig
+            picks = list(range(n))
+            if n > size + 1:
+                others = rng.choice(np.arange(1, n - 1), size - 1, replace=False)
+                picks = sorted({0, n - 1, *others.tolist()})
+            for lo in range(0, len(picks), size):
+                index = picks[lo:lo + size]
+                losses = ad._replay(steps, root, t, index, 1e-5)
+                assert losses.shape == (2 * len(index),)
+                for j, i in enumerate(index):
+                    orig = flat[i]
+                    for k, value in enumerate((orig + 1e-5, orig - 1e-5)):
+                        flat[i] = value
+                        assert np.array_equal(losses[2 * j + k], f().data), (name, i, k)
+                    flat[i] = orig
+
+
+# cell forward -> (static args, operand arrays), the operands as in OPS
+CELL_FORWARDS = {
+    "gated": (ad._gated_fwd, (), OPS["gated_cell"][1]),
+    "lstm": (ad._lstm_fwd, (), OPS["lstm_cell"][1]),
+    "pooled": (ad._pooled_fwd, ((3, 2, 2), 0), OPS["pooled_cell"][1]),
+    "grid": (ad._grid_fwd, ((1, 2, 3, 2), np.array([[0.0], [1.0], [1.0]] * 2)),
+             OPS["grid_cell"][1]),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(CELL_FORWARDS))
+def test_cell_forward_over_a_probe_axis_equals_stacked_calls(cell):
+    """A cell forward given some operands with a leading probe axis (a
+    1-D bias padded to (P, 1, n), as replay passes it) returns, for each
+    probe, exactly the values of the unbatched call on that probe's
+    operands; values the probed operands do not reach keep no probe axis."""
+    fwd, args, arrays = CELL_FORWARDS[cell]
+    rng = np.random.default_rng(52)
+    P = 3
+    for probed in [[k] for k in range(len(arrays))] + [list(range(len(arrays)))]:
+        probes = [[a + (0.01 * p * rng.normal(size=a.shape) if k in probed else 0.0)
+                   for k, a in enumerate(arrays)] for p in range(P)]
+        batched = [np.stack([probe[k] for probe in probes]).reshape(P, *(1,) * (2 - a.ndim),
+                                                                     *a.shape)
+                   if k in probed else a for k, a in enumerate(arrays)]
+        got = fwd(*args, *batched)
+        for p in range(P):
+            want = fwd(*args, *probes[p])
+            for g, w in zip((*got, ad._value(got)), (*want, ad._value(want)), strict=True):
+                assert np.array_equal(g[p] if g.ndim > w.ndim else g, w), (probed, p)

@@ -282,6 +282,8 @@ CORRUPTIONS = {
     "no-tensors": lambda h, b: pack_checkpoint(without(h, "tensors"), b),
     "tensor-not-in-config": lambda h, b: pack_checkpoint(
         {**h, "tensors": h["tensors"] + [{"name": "extra", "shape": [2]}]}, b + bytes(16)),
+    "nan-in-first-tensor": lambda h, b: pack_checkpoint(h, struct.pack("<d", np.nan) + b[8:]),
+    "inf-in-last-tensor": lambda h, b: pack_checkpoint(h, b[:-8] + struct.pack("<d", -np.inf)),
 }
 
 
@@ -424,6 +426,20 @@ def test_train_rejects_empty_runs_exits_2(tmp_path, capsys, flags, config, messa
                topo_file(tmp_path), "--config", write_config(tmp_path, config), *flags])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("learning_rate", "nan"), ("beta1", "1.0"),
+                                        ("beta2", "-0.5"), ("epsilon", "0"),
+                                        ("clip_norm", "-1")])
+def test_optimizer_settings_that_break_adam_exit_2(tmp_path, capsys, key, value):
+    ckpt = tmp_path / "model.ckpt"
+    config = TINY.replace("learning_rate = 0.001\n", "") + f"{key} = {value}\n"
+    rc = main(["train", "--data", lie_file(tmp_path, "d.lie"), "--topology",
+               topo_file(tmp_path), "--config", write_config(tmp_path, config),
+               "--iterations", "1", "--out-checkpoint", str(ckpt)])
+    assert rc == 2
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 def test_config_file_sets_every_config_field():

@@ -463,6 +463,44 @@ def test_train_config_rejects_bad_fields(key, value, message):
         TrainConfig(**{key: value})
 
 
+@pytest.mark.parametrize("key, values", [
+    ("learning_rate", [0.0, -1e-3, math.nan, math.inf]),
+    ("beta1", [1.0, -0.1, math.nan]),
+    ("beta2", [1.0, 1.5, math.nan]),
+    ("epsilon", [0.0, -1e-8, math.nan, math.inf]),
+    ("clip_norm", [-1.0, math.nan, math.inf]),
+])
+def test_train_config_refuses_settings_that_break_adam(key, values):
+    """Adam would write non-finite parameters under these, and a negative
+    clip norm would silently switch clipping off."""
+    for value in values:
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            TrainConfig(**{key: value})
+
+
+def test_train_config_keeps_the_edge_values():
+    config = TrainConfig(beta1=0.0, beta2=0.0, clip_norm=0.0, learning_rate=1e-300,
+                         epsilon=5e-324)
+    assert (config.beta1, config.clip_norm) == (0.0, 0.0)
+
+
+def test_checkpoint_refuses_non_finite_tensors(tmp_path):
+    params = ModelParams.init(CFG, LAYOUT, seed=14)
+    named = params.named()
+    adam = AdamState.init(named)
+    first, last = list(named)[0], list(named)[-1]
+    path = tmp_path / "model.ckpt"
+    for name, array, value in ((first, named[first].data, np.nan),
+                               (last, named[last].data, np.inf),
+                               (f"adam.v.{first}", adam.v[first], -np.inf)):
+        saved = array.copy()
+        array.reshape(-1)[-1] = value
+        save_checkpoint(path, params, CFG, LAYOUT, adam=adam)
+        array[...] = saved
+        with pytest.raises(ParseError, match=f"tensor {name!r} is not finite"):
+            load_checkpoint(path)
+
+
 def test_train_config_accepts_int_for_float():
     seqs = [synth_motion("sinusoid", 30, TOPO, seed=3)]
     theta = bone_weights(TOPO.entry_lengths())

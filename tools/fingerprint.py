@@ -17,7 +17,10 @@ both checkouts and compares the lines.  The cases are:
   6 observed frames, horizon 3) and every leaf gradient ``backward``
   leaves on it;
 - ``gradcheck-tiny``: the full ``grad_check`` report on that fixture's
-  gradcheck-tiny leaf set (the benchmark workload's six leaves);
+  gradcheck-tiny leaf set (the benchmark workload's six leaves), and
+  ``gradcheck-tiny/<ablation>`` the same for each of criterion 9's
+  configs (no-global-temporal, no-global-spatial, plain-decoder) on the
+  leaves of that set the config has;
 - ``wrap/loss``, ``wrap/grad/<leaf>`` and ``wrap/gradcheck``: the same
   for the criterion-4 fixture with its head biases raised so that the
   decoder wraps entries past pi at two of its three steps (WRAP_BIASES),
@@ -109,10 +112,16 @@ def train_cases(workdir: str):
                 {n: t.data for n, t in result.params.named().items()})
 
 
-def criterion_4_fixture(frames: np.ndarray):
+# criterion 9's configs, by the name the acceptance test gives them
+ABLATIONS = {"no-global-temporal": {"global_temporal": False},
+             "no-global-spatial": {"global_spatial": False},
+             "plain-decoder": {"decoder": "plain"}}
+
+
+def criterion_4_fixture(frames: np.ndarray, **switches):
     topo = sthrn.builtin_topology("fork7")
     layout = sthrn.ChainLayout.from_topology(topo)
-    config = sthrn.ModelConfig(hidden_size=6, layers=2)
+    config = sthrn.ModelConfig(hidden_size=6, layers=2, **switches)
     params = sthrn.ModelParams.init(config, layout, seed=7)
     theta = sthrn.bone_weights(topo.entry_lengths())
     k = layout.num_entries
@@ -141,9 +150,14 @@ def gradient_cases():
     frames = sthrn.synth_motion("sinusoid", 9, topo, seed=3).frames
     yield from loss_cases("criterion-4", *criterion_4_fixture(frames))
 
-    loss, named = criterion_4_fixture(sthrn.synth_motion("sinusoid", 9, topo, seed=5).frames)
+    gradcheck_frames = sthrn.synth_motion("sinusoid", 9, topo, seed=5).frames
+    loss, named = criterion_4_fixture(gradcheck_frames)
     yield "gradcheck-tiny", report_digest(
         sthrn.grad_check(loss, {n: named[n] for n in GRADCHECK_LEAVES}))
+    for ablation, switches in ABLATIONS.items():
+        loss, named = criterion_4_fixture(gradcheck_frames, **switches)
+        yield f"gradcheck-tiny/{ablation}", report_digest(
+            sthrn.grad_check(loss, {n: named[n] for n in GRADCHECK_LEAVES if n in named}))
 
     loss, named = criterion_4_fixture(frames)
     for name, bias in WRAP_BIASES.items():
