@@ -108,9 +108,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -271,17 +268,6 @@ def mul(a, b) -> Tensor:
     """Elementwise (Hadamard) product with numpy broadcasting."""
     a, b = _as_tensor(a), _as_tensor(b)
     return _apply(np.multiply(a.data, b.data), "mul", (a, b), _mul_vjp, np.multiply)
-
-
-def _div_vjp(node, g):
-    a, b = node.parents
-    _acc(a, g / b.data)
-    _acc(b, -g * node.data / b.data)
-
-
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    return _apply(np.true_divide(a.data, b.data), "div", (a, b), _div_vjp, np.true_divide)
 
 
 def _scale_fwd(s, a):
@@ -510,31 +496,6 @@ def l2norm(a, axis: int = -1) -> Tensor:
     return _apply(_l2norm_fwd(axis, a.data), "l2norm", (a,), _l2norm_vjp, _l2norm_fwd, axis)
 
 
-# -- nonlinearities ---------------------------------------------------------
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def _sigmoid_vjp(node, g):
-    _acc(node.parents[0], g * node.data * (1.0 - node.data))
-
-
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    return _apply(_sigmoid(a.data), "sigmoid", (a,), _sigmoid_vjp, _sigmoid)
-
-
-def _tanh_vjp(node, g):
-    _acc(node.parents[0], g * (1.0 - node.data * node.data))
-
-
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    return _apply(np.tanh(a.data), "tanh", (a,), _tanh_vjp, np.tanh)
-
-
 # -- rotation wrap ----------------------------------------------------------
 
 _TWO_PI = 2.0 * np.pi
@@ -603,6 +564,10 @@ def wrap_rows(a) -> Tensor:
 # of the equivalent narrow/sigmoid/tanh/mul/add composition, adding the
 # gated inputs in ``_tree_sum`` order, at one tape node: the node
 # holds [h | c] and the two states are narrows of it.
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _gated_fwd(pre: np.ndarray, *sources):
@@ -717,18 +682,18 @@ def pooled_cell(h, c, g_prev, c_prev, weights, grid_shape, axis: int) -> tuple[T
     their (..., hidden) view, for example (B, T, K, hidden) for B
     windows, and the pool runs over ``axis`` of it.  ``g_prev`` and
     ``c_prev`` are the previous global states, one row per remaining
-    grid index in row-major order, and ``g_rows`` is ``g_prev`` spread
-    to one row per grid cell.  ``weights`` is (w_c, z_c, b_c, w_f, z_f,
-    b_f, w_o, z_o, b_o):
+    grid index in row-major order.  ``weights`` is (w_c, z_c, b_c, w_f,
+    z_f, b_f, w_o, z_o, b_o):
 
         cell = sigmoid(h w_c + g_rows z_c + b_c)      per grid cell
         f    = sigmoid(mean(h) w_f + g_prev z_f + b_f)
         out  = sigmoid(mean(h) w_o + g_prev z_o + b_o)
         c'   = sum(cell . c) + f . c_prev,   g' = out . tanh(c')
 
-    with means and sums over ``axis``; values are bit-identical to the
-    composition of a spread, linear, sigmoid, mul, reshape, tsum, scale,
-    add and tanh that spells this out.  The vjp rebuilds ``g_rows``.
+    with means and sums over ``axis``, and ``g_rows`` the op's own spread
+    of ``g_prev`` to one row per grid cell; values are bit-identical to
+    the composition of a spread, linear, sigmoid, mul, reshape, tsum,
+    scale, add and tanh that spells this out.
     """
     parents = tuple(map(_as_tensor, (h, c, g_prev, c_prev, *weights)))
     out = _pooled_fwd(grid_shape, axis, *[t.data for t in parents])

@@ -216,7 +216,10 @@ def _parse_frames(spec: str, total: int) -> list[int]:
         step = int(parts[2]) if len(parts) == 3 else 1
         if step < 1:
             raise ValidationError("frame range step must be positive")
-        indices = list(range(start, stop, step))
+        if start < stop and not 0 <= start < total:
+            raise ValidationError(f"frame {start} out of range 0..{total - 1}")
+        # of the indices past the last frame only the first is kept: it is refused below
+        indices = list(range(start, min(stop, total + step), step))
     else:
         try:
             indices = [int(part) for part in spec.split(",")]

@@ -47,11 +47,6 @@ class LstmState:
     c: Tensor  # (B, hidden)
 
 
-def lstm_step(x: Tensor, state: LstmState, p: LstmParams) -> LstmState:
-    h, c = ad.lstm_cell(x, state.h, state.c, p.w, p.b)
-    return LstmState(h=h, c=c)
-
-
 def wiring(kind: str, layout: ChainLayout):
     """The decoder wiring table for ``layout``, as (cells, heads).
 
@@ -79,11 +74,9 @@ def wiring(kind: str, layout: ChainLayout):
 
 @dataclass
 class DecoderParams:
-    kind: str                     # "structured" | "plain"
     cells: dict[str, LstmParams]  # in wiring order
     proj_w: list[Tensor]          # one head per wiring head
     proj_b: list[Tensor]
-    hidden: int                   # K * encoder hidden
     wiring: tuple                 # wiring(kind, layout), resolved once
 
     @classmethod
@@ -100,8 +93,7 @@ class DecoderParams:
         widths = [3 * sum(layout.entry_counts[c] for c in chains) for _, chains in heads]
         proj_w = [Tensor(rng.normal(0.0, sigma, size=(hidden, n))) for n in widths]
         proj_b = [Tensor(np.zeros(n)) for n in widths]
-        return cls(kind=kind, cells=cells, proj_w=proj_w, proj_b=proj_b,
-                   hidden=hidden, wiring=wired)
+        return cls(cells=cells, proj_w=proj_w, proj_b=proj_b, wiring=wired)
 
     def named(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -155,7 +147,8 @@ def decode_step(w_prev: Tensor | np.ndarray, state: DecoderState,
         if sources not in inputs:
             parts = [w_prev if s == "pose" else new[s].h for s in sources]
             inputs[sources] = parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
-        new[name] = lstm_step(inputs[sources], state.cells[name], params.cells[name])
+        p, s = params.cells[name], state.cells[name]
+        new[name] = LstmState(*ad.lstm_cell(inputs[sources], s.h, s.c, p.w, p.b))
     deltas = [ad.linear([(new[cell].h, w), b])
               for (cell, _), w, b in zip(heads, params.proj_w, params.proj_b)]
     delta = deltas[0] if len(deltas) == 1 else ad.concat(deltas, axis=1)

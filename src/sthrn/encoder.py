@@ -54,10 +54,6 @@ class ChainLayout:
     def from_topology(cls, topo) -> "ChainLayout":
         return cls(tuple(topo.entry_counts()))
 
-    def entry_chain(self) -> np.ndarray:
-        """Chain id of each entry, shape (K,)."""
-        return np.repeat(np.arange(len(self.entry_counts)), self.entry_counts)
-
     def spatial_prev(self) -> np.ndarray:
         """Within-chain predecessor entry of each entry, -1 at chain heads."""
         out = np.empty(self.num_entries, dtype=np.int64)
@@ -161,11 +157,8 @@ class EncoderParams:
 
     def named(self) -> dict[str, Tensor]:
         out = {"enc.embed.w": self.embed_w, "enc.embed.b": self.embed_b}
-        for name in GATE_ORDER:
-            g = self.gates[name]
-            for field in ("u", "w", "z", "gs", "gt", "bias"):
-                out[f"enc.gate.{name}.{field}"] = getattr(g, field)
-        for prefix, g in (("enc.gt", self.gtemp), ("enc.gs", self.gspat)):
+        groups = [(f"enc.gate.{name}", self.gates[name]) for name in GATE_ORDER]
+        for prefix, g in groups + [("enc.gt", self.gtemp), ("enc.gs", self.gspat)]:
             for f in fields(g):
                 out[f"{prefix}.{f.name}"] = getattr(g, f.name)
         return out
@@ -231,15 +224,11 @@ def init_states(p: np.ndarray, params: EncoderParams, layout: ChainLayout,
 
 
 def _fused_gate_params(params: EncoderParams):
+    """Each ``GateParams`` field of the nine gates side by side, in
+    ``GATE_ORDER``."""
     gates = [params.gates[name] for name in GATE_ORDER]
-    return (
-        ad.concat([g.u for g in gates], axis=1),
-        ad.concat([g.w for g in gates], axis=1),
-        ad.concat([g.z for g in gates], axis=1),
-        ad.concat([g.gs for g in gates], axis=1),
-        ad.concat([g.gt for g in gates], axis=1),
-        ad.concat([g.bias for g in gates], axis=0),
-    )
+    return tuple(ad.concat([getattr(g, f.name) for g in gates], axis=-1)
+                 for f in fields(GateParams))
 
 
 def _layer_step(state: EncoderState, p_proj: Tensor, fused, params: EncoderParams,
@@ -286,104 +275,3 @@ def encode(p: np.ndarray, params: EncoderParams, layout: ChainLayout,
         state = _layer_step(state, p_proj, fused, params, sp_mask,
                             global_temporal, global_spatial)
     return state
-
-
-# ---------------------------------------------------------------------------
-# per-cell reference path
-#
-# The vectorized encode above and this looped version must agree; the
-# looped version makes the simultaneous-update contract directly
-# testable, because each cell reads only layer l-1 state and so any
-# visitation order gives bit-identical results.
-# ---------------------------------------------------------------------------
-
-
-def local_cell_step(i: int, j: int, h: np.ndarray, c: np.ndarray,
-                    g_t: np.ndarray, c_gt: np.ndarray,
-                    g_s: np.ndarray, c_gs: np.ndarray,
-                    p: np.ndarray, params: EncoderParams,
-                    layout: ChainLayout) -> tuple[np.ndarray, np.ndarray]:
-    """One grid cell's update from layer l-1 arrays.
-
-    h, c are (T, K, hidden); g_t, c_gt are (K, hidden); g_s, c_gs are
-    (T, hidden); p is (T, K, 3).  Returns the cell's new (h, c).
-    """
-    T, K, hidden = h.shape
-    zero = np.zeros(hidden)
-    sp = layout.spatial_prev()[j]
-    h_l = h[i - 1, j] if i > 0 else zero
-    h_r = h[i + 1, j] if i + 1 < T else zero
-    h_s = h[i, sp] if sp >= 0 else zero
-    triple = np.concatenate([h_l, h_r, h[i, j]])
-
-    def pre(gp: GateParams) -> np.ndarray:
-        return (p[i, j] @ gp.u.data + triple @ gp.w.data + h_s @ gp.z.data
-                + g_s[i] @ gp.gs.data + g_t[j] @ gp.gt.data + gp.bias.data)
-
-    def sig(x):
-        return 1.0 / (1.0 + np.exp(-x))
-
-    g = {name: sig(pre(params.gates[name])) for name in GATE_ORDER[:-1]}
-    cand = np.tanh(pre(params.gates["cand"]))
-    c_l = c[i - 1, j] if i > 0 else zero
-    c_r = c[i + 1, j] if i + 1 < T else zero
-    c_s = c[i, sp] if sp >= 0 else zero
-    c_new = (g["in"] * cand + g["left"] * c_l + g["same"] * c[i, j]
-             + g["right"] * c_r + g["spatial"] * c_s
-             + g["gs"] * c_gs[i] + g["gt"] * c_gt[j])
-    h_new = g["out"] * np.tanh(c_new)
-    return h_new, c_new
-
-
-def _global_step_reference(h_new, c_new, g_prev, c_prev, gp: GlobalParams, axis: int):
-    def sig(x):
-        return 1.0 / (1.0 + np.exp(-x))
-
-    n = h_new.shape[axis]
-    if axis == 0:
-        prev_rows = g_prev[None, :, :]  # broadcast per bone
-    else:
-        prev_rows = g_prev[:, None, :]  # broadcast per frame
-    f_cell = sig(h_new @ gp.w_c.data + prev_rows @ gp.z_c.data + gp.b_c.data)
-    contrib = (f_cell * c_new).sum(axis=axis)
-    h_mean = h_new.sum(axis=axis) / n
-    f_glob = sig(h_mean @ gp.w_f.data + g_prev @ gp.z_f.data + gp.b_f.data)
-    out = sig(h_mean @ gp.w_o.data + g_prev @ gp.z_o.data + gp.b_o.data)
-    c_next = contrib + f_glob * c_prev
-    return out * np.tanh(c_next), c_next
-
-
-def encode_reference(p: np.ndarray, params: EncoderParams, layout: ChainLayout,
-                     layers: int, global_temporal: bool = True,
-                     global_spatial: bool = True,
-                     cell_order=None) -> dict[str, np.ndarray]:
-    """Looped numpy twin of ``encode``.
-
-    ``cell_order`` is a sequence of (i, j) grid coordinates fixing the
-    within-layer visitation order (default row-major).  Because cells
-    only read layer l-1 state, the result is identical for every
-    permutation.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    T, K, hidden = p.shape[0], layout.num_entries, params.hidden
-    e = (p.reshape(T * K, 3) @ params.embed_w.data + params.embed_b.data)
-    h = e.reshape(T, K, hidden).copy()
-    c = h.copy()
-    g_t = h.mean(axis=0) if global_temporal else np.zeros((K, hidden))
-    c_gt = g_t.copy()
-    g_s = h.mean(axis=1) if global_spatial else np.zeros((T, hidden))
-    c_gs = g_s.copy()
-    if cell_order is None:
-        cell_order = [(i, j) for i in range(T) for j in range(K)]
-    for _ in range(layers):
-        h_new = np.empty_like(h)
-        c_new = np.empty_like(c)
-        for i, j in cell_order:
-            h_new[i, j], c_new[i, j] = local_cell_step(
-                i, j, h, c, g_t, c_gt, g_s, c_gs, p, params, layout)
-        if global_temporal:
-            g_t, c_gt = _global_step_reference(h_new, c_new, g_t, c_gt, params.gtemp, axis=0)
-        if global_spatial:
-            g_s, c_gs = _global_step_reference(h_new, c_new, g_s, c_gs, params.gspat, axis=1)
-        h, c = h_new, c_new
-    return {"h": h, "c": c, "g_t": g_t, "c_gt": c_gt, "g_s": g_s, "c_gs": c_gs}

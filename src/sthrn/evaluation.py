@@ -10,6 +10,7 @@ last observed frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +23,8 @@ HORIZON_MS = (80, 160, 320, 400, 560, 640, 720, 1000)
 
 def horizon_frames(fps: float = 25.0, grid_ms=HORIZON_MS) -> tuple[int, ...]:
     """1-based predicted-frame index of each millisecond horizon."""
-    if not fps > 0.0:
-        raise ValueError(f"fps must be positive, got {fps}")
+    if not 0.0 < fps < math.inf:
+        raise ValueError(f"fps must be positive and finite, got {fps}")
     return tuple(int(round(ms * fps / 1000.0)) for ms in grid_ms)
 
 
@@ -43,16 +44,6 @@ def mae(pred: np.ndarray, target: np.ndarray, fps: float = 25.0) -> dict[int, fl
         if 1 <= n <= frames:
             out[ms] = float(np.linalg.norm(pred[n - 1] - target[n - 1], axis=1).mean())
     return out
-
-
-def aggregate_mae(per_sample: list[dict[int, float]]) -> dict[int, float]:
-    """Mean of per-sample horizon errors over the horizons all share."""
-    if not per_sample:
-        return {}
-    keys = set(per_sample[0])
-    for d in per_sample[1:]:
-        keys &= set(d)
-    return {ms: float(np.mean([d[ms] for d in per_sample])) for ms in sorted(keys)}
 
 
 def zero_velocity(observed: np.ndarray, horizon: int) -> np.ndarray:

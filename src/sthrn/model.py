@@ -65,6 +65,17 @@ class ModelParams:
         return out
 
 
+def _check_observed(observed, k: int) -> np.ndarray:
+    """``observed`` as a float64 (t, K, 3) or (B, t, K, 3) array with t >= 2."""
+    observed = np.asarray(observed, dtype=np.float64)
+    if observed.ndim not in (3, 4) or observed.shape[-2:] != (k, 3):
+        raise ad.ShapeMismatch(
+            f"observed must be (t, {k}, 3) or (B, t, {k}, 3), got {observed.shape}")
+    if observed.shape[-3] < 2:
+        raise ad.ShapeMismatch("need at least 2 observed frames")
+    return observed
+
+
 def forward(params: ModelParams, config: ModelConfig, layout: ChainLayout,
             observed: np.ndarray, horizon: int,
             feed: np.ndarray | None = None) -> list[Tensor]:
@@ -77,13 +88,8 @@ def forward(params: ModelParams, config: ModelConfig, layout: ChainLayout,
     K, 3) for stacked windows, instead feeds the true previous frame at
     each step (teacher forcing).
     """
-    observed = np.asarray(observed, dtype=np.float64)
     k = layout.num_entries
-    if observed.ndim not in (3, 4) or observed.shape[-2:] != (k, 3):
-        raise ad.ShapeMismatch(
-            f"observed must be (t, {k}, 3) or (B, t, {k}, 3), got {observed.shape}")
-    if observed.shape[-3] < 2:
-        raise ad.ShapeMismatch("need at least 2 observed frames")
+    observed = _check_observed(observed, k)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if observed.ndim == 3:
@@ -117,6 +123,7 @@ def predict(params: ModelParams, config: ModelConfig, layout: ChainLayout,
             observed: np.ndarray, horizon: int) -> np.ndarray:
     """Value-only prediction of (horizon, K, 3) future Lie frames from a
     (t, K, 3) window, or (B, horizon, K, 3) from (B, t, K, 3) windows."""
+    observed = _check_observed(observed, layout.num_entries)
     if not np.isfinite(observed).all():
         *window, frame = np.argwhere(~np.isfinite(observed))[0][:-2]
         where = f"window {window[0]} frame {frame}" if window else f"frame {frame}"

@@ -178,7 +178,6 @@ class MotionSequence:
     fps: float
     frames: np.ndarray  # (F, J, 3) for kind "joints", (F, K, 3) for "lie"
     kind: str = "lie"
-    subject: str = ""
     activity: str = ""
 
     def __post_init__(self) -> None:
@@ -189,8 +188,8 @@ class MotionSequence:
             raise DimensionMismatch(
                 f"frames must have shape (F, n, 3), got {self.frames.shape}"
             )
-        if not (self.fps > 0.0):
-            raise ValidationError("fps must be positive")
+        if not 0.0 < self.fps < math.inf:
+            raise ValidationError(f"fps must be positive and finite, got {self.fps}")
 
 
 @dataclass(frozen=True)
@@ -377,6 +376,13 @@ def lie_to_pose(w, topo: SkeletonTopology, root: RootConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _header_value(path, fields: dict[str, str], key: str, conv):
+    try:
+        return conv(fields[key])
+    except ValueError as exc:
+        raise ParseError(f"{path}:1: bad {key} value {fields[key]!r}") from exc
+
+
 def load_motion(path, topo: SkeletonTopology | None = None) -> MotionSequence:
     """Read a motion file, inferring the dialect from its header.
 
@@ -391,11 +397,11 @@ def load_motion(path, topo: SkeletonTopology | None = None) -> MotionSequence:
         )
         if "fps" not in fields:
             raise ParseError(f"{path}:1: header must declare fps=<rate>")
-        try:
-            fps = float(fields["fps"])
-        except ValueError as exc:
-            raise ParseError(f"{path}:1: bad fps value {fields['fps']!r}") from exc
-        kind = "lie" if "k" in fields else "joints"
+        fps = _header_value(path, fields, "fps", float)
+        declared = _header_value(path, fields, "k", int) if "k" in fields else None
+        if not 0.0 < fps < math.inf:
+            raise ParseError(f"{path}:1: fps must be positive and finite, got {fps}")
+        kind = "joints" if declared is None else "lie"
         rows = []
         width = None
         for lineno, raw in enumerate(fh, start=2):
@@ -417,7 +423,6 @@ def load_motion(path, topo: SkeletonTopology | None = None) -> MotionSequence:
         raise EmptyInput(f"{path}: no frames")
     frames = np.asarray(rows, dtype=np.float64).reshape(len(rows), -1, 3)
     if kind == "lie":
-        declared = int(fields["k"])
         if frames.shape[1] != declared:
             raise ParseError(f"{path}: header declares k={declared}, rows have {frames.shape[1]}")
     if topo is not None:
@@ -463,7 +468,6 @@ def resample_fps(seq: MotionSequence, target_fps: float) -> MotionSequence:
         fps=seq.fps / stride,
         frames=seq.frames[::stride].copy(),
         kind=seq.kind,
-        subject=seq.subject,
         activity=seq.activity,
     )
 

@@ -4,19 +4,51 @@
 ``spread_rows`` of each global state, ``shift_rows``, ``mul`` by the
 chain-head mask, ``concat``, ``linear`` and ``gated_cell`` into one
 node, and ``sthrn.autodiff.pooled_cell`` a ``spread_rows`` of the
-previous global state and the op-by-op global update.  The three ops
+previous global state and the op-by-op global update.  Those
+compositions, and the ones that the LSTM cell and ``wrap_rows``
+replace, also take ``sigmoid``, ``tanh`` and ``div`` nodes.  The ops
 below are those of the compositions, built the way the package builds
-its own ops (through ``_apply`` and ``_acc``).  ``composed_grid_cell``
-and ``unfused_pooled`` spell the two cells out with them, taking the
-spread global states as arguments, and ``composed_encode`` is the
-encoder built from them, with one spread node per global state that
-the grid cell and the pooled cell share, as before the fusion.
+its own ops (through ``_apply`` and ``_acc``).
+``composed_grid_cell`` and ``unfused_pooled`` spell the two cells out
+with them, taking the spread global states as arguments, and
+``composed_encode`` is the encoder built from them, with one spread
+node per global state that the grid cell and the pooled cell share,
+as before the fusion.
 """
 
 import numpy as np
 
 import sthrn.autodiff as ad
 from sthrn.encoder import EncoderState, _fused_gate_params, init_states
+
+
+def _sigmoid_vjp(node, g):
+    ad._acc(node.parents[0], g * node.data * (1.0 - node.data))
+
+
+def sigmoid(a):
+    a = ad._as_tensor(a)
+    return ad._apply(ad._sigmoid(a.data), "sigmoid", (a,), _sigmoid_vjp, ad._sigmoid)
+
+
+def _tanh_vjp(node, g):
+    ad._acc(node.parents[0], g * (1.0 - node.data * node.data))
+
+
+def tanh(a):
+    a = ad._as_tensor(a)
+    return ad._apply(np.tanh(a.data), "tanh", (a,), _tanh_vjp, np.tanh)
+
+
+def _div_vjp(node, g):
+    a, b = node.parents
+    ad._acc(a, g / b.data)
+    ad._acc(b, -g * node.data / b.data)
+
+
+def div(a, b):
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    return ad._apply(np.true_divide(a.data, b.data), "div", (a, b), _div_vjp, np.true_divide)
 
 
 def _spread_vjp(node, g):
@@ -88,13 +120,13 @@ def unfused_pooled(h, c, g_prev, c_prev, g_rows, weights, grid_shape, axis):
     def pool(x):
         return ad.reshape(ad.tsum(ad.reshape(x, grid_shape), axis=axis), rows)
 
-    cell = ad.sigmoid(ad.add(ad.add(ad.matmul(h, w_c), ad.matmul(g_rows, z_c)), b_c))
+    cell = sigmoid(ad.add(ad.add(ad.matmul(h, w_c), ad.matmul(g_rows, z_c)), b_c))
     contrib = pool(ad.mul(cell, c))
     h_mean = ad.scale(pool(h), 1.0 / n)
-    f = ad.sigmoid(ad.add(ad.add(ad.matmul(h_mean, w_f), ad.matmul(g_prev, z_f)), b_f))
-    out = ad.sigmoid(ad.add(ad.add(ad.matmul(h_mean, w_o), ad.matmul(g_prev, z_o)), b_o))
+    f = sigmoid(ad.add(ad.add(ad.matmul(h_mean, w_f), ad.matmul(g_prev, z_f)), b_f))
+    out = sigmoid(ad.add(ad.add(ad.matmul(h_mean, w_o), ad.matmul(g_prev, z_o)), b_o))
     c_next = ad.add(contrib, ad.mul(f, c_prev))
-    return ad.mul(out, ad.tanh(c_next)), c_next
+    return ad.mul(out, tanh(c_next)), c_next
 
 
 def composed_encode(p, params, layout, layers, global_temporal=True, global_spatial=True):

@@ -14,7 +14,7 @@ import pytest
 
 from sthrn import autodiff
 from sthrn.autodiff import grad_check
-from sthrn.encoder import ChainLayout, encode_reference
+from sthrn.encoder import ChainLayout
 from sthrn.evaluation import HORIZON_MS, horizon_frames, mae, zero_velocity
 from sthrn.geometry import exp_map, log_map, rodrigues
 from sthrn.model import ModelConfig, ModelParams, forward, frames_tensor, predict
@@ -27,6 +27,8 @@ from sthrn.skeleton import (
     synth_motion,
 )
 from sthrn.training import TrainConfig, bone_weights, train, weighted_loss
+
+from encoder_reference import encode_reference
 
 TINY = ModelConfig(hidden_size=6, layers=2)
 

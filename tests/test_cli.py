@@ -168,6 +168,16 @@ def test_plot_accepts_raw_positions_and_ranges(tmp_path, capsys):
     assert out.read_text().count("<circle") == 2 * 7  # 2 figures x 7 joints
 
 
+def test_plot_refuses_a_huge_frame_range(tmp_path, capsys):
+    raw = joints_file(tmp_path, "raw.txt", frames=8)
+    out = tmp_path / "strip.svg"
+    rc = main(["plot", "--data", raw, "--topology", topo_file(tmp_path),
+               "--frames", "0:99999999999999999999", "--out", str(out)])
+    assert rc == 2
+    assert "frame 8 out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_predict_rejects_wrong_entry_count(tmp_path, capsys):
     topo = topo_file(tmp_path)
     data = lie_file(tmp_path, "train.lie")
@@ -339,8 +349,9 @@ def test_predict_refuses_non_finite_frames_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["preprocess", "--fps", "0"],
                                      ["preprocess", "--fps", "-5"],
-                                     ["eval", "--fps", "0"]],
-                         ids=["preprocess-0", "preprocess-negative", "eval-0"])
+                                     ["eval", "--fps", "0"],
+                                     ["eval", "--fps", "inf"]],
+                         ids=["preprocess-0", "preprocess-negative", "eval-0", "eval-inf"])
 def test_non_positive_frame_rates_exit_2(tmp_path, capsys, command):
     if command[0] == "preprocess":
         argv = ["preprocess", "--in", joints_file(tmp_path, "raw.txt"),
@@ -415,6 +426,14 @@ def test_parse_frames_specs():
         _parse_frames("25", 20)
     with pytest.raises(ValidationError):
         _parse_frames("a,b", 20)
+    # a range refuses the same first index as the list it spells out
+    for spec, bad in (("-99999999999999999999:5", "frame -99999999999999999999 "),
+                      ("25:99999999999999999999", "frame 25 "),
+                      ("0:99999999999999999999:7", "frame 21 "),
+                      ("18:25", "frame 20 ")):
+        with pytest.raises(ValidationError, match=f"^{bad}out of range 0..19$"):
+            _parse_frames(spec, 20)
+    assert _parse_frames("0:99999999999999999999:99999999999999999999", 20) == [0]
 
 
 @pytest.mark.parametrize("flags, config, message", [

@@ -14,13 +14,12 @@ from sthrn.encoder import (
     EncoderParams,
     GlobalParams,
     encode,
-    encode_reference,
     init_states,
-    local_cell_step,
 )
 from sthrn.skeleton import builtin_topology
 
 import tape_oracles as oracle
+from encoder_reference import encode_reference, local_cell_step
 
 
 def fork_layout():
@@ -46,7 +45,6 @@ def zero_global_params(hidden):
 def test_layout_entry_bookkeeping():
     lay = ChainLayout((2, 2))
     assert lay.num_entries == 4
-    assert np.array_equal(lay.entry_chain(), [0, 0, 1, 1])
     assert np.array_equal(lay.spatial_prev(), [-1, 0, -1, 2])
 
 

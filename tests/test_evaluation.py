@@ -6,7 +6,6 @@ import pytest
 from sthrn.evaluation import (
     HORIZON_MS,
     ReportRow,
-    aggregate_mae,
     format_report,
     horizon_frames,
     mae,
@@ -28,6 +27,12 @@ def test_horizon_frames_at_25_fps():
 
 def test_horizon_frames_at_50_fps():
     assert horizon_frames(50.0) == (4, 8, 16, 20, 28, 32, 36, 50)
+
+
+@pytest.mark.parametrize("fps", [0.0, -25.0, float("inf"), float("nan")])
+def test_horizon_frames_refuses_bad_rates(fps):
+    with pytest.raises(ValueError, match="fps must be positive and finite"):
+        horizon_frames(fps)
 
 
 def test_mae_constant_offset():
@@ -66,12 +71,6 @@ def test_mae_rejects_bad_shapes():
         mae(np.zeros((5, 2, 3)), np.zeros((5, 3, 3)))
     with pytest.raises(DimensionMismatch):
         mae(np.zeros((5, 2)), np.zeros((5, 2)))
-
-
-def test_aggregate_mae_means_shared_horizons():
-    per = [{80: 1.0, 160: 2.0, 320: 3.0}, {80: 3.0, 160: 4.0}]
-    assert aggregate_mae(per) == {80: 2.0, 160: 3.0}
-    assert aggregate_mae([]) == {}
 
 
 def test_zero_velocity_repeats_last_frame():

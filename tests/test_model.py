@@ -77,6 +77,14 @@ def test_forward_input_validation():
         forward(params, CFG, LAYOUT, observed_frames(4), 0)
 
 
+def test_predict_checks_the_rank_before_the_values():
+    params = ModelParams.init(CFG, LAYOUT, seed=6)
+    bad = np.zeros((5, 3))
+    bad[2, 1] = np.nan
+    with pytest.raises(ad.ShapeMismatch, match=r"got \(5, 3\)"):
+        predict(params, CFG, LAYOUT, bad, 2)
+
+
 @pytest.mark.parametrize("key, value", [("global_temporal", "false"), ("global_spatial", 1),
                                         ("hidden_size", 4.0), ("layers", True),
                                         ("decoder", None)])

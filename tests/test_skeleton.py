@@ -321,6 +321,7 @@ def test_load_motion_skips_comments_and_blanks(tmp_path):
         "fps=25\n1.0,2.0\n",               # columns not a multiple of 3
         "fps=25\n1.0,2.0,3.0\n1.0,2.0\n",  # ragged rows
         "fps=25\n1.0,x,3.0\n",             # bad float
+        "fps=inf\n1.0,2.0,3.0\n",          # infinite fps
     ],
 )
 def test_load_motion_parse_errors(tmp_path, text):
@@ -328,6 +329,20 @@ def test_load_motion_parse_errors(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ParseError):
         load_motion(path)
+
+
+@pytest.mark.parametrize("header, message", [
+    ("fps=1e400", "fps must be positive and finite, got inf"),
+    ("fps=0", "fps must be positive and finite, got 0.0"),
+    ("fps=nan", "fps must be positive and finite, got nan"),
+    ("fps=25,k=x", "bad k value 'x'"),
+])
+def test_load_motion_header_errors_name_the_line(tmp_path, header, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n1.0,2.0,3.0\n")
+    with pytest.raises(ParseError) as err:
+        load_motion(path)
+    assert str(err.value) == f"{path}:1: {message}"
 
 
 def test_load_motion_empty_raises(tmp_path):
@@ -351,6 +366,8 @@ def test_motion_sequence_validation():
         MotionSequence(fps=25.0, frames=np.zeros((2, 4)))
     with pytest.raises(ValidationError):
         MotionSequence(fps=0.0, frames=np.zeros((2, 3, 3)))
+    with pytest.raises(ValidationError):
+        MotionSequence(fps=float("inf"), frames=np.zeros((2, 3, 3)))
 
 
 # -- preprocessing -----------------------------------------------------------------

@@ -26,7 +26,14 @@ both checkouts and compares the lines.  The cases are:
   decoder wraps entries past pi at two of its three steps (WRAP_BIASES),
   the report on the head and decoder-bias leaves (WRAP_LEAVES);
 - ``predict/human``: value-only ``predict`` of 25 frames from 50 by the
-  default human model.
+  default human model;
+- ``eval/mae/<fps>`` and ``eval/zero-velocity``: ``mae`` of a fixed
+  perturbed human prediction at 25 and 50 fps, and the zero-velocity
+  baseline of 25 frames after 10;
+- ``motion/save/lie`` and ``motion/save/joints``: the ``save_motion``
+  bytes of a human Lie sequence and of its joint positions;
+- ``plot/svg``: ``sthrn.cli.render_svg`` of the poses of three of those
+  frames.
 
 A report hashes its error, per-leaf errors and skipped components, not
 its cost counters.  Only the package's public API is used, so the same script runs against
@@ -51,6 +58,7 @@ import tempfile
 import numpy as np
 
 import sthrn
+from sthrn.cli import render_svg
 from sthrn.model import frames_tensor
 
 # benchmarks/workloads.py GRADCHECK_LEAVES
@@ -177,9 +185,29 @@ def predict_cases():
         {"frames": sthrn.predict(params, config, layout, observed, 25)})
 
 
+def io_cases(workdir: str):
+    topo = sthrn.builtin_topology("human")
+    seq = sthrn.synth_motion("sinusoid", 40, topo, seed=13)
+    pred = seq.frames[10:35] + 0.01 * np.random.default_rng(14).normal(size=(25, 12, 3))
+    for fps in (25.0, 50.0):
+        yield f"eval/mae/{fps:g}", digest(sorted(sthrn.mae(pred, seq.frames[15:40],
+                                                            fps=fps).items()))
+    yield "eval/zero-velocity", array_digest(
+        {"frames": sthrn.zero_velocity(seq.frames[:10], 25)})
+    root = sthrn.RootConfig.canonical(topo)
+    poses = np.stack([sthrn.lie_to_pose(w, topo, root) for w in seq.frames])
+    for kind, frames in (("lie", seq.frames), ("joints", poses)):
+        path = os.path.join(workdir, f"fingerprint.{kind}")
+        sthrn.save_motion(path, sthrn.MotionSequence(fps=seq.fps, frames=frames, kind=kind))
+        with open(path, "rb") as fh:
+            yield f"motion/save/{kind}", digest(fh.read())
+    yield "plot/svg", digest(render_svg([poses[0], poses[12], poses[39]], topo))
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
-        for cases in (train_cases(workdir), gradient_cases(), predict_cases()):
+        for cases in (train_cases(workdir), gradient_cases(), predict_cases(),
+                      io_cases(workdir)):
             for case, sha in cases:
                 print(case, sha, flush=True)
 
