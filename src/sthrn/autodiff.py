@@ -11,7 +11,8 @@ order, from a scalar root, and every vjp adds its gradients into the
 parents through ``_acc``.  ``grad_check`` re-runs the recorded
 forwards of the nodes a perturbed leaf reaches instead of the whole
 function, for a batch of probes on a leading axis per pass (``_cone``
-and ``_replay``).
+and ``_replay``), in float64 and again in long double for the
+components it refines.
 """
 
 from __future__ import annotations
@@ -898,7 +899,12 @@ _PROBE_ARGS = {
 
 # A pass's memory grows with P times its cone's recorded bytes, so a
 # pass takes as many probes as this budget allows, and at least two: 8
-# to 36 on the criterion-4 fixture, whose cones record 7 to 32 KB.
+# to 36 on the criterion-4 fixture, whose cones record 7 to 32 KB.  A
+# long-double pass takes half as many.  The budget counts the cone, not
+# the P stacked copies of the leaf: a decoder weight's copies dwarf its
+# cone (1.77 of the 1.92 MB one dec.arm.w pass peaks at), so counting
+# them shrinks the decoder weights' passes to 4 to 6 probes: tried on
+# criterion 4, its 1,764 passes became 8,177 and its 4.0 s 7.2-7.3 s.
 _PASS_BYTES = 1 << 18
 
 
@@ -1000,13 +1006,21 @@ class GradCheckReport:
 _REFINE_AVAILABLE = np.finfo(np.longdouble).eps < 1e-18
 
 
-def _refine_fd(f, leaf: Tensor, index: int, step: float) -> float:
-    """Re-evaluate one central difference with the probed leaf widened.
+def _quotient(fp, fm, step: float):
+    """The long-double central difference of the losses fp and fm."""
+    return (fp - fm) / (2.0 * np.longdouble(step))
+
+
+def _refine_fd(f, leaf: Tensor, index: int, step: float) -> np.longdouble:
+    """Re-evaluate one central difference by calling ``f()`` twice with
+    the probed leaf widened to long double.
 
     Rounding error upstream of the perturbed component is identical in
     both evaluations and cancels in fp - fm; widening just this leaf
     promotes everything downstream of it, which is the only part of the
-    computation where the two runs differ.
+    computation where the two runs differ.  ``grad_check`` replays the
+    leaf's cone in long double instead, and uses this as that replay's
+    guard and fallback.
     """
     original = leaf.data
     leaf.data = original.astype(np.longdouble)
@@ -1019,7 +1033,7 @@ def _refine_fd(f, leaf: Tensor, index: int, step: float) -> float:
         fm = f().data
     finally:
         leaf.data = original
-    return float((fp - fm) / (2.0 * np.longdouble(step)))
+    return _quotient(fp, fm, step)
 
 
 def grad_check(
@@ -1049,10 +1063,17 @@ def grad_check(
     fallback.
 
     A float64 difference quotient is noise-limited once the component is
-    small, so any component whose relative error exceeds
-    ``refine_threshold`` is re-measured in extended precision, by
-    calling ``f()`` with the leaf widened, before it is scored.  Pass
-    ``refine_threshold=None`` to keep the raw float64 numbers.
+    small, so every component whose relative error exceeds
+    ``refine_threshold`` is re-measured in extended precision before it
+    is scored: the leaf is widened to long double and its cone replayed
+    again, in passes of half as many probes.  The guard is the same in
+    kind: the leaf's first refined component is also measured by calling
+    ``f()`` with the leaf widened (``_refine_fd``).  If the two
+    difference quotients differ, the replayed losses are not long
+    double, a pass raises, or the leaf's float64 sweep fell back, the
+    leaf refines by calling ``f()`` throughout; a leaf counts once as a
+    fallback, whichever sweep fell back.  Pass ``refine_threshold=None``
+    to keep the raw float64 numbers.
     """
     start = time.perf_counter()
     out = f()
@@ -1069,6 +1090,24 @@ def grad_check(
         nonlocal calls
         calls += 1
         return float(f().data)
+
+    def swept(t, steps, index, size):
+        """The root's values at the +-step probes of ``t``'s components
+        ``index``, two per component, replayed in passes of ``size``
+        components; None if a pass raises."""
+        nonlocal passes, replays
+        losses = []
+        try:
+            for lo in range(0, len(index), size):
+                losses.append(_replay(steps, out, t, index[lo:lo + size], step))
+                passes += 1
+                replays += losses[-1].size
+        except (ValueError, TypeError, IndexError):
+            return None  # a forward that cannot take the probe axis: f() decides
+        return np.concatenate(losses)
+
+    def rel_error(a, fd):
+        return abs(a - fd) / max(abs(a), abs(fd), 1e-8)
 
     with no_grad():
         for name, t in leaves.items():
@@ -1089,34 +1128,46 @@ def grad_check(
 
             # the guard: the first and last probed component by f() and by replay
             by_f = {i: probe(i) for i in {probed[0], probed[-1]}} if probed else {}
-            cone = _cone(order, t)
-            replayed = None
-            if cone is not None and probed:
-                steps, size = cone
-                losses = []
-                try:
-                    for lo in range(0, len(probed), size):
-                        index = probed[lo:lo + size]
-                        losses += _replay(steps, out, t, index, step).tolist()
-                        passes += 1
-                        replays += 2 * len(index)
-                    replayed = dict(zip(probed, zip(losses[0::2], losses[1::2])))
-                except (ValueError, TypeError, IndexError):
-                    pass  # a forward that cannot take the probe axis: f() decides
-            if replayed is None or any(replayed[i] != fpm for i, fpm in by_f.items()):
-                replayed = by_f  # and every other component by calling f()
+            cone = _cone(order, t) if probed else None
+            losses = None if cone is None else swept(t, cone[0], probed, cone[1])
+            if losses is not None:
+                losses = losses.tolist()
+                replayed = dict(zip(probed, zip(losses[0::2], losses[1::2])))
+            if losses is None or any(replayed[i] != fpm for i, fpm in by_f.items()):
+                replayed, cone = by_f, None  # and every other component by calling f()
                 fallbacks += bool(probed)
-            leaf_worst = 0.0
+            fds = {}
             for i in probed:
                 fp, fm = replayed[i] if i in replayed else probe(i)
-                a = aflat[i]
-                fd = (fp - fm) / (2.0 * step)
-                err = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
-                if refine and err > refine_threshold:
-                    fd = _refine_fd(f, t, i, step)
-                    calls += 2
-                    refined += 1
-                    err = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
+                fds[i] = (fp - fm) / (2.0 * step)
+            flagged = [i for i in probed
+                       if rel_error(aflat[i], fds[i]) > refine_threshold] if refine else []
+            if flagged:
+                # the guard: the first flagged component by f(), the leaf widened
+                first = _refine_fd(f, t, flagged[0], step)
+                calls += 2
+                widened = None
+                if cone is not None:
+                    steps, size = cone
+                    original = t.data
+                    t.data = original.astype(np.longdouble)
+                    try:  # at 16 bytes a value, half as many probes a pass
+                        losses = swept(t, steps, flagged, max(1, size // 2))
+                    finally:
+                        t.data = original
+                    if (losses is not None and losses.dtype == np.longdouble
+                            and _quotient(losses[0], losses[1], step) == first):
+                        widened = _quotient(losses[0::2], losses[1::2], step)
+                    fallbacks += widened is None
+                if widened is None:  # every other flagged component by calling f()
+                    widened = [first, *(_refine_fd(f, t, i, step) for i in flagged[1:])]
+                    calls += 2 * (len(flagged) - 1)
+                for i, q in zip(flagged, widened):
+                    fds[i] = float(q)
+                refined += len(flagged)
+            leaf_worst = 0.0
+            for i in probed:
+                err = rel_error(aflat[i], fds[i])
                 if err > leaf_worst:
                     leaf_worst = err
             per_leaf[name] = leaf_worst

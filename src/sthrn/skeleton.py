@@ -178,7 +178,6 @@ class MotionSequence:
     fps: float
     frames: np.ndarray  # (F, J, 3) for kind "joints", (F, K, 3) for "lie"
     kind: str = "lie"
-    activity: str = ""
 
     def __post_init__(self) -> None:
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -468,7 +467,6 @@ def resample_fps(seq: MotionSequence, target_fps: float) -> MotionSequence:
         fps=seq.fps / stride,
         frames=seq.frames[::stride].copy(),
         kind=seq.kind,
-        activity=seq.activity,
     )
 
 
@@ -558,4 +556,4 @@ def synth_motion(
         data = signal[..., None] * axes[None, :, :]
     else:
         raise ValidationError(f"unknown synthetic motion kind {kind!r}")
-    return MotionSequence(fps=fps, frames=data, kind="lie", activity=kind)
+    return MotionSequence(fps=fps, frames=data, kind="lie")

@@ -888,6 +888,38 @@ def test_grad_check_falls_back_where_a_node_leaves_a_parent_off(monkeypatch, wit
     assert report.per_leaf["y"] > 0.5
 
 
+@pytest.mark.skipif(not ad._REFINE_AVAILABLE,
+                    reason="long double is no wider than float64 here")
+def test_grad_check_refines_by_f_where_a_forward_drops_long_double(monkeypatch):
+    x, y = leaf([0.5, -0.3]), leaf([0.2, 0.7, -0.4])
+
+    def identity_vjp(node, g):
+        ad._acc(node.parents[0], g)
+
+    def as_float64(a):
+        return np.asarray(a, dtype=np.float64)
+
+    def to_float64(a):
+        # an op made by hand whose forward rounds its result to float64:
+        # x's long-double replay comes back in float64, as noisy as the
+        # float64 sweep that flagged its components
+        return ad._apply(as_float64(a.data), "to_float64", (a,), identity_vjp, as_float64)
+
+    def f():
+        # gradients of 1e-7 on a loss near 1: every component is refined
+        x_part = to_float64(ad.scale(x, 1e-7))
+        return ad.tsum(ad.add(ad.add(x_part, ad.tsum(ad.scale(y, 1e-7))), 1.0))
+
+    leaves = {"x": x, "y": y}
+    report = grad_check(f, leaves)
+    assert (report.refined, report.fallbacks) == (5, 1)
+    # the taped call, the float64 guards' 2 * 2 * 2, then x's long-double
+    # guard and its other component by f(), and y's long-double guard
+    assert report.forward_calls == 1 + 8 + 2 + 2 + 2
+    assert same_report(report, probed_by_f_alone(monkeypatch, f, leaves))
+    assert report.per_leaf["y"] < 1e-6 < report.per_leaf["x"]
+
+
 # -- replay against calling f() ------------------------------------------------------
 
 TINY = dict(hidden_size=6, layers=2)
@@ -974,6 +1006,42 @@ def test_replayed_losses_equal_calling_f(fixture):
                         flat[i] = value
                         assert np.array_equal(losses[2 * j + k], f().data), (name, i, k)
                     flat[i] = orig
+
+
+@pytest.mark.skipif(not ad._REFINE_AVAILABLE,
+                    reason="long double is no wider than float64 here")
+@pytest.mark.parametrize("fixture", sorted(REPLAY_FIXTURES))
+def test_long_double_replay_equals_refine_fd(fixture):
+    """The oracle for grad_check's refinement: with the leaf widened to
+    long double, the difference quotient of a replay pass through its
+    cone is np.array_equal to the one ``_refine_fd`` gets by calling f()
+    twice.  Each leaf's first, last and one seeded component are probed
+    in passes of half its cone's float64 size, as grad_check refines,
+    and the losses are long double wherever the leaf reaches the root."""
+    config, biases, _ = REPLAY_FIXTURES[fixture]
+    f, named = model_loss_fn("fork7", config, windows=1, observed=6, horizon=3, seed=7,
+                             biases=biases(config) if callable(biases) else biases)
+    root = f()
+    order, _ = ad._tape_order(root)
+    rng = np.random.default_rng(53)
+    with no_grad():
+        for name, t in named.items():
+            steps, size = ad._cone(order, t)
+            n = t.data.size
+            picks = sorted({0, n - 1, int(rng.integers(n))})
+            size = max(1, size // 2)
+            original = t.data
+            t.data = original.astype(np.longdouble)
+            try:
+                losses = np.concatenate([ad._replay(steps, root, t, picks[lo:lo + size], 1e-5)
+                                         for lo in range(0, len(picks), size)])
+            finally:
+                t.data = original
+            if steps:  # a cone holds the root whenever the leaf reaches it
+                assert losses.dtype == np.longdouble, name
+            quotients = ad._quotient(losses[0::2], losses[1::2], 1e-5)
+            for i, q in zip(picks, quotients, strict=True):
+                assert np.array_equal(q, ad._refine_fd(f, t, i, 1e-5)), (name, i)
 
 
 # cell forward -> (static args, operand arrays), the operands as in OPS

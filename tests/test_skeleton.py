@@ -493,7 +493,6 @@ def test_synth_sinusoid_bounded_and_deterministic():
     assert np.array_equal(a.frames, b.frames)
     assert np.all(np.linalg.norm(a.frames, axis=2) < np.pi)
     assert a.fps == 25.0
-    assert a.activity == "sinusoid"
 
 
 def test_synth_unknown_kind():

@@ -35,8 +35,9 @@ both checkouts and compares the lines.  The cases are:
 - ``plot/svg``: ``sthrn.cli.render_svg`` of the poses of three of those
   frames.
 
-A report hashes its error, per-leaf errors and skipped components, not
-its cost counters.  Only the package's public API is used, so the same script runs against
+A report hashes its error, per-leaf errors, skipped components and the
+count of components refined in extended precision, not its cost
+counters.  Only the package's public API is used, so the same script runs against
 an older checkout.  From the repository root, with the parent commit in
 a worktree::
 
@@ -142,7 +143,8 @@ def criterion_4_fixture(frames: np.ndarray, **switches):
 
 
 def report_digest(report) -> str:
-    return digest(report.max_rel_error, sorted(report.per_leaf.items()), report.skipped)
+    return digest(report.max_rel_error, sorted(report.per_leaf.items()), report.skipped,
+                  report.refined)
 
 
 def loss_cases(case: str, loss, named):
