@@ -65,16 +65,9 @@ class Tensor:
 
     def __init__(self, data, op: str = "leaf", parents: tuple = (), vjp=None,
                  saved: tuple = ()):
-        # float64 is the working dtype; wider floats are passed through so
-        # grad_check can re-probe finite differences in extended precision.
         # Numpy scalars become 0-d arrays.  Op results do not come through
         # here (``_result``).
-        if type(data) is np.ndarray and data.dtype.kind == "f":
-            self.data = data
-        elif isinstance(data, (np.ndarray, np.generic)) and data.dtype.kind == "f":
-            self.data = np.asarray(data)
-        else:
-            self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.op = op
         self.parents = parents
@@ -130,8 +123,10 @@ def _result(out, op: str = "leaf", parents: tuple = (), vjp=None, saved: tuple =
             fwd=None, args: tuple = ()) -> Tensor:
     """A Tensor for an op's value, built without ``Tensor.__init__``.
     An op's value is a float array, or a numpy scalar from a full
-    reduction, so it needs none of __init__'s conversions, and skipping
-    the call keeps the per-op cost down."""
+    reduction, in its operands' precision: float64, or long double
+    downstream of a leaf grad_check widened.  It needs none of
+    __init__'s conversions, which would round it to float64, and
+    skipping the call keeps the per-op cost down."""
     t = _new_object(Tensor)
     t.data = out if type(out) is np.ndarray else np.asarray(out)
     t.grad = None
@@ -898,9 +893,10 @@ _PROBE_ARGS = {
 }
 
 # A pass's memory grows with P times its cone's recorded bytes, so a
-# pass takes as many probes as this budget allows, and at least two: 8
-# to 36 on the criterion-4 fixture, whose cones record 7 to 32 KB.  A
-# long-double pass takes half as many.  The budget counts the cone, not
+# float64 pass takes as many probes as this budget allows, and at least
+# two: 8 to 36 on the criterion-4 fixture, whose cones record 7 to 32
+# KB.  A sweep in a wider dtype scales that by 8 bytes over its width:
+# half as many in a 16-byte long double.  The budget counts the cone, not
 # the P stacked copies of the leaf: a decoder weight's copies dwarf its
 # cone (1.77 of the 1.92 MB one dec.arm.w pass peaks at), so counting
 # them shrinks the decoder weights' passes to 4 to 6 probes: tried on
@@ -910,9 +906,9 @@ _PASS_BYTES = 1 << 18
 
 def _cone(order: list[Tensor], leaf: Tensor):
     """The nodes of ``order`` that depend on ``leaf`` as replay steps, in
-    tape order, and how many components of the leaf one pass probes
-    (``_PASS_BYTES`` over twice their recorded bytes); None when one of
-    them has no forward to re-run (a node made by hand).
+    tape order, and how many components of the leaf one float64 pass
+    probes (``_PASS_BYTES`` over twice their recorded bytes); None when
+    one of them has no forward to re-run (a node made by hand).
 
     A step is (forward, its ``_PROBE_ARGS`` rule or None, static args,
     recorded rank of its first parent, parent arrays, [(parent position,
@@ -945,13 +941,15 @@ def _cone(order: list[Tensor], leaf: Tensor):
     return steps, max(1, _PASS_BYTES // (2 * max(nbytes, 1)))
 
 
-def _replay(steps, root: Tensor, leaf: Tensor, index: list[int], step: float) -> np.ndarray:
+def _replay(steps, root: Tensor, leaf: Tensor, index, step: float,
+            dtype=np.float64) -> np.ndarray:
     """The root's values at P = 2 * len(index) probes, in one pass
-    through the ``_cone`` steps: probe 2j moves component index[j] of
-    ``leaf`` to ``orig + step`` and probe 2j + 1 to ``orig - step``.
-    Each value is dropped once its last reader has run.  With no steps
-    the root is the leaf or does not depend on it."""
-    flat = leaf.data.reshape(-1)
+    through the ``_cone`` steps with the leaf widened to ``dtype``: probe
+    2j moves component index[j] of ``leaf`` to ``orig + step`` and probe
+    2j + 1 to ``orig - step``.  Each value is dropped once its last
+    reader has run.  With no steps the root is the leaf or does not
+    depend on it."""
+    flat = leaf.data.reshape(-1).astype(dtype, copy=False)
     P = 2 * len(index)
     probes = np.repeat(flat[None], P, axis=0)
     probes[np.arange(P), np.repeat(index, 2)] = np.stack(
@@ -1007,33 +1005,36 @@ _REFINE_AVAILABLE = np.finfo(np.longdouble).eps < 1e-18
 
 
 def _quotient(fp, fm, step: float):
-    """The long-double central difference of the losses fp and fm."""
-    return (fp - fm) / (2.0 * np.longdouble(step))
+    """The central difference of the losses fp and fm, in their own
+    precision."""
+    return (fp - fm) / (2.0 * fp.dtype.type(step))
 
 
-def _refine_fd(f, leaf: Tensor, index: int, step: float) -> np.longdouble:
-    """Re-evaluate one central difference by calling ``f()`` twice with
-    the probed leaf widened to long double.
+def _by_f(f, leaf: Tensor, index, step: float, dtype) -> np.ndarray:
+    """The losses of ``f()`` with each component ``index`` of ``leaf``
+    moved to orig + step and then orig - step, as (len(index), 2).
 
-    Rounding error upstream of the perturbed component is identical in
-    both evaluations and cancels in fp - fm; widening just this leaf
-    promotes everything downstream of it, which is the only part of the
-    computation where the two runs differ.  ``grad_check`` replays the
-    leaf's cone in long double instead, and uses this as that replay's
-    guard and fallback.
+    ``f()`` sees a copy of the leaf widened to ``dtype``, never the
+    leaf's own array, and ``leaf.data`` is restored even if it raises.
+    Rounding error upstream of the perturbed component is the same at
+    both probes and cancels in fp - fm; widening just this leaf promotes
+    everything downstream of it, the only part of the computation where
+    the two probes differ.
     """
     original = leaf.data
-    leaf.data = original.astype(np.longdouble)
+    leaf.data = original.astype(dtype)
     flat = leaf.data.reshape(-1)
-    base = flat[index]
+    losses = []
     try:
-        flat[index] = base + step
-        fp = f().data
-        flat[index] = base - step
-        fm = f().data
+        for i in index:
+            base = flat[i]
+            for value in (base + step, base - step):
+                flat[i] = value
+                losses.append(f().data)
+            flat[i] = base
     finally:
         leaf.data = original
-    return _quotient(fp, fm, step)
+    return np.array(losses).reshape(-1, 2)
 
 
 def grad_check(
@@ -1045,35 +1046,30 @@ def grad_check(
     """Compare tape gradients of ``f()`` against central differences.
 
     ``f`` must rebuild its tape from the current leaf values on every
-    call.  Each leaf component is perturbed by +-step in place and the
-    relative error uses max(|analytic|, |numeric|, 1e-8) as denominator.
-    Components whose analytic gradient is NaN or inf are reported in
-    ``skipped`` rather than compared: the function is not differentiable
-    there.
+    call.  Each leaf component is perturbed by +-step on a copy of the
+    leaf, which ``f`` reads through ``leaf.data``; the leaf's own array
+    is never written.  The relative error uses max(|analytic|,
+    |numeric|, 1e-8) as denominator.  Components whose analytic gradient
+    is NaN or inf are reported in ``skipped`` rather than compared: the
+    function is not differentiable there.
 
-    The perturbed losses come from replaying the tape of the one taped
-    ``f()`` call: only the nodes that depend on the probed leaf re-run
-    their recorded forwards, for a whole batch of probes per pass
-    (``_replay``), and every other node keeps its value.  That is exact
-    when every decision that depends on a value lives inside an op.  As
-    a guard, the first and last probed component of each leaf are also
-    measured by calling ``f()``; if the two disagree at all, a pass
-    raises, or the leaf reaches a node with no recorded forward, that
-    leaf is probed by calling ``f()`` throughout and counts as a
-    fallback.
-
-    A float64 difference quotient is noise-limited once the component is
-    small, so every component whose relative error exceeds
-    ``refine_threshold`` is re-measured in extended precision before it
-    is scored: the leaf is widened to long double and its cone replayed
-    again, in passes of half as many probes.  The guard is the same in
-    kind: the leaf's first refined component is also measured by calling
-    ``f()`` with the leaf widened (``_refine_fd``).  If the two
-    difference quotients differ, the replayed losses are not long
-    double, a pass raises, or the leaf's float64 sweep fell back, the
-    leaf refines by calling ``f()`` throughout; a leaf counts once as a
-    fallback, whichever sweep fell back.  Pass ``refine_threshold=None``
-    to keep the raw float64 numbers.
+    A leaf is measured by one sweep, and again by a second one in
+    extended precision for the components whose float64 relative error
+    exceeds ``refine_threshold`` (a float64 difference quotient is
+    noise-limited once the component is small; pass None to keep the raw
+    float64 numbers).  A sweep replays the tape of the one taped ``f()``
+    call with the leaf in the sweep's dtype: only the nodes that depend
+    on the leaf re-run their recorded forwards, for a whole batch of
+    probes per pass (``_replay``), and every other node keeps its value.
+    That is exact when every decision that depends on a value lives
+    inside an op.  As a guard, some components are also measured by
+    calling ``f()``: the first and last of the float64 sweep, the first
+    of the extended one.  If the replayed losses are not in the sweep's
+    dtype or differ from f()'s at a guard at all, a pass raises, or the
+    leaf reaches a node with no recorded forward, the sweep measures
+    the other components by calling ``f()`` too, and so does the
+    extended sweep of a leaf whose float64 sweep fell back; the leaf
+    counts once as a fallback.
     """
     start = time.perf_counter()
     out = f()
@@ -1082,96 +1078,59 @@ def grad_check(
     order, _ = _tape_order(out)
     per_leaf: dict[str, float] = {}
     skipped: list[tuple[str, int]] = []
-    worst = 0.0
     refine = refine_threshold is not None and _REFINE_AVAILABLE
     calls, replays, passes, fallbacks, refined = 1, 0, 0, 0, 0
 
-    def called():
-        nonlocal calls
-        calls += 1
-        return float(f().data)
+    def sweep(t, cone, index, guards, dtype):
+        """The central differences of ``t``'s components ``index`` in
+        ``dtype``: ``index[guards]`` by calling f(), and all of them by
+        replaying ``cone`` in passes of its size scaled to the dtype's
+        width; and the cone, or None once the sweep fell back."""
+        nonlocal calls, replays, passes
+        guarded = np.zeros(len(index), dtype=bool)
+        guarded[guards] = True
+        by_f = _by_f(f, t, index[guarded], step, dtype)
+        calls += by_f.size
+        losses = None
+        if cone is not None:
+            steps, size = cone
+            size = max(1, size * 8 // np.dtype(dtype).itemsize)
+            parts = []
+            try:
+                for lo in range(0, len(index), size):
+                    parts.append(_replay(steps, out, t, index[lo:lo + size], step, dtype))
+                    passes += 1
+                    replays += parts[-1].size
+                losses = np.concatenate(parts).reshape(-1, 2)
+            except (ValueError, TypeError, IndexError):
+                pass  # a forward that cannot take the probe axis: f() decides
+        if losses is None or losses.dtype != dtype or not np.array_equal(losses[guarded], by_f):
+            cone = None  # and every other component by calling f()
+            losses = np.empty((len(index), 2), by_f.dtype)
+            losses[guarded] = by_f
+            losses[~guarded] = rest = _by_f(f, t, index[~guarded], step, dtype)
+            calls += rest.size
+        return _quotient(losses[:, 0], losses[:, 1], step), cone
 
-    def swept(t, steps, index, size):
-        """The root's values at the +-step probes of ``t``'s components
-        ``index``, two per component, replayed in passes of ``size``
-        components; None if a pass raises."""
-        nonlocal passes, replays
-        losses = []
-        try:
-            for lo in range(0, len(index), size):
-                losses.append(_replay(steps, out, t, index[lo:lo + size], step))
-                passes += 1
-                replays += losses[-1].size
-        except (ValueError, TypeError, IndexError):
-            return None  # a forward that cannot take the probe axis: f() decides
-        return np.concatenate(losses)
-
-    def rel_error(a, fd):
-        return abs(a - fd) / max(abs(a), abs(fd), 1e-8)
+    def rel_errors(a, fd):
+        return np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-8)
 
     with no_grad():
         for name, t in leaves.items():
-            flat = t.data.reshape(-1)
             aflat = analytic[name].reshape(-1)
             finite = np.isfinite(aflat)
             skipped += [(name, int(i)) for i in np.flatnonzero(~finite)]
-            probed = np.flatnonzero(finite).tolist()
-
-            def probe(i):
-                orig = flat[i]
-                flat[i] = orig + step
-                fp = called()
-                flat[i] = orig - step
-                fm = called()
-                flat[i] = orig
-                return fp, fm
-
-            # the guard: the first and last probed component by f() and by replay
-            by_f = {i: probe(i) for i in {probed[0], probed[-1]}} if probed else {}
-            cone = _cone(order, t) if probed else None
-            losses = None if cone is None else swept(t, cone[0], probed, cone[1])
-            if losses is not None:
-                losses = losses.tolist()
-                replayed = dict(zip(probed, zip(losses[0::2], losses[1::2])))
-            if losses is None or any(replayed[i] != fpm for i, fpm in by_f.items()):
-                replayed, cone = by_f, None  # and every other component by calling f()
-                fallbacks += bool(probed)
-            fds = {}
-            for i in probed:
-                fp, fm = replayed[i] if i in replayed else probe(i)
-                fds[i] = (fp - fm) / (2.0 * step)
-            flagged = [i for i in probed
-                       if rel_error(aflat[i], fds[i]) > refine_threshold] if refine else []
-            if flagged:
-                # the guard: the first flagged component by f(), the leaf widened
-                first = _refine_fd(f, t, flagged[0], step)
-                calls += 2
-                widened = None
-                if cone is not None:
-                    steps, size = cone
-                    original = t.data
-                    t.data = original.astype(np.longdouble)
-                    try:  # at 16 bytes a value, half as many probes a pass
-                        losses = swept(t, steps, flagged, max(1, size // 2))
-                    finally:
-                        t.data = original
-                    if (losses is not None and losses.dtype == np.longdouble
-                            and _quotient(losses[0], losses[1], step) == first):
-                        widened = _quotient(losses[0::2], losses[1::2], step)
-                    fallbacks += widened is None
-                if widened is None:  # every other flagged component by calling f()
-                    widened = [first, *(_refine_fd(f, t, i, step) for i in flagged[1:])]
-                    calls += 2 * (len(flagged) - 1)
-                for i, q in zip(flagged, widened):
-                    fds[i] = float(q)
-                refined += len(flagged)
-            leaf_worst = 0.0
-            for i in probed:
-                err = rel_error(aflat[i], fds[i])
-                if err > leaf_worst:
-                    leaf_worst = err
-            per_leaf[name] = leaf_worst
-            if leaf_worst > worst:
-                worst = leaf_worst
-    return GradCheckReport(worst, per_leaf, skipped, calls, replays, passes, fallbacks,
-                           refined, time.perf_counter() - start)
+            probed = np.flatnonzero(finite)
+            errors = np.zeros(0)
+            if probed.size:
+                fds, cone = sweep(t, _cone(order, t), probed, [0, -1], np.float64)
+                errors = rel_errors(aflat[probed], fds)
+                flagged = np.flatnonzero(errors > refine_threshold) if refine else []
+                if len(flagged):
+                    fds[flagged], cone = sweep(t, cone, probed[flagged], [0], np.longdouble)
+                    errors = rel_errors(aflat[probed], fds)
+                    refined += len(flagged)
+                fallbacks += cone is None
+            per_leaf[name] = max([0.0, *errors[errors > 0.0]])
+    return GradCheckReport(max([0.0, *per_leaf.values()]), per_leaf, skipped, calls, replays,
+                           passes, fallbacks, refined, time.perf_counter() - start)

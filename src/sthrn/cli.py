@@ -132,6 +132,9 @@ def cmd_preprocess(args) -> int:
     seq = load_motion(getattr(args, "in"), topo)
     if seq.kind != "joints":
         raise ValidationError("preprocess expects raw joint positions, got Lie vectors")
+    bad = np.flatnonzero(~np.isfinite(seq.frames).all(axis=(1, 2)))
+    if bad.size:
+        raise ValidationError(f"{getattr(args, 'in')}: frame {bad[0]} is not finite")
     if args.fps is not None:
         seq = resample_fps(seq, args.fps)
     topo = normalize_lengths([seq], topo)
@@ -364,8 +367,9 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        # covers parse/validation/dimension errors from every module
+    except (ValueError, OSError, MemoryError) as exc:
+        # covers parse/validation/dimension errors from every module, and
+        # a model too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

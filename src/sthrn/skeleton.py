@@ -489,8 +489,9 @@ def normalize_lengths(
         raise EmptyInput("no frames to normalize over")
     lengths = {name: total / count for name, total in sums.items()}
     for name, value in lengths.items():
-        if value < _MIN_BONE:
-            raise ValidationError(f"bone {name!r} has zero mean length")
+        if not value >= _MIN_BONE:  # NaN too
+            raise ValidationError(f"bone {name!r} has mean length {value}, not at least "
+                                  f"{_MIN_BONE}")
     return replace(topo, lengths=lengths)
 
 

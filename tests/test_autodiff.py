@@ -30,6 +30,14 @@ def leaf(x):
 # -- values ------------------------------------------------------------------
 
 
+def test_tensor_stores_float64():
+    for data in (np.array([0.1, 2.0], dtype=np.float32), np.float32(0.1),
+                 np.array([0.1], dtype=np.longdouble), [1, 2], 3):
+        t = Tensor(data)
+        assert t.data.dtype == np.float64
+        assert np.array_equal(t.data, np.asarray(data, dtype=np.float64))
+
+
 def test_arithmetic_values():
     a, b = leaf([1.0, 2.0]), leaf([3.0, 5.0])
     assert np.array_equal((a + b).data, [4.0, 7.0])
@@ -776,6 +784,26 @@ def test_grad_check_restores_leaf_values():
     assert x.data.dtype == np.float64
 
 
+def test_grad_check_leaves_the_leaf_whole_when_f_raises():
+    # the probes move components of a copy of the leaf: f() raising in
+    # the middle of a probe leaves no component of the leaf moved
+    x = leaf([0.5, 1.0])
+    original, before = x.data, x.data.copy()
+    calls = 0
+
+    def f():
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            raise RuntimeError("third call")
+        return ad.tsum(oracle.tanh(x))
+
+    with pytest.raises(RuntimeError, match="third call"):
+        grad_check(f, {"x": x})
+    assert x.data is original
+    assert np.array_equal(x.data, before)
+
+
 def test_grad_check_report_counts_its_cost():
     rng = np.random.default_rng(3)
     x = leaf(rng.normal(size=(3, 4)))
@@ -1013,11 +1041,12 @@ def test_replayed_losses_equal_calling_f(fixture):
 @pytest.mark.parametrize("fixture", sorted(REPLAY_FIXTURES))
 def test_long_double_replay_equals_refine_fd(fixture):
     """The oracle for grad_check's refinement: with the leaf widened to
-    long double, the difference quotient of a replay pass through its
-    cone is np.array_equal to the one ``_refine_fd`` gets by calling f()
-    twice.  Each leaf's first, last and one seeded component are probed
-    in passes of half its cone's float64 size, as grad_check refines,
-    and the losses are long double wherever the leaf reaches the root."""
+    long double, the losses of a replay pass through its cone are
+    np.array_equal to the ones ``_by_f`` gets by calling f() on a widened
+    copy of the leaf.  Each leaf's first, last and one seeded component
+    are probed in passes of half its cone's float64 size, as grad_check
+    refines, and the losses are long double wherever the leaf reaches
+    the root."""
     config, biases, _ = REPLAY_FIXTURES[fixture]
     f, named = model_loss_fn("fork7", config, windows=1, observed=6, horizon=3, seed=7,
                              biases=biases(config) if callable(biases) else biases)
@@ -1030,18 +1059,13 @@ def test_long_double_replay_equals_refine_fd(fixture):
             n = t.data.size
             picks = sorted({0, n - 1, int(rng.integers(n))})
             size = max(1, size // 2)
-            original = t.data
-            t.data = original.astype(np.longdouble)
-            try:
-                losses = np.concatenate([ad._replay(steps, root, t, picks[lo:lo + size], 1e-5)
-                                         for lo in range(0, len(picks), size)])
-            finally:
-                t.data = original
+            losses = np.concatenate([
+                ad._replay(steps, root, t, picks[lo:lo + size], 1e-5, np.longdouble)
+                for lo in range(0, len(picks), size)])
             if steps:  # a cone holds the root whenever the leaf reaches it
                 assert losses.dtype == np.longdouble, name
-            quotients = ad._quotient(losses[0::2], losses[1::2], 1e-5)
-            for i, q in zip(picks, quotients, strict=True):
-                assert np.array_equal(q, ad._refine_fd(f, t, i, 1e-5)), (name, i)
+            by_f = ad._by_f(f, t, picks, 1e-5, np.longdouble)
+            assert np.array_equal(losses.reshape(-1, 2), by_f), name
 
 
 # cell forward -> (static args, operand arrays), the operands as in OPS

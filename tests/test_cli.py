@@ -97,6 +97,22 @@ def test_preprocess_rejects_lie_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_preprocess_refuses_non_finite_positions_exits_2(tmp_path, capsys):
+    raw = tmp_path / "raw.txt"
+    seq = load_motion(joints_file(tmp_path, "good.txt"))
+    frames = seq.frames.copy()
+    frames[4, 3, 1] = np.nan
+    frames[7, 0, 0] = np.inf
+    save_motion(raw, MotionSequence(fps=seq.fps, frames=frames, kind="joints"))
+    out = tmp_path / "motion.lie"
+    rc = main(["preprocess", "--in", str(raw), "--topology", topo_file(tmp_path),
+               "--out", str(out)])
+    assert rc == 2
+    assert f"error: {raw}: frame 4 is not finite" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "motion.lie.lengths").exists()
+
+
 # -- train / predict / eval / plot pipeline -----------------------------------
 
 
@@ -325,6 +341,18 @@ def test_model_sizes_below_one_exit_2(tmp_path, capsys, line, bad, key):
                topo_file(tmp_path), "--config", write_config(tmp_path, config)])
     assert rc == 2
     assert f"{key} must be at least 1" in capsys.readouterr().err
+
+
+def test_a_model_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # the first parameter alone asks for 2.4e18 bytes, past any address
+    # space, so the request fails before anything is allocated
+    config = TINY.replace("hidden_size = 4", "hidden_size = 100000000000000000")
+    rc = main(["train", "--data", lie_file(tmp_path, "d.lie"), "--topology",
+               topo_file(tmp_path), "--config", write_config(tmp_path, config)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Unable to allocate" in err
+    assert "Traceback" not in err
 
 
 def test_predict_refuses_non_finite_frames_exits_2(tmp_path, capsys):

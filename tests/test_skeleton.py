@@ -413,6 +413,15 @@ def test_normalize_lengths_rejects_lie_kind():
         normalize_lengths([seq], topo)
 
 
+@pytest.mark.parametrize("joint_c", [[0.0, 0.0, 2.0], [np.nan] * 3], ids=["zero", "nan"])
+def test_normalize_lengths_refuses_a_bone_without_a_length(joint_c):
+    # joint "c" on top of joint "b", or not a number: bone "c" of length 0 or NaN
+    frames = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, 2.0], joint_c]] * 2)
+    seq = MotionSequence(fps=25.0, frames=frames, kind="joints")
+    with pytest.raises(ValidationError, match="bone 'c' has mean length"):
+        normalize_lengths([seq], two_bone_chain())
+
+
 def test_normalize_lengths_empty():
     with pytest.raises(EmptyInput):
         normalize_lengths([], two_bone_chain())
