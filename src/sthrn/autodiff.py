@@ -63,17 +63,16 @@ class Tensor:
 
     __slots__ = ("data", "grad", "op", "parents", "vjp", "saved", "fwd", "args", "__weakref__")
 
-    def __init__(self, data, op: str = "leaf", parents: tuple = (), vjp=None,
-                 saved: tuple = ()):
-        # Numpy scalars become 0-d arrays.  Op results do not come through
-        # here (``_result``).
+    def __init__(self, data, op: str = "leaf"):
+        # Numpy scalars become 0-d arrays.  Tape nodes do not come through
+        # here: ``_apply`` makes every one (``_result``).
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.op = op
-        self.parents = parents
-        self.vjp = vjp
-        self.saved = saved
-        self.fwd = None  # a node made here by hand has no forward to replay
+        self.parents = ()
+        self.vjp = None
+        self.saved = ()
+        self.fwd = None
         self.args = ()
 
     @property
@@ -297,51 +296,23 @@ def matmul(a, b) -> Tensor:
     return _apply(np.matmul(a.data, b.data), "matmul", (a, b), _matmul_vjp, np.matmul)
 
 
-def _linear_fwd(pairs, *arrays):
-    """``pairs[k]`` says whether term k is a product of the next two
-    arrays or the next array alone."""
-    it = iter(arrays)
-    return _tree_sum(next(it) @ next(it) if pair else next(it) for pair in pairs)
+def _affine(x, w, b):
+    return x @ w + b
 
 
 def _linear_vjp(node, g):
-    it = iter(node.parents)
-    for pair in node.args[0]:
-        x = next(it)
-        if pair:
-            w = next(it)
-            _acc(x, g @ w.data.T)
-            _acc(w, x.data.T @ g)
-        else:
-            _acc(x, g)
+    x, w, b = node.parents
+    _acc(x, g @ w.data.T)
+    _acc(w, x.data.T @ g)
+    _acc(b, g)
 
 
-def linear(terms) -> Tensor:
-    """Sum of several terms as one node.
-
-    A term is a tensor, broadcast as in ``add``, or an ``(x, w)`` pair
-    standing for ``matmul(x, w)``.  Terms are added in ``_tree_sum``
-    order, so ``linear([(x, w), (y, v), b])`` has exactly the value of
-    ``add(add(matmul(x, w), matmul(y, v)), b)``.
-    """
-    pairs: list[bool] = []
-    parents: list[Tensor] = []
-    arrays: list[np.ndarray] = []
-    for term in terms:
-        if isinstance(term, tuple):
-            x, w = _as_tensor(term[0]), _as_tensor(term[1])
-            _check_matmul(x, w)
-            parents += x, w
-            arrays += x.data, w.data
-            pairs.append(True)
-        else:
-            x = _as_tensor(term)
-            parents.append(x)
-            arrays.append(x.data)
-            pairs.append(False)
-    pairs = tuple(pairs)
-    return _apply(_linear_fwd(pairs, *arrays), "linear", tuple(parents), _linear_vjp,
-                  _linear_fwd, pairs)
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` as one node, ``b`` broadcast as in ``add``: the
+    value of ``add(matmul(x, w), b)``."""
+    x, w, b = parents = tuple(map(_as_tensor, (x, w, b)))
+    _check_matmul(x, w)
+    return _apply(_affine(x.data, w.data, b.data), "linear", parents, _linear_vjp, _affine)
 
 
 # -- shape ------------------------------------------------------------------
@@ -688,8 +659,8 @@ def pooled_cell(h, c, g_prev, c_prev, weights, grid_shape, axis: int) -> tuple[T
 
     with means and sums over ``axis``, and ``g_rows`` the op's own spread
     of ``g_prev`` to one row per grid cell; values are bit-identical to
-    the composition of a spread, linear, sigmoid, mul, reshape, tsum,
-    scale, add and tanh that spells this out.
+    the composition of a spread, matmul, add, sigmoid, mul, reshape,
+    tsum, scale and tanh that spells this out.
     """
     parents = tuple(map(_as_tensor, (h, c, g_prev, c_prev, *weights)))
     out = _pooled_fwd(grid_shape, axis, *[t.data for t in parents])
@@ -734,9 +705,6 @@ def _grid_sources_vjp(grid_shape, sp_mask, g_left, g_right, g_sp):
             _shift_blocks(-1, g_sp.shape[0], g_sp * sp_mask))
 
 
-_GRID_TERMS = (False, True, True, True, True, False)  # p_proj, 4 products, bias
-
-
 def _grid_globals(grid_shape, g_s, g_t):
     """The per-frame ``g_s`` and per-bone ``g_t`` spread to one row per
     grid cell."""
@@ -748,7 +716,8 @@ def _grid_fwd(grid_shape, sp_mask, h, c, p_proj, g_s, g_t, w, z, gs, gt, b, c_gs
     h_left, h_right, h_sp = _grid_sources(grid_shape, sp_mask, h)
     triple = np.concatenate([h_left, h_right, h], axis=-1)
     gs_rows, gt_rows = _grid_globals(grid_shape, g_s, g_t)
-    pre = _linear_fwd(_GRID_TERMS, p_proj, triple, w, h_sp, z, gs_rows, gs, gt_rows, gt, b)
+    # the six terms in ``_tree_sum`` order, as the composition adds them
+    pre = ((p_proj + triple @ w) + (h_sp @ z + gs_rows @ gs)) + (gt_rows @ gt + b)
     c_left, c_right, c_sp = _grid_sources(grid_shape, sp_mask, c)
     return _gated_fwd(pre, c_left, c, c_right, c_sp, *_grid_globals(grid_shape, c_gs, c_gt))
 
@@ -908,7 +877,8 @@ def _cone(order: list[Tensor], leaf: Tensor):
     """The nodes of ``order`` that depend on ``leaf`` as replay steps, in
     tape order, and how many components of the leaf one float64 pass
     probes (``_PASS_BYTES`` over twice their recorded bytes); None when
-    one of them has no forward to re-run (a node made by hand).
+    one of them has no forward to re-run (``_apply`` recorded it
+    without one).
 
     A step is (forward, its ``_PROBE_ARGS`` rule or None, static args,
     recorded rank of its first parent, parent arrays, [(parent position,

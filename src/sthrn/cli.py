@@ -36,11 +36,11 @@ from .skeleton import (
     load_motion,
     load_topology,
     normalize_lengths,
-    parse_length,
     pose_to_lie,
     read_lines,
     resample_fps,
     save_motion,
+    with_lengths,
 )
 from .training import (
     TrainConfig,
@@ -159,9 +159,7 @@ def cmd_train(args) -> int:
         raise ValidationError("a topology is required (flag --topology or config key)")
     topo = load_topology(topo_path)
     if args.lengths:
-        sidecar = dict(parse_length(args.lengths, n, line) for n, line in read_lines(args.lengths))
-        topo = replace(topo, lengths={**topo.lengths, **sidecar})
-        topo.validate()
+        topo = with_lengths(args.lengths, read_lines(args.lengths), topo)
     layout = ChainLayout.from_topology(topo)
     sequences = [load_motion(path, topo) for path in args.data]
     for path, seq in zip(args.data, sequences):

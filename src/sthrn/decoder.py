@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import ChainLayout, EncoderState
+from .encoder import INIT_SIGMA, ChainLayout, EncoderState
 
 
 @dataclass
@@ -33,10 +33,9 @@ class LstmParams:
     b: Tensor  # (4 * hidden,)
 
     @classmethod
-    def init(cls, in_dim: int, hidden: int, rng: np.random.Generator,
-             sigma: float = 0.1) -> "LstmParams":
+    def init(cls, in_dim: int, hidden: int, rng: np.random.Generator) -> "LstmParams":
         return cls(
-            w=Tensor(rng.normal(0.0, sigma, size=(in_dim + hidden, 4 * hidden))),
+            w=Tensor(rng.normal(0.0, INIT_SIGMA, size=(in_dim + hidden, 4 * hidden))),
             b=Tensor(np.zeros(4 * hidden)),
         )
 
@@ -81,17 +80,17 @@ class DecoderParams:
 
     @classmethod
     def init(cls, layout: ChainLayout, enc_hidden: int, rng: np.random.Generator,
-             kind: str = "structured", sigma: float = 0.1) -> "DecoderParams":
+             kind: str = "structured") -> "DecoderParams":
         cell_sources, heads = wired = wiring(kind, layout)
         k = layout.num_entries
         hidden = k * enc_hidden
         cells = {
             name: LstmParams.init(sum(3 * k if s == "pose" else hidden for s in sources),
-                                  hidden, rng, sigma)
+                                  hidden, rng)
             for name, sources in cell_sources
         }
         widths = [3 * sum(layout.entry_counts[c] for c in chains) for _, chains in heads]
-        proj_w = [Tensor(rng.normal(0.0, sigma, size=(hidden, n))) for n in widths]
+        proj_w = [Tensor(rng.normal(0.0, INIT_SIGMA, size=(hidden, n))) for n in widths]
         proj_b = [Tensor(np.zeros(n)) for n in widths]
         return cls(cells=cells, proj_w=proj_w, proj_b=proj_b, wiring=wired)
 
@@ -149,7 +148,7 @@ def decode_step(w_prev: Tensor | np.ndarray, state: DecoderState,
             inputs[sources] = parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
         p, s = params.cells[name], state.cells[name]
         new[name] = LstmState(*ad.lstm_cell(inputs[sources], s.h, s.c, p.w, p.b))
-    deltas = [ad.linear([(new[cell].h, w), b])
+    deltas = [ad.linear(new[cell].h, w, b)
               for (cell, _), w, b in zip(heads, params.proj_w, params.proj_b)]
     delta = deltas[0] if len(deltas) == 1 else ad.concat(deltas, axis=1)
     return ad.wrap_rows(ad.add(w_prev, delta)), DecoderState(cells=new)

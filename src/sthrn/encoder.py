@@ -29,6 +29,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
+INIT_SIGMA = 0.1  # standard deviation of every initial weight, encoder and decoder
+
 GATE_ORDER = ("in", "left", "same", "right", "spatial", "gs", "gt", "out", "cand")
 
 
@@ -128,9 +130,9 @@ class EncoderParams:
         return self.embed_w.data.shape[1]
 
     @classmethod
-    def init(cls, hidden: int, rng: np.random.Generator, sigma: float = 0.1) -> "EncoderParams":
+    def init(cls, hidden: int, rng: np.random.Generator) -> "EncoderParams":
         def w(*shape):
-            return Tensor(rng.normal(0.0, sigma, size=shape))
+            return Tensor(rng.normal(0.0, INIT_SIGMA, size=shape))
 
         def b(*shape):
             return Tensor(np.zeros(shape))
@@ -264,11 +266,10 @@ def encode(p: np.ndarray, params: EncoderParams, layout: ChainLayout,
     own (T, K, 3) encode.  Disabling a global state replaces its gate
     inputs and cell contributions with zeros and skips its updates.
     """
-    p = _as_windows(p, layout.num_entries)
     state = init_states(p, params, layout, global_temporal, global_spatial)
     B, T, K = state.windows, state.frames, state.entries
     fused = _fused_gate_params(params)
-    p_proj = ad.matmul(p.reshape(B * T * K, 3), fused[0])
+    p_proj = ad.matmul(np.reshape(p, (B * T * K, 3)), fused[0])
     sp_mask = (layout.spatial_prev() >= 0).astype(np.float64)
     sp_mask = np.tile(sp_mask, B * T)[:, None]  # (B*T*K, 1), 0 at chain heads
     for _ in range(layers):

@@ -21,11 +21,11 @@ from .skeleton import ParseError, ValidationError
 HORIZON_MS = (80, 160, 320, 400, 560, 640, 720, 1000)
 
 
-def horizon_frames(fps: float = 25.0, grid_ms=HORIZON_MS) -> tuple[int, ...]:
+def horizon_frames(fps: float = 25.0) -> tuple[int, ...]:
     """1-based predicted-frame index of each millisecond horizon."""
     if not 0.0 < fps < math.inf:
         raise ValueError(f"fps must be positive and finite, got {fps}")
-    return tuple(int(round(ms * fps / 1000.0)) for ms in grid_ms)
+    return tuple(int(round(ms * fps / 1000.0)) for ms in HORIZON_MS)
 
 
 def mae(pred: np.ndarray, target: np.ndarray, fps: float = 25.0) -> dict[int, float]:
@@ -60,6 +60,8 @@ def zero_velocity(observed: np.ndarray, horizon: int) -> np.ndarray:
 # value hold "_".
 # ---------------------------------------------------------------------------
 
+_REPORT_HEADER = "activity,method," + ",".join(f"h{ms}" for ms in HORIZON_MS)
+
 
 @dataclass
 class ReportRow:
@@ -76,10 +78,9 @@ def write_report(path, rows: list[ReportRow]) -> None:
         for field, name in (("activity", row.activity), ("method", row.method)):
             if any(ch in name for ch in ",\r\n"):
                 raise ValidationError(f"report {field} {name!r} holds a comma or line break")
-    header = "activity,method," + ",".join(f"h{ms}" for ms in HORIZON_MS)
     ordered = sorted(rows, key=lambda r: (r.activity, r.method))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+        fh.write(_REPORT_HEADER + "\n")
         for row in ordered:
             cells = [
                 repr(float(row.values[ms])) if ms in row.values else "_"
@@ -89,11 +90,10 @@ def write_report(path, rows: list[ReportRow]) -> None:
 
 
 def read_report(path) -> list[ReportRow]:
-    expected = "activity,method," + ",".join(f"h{ms}" for ms in HORIZON_MS)
     rows: list[ReportRow] = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != expected:
+        if header != _REPORT_HEADER:
             raise ParseError(f"{path}:1: bad report header")
         for lineno, raw in enumerate(fh, start=2):
             line = raw.strip()

@@ -128,8 +128,9 @@ class SkeletonTopology:
             length = self.lengths.get(child)
             if length is None:
                 raise ValidationError(f"missing length for bone {child!r}")
-            if not (length > 0.0) or not math.isfinite(length):
-                raise ValidationError(f"bone {child!r} has non-positive length")
+            if not 0.0 < length < math.inf:
+                raise ValidationError(
+                    f"bone {child!r} has length {length}; it must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -148,14 +149,8 @@ class RootConfig:
     def from_pose(cls, joints: np.ndarray, topo: SkeletonTopology) -> "RootConfig":
         joints = _check_joints(joints, topo)
         index = topo.joint_index()
-        dirs = []
-        for chain in topo.chains:
-            v = joints[index[chain[1]]] - joints[index[chain[0]]]
-            n = float(np.linalg.norm(v))
-            if n < _MIN_BONE:
-                raise DegenerateBone(f"zero-length first bone {chain[1]!r}")
-            dirs.append(v / n)
-        return cls(joints[index[topo.chains[0][0]]].copy(), tuple(dirs))
+        dirs = tuple(_direction(joints, index, *chain[:2]) for chain in topo.chains)
+        return cls(joints[index[topo.chains[0][0]]].copy(), dirs)
 
     @classmethod
     def canonical(cls, topo: SkeletonTopology) -> "RootConfig":
@@ -221,15 +216,29 @@ def read_lines(path) -> list[tuple[int, str]]:
     return [(n, text) for n, text in lines if text]
 
 
-def parse_length(path, lineno: int, text: str) -> tuple[str, float]:
-    """The (bone, length) of one "<bone> <length>" line."""
-    parts = text.split()
-    if len(parts) != 2:
-        raise ParseError(f"{path}:{lineno}: expected '<bone> <length>'")
-    try:
-        return parts[0], float(parts[1])
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: bad length {parts[1]!r}") from exc
+def with_lengths(path, lines, topo: SkeletonTopology) -> SkeletonTopology:
+    """``topo``, validated, with the lengths that "<bone> <length>"
+    ``lines``, numbered as ``read_lines`` gives them, set.  Each line
+    names a bone of ``topo``, and no bone twice.  Topology files and
+    lengths sidecars both go through here."""
+    bones = {child for _, child in topo.bones()}
+    lengths: dict[str, float] = {}
+    for lineno, text in lines:
+        parts = text.split()
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected '<bone> <length>'")
+        name = parts[0]
+        if name not in bones:
+            raise ParseError(f"{path}:{lineno}: {name!r} names no bone")
+        if name in lengths:
+            raise ParseError(f"{path}:{lineno}: second length for bone {name!r}")
+        try:
+            lengths[name] = float(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad length {parts[1]!r}") from exc
+    topo = replace(topo, lengths={**topo.lengths, **lengths})
+    topo.validate()
+    return topo
 
 
 def length_lines(topo: SkeletonTopology) -> list[str]:
@@ -241,7 +250,7 @@ def load_topology(path) -> SkeletonTopology:
     """Parse and validate a topology file."""
     joints: list[str] = []
     chains: list[tuple[str, ...]] = []
-    lengths: dict[str, float] = {}
+    length_rows: list[tuple[int, str]] = []
     section = None
     for lineno, line in read_lines(path):
         if line.startswith("[") and line.endswith("]"):
@@ -257,11 +266,8 @@ def load_topology(path) -> SkeletonTopology:
         elif section == "chains":
             chains.append(tuple(line.split()))
         else:
-            name, length = parse_length(path, lineno, line)
-            lengths[name] = length
-    topo = SkeletonTopology(tuple(joints), tuple(chains), lengths)
-    topo.validate()
-    return topo
+            length_rows.append((lineno, line))
+    return with_lengths(path, length_rows, SkeletonTopology(tuple(joints), tuple(chains), {}))
 
 
 def save_topology(path, topo: SkeletonTopology) -> None:
@@ -298,6 +304,15 @@ def _check_joints(joints, topo: SkeletonTopology) -> np.ndarray:
     return joints
 
 
+def _direction(joints: np.ndarray, index: dict[str, int], parent: str, child: str) -> np.ndarray:
+    """Unit direction of the bone from ``parent`` to ``child``."""
+    v = joints[index[child]] - joints[index[parent]]
+    n = float(np.linalg.norm(v))
+    if n < _MIN_BONE:
+        raise DegenerateBone(f"bone {child!r} has near-zero length")
+    return v / n
+
+
 def pose_to_lie(joints, topo: SkeletonTopology) -> np.ndarray:
     """Relative Lie vector (K, 3) of one raw pose.
 
@@ -314,13 +329,7 @@ def pose_to_lie(joints, topo: SkeletonTopology) -> np.ndarray:
     out = np.zeros((topo.num_entries(), 3))
     z = 0
     for c in range(len(topo.chains)):
-        dirs = []
-        for parent, child in topo.chain_bones(c):
-            v = joints[index[child]] - joints[index[parent]]
-            n = float(np.linalg.norm(v))
-            if n < _MIN_BONE:
-                raise DegenerateBone(f"bone {child!r} has near-zero length")
-            dirs.append(v / n)
+        dirs = [_direction(joints, index, *bone) for bone in topo.chain_bones(c)]
         for b in range(1, len(dirs)):
             try:
                 aa = axis_angle_between(dirs[b - 1], dirs[b])

@@ -48,6 +48,14 @@ def bone_weights(entry_lengths: np.ndarray) -> np.ndarray:
     return np.cumsum(terms[::-1])[::-1]
 
 
+def _error(pred: Tensor, target: np.ndarray) -> tuple[Tensor, int]:
+    """``pred - target`` for a (frames, K, 3) target, and the frame count."""
+    target = np.asarray(target, dtype=np.float64)
+    if pred.data.shape != target.shape:
+        raise ad.ShapeMismatch(f"loss shapes {pred.data.shape} vs {target.shape}")
+    return ad.sub(pred, target), target.shape[0]
+
+
 def weighted_loss(pred: Tensor, target: np.ndarray, theta: np.ndarray) -> Tensor:
     """Mean over frames of sum_z Theta(z) * ||pred_z - target_z||_2.
 
@@ -55,11 +63,7 @@ def weighted_loss(pred: Tensor, target: np.ndarray, theta: np.ndarray) -> Tensor
     stacked window-major, as ``frames_tensor`` gives them, make this
     the mean over windows of each window's loss.
     """
-    target = np.asarray(target, dtype=np.float64)
-    if pred.data.shape != target.shape:
-        raise ad.ShapeMismatch(f"loss shapes {pred.data.shape} vs {target.shape}")
-    frames = target.shape[0]
-    diff = ad.sub(pred, target)
+    diff, frames = _error(pred, target)
     norms = ad.l2norm(diff, axis=2)                      # (frames, K)
     weighted = ad.mul(norms, theta)                      # broadcast over frames
     return ad.scale(ad.tsum(weighted), 1.0 / frames)
@@ -68,11 +72,7 @@ def weighted_loss(pred: Tensor, target: np.ndarray, theta: np.ndarray) -> Tensor
 def l2_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean over frames of the summed squared entry errors; like
     ``weighted_loss``, stacked windows average over windows too."""
-    target = np.asarray(target, dtype=np.float64)
-    if pred.data.shape != target.shape:
-        raise ad.ShapeMismatch(f"loss shapes {pred.data.shape} vs {target.shape}")
-    frames = target.shape[0]
-    diff = ad.sub(pred, target)
+    diff, frames = _error(pred, target)
     return ad.scale(ad.tsum(ad.mul(diff, diff)), 1.0 / frames)
 
 

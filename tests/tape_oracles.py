@@ -6,7 +6,9 @@ chain-head mask, ``concat``, ``linear`` and ``gated_cell`` into one
 node, and ``sthrn.autodiff.pooled_cell`` a ``spread_rows`` of the
 previous global state and the op-by-op global update.  Those
 compositions, and the ones that the LSTM cell and ``wrap_rows``
-replace, also take ``sigmoid``, ``tanh`` and ``div`` nodes.  The ops
+replace, also take ``sigmoid``, ``tanh`` and ``div`` nodes; the
+composed grid cell's ``linear`` adds its six terms at one node, so
+that ``grid_cell``'s gradients match its vjp's order of adds.  The ops
 below are those of the compositions, built the way the package builds
 its own ops (through ``_apply`` and ``_acc``).
 ``composed_grid_cell`` and ``unfused_pooled`` spell the two cells out
@@ -49,6 +51,46 @@ def _div_vjp(node, g):
 def div(a, b):
     a, b = ad._as_tensor(a), ad._as_tensor(b)
     return ad._apply(np.true_divide(a.data, b.data), "div", (a, b), _div_vjp, np.true_divide)
+
+
+def _linear_fwd(pairs, *arrays):
+    """``pairs[k]`` says whether term k is a product of the next two
+    arrays or the next array alone."""
+    it = iter(arrays)
+    return ad._tree_sum(next(it) @ next(it) if pair else next(it) for pair in pairs)
+
+
+def _linear_vjp(node, g):
+    it = iter(node.parents)
+    for pair in node.args[0]:
+        x = next(it)
+        if pair:
+            w = next(it)
+            ad._acc(x, g @ w.data.T)
+            ad._acc(w, x.data.T @ g)
+        else:
+            ad._acc(x, g)
+
+
+def linear(terms):
+    """Sum of several terms as one node.
+
+    A term is a tensor, broadcast as in ``add``, or an ``(x, w)`` pair
+    standing for ``matmul(x, w)``.  Terms are added in ``_tree_sum``
+    order, so ``linear([(x, w), (y, v), b])`` has exactly the value of
+    ``add(add(matmul(x, w), matmul(y, v)), b)``.
+    """
+    pairs, parents = [], []
+    for term in terms:
+        pair = isinstance(term, tuple)
+        operands = tuple(map(ad._as_tensor, term if pair else (term,)))
+        if pair:
+            ad._check_matmul(*operands)
+        parents += operands
+        pairs.append(pair)
+    pairs = tuple(pairs)
+    return ad._apply(_linear_fwd(pairs, *[t.data for t in parents]), "linear", tuple(parents),
+                     _linear_vjp, _linear_fwd, pairs)
 
 
 def _spread_vjp(node, g):
@@ -104,7 +146,7 @@ def composed_grid_cell(h, c, p_proj, gs_rows, gt_rows, weights, cgs_rows, cgt_ro
     h_right = shift_rows(h, -K, T * K)
     h_sp = ad.mul(shift_rows(h, 1), sp_mask)
     triple = ad.concat([h_left, h_right, h], axis=1)
-    pre = ad.linear([p_proj, (triple, w), (h_sp, z), (gs_rows, gs), (gt_rows, gt), b])
+    pre = linear([p_proj, (triple, w), (h_sp, z), (gs_rows, gs), (gt_rows, gt), b])
     c_left = shift_rows(c, K, T * K)
     c_right = shift_rows(c, -K, T * K)
     c_sp = ad.mul(shift_rows(c, 1), sp_mask)

@@ -229,6 +229,56 @@ def test_eval_refuses_a_name_the_report_cannot_hold(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_train_lengths_sidecar_reaches_the_loss_weights(tmp_path):
+    # entries are weighted by the length of the bone each turns onto, so
+    # a2 moves the weights and a1, a chain's first bone, does not
+    topo, data = topo_file(tmp_path), lie_file(tmp_path, "d.lie")
+    config, metrics = write_config(tmp_path, TINY), tmp_path / "m.csv"
+
+    def first_loss(*sidecar):
+        argv = ["train", "--data", data, "--topology", topo, "--config", config,
+                "--iterations", "1", "--metrics", str(metrics)]
+        if sidecar:
+            path = tmp_path / "d.lengths"
+            path.write_text("\n".join(["# normalized bone lengths", *sidecar]) + "\n")
+            argv += ["--lengths", str(path)]
+        assert main(argv) == 0
+        return metrics.read_text().splitlines()[1].split(",")[1]
+
+    unit = first_loss()
+    assert first_loss("a1 1.0") == unit == first_loss("a1 3.0", "b3 1.0")
+    assert first_loss("a2 3.0") != unit
+
+
+def test_train_refuses_a_sidecar_length_for_no_bone_exits_2(tmp_path, capsys):
+    sidecar = tmp_path / "d.lengths"
+    sidecar.write_text("# normalized bone lengths\nnotabone 2.0\n")
+    rc = main(["train", "--data", lie_file(tmp_path, "d.lie"), "--topology",
+               topo_file(tmp_path), "--config", write_config(tmp_path, TINY),
+               "--lengths", str(sidecar)])
+    assert rc == 2
+    assert f"error: {sidecar}:2: 'notabone' names no bone" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, message", [("train", "training data must be Lie vectors"),
+                                              ("predict", "predict expects Lie-vector data")],
+                         ids=["train", "predict"])
+def test_train_and_predict_refuse_raw_positions_exit_2(tmp_path, capsys, command, message):
+    raw = joints_file(tmp_path, "raw.txt")
+    if command == "train":
+        argv = ["train", "--data", raw, "--topology", topo_file(tmp_path),
+                "--config", write_config(tmp_path, TINY)]
+    else:
+        config = ModelConfig(hidden_size=2, layers=1)
+        layout = ChainLayout.from_topology(builtin_topology("fork7"))
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, ModelParams.init(config, layout, seed=0), config, layout)
+        argv = ["predict", "--checkpoint", str(ckpt), "--data", raw, "--horizon", "2",
+                "--out", str(tmp_path / "p.lie")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 # -- failure exit codes -------------------------------------------------------
 
 
@@ -454,6 +504,8 @@ def test_parse_frames_specs():
         _parse_frames("25", 20)
     with pytest.raises(ValidationError):
         _parse_frames("a,b", 20)
+    with pytest.raises(ValidationError, match="^bad frame range '0:5:x'$"):
+        _parse_frames("0:5:x", 20)
     # a range refuses the same first index as the list it spells out
     for spec, bad in (("-99999999999999999999:5", "frame -99999999999999999999 "),
                       ("25:99999999999999999999", "frame 25 "),
@@ -473,6 +525,18 @@ def test_train_rejects_empty_runs_exits_2(tmp_path, capsys, flags, config, messa
                topo_file(tmp_path), "--config", write_config(tmp_path, config), *flags])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("global_temporal = maybe", "config key 'global_temporal': expected a boolean, got 'maybe'"),
+    ("hidden_size = four", "config key 'hidden_size': bad value 'four'"),
+], ids=["boolean", "number"])
+def test_config_values_that_do_not_parse_exit_2(tmp_path, capsys, line, message):
+    config = TINY.replace("hidden_size = 4\n", "") + line + "\n"
+    rc = main(["train", "--data", lie_file(tmp_path, "d.lie"), "--topology",
+               topo_file(tmp_path), "--config", write_config(tmp_path, config)])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("learning_rate", "nan"), ("beta1", "1.0"),

@@ -1,6 +1,7 @@
 """Topology, pose conversion, motion IO, and sampling checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,18 @@ def test_validate_rejects_missing_and_bad_lengths():
         topo.validate()
 
 
+@pytest.mark.parametrize("chains, lengths, message", [
+    ((), {}, "topology needs at least one chain"),
+    ((("a", "b", "a"),), {"b": 1.0}, "chain 0 repeats a joint"),
+    ((("a", "b"),), {"b": math.inf}, "bone 'b' has length inf; it must be positive and finite"),
+    ((("a", "b"),), {"b": math.nan}, "bone 'b' has length nan; it must be positive and finite"),
+], ids=["no-chains", "repeated-joint", "inf-length", "nan-length"])
+def test_validate_names_what_is_wrong(chains, lengths, message):
+    topo = SkeletonTopology(("a", "b"), chains, lengths)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        topo.validate()
+
+
 def test_validate_rejects_joint_list_mismatch():
     topo = SkeletonTopology(("a", "b", "zz"), (("a", "b"),), {"b": 1.0})
     with pytest.raises(ValidationError):
@@ -168,6 +181,21 @@ def test_topology_parse_errors(tmp_path, text):
         load_topology(path)
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("a0 5.0", "'a0' names no bone"),   # the root joint ends no bone
+    ("zz 5.0", "'zz' names no bone"),
+    ("a2 5.0", "second length for bone 'a2'"),
+], ids=["root", "unknown", "twice"])
+def test_topology_lengths_name_each_bone_once(tmp_path, extra, message):
+    path = tmp_path / "fork7.topo"
+    save_topology(path, builtin_topology("fork7"))
+    text = path.read_text()
+    path.write_text(text + extra + "\n")
+    where = f"{path}:{len(text.splitlines()) + 1}: "
+    with pytest.raises(ParseError, match=f"^{re.escape(where + message)}$"):
+        load_topology(path)
+
+
 # -- pose <-> lie -----------------------------------------------------------------
 
 
@@ -183,6 +211,9 @@ def test_pose_to_lie_straight_chain_is_zero():
     joints = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 2.0]])
     w = pose_to_lie(joints, two_bone_chain())
     assert np.array_equal(w, np.zeros((1, 3)))
+    # and back: a zero entry turns the bone direction by the identity
+    root = RootConfig.from_pose(joints, two_bone_chain())
+    assert np.array_equal(lie_to_pose(w, two_bone_chain(), root), joints)
 
 
 def test_pose_to_lie_antipodal_resolves_to_half_turn():
@@ -197,6 +228,8 @@ def test_pose_to_lie_rejects_degenerate_bone():
     joints = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(DegenerateBone):
         pose_to_lie(joints, two_bone_chain())
+    with pytest.raises(DegenerateBone, match="bone 'b' has near-zero length"):
+        RootConfig.from_pose(joints, two_bone_chain())
 
 
 def test_pose_to_lie_rejects_bad_shape():
