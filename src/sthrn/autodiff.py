@@ -20,6 +20,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_index
 
 
 class ShapeMismatch(ValueError):
@@ -139,14 +140,16 @@ def _result(out, op: str = "leaf", parents: tuple = (), vjp=None, saved: tuple =
 
 
 def _cat(arrays, axis: int) -> np.ndarray:
-    """``np.concatenate`` along ``axis``.  In a replay pass some arrays
-    carry a leading probe axis and the rest, which the probed leaf does
-    not reach, are broadcast across it first."""
+    """``np.concatenate`` along ``axis``, in C order.  In a replay pass
+    some arrays carry a leading probe axis and the rest, which the probed
+    leaf does not reach, are broadcast across it first.  Numpy would
+    order the result's axes by the broadcast copies' zero strides, and a
+    sum over an array laid out otherwise adds in another order."""
     if len({a.ndim for a in arrays}) > 1:
         big = max(arrays, key=np.ndim)
         arrays = [a if a.ndim == big.ndim else np.broadcast_to(a, big.shape[:1] + a.shape)
                   for a in arrays]
-    return np.concatenate(arrays, axis=axis)
+    return np.ascontiguousarray(np.concatenate(arrays, axis=axis))
 
 
 def _value(out):
@@ -318,8 +321,14 @@ def linear(x, w, b) -> Tensor:
 # -- shape ------------------------------------------------------------------
 
 
-def _reshape_fwd(shape, a):
-    return a.reshape(shape)
+def _from_last(axis: int, nd: int) -> int:
+    """``axis`` of an ``nd``-dim operand counted from the last axis; out
+    of range raises numpy's AxisError."""
+    return normalize_axis_index(axis, nd) - nd
+
+
+def _reshape_fwd(nd, shape, a):
+    return a.reshape(a.shape[:a.ndim - nd] + shape)
 
 
 def _reshape_vjp(node, g):
@@ -327,10 +336,11 @@ def _reshape_vjp(node, g):
     _acc(a, g.reshape(a.data.shape))
 
 
-def reshape(a, shape) -> Tensor:
+def reshape(a, shape: tuple) -> Tensor:
     a = _as_tensor(a)
-    return _apply(_reshape_fwd(shape, a.data), "reshape", (a,), _reshape_vjp, _reshape_fwd,
-                  shape)
+    nd, shape = a.data.ndim, tuple(shape)
+    return _apply(_reshape_fwd(nd, shape, a.data), "reshape", (a,), _reshape_vjp, _reshape_fwd,
+                  nd, shape)
 
 
 def _concat_fwd(axis, *arrays):
@@ -354,19 +364,20 @@ def concat(parts, axis: int = 0) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
     if len({p.data.ndim for p in parts}) > 1:  # _cat would broadcast the lower rank
         raise ShapeMismatch(f"concat: {[p.data.shape for p in parts]}")
-    return _apply(_concat_fwd(axis, *[p.data for p in parts]), "concat", tuple(parts),
-                  _concat_vjp, _concat_fwd, axis)
+    out = _concat_fwd(axis, *[p.data for p in parts])
+    return _apply(out, "concat", tuple(parts), _concat_vjp, _concat_fwd,
+                  _from_last(axis, out.ndim))
 
 
 _BASIC_INDEX = (int, np.integer, slice, type(Ellipsis), type(None))
 
 
-def _narrow_fwd(key, a):
-    return a[key]
+def _narrow_fwd(nd, key, a):
+    return a[(slice(None),) * (a.ndim - nd) + key]
 
 
 def _narrow_vjp(node, g):
-    _acc(node.parents[0], g, node.args[0])
+    _acc(node.parents[0], g, node.args[1])
 
 
 def narrow(a, key) -> Tensor:
@@ -382,7 +393,9 @@ def narrow(a, key) -> Tensor:
 
 def _narrow(a: Tensor, key: tuple) -> Tensor:
     """``narrow`` for a key already known to be a tuple of basic indices."""
-    return _apply(_narrow_fwd(key, a.data), "narrow", (a,), _narrow_vjp, _narrow_fwd, key)
+    nd = a.data.ndim
+    return _apply(_narrow_fwd(nd, key, a.data), "narrow", (a,), _narrow_vjp, _narrow_fwd, nd,
+                  key)
 
 
 # -- reductions -------------------------------------------------------------
@@ -393,14 +406,15 @@ def _sum_fwd(axis, a):
 
 
 def _sum_vjp(node, g):
-    a, axis = node.parents[0], node.args[0]
-    if axis is not None:
-        g = np.expand_dims(g, axis)
-    _acc(a, np.broadcast_to(g, a.data.shape))
+    a = node.parents[0]
+    _acc(a, np.broadcast_to(np.expand_dims(g, node.args[0]), a.data.shape))
 
 
-def tsum(a, axis=None) -> Tensor:
+def tsum(a, axis: int | None = None) -> Tensor:
+    """Sum along one axis, or over all of them."""
     a = _as_tensor(a)
+    nd = a.data.ndim
+    axis = tuple(range(-nd, 0)) if axis is None else _from_last(axis, nd)
     return _apply(_sum_fwd(axis, a.data), "sum", (a,), _sum_vjp, _sum_fwd, axis)
 
 
@@ -418,25 +432,6 @@ def _spread(grid_shape: tuple, axis: int, g: np.ndarray) -> np.ndarray:
     lead = g.shape[:-2]
     copies = np.repeat(g.reshape(lead + grid_shape[:axis] + (1, -1)), grid_shape[axis], axis=-2)
     return copies.reshape(lead + (-1, grid_shape[-1]))
-
-
-def _mean_fwd(grid_shape, axis, a):
-    return _pool(grid_shape, axis, a.reshape(-1, grid_shape[-1])) * (1.0 / grid_shape[axis])
-
-
-def _mean_vjp(node, g):
-    a, (grid_shape, axis) = node.parents[0], node.args
-    s = 1.0 / grid_shape[axis]
-    _acc(a, _spread(grid_shape, axis, g * s).reshape(a.data.shape))
-
-
-def mean_rows(a, grid_shape: tuple, axis: int) -> Tensor:
-    """Mean of ``a`` viewed as ``grid_shape`` over ``axis``, returned as
-    one row per remaining grid index: a (B, T, K, h) grid pooled over
-    frames (axis 1) gives (B * K, h)."""
-    a = _as_tensor(a)
-    return _apply(_mean_fwd(grid_shape, axis, a.data), "mean", (a,), _mean_vjp, _mean_fwd,
-                  grid_shape, axis)
 
 
 def _l2norm_fwd(axis, a):
@@ -460,6 +455,7 @@ def l2norm(a, axis: int = -1) -> Tensor:
     not: in a batch, another row's kink must not poison this one.
     """
     a = _as_tensor(a)
+    axis = _from_last(axis, a.data.ndim)
     return _apply(_l2norm_fwd(axis, a.data), "l2norm", (a,), _l2norm_vjp, _l2norm_fwd, axis)
 
 
@@ -846,20 +842,12 @@ def backward(root: Tensor, leaves=()) -> None:
 # runs an elementwise op or a matmul over the probe axis one slice at a
 # time, so each probe's values equal, bit for bit, those of one
 # unbatched forward.  A parent the leaf reaches enters a node as
-# (P, *its recorded shape), padded with ones to the node's rank where
-# the node broadcasts it: a (4h,) bias is probed as (P, 1, 4h).  The
-# ops whose static arguments name absolute axes, keys or shapes take
-# them from this table instead, given P and the recorded rank ``nd`` of
-# the op's first parent; a mean's rows come out as (P * rows, d), and
-# its readers take them as (P, rows, d).
-_PROBE_ARGS = {
-    "reshape": lambda P, nd, shape: ((P, *shape),),
-    "concat": lambda P, nd, axis: (axis % nd - nd,),
-    "narrow": lambda P, nd, key: ((slice(None), *key),),
-    "sum": lambda P, nd, axis: (tuple(range(-nd, 0)) if axis is None else axis % nd - nd,),
-    "mean": lambda P, nd, grid_shape, axis: ((P, *grid_shape), axis + 1),
-    "l2norm": lambda P, nd, axis: (axis % nd - nd,),
-}
+# (P, *its recorded shape), padded with ones to the rank of the node's
+# widest parent: a (4h,) bias is probed as (P, 1, 4h).  Every forward
+# is written over trailing axes, so it runs unchanged on the probe axis:
+# axis arguments count from the last axis, and ``reshape`` and
+# ``narrow`` record their operand's rank and act on that many trailing
+# axes.
 
 # A pass's memory grows with P times its cone's recorded bytes, so a
 # float64 pass takes as many probes as this budget allows, and at least
@@ -876,16 +864,14 @@ _PASS_BYTES = 1 << 18
 def _cone(order: list[Tensor], leaf: Tensor):
     """The nodes of ``order`` that depend on ``leaf`` as replay steps, in
     tape order, and how many components of the leaf one float64 pass
-    probes (``_PASS_BYTES`` over twice their recorded bytes); None when
-    one of them has no forward to re-run (``_apply`` recorded it
-    without one).
+    probes (``_PASS_BYTES`` over twice their recorded bytes).
 
-    A step is (forward, its ``_PROBE_ARGS`` rule or None, static args,
-    recorded rank of its first parent, parent arrays, [(parent position,
+    A step is (forward, static args, parent arrays, [(parent position,
     value index, shape)] of the parents the leaf reaches, [value indices
     no later step reads]); value 0 is the leaf's, value k + 1 step k's.
     Every other node is read through its recorded array; a node the
-    root does not depend on is not in ``order``.
+    root does not depend on is not in ``order``.  A node ``_apply``
+    recorded without a forward makes its pass raise TypeError.
     """
     value_of = {id(leaf): 0}
     steps, last_read, nbytes = [], {}, 0
@@ -893,18 +879,14 @@ def _cone(order: list[Tensor], leaf: Tensor):
         hits = [(i, value_of[id(p)]) for i, p in enumerate(node.parents) if id(p) in value_of]
         if not hits:
             continue
-        if node.fwd is None:
-            return None
-        rule = _PROBE_ARGS.get(node.op)
+        nd = max(p.data.ndim for p in node.parents)
         inputs = []
         for i, k in hits:
             shape = node.parents[i].data.shape
-            pad = () if rule else (1,) * (node.data.ndim - len(shape))
-            inputs.append((i, k, (-1, *pad, *shape)))
+            inputs.append((i, k, (-1, *(1,) * (nd - len(shape)), *shape)))
             last_read[k] = len(steps)
         value_of[id(node)] = len(steps) + 1
-        steps.append((node.fwd, rule, node.args, node.parents[0].data.ndim,
-                      [p.data for p in node.parents], inputs, []))
+        steps.append((node.fwd, node.args, [p.data for p in node.parents], inputs, []))
         nbytes += node.data.nbytes
     for k, j in last_read.items():
         steps[j][-1].append(k)
@@ -926,11 +908,11 @@ def _replay(steps, root: Tensor, leaf: Tensor, index, step: float,
         [flat[index] + step, flat[index] - step], axis=1).reshape(-1)
     vals = [probes.reshape(P, *leaf.data.shape)]
     del probes  # dropped with vals[0], after its last reader
-    for fwd, rule, args, nd, arrays, inputs, done in steps:
+    for fwd, args, arrays, inputs, done in steps:
         arrays = arrays.copy()
         for i, k, shape in inputs:
             arrays[i] = vals[k].reshape(shape)
-        vals.append(_value(fwd(*(rule(P, nd, *args) if rule else args), *arrays)))
+        vals.append(_value(fwd(*args, *arrays)))
         for k in done:
             vals[k] = None
     if steps or root is leaf:
@@ -1035,11 +1017,11 @@ def grad_check(
     inside an op.  As a guard, some components are also measured by
     calling ``f()``: the first and last of the float64 sweep, the first
     of the extended one.  If the replayed losses are not in the sweep's
-    dtype or differ from f()'s at a guard at all, a pass raises, or the
-    leaf reaches a node with no recorded forward, the sweep measures
-    the other components by calling ``f()`` too, and so does the
-    extended sweep of a leaf whose float64 sweep fell back; the leaf
-    counts once as a fallback.
+    dtype or differ from f()'s at a guard at all, or a pass raises (as
+    at a node with no recorded forward), the sweep measures the other
+    components by calling ``f()`` too, and so does the extended sweep
+    of a leaf whose float64 sweep fell back; the leaf counts once as a
+    fallback.
     """
     start = time.perf_counter()
     out = f()
@@ -1073,7 +1055,7 @@ def grad_check(
                     replays += parts[-1].size
                 losses = np.concatenate(parts).reshape(-1, 2)
             except (ValueError, TypeError, IndexError):
-                pass  # a forward that cannot take the probe axis: f() decides
+                pass  # a forward that cannot take the probe axis, or none: f() decides
         if losses is None or losses.dtype != dtype or not np.array_equal(losses[guarded], by_f):
             cone = None  # and every other component by calling f()
             losses = np.empty((len(index), 2), by_f.dtype)

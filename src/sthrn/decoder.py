@@ -125,8 +125,8 @@ def init_decoder(enc: EncoderState, params: DecoderParams) -> DecoderState:
     hidden = enc.h.data.shape[1]
     d = k * hidden
     h_sum = ad.tsum(ad.reshape(enc.h, (b, t_minus_1, d)), axis=1)
-    c_mean = ad.mean_rows(enc.c, (b, t_minus_1, d), axis=1)
     h_mean = ad.scale(h_sum, 1.0 / t_minus_1)
+    c_mean = ad.scale(ad.tsum(ad.reshape(enc.c, (b, t_minus_1, d)), axis=1), 1.0 / t_minus_1)
     gt_flat = ad.reshape(enc.g_t, (b, d))
     h_second = ad.scale(ad.add(h_sum, gt_flat), 1.0 / (t_minus_1 + 1))
 

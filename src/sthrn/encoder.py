@@ -210,17 +210,16 @@ def init_states(p: np.ndarray, params: EncoderParams, layout: ChainLayout,
     """
     p = _as_windows(p, layout.num_entries)
     B, T, K, _ = p.shape
-    e = ad.add(ad.matmul(p.reshape(B * T * K, 3), params.embed_w), params.embed_b)
-    grid_shape = (B, T, K, params.hidden)
-    grid = ad.reshape(e, grid_shape)
-    if global_temporal:
-        g_t = ad.mean_rows(grid, grid_shape, axis=1)
-    else:
-        g_t = Tensor(np.zeros((B * K, params.hidden)), op="const")
-    if global_spatial:
-        g_s = ad.mean_rows(grid, grid_shape, axis=2)
-    else:
-        g_s = Tensor(np.zeros((B * T, params.hidden)), op="const")
+    e = ad.linear(p.reshape(B * T * K, 3), params.embed_w, params.embed_b)
+    grid = ad.reshape(e, (B, T, K, params.hidden))
+
+    def mean(axis, on, rows):
+        if not on:
+            return Tensor(np.zeros((rows, params.hidden)), op="const")
+        pooled = ad.scale(ad.tsum(grid, axis), 1.0 / grid.data.shape[axis])
+        return ad.reshape(pooled, (rows, params.hidden))
+
+    g_t, g_s = mean(1, global_temporal, B * K), mean(2, global_spatial, B * T)
     return EncoderState(h=e, c=e, g_t=g_t, c_gt=g_t, g_s=g_s, c_gs=g_s,
                         frames=T, entries=K, windows=B)
 

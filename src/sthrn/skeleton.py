@@ -219,8 +219,9 @@ def read_lines(path) -> list[tuple[int, str]]:
 def with_lengths(path, lines, topo: SkeletonTopology) -> SkeletonTopology:
     """``topo``, validated, with the lengths that "<bone> <length>"
     ``lines``, numbered as ``read_lines`` gives them, set.  Each line
-    names a bone of ``topo``, and no bone twice.  Topology files and
-    lengths sidecars both go through here."""
+    names a bone of ``topo``, no bone twice, and a positive finite
+    length.  Topology files and lengths sidecars both go through here,
+    and every error names ``path``."""
     bones = {child for _, child in topo.bones()}
     lengths: dict[str, float] = {}
     for lineno, text in lines:
@@ -233,11 +234,17 @@ def with_lengths(path, lines, topo: SkeletonTopology) -> SkeletonTopology:
         if name in lengths:
             raise ParseError(f"{path}:{lineno}: second length for bone {name!r}")
         try:
-            lengths[name] = float(parts[1])
+            lengths[name] = length = float(parts[1])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: bad length {parts[1]!r}") from exc
+        if not 0.0 < length < math.inf:
+            raise ParseError(f"{path}:{lineno}: bone {name!r} has length {length}; "
+                             "it must be positive and finite")
     topo = replace(topo, lengths={**topo.lengths, **lengths})
-    topo.validate()
+    try:
+        topo.validate()
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     return topo
 
 

@@ -91,8 +91,8 @@ class AdamState:
     def init(cls, named: dict[str, Tensor]) -> "AdamState":
         return cls(
             step=0,
-            m={name: np.zeros_like(t.data) for name, t in named.items()},
-            v={name: np.zeros_like(t.data) for name, t in named.items()},
+            m={name: np.zeros(t.data.shape) for name, t in named.items()},
+            v={name: np.zeros(t.data.shape) for name, t in named.items()},
         )
 
 
@@ -153,9 +153,9 @@ class TrainConfig:
         check_field_types(self)
         if self.loss not in ("weighted", "l2"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        for key in ("batch_size", "iterations"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        for key, least in (("batch_size", 1), ("iterations", 1), ("observed", 2), ("horizon", 1)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
         # settings under which Adam would write non-finite parameters, or
         # clipping would silently switch off
         for key, ok, rule in (
@@ -317,7 +317,9 @@ def load_checkpoint(path) -> Checkpoint:
     The header must list exactly the tensors, in save order, that its
     config and chains imply; each is built from its shape and bytes,
     with no random draws, and must be finite.  Any other file raises
-    ParseError naming the path.
+    ParseError naming the path, a config too large to allocate
+    included.  Nothing writes the zero arrays before the file's bytes
+    are read into them.
     """
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
@@ -336,7 +338,7 @@ def load_checkpoint(path) -> Checkpoint:
             adam_step = header.get("adam_step")
             adam = None if adam_step is None else replace(AdamState.init(params.named()),
                                                            step=int(adam_step))
-        except (KeyError, TypeError, ValueError, struct.error) as exc:
+        except (KeyError, TypeError, ValueError, struct.error, MemoryError) as exc:
             raise ParseError(f"{path}: bad header ({type(exc).__name__}: {exc})") from exc
         tensors = _tensors(params, adam)  # zeros, filled in place below
         implied = [(name, a.shape) for name, a in tensors.items()]

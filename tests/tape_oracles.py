@@ -98,8 +98,8 @@ def _spread_vjp(node, g):
 
 
 def spread_rows(a, grid_shape: tuple, axis: int):
-    """Transpose of ``mean_rows`` without the scale: each row of ``a``
-    copied over ``axis`` of ``grid_shape``, one row per grid index."""
+    """Each row of ``a`` copied over ``axis`` of ``grid_shape``, one row
+    per grid index: the transpose of summing the grid over ``axis``."""
     a = ad._as_tensor(a)
     return ad._apply(ad._spread(grid_shape, axis, a.data), "spread", (a,), _spread_vjp,
                      ad._spread, grid_shape, axis)

@@ -403,20 +403,6 @@ def test_shift_rows_stays_within_blocks():
     assert np.array_equal(t.grad, w[[2, 0, 0, 5, 0, 0]] * [[1], [0], [0], [1], [0], [0]])
 
 
-def test_mean_rows_pools_each_window():
-    x = np.random.default_rng(5).normal(size=(2 * 3 * 4, 2))
-    t = leaf(x.copy())
-    grid = x.reshape(2, 3, 4, 2)
-    over_frames = ad.mean_rows(t, (2, 3, 4, 2), axis=1)
-    assert np.allclose(over_frames.data, grid.mean(axis=1).reshape(8, 2), atol=1e-15)
-    over_entries = ad.mean_rows(t, (2, 3, 4, 2), axis=2)
-    assert np.allclose(over_entries.data, grid.mean(axis=2).reshape(6, 2), atol=1e-15)
-    weights = leaf(np.arange(16.0).reshape(8, 2))
-    report = grad_check(lambda: ad.tsum(ad.mean_rows(t, (2, 3, 4, 2), axis=1) * weights),
-                        {"t": t})
-    assert report.max_rel_error < 1e-6
-
-
 @pytest.mark.parametrize("axis", [1, 2])
 def test_spread_rows_copies_within_each_window(axis):
     grid = (2, 3, 4, 2)
@@ -457,8 +443,9 @@ def _entries(*norms):
     return (w3 * (np.array(norms)[:, None] / np.linalg.norm(w3, axis=1, keepdims=True))).reshape(1, -1)
 
 
-# op -> (call on operands, operand arrays); each operand is passed either
-# as a leaf Tensor or as a raw array, which the op takes as a const
+# op, or op/form of its static arguments -> (call on operands, operand
+# arrays); each operand is passed either as a leaf Tensor or as a raw
+# array, which the op takes as a const
 OPS = {
     "add": (ad.add, [_r(3, 2), _r(2)]),
     "sub": (ad.sub, [_r(3, 2), _r(3, 1)]),
@@ -469,12 +456,18 @@ OPS = {
     "linear_terms": (lambda x, w, y, v, b: oracle.linear([(x, w), b, (y, v)]),
                [_r(3, 4), _r(4, 2), _r(3, 1), _r(1, 2), _r(2)]),
     "reshape": (lambda a: ad.reshape(a, (2, 3)), [_r(3, 2)]),
+    "reshape/raise-rank": (lambda a: ad.reshape(a, (2, 3, 2)), [_r(6, 2)]),
+    "reshape/lower-rank": (lambda a: ad.reshape(a, (6, 2)), [_r(2, 3, 2)]),
     "concat": (lambda a, b, c: ad.concat([a, b, c], axis=1), [_r(3, 2), _r(3, 1), _r(3, 2)]),
+    "concat/axis-0": (lambda a, b: ad.concat([a, b], axis=0), [_r(2, 3), _r(1, 3)]),
     "narrow": (lambda a: ad.narrow(a, np.s_[1:, ::2]), [_r(3, 4)]),
+    "narrow/int-none-ellipsis": (lambda a: ad.narrow(a, np.s_[1, None, ..., ::2]), [_r(3, 4, 5)]),
     "shift_rows": (lambda a: oracle.shift_rows(a, -1, block=2), [_r(4, 2)]),
     "tsum": (lambda a: ad.tsum(a, axis=0), [_r(3, 2)]),
-    "mean_rows": (lambda a: ad.mean_rows(a, (2, 3, 2), axis=1), [_r(6, 2)]),
+    "tsum/all-axes": (ad.tsum, [_r(3, 2)]),
+    "tsum/negative-axis": (lambda a: ad.tsum(a, axis=-2), [_r(2, 3, 2)]),
     "l2norm": (lambda a: ad.l2norm(a, axis=1), [_r(3, 2)]),
+    "l2norm/axis-0": (lambda a: ad.l2norm(a, axis=0), [_r(3, 2)]),
     "sigmoid": (oracle.sigmoid, [_r(3, 2)]),
     "tanh": (oracle.tanh, [_r(3, 2)]),
     "wrap_rows": (ad.wrap_rows, [np.concatenate([_entries(0.5, 4.0), _entries(2.0, 7.0)])]),
@@ -502,7 +495,7 @@ def test_op_table_covers_every_public_op():
               if callable(value) and not name.startswith("_")
               and getattr(value, "__module__", None) == ad.__name__
               and not isinstance(value, type)}
-    assert public - {"backward", "grad_check"} == set(OPS) - ORACLE_OPS
+    assert public - {"backward", "grad_check"} == {row.split("/")[0] for row in OPS} - ORACLE_OPS
 
 
 @pytest.mark.parametrize("op", sorted(OPS))
@@ -714,11 +707,21 @@ def test_matmul_shape_errors():
         ad.matmul(leaf(np.ones((2, 3))), leaf(np.ones((4, 2))))
 
 
+def test_reductions_refuse_an_axis_out_of_range():
+    a = leaf(np.ones((2, 3)))
+    for call in (lambda: ad.tsum(a, axis=2), lambda: ad.tsum(a, axis=-3),
+                 lambda: ad.l2norm(a, axis=2)):
+        with pytest.raises(np.exceptions.AxisError):
+            call()
+
+
 def test_concat_shape_error():
     with pytest.raises(ShapeMismatch):
         ad.concat([leaf(np.ones((2, 3))), leaf(np.ones((2, 4)))], axis=0)
     with pytest.raises(ShapeMismatch):  # ranks must agree too
         ad.concat([leaf(np.ones((2, 3))), leaf(np.ones(3))], axis=0)
+    with pytest.raises(ShapeMismatch):
+        ad.concat([leaf(np.ones((2, 3))), leaf(np.ones((2, 3)))], axis=-3)
 
 
 # -- finite-difference checking ------------------------------------------------------

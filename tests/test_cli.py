@@ -260,6 +260,19 @@ def test_train_refuses_a_sidecar_length_for_no_bone_exits_2(tmp_path, capsys):
     assert f"error: {sidecar}:2: 'notabone' names no bone" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["a2 inf", "a2 nan", "a2 0", "a2 -1.5"])
+def test_train_refuses_a_bad_sidecar_length_naming_its_line_exits_2(tmp_path, capsys, line):
+    sidecar = tmp_path / "d.lengths"
+    sidecar.write_text(f"# normalized bone lengths\n{line}\n")
+    rc = main(["train", "--data", lie_file(tmp_path, "d.lie"), "--topology",
+               topo_file(tmp_path), "--config", write_config(tmp_path, TINY),
+               "--lengths", str(sidecar)])
+    assert rc == 2
+    value = float(line.split()[1])
+    assert (f"error: {sidecar}:2: bone 'a2' has length {value}; it must be positive and finite"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command, message", [("train", "training data must be Lie vectors"),
                                               ("predict", "predict expects Lie-vector data")],
                          ids=["train", "predict"])
@@ -519,7 +532,9 @@ def test_parse_frames_specs():
 @pytest.mark.parametrize("flags, config, message", [
     (["--iterations", "0"], TINY, "iterations must be at least 1"),
     ([], TINY.replace("batch_size = 2", "batch_size = 0"), "batch_size must be at least 1"),
-], ids=["iterations", "batch_size"])
+    ([], TINY.replace("observed = 6", "observed = 1"), "observed must be at least 2, got 1"),
+    ([], TINY.replace("horizon = 2", "horizon = 0"), "horizon must be at least 1, got 0"),
+], ids=["iterations", "batch_size", "observed", "horizon"])
 def test_train_rejects_empty_runs_exits_2(tmp_path, capsys, flags, config, message):
     rc = main(["train", "--data", lie_file(tmp_path, "d.lie"), "--topology",
                topo_file(tmp_path), "--config", write_config(tmp_path, config), *flags])

@@ -196,6 +196,23 @@ def test_topology_lengths_name_each_bone_once(tmp_path, extra, message):
         load_topology(path)
 
 
+@pytest.mark.parametrize("text, error, where, message", [
+    ("[joints]\na\nb\n[chains]\na b\n[lengths]\nb inf\n", ParseError, ":7",
+     "bone 'b' has length inf; it must be positive and finite"),
+    ("[joints]\na\nb\n[chains]\na b\n[lengths]\nb -2\n", ParseError, ":7",
+     "bone 'b' has length -2.0; it must be positive and finite"),
+    ("[joints]\na\nb\nc\nd\n[chains]\na b\nc d\n[lengths]\nb 1\nd 1\n", ValidationError,
+     "", "chain 1 is disconnected: head 'c' not in any earlier chain"),
+    ("[joints]\na\nb\nc\n[chains]\na b c\n[lengths]\nb 1\n", ValidationError, "",
+     "missing length for bone 'c'"),
+], ids=["inf-length", "negative-length", "disconnected", "missing-length"])
+def test_topology_errors_name_the_file(tmp_path, text, error, where, message):
+    path = tmp_path / "rig.topo"
+    path.write_text(text)
+    with pytest.raises(error, match=f"^{re.escape(f'{path}{where}: {message}')}$"):
+        load_topology(path)
+
+
 # -- pose <-> lie -----------------------------------------------------------------
 
 

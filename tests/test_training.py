@@ -1,12 +1,18 @@
 """Loss, optimizer, training-loop, and checkpoint checks."""
 
+import json
 import math
+import os
+import struct
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+import sthrn
 import sthrn.autodiff as ad
 import sthrn.training as training
 from sthrn.autodiff import Tensor, backward
@@ -388,9 +394,6 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 
 
 def test_checkpoint_rejects_wrong_version(tmp_path):
-    import json
-    import struct
-
     blob = json.dumps({"version": 2}).encode()
     path = tmp_path / "v2.ckpt"
     path.write_bytes(b"STHRN1\n" + struct.pack("<Q", len(blob)) + blob)
@@ -406,6 +409,50 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path.write_bytes(data[:-16])
     with pytest.raises(ParseError):
         load_checkpoint(path)
+
+
+# Loads each checkpoint named on the command line, prints its error, and
+# last how far the loads raised the process's peak RSS, in MB.
+_LOAD_AND_MEASURE = """
+import resource, sys
+from sthrn.skeleton import ParseError
+from sthrn.training import load_checkpoint
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for path in sys.argv[1:]:
+    try:
+        load_checkpoint(path)
+    except ParseError as exc:
+        print(exc)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+def test_checkpoint_refuses_a_config_too_big_to_build(tmp_path):
+    """A header whose hidden size implies 224 GiB or 213 PiB of weights is
+    a bad header, and one that maps but that the file does not back
+    (hidden 250, with Adam moments) costs no resident memory: neither
+    load raises the peak RSS of a fresh process."""
+    params = ModelParams.init(CFG, LAYOUT, seed=16)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, CFG, LAYOUT, adam=AdamState.init(params.named()))
+    data = path.read_bytes()
+    size = 7 + 8 + struct.unpack("<Q", data[7:15])[0]
+    header = json.loads(data[15:size])
+    paths = []
+    for hidden in (10**5, 10**8, 250):
+        header["config"]["hidden_size"] = hidden
+        blob = json.dumps(header).encode()
+        paths.append(tmp_path / f"hidden{hidden}.ckpt")
+        paths[-1].write_bytes(data[:7] + struct.pack("<Q", len(blob)) + blob + data[size:])
+    src = os.path.dirname(os.path.dirname(sthrn.__file__))
+    run = subprocess.run([sys.executable, "-c", _LOAD_AND_MEASURE, *map(str, paths)],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    *errors, grown_mb = run.stdout.splitlines()
+    assert errors[0].startswith(f"{paths[0]}: bad header (MemoryError: ")
+    assert errors[1].startswith(f"{paths[1]}: bad header (MemoryError: ")
+    assert errors[2].startswith(f"{paths[2]}: header tensors differ from its config's")
+    assert float(grown_mb) < 100.0
 
 
 def test_checkpoint_load_makes_no_random_draws(tmp_path, monkeypatch):
@@ -445,11 +492,12 @@ def test_train_stops_at_a_nan_gradient_before_touching_params():
         assert np.array_equal(t.data, before[n]), n
 
 
-@pytest.mark.parametrize("field", ["batch_size", "iterations"])
+@pytest.mark.parametrize("field", ["batch_size", "iterations", "observed", "horizon"])
 def test_train_rejects_empty_runs(field):
     seqs = [synth_motion("sinusoid", 30, TOPO, seed=3)]
-    with pytest.raises(ValueError, match=f"{field} must be at least 1"):
-        train(seqs, LAYOUT, np.ones(4), CFG, tiny_train_config(**{field: 0}))
+    least = 2 if field == "observed" else 1
+    with pytest.raises(ValueError, match=f"^{field} must be at least {least}, got {least - 1}$"):
+        train(seqs, LAYOUT, np.ones(4), CFG, tiny_train_config(**{field: least - 1}))
 
 
 @pytest.mark.parametrize("key, value, message", [
