@@ -20,7 +20,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from numpy.lib.array_utils import normalize_axis_index
 
 
 class ShapeMismatch(ValueError):
@@ -321,12 +320,6 @@ def linear(x, w, b) -> Tensor:
 # -- shape ------------------------------------------------------------------
 
 
-def _from_last(axis: int, nd: int) -> int:
-    """``axis`` of an ``nd``-dim operand counted from the last axis; out
-    of range raises numpy's AxisError."""
-    return normalize_axis_index(axis, nd) - nd
-
-
 def _reshape_fwd(nd, shape, a):
     return a.reshape(a.shape[:a.ndim - nd] + shape)
 
@@ -366,7 +359,7 @@ def concat(parts, axis: int = 0) -> Tensor:
         raise ShapeMismatch(f"concat: {[p.data.shape for p in parts]}")
     out = _concat_fwd(axis, *[p.data for p in parts])
     return _apply(out, "concat", tuple(parts), _concat_vjp, _concat_fwd,
-                  _from_last(axis, out.ndim))
+                  axis % out.ndim - out.ndim)
 
 
 _BASIC_INDEX = (int, np.integer, slice, type(Ellipsis), type(None))
@@ -413,9 +406,9 @@ def _sum_vjp(node, g):
 def tsum(a, axis: int | None = None) -> Tensor:
     """Sum along one axis, or over all of them."""
     a = _as_tensor(a)
-    nd = a.data.ndim
-    axis = tuple(range(-nd, 0)) if axis is None else _from_last(axis, nd)
-    return _apply(_sum_fwd(axis, a.data), "sum", (a,), _sum_vjp, _sum_fwd, axis)
+    out, nd = _sum_fwd(axis, a.data), a.data.ndim  # numpy refuses an axis out of range
+    axis = tuple(range(-nd, 0)) if axis is None else axis % nd - nd
+    return _apply(out, "sum", (a,), _sum_vjp, _sum_fwd, axis)
 
 
 def _pool(grid_shape: tuple, axis: int, x: np.ndarray) -> np.ndarray:
@@ -455,8 +448,8 @@ def l2norm(a, axis: int = -1) -> Tensor:
     not: in a batch, another row's kink must not poison this one.
     """
     a = _as_tensor(a)
-    axis = _from_last(axis, a.data.ndim)
-    return _apply(_l2norm_fwd(axis, a.data), "l2norm", (a,), _l2norm_vjp, _l2norm_fwd, axis)
+    out, nd = _l2norm_fwd(axis, a.data), a.data.ndim  # numpy refuses an axis out of range
+    return _apply(out, "l2norm", (a,), _l2norm_vjp, _l2norm_fwd, axis % nd - nd)
 
 
 # -- rotation wrap ----------------------------------------------------------

@@ -128,9 +128,15 @@ class SkeletonTopology:
             length = self.lengths.get(child)
             if length is None:
                 raise ValidationError(f"missing length for bone {child!r}")
-            if not 0.0 < length < math.inf:
-                raise ValidationError(
-                    f"bone {child!r} has length {length}; it must be positive and finite")
+            if error := _length_error(child, length):
+                raise ValidationError(error)
+
+
+def _length_error(bone: str, length: float) -> str | None:
+    """Why ``length`` is no bone length, or None if it is one."""
+    if not 0.0 < length < math.inf:
+        return f"bone {bone!r} has length {length}; it must be positive and finite"
+    return None
 
 
 @dataclass(frozen=True)
@@ -237,9 +243,8 @@ def with_lengths(path, lines, topo: SkeletonTopology) -> SkeletonTopology:
             lengths[name] = length = float(parts[1])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: bad length {parts[1]!r}") from exc
-        if not 0.0 < length < math.inf:
-            raise ParseError(f"{path}:{lineno}: bone {name!r} has length {length}; "
-                             "it must be positive and finite")
+        if error := _length_error(name, length):
+            raise ParseError(f"{path}:{lineno}: {error}")
     topo = replace(topo, lengths={**topo.lengths, **lengths})
     try:
         topo.validate()

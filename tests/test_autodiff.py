@@ -711,7 +711,7 @@ def test_reductions_refuse_an_axis_out_of_range():
     a = leaf(np.ones((2, 3)))
     for call in (lambda: ad.tsum(a, axis=2), lambda: ad.tsum(a, axis=-3),
                  lambda: ad.l2norm(a, axis=2)):
-        with pytest.raises(np.exceptions.AxisError):
+        with pytest.raises(IndexError):  # numpy's AxisError
             call()
 
 

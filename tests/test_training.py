@@ -428,8 +428,8 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
 
 
 def test_checkpoint_refuses_a_config_too_big_to_build(tmp_path):
-    """A header whose hidden size implies 224 GiB or 213 PiB of weights is
-    a bad header, and one that maps but that the file does not back
+    """A header whose hidden size implies 224 GiB or 213 PiB of weights
+    raises ParseError, and one that maps but that the file does not back
     (hidden 250, with Adam moments) costs no resident memory: neither
     load raises the peak RSS of a fresh process."""
     params = ModelParams.init(CFG, LAYOUT, seed=16)
@@ -449,7 +449,10 @@ def test_checkpoint_refuses_a_config_too_big_to_build(tmp_path):
                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 0, run.stderr
     *errors, grown_mb = run.stdout.splitlines()
-    assert errors[0].startswith(f"{paths[0]}: bad header (MemoryError: ")
+    # 224 GiB fails to allocate, or, on a host that overcommits memory,
+    # allocates untouched and then fails the tensor comparison
+    assert errors[0].startswith((f"{paths[0]}: bad header (MemoryError: ",
+                                 f"{paths[0]}: header tensors differ from its config's"))
     assert errors[1].startswith(f"{paths[1]}: bad header (MemoryError: ")
     assert errors[2].startswith(f"{paths[2]}: header tensors differ from its config's")
     assert float(grown_mb) < 100.0
