@@ -2,8 +2,8 @@
 prediction on Lie-algebra pose features."""
 
 from .autodiff import Tensor, backward, grad_check, no_grad
-from .encoder import ChainLayout, EncoderParams, encode
-from .decoder import DecoderParams, decode_step, init_decoder
+from .encoder import ChainLayout, encode
+from .decoder import decode_step, init_decoder
 from .evaluation import HORIZON_MS, horizon_frames, mae, zero_velocity
 from .geometry import (
     AxisAngle,
@@ -13,7 +13,7 @@ from .geometry import (
     rodrigues,
     wrap_so3,
 )
-from .model import ModelConfig, ModelParams, forward, predict
+from .model import ModelConfig, ModelParams, forward, param_table, predict
 from .skeleton import (
     MotionSequence,
     RootConfig,

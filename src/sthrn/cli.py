@@ -173,7 +173,8 @@ def cmd_train(args) -> int:
     if args.metrics:
         write_metrics(args.metrics, result.metrics)
     first, last = result.metrics[0][1], result.metrics[-1][1]
-    print(f"trained {train_config.iterations} iterations, "
+    count = sum(t.data.size for t in result.params.named().values())
+    print(f"trained {train_config.iterations} iterations of {count:,} parameters, "
           f"loss {first:.6f} -> {last:.6f}")
     return 0
 

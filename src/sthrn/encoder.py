@@ -22,16 +22,22 @@ grid neighbors contribute zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 
-INIT_SIGMA = 0.1  # standard deviation of every initial weight, encoder and decoder
-
 GATE_ORDER = ("in", "left", "same", "right", "spatial", "gs", "gt", "out", "cand")
+# one gate head's weights: u on the input, w on the temporal neighbor
+# triple, z on the spatial predecessor, gs / gt on the global states
+GATE_FIELDS = ("u", "w", "z", "gs", "gt", "bias")
+# one global-state updater: w_c / z_c / b_c gate each grid cell's
+# contribution, w_f / z_f / b_f forget the previous global cell, w_o /
+# z_o / b_o are the output gate; the w_* act on the new grid states, the
+# z_* on the previous global hidden state
+GLOBAL_FIELDS = ("w_c", "z_c", "b_c", "w_f", "z_f", "b_f", "w_o", "z_o", "b_o")
 
 
 @dataclass(frozen=True)
@@ -45,8 +51,9 @@ class ChainLayout:
     entry_counts: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.entry_counts or any(k < 1 for k in self.entry_counts):
-            raise ValueError("every chain needs at least one Lie entry")
+        if not self.entry_counts or any(type(k) is not int or k < 1 for k in self.entry_counts):
+            raise ValueError(f"every chain needs a whole number of Lie entries, at least one; "
+                             f"got {self.entry_counts}")
 
     @property
     def num_entries(self) -> int:
@@ -77,93 +84,6 @@ class ChainLayout:
         rest = list(range(1, len(self.entry_counts)))
         half = (len(rest) + 1) // 2
         return (0,), tuple(rest[:half]), tuple(rest[half:])
-
-
-@dataclass
-class GateParams:
-    """One gate head.  u: input, w: temporal neighbor triple, z: spatial
-    predecessor, gs / gt: global states, bias."""
-
-    u: Tensor   # (3, hidden)
-    w: Tensor   # (3 * hidden, hidden)
-    z: Tensor   # (hidden, hidden)
-    gs: Tensor  # (hidden, hidden)
-    gt: Tensor  # (hidden, hidden)
-    bias: Tensor  # (hidden,)
-
-
-@dataclass
-class GlobalParams:
-    """One global-state updater (temporal or spatial).
-
-    w_c / z_c / b_c gate each grid cell's contribution, w_f / z_f / b_f
-    is the forget gate on the previous global cell, w_o / z_o / b_o the
-    output gate.  The w_* act on new layer-l grid states, the z_* on
-    the previous global hidden state.
-    """
-
-    w_c: Tensor
-    z_c: Tensor
-    b_c: Tensor
-    w_f: Tensor
-    z_f: Tensor
-    b_f: Tensor
-    w_o: Tensor
-    z_o: Tensor
-    b_o: Tensor
-
-    def weights(self) -> tuple[Tensor, ...]:
-        """The nine weights in field order, as ``ad.pooled_cell`` takes them."""
-        return tuple(getattr(self, f.name) for f in fields(self))
-
-
-@dataclass
-class EncoderParams:
-    embed_w: Tensor  # (3, hidden)
-    embed_b: Tensor  # (hidden,)
-    gates: dict[str, GateParams]
-    gtemp: GlobalParams
-    gspat: GlobalParams
-
-    @property
-    def hidden(self) -> int:
-        return self.embed_w.data.shape[1]
-
-    @classmethod
-    def init(cls, hidden: int, rng: np.random.Generator) -> "EncoderParams":
-        def w(*shape):
-            return Tensor(rng.normal(0.0, INIT_SIGMA, size=shape))
-
-        def b(*shape):
-            return Tensor(np.zeros(shape))
-
-        gates = {
-            name: GateParams(
-                u=w(3, hidden), w=w(3 * hidden, hidden), z=w(hidden, hidden),
-                gs=w(hidden, hidden), gt=w(hidden, hidden), bias=b(hidden),
-            )
-            for name in GATE_ORDER
-        }
-
-        def glob():
-            return GlobalParams(
-                w_c=w(hidden, hidden), z_c=w(hidden, hidden), b_c=b(hidden),
-                w_f=w(hidden, hidden), z_f=w(hidden, hidden), b_f=b(hidden),
-                w_o=w(hidden, hidden), z_o=w(hidden, hidden), b_o=b(hidden),
-            )
-
-        return cls(
-            embed_w=w(3, hidden), embed_b=b(hidden),
-            gates=gates, gtemp=glob(), gspat=glob(),
-        )
-
-    def named(self) -> dict[str, Tensor]:
-        out = {"enc.embed.w": self.embed_w, "enc.embed.b": self.embed_b}
-        groups = [(f"enc.gate.{name}", self.gates[name]) for name in GATE_ORDER]
-        for prefix, g in groups + [("enc.gt", self.gtemp), ("enc.gs", self.gspat)]:
-            for f in fields(g):
-                out[f"{prefix}.{f.name}"] = getattr(g, f.name)
-        return out
 
 
 @dataclass
@@ -202,37 +122,44 @@ def _as_windows(p: np.ndarray, k: int) -> np.ndarray:
     return p
 
 
-def init_states(p: np.ndarray, params: EncoderParams, layout: ChainLayout,
+def init_states(p: np.ndarray, params: dict[str, Tensor], layout: ChainLayout,
                 global_temporal: bool = True, global_spatial: bool = True) -> EncoderState:
     """Layer-0 states: h = c = embed(p), globals = means of those.
 
-    ``p`` is one (T, K, 3) window or B of them stacked as (B, T, K, 3).
+    ``p`` is one (T, K, 3) window or B of them stacked as (B, T, K, 3);
+    ``params`` is a model's name -> Tensor table.
     """
     p = _as_windows(p, layout.num_entries)
     B, T, K, _ = p.shape
-    e = ad.linear(p.reshape(B * T * K, 3), params.embed_w, params.embed_b)
-    grid = ad.reshape(e, (B, T, K, params.hidden))
+    e = ad.linear(p.reshape(B * T * K, 3), params["enc.embed.w"], params["enc.embed.b"])
+    hidden = e.data.shape[1]
+    grid = ad.reshape(e, (B, T, K, hidden))
 
     def mean(axis, on, rows):
         if not on:
-            return Tensor(np.zeros((rows, params.hidden)), op="const")
+            return Tensor(np.zeros((rows, hidden)), op="const")
         pooled = ad.scale(ad.tsum(grid, axis), 1.0 / grid.data.shape[axis])
-        return ad.reshape(pooled, (rows, params.hidden))
+        return ad.reshape(pooled, (rows, hidden))
 
     g_t, g_s = mean(1, global_temporal, B * K), mean(2, global_spatial, B * T)
     return EncoderState(h=e, c=e, g_t=g_t, c_gt=g_t, g_s=g_s, c_gs=g_s,
                         frames=T, entries=K, windows=B)
 
 
-def _fused_gate_params(params: EncoderParams):
-    """Each ``GateParams`` field of the nine gates side by side, in
+def _fused_gate_params(params: dict[str, Tensor]):
+    """Each ``GATE_FIELDS`` weight of the nine gates side by side, in
     ``GATE_ORDER``."""
-    gates = [params.gates[name] for name in GATE_ORDER]
-    return tuple(ad.concat([getattr(g, f.name) for g in gates], axis=-1)
-                 for f in fields(GateParams))
+    return tuple(ad.concat([params[f"enc.gate.{name}.{f}"] for name in GATE_ORDER], axis=-1)
+                 for f in GATE_FIELDS)
 
 
-def _layer_step(state: EncoderState, p_proj: Tensor, fused, params: EncoderParams,
+def _global_weights(params: dict[str, Tensor], prefix: str) -> tuple[Tensor, ...]:
+    """A global updater's nine weights ("enc.gt" or "enc.gs") in
+    ``GLOBAL_FIELDS`` order, as ``ad.pooled_cell`` takes them."""
+    return tuple(params[f"{prefix}.{f}"] for f in GLOBAL_FIELDS)
+
+
+def _layer_step(state: EncoderState, p_proj: Tensor, fused, params: dict[str, Tensor],
                 sp_mask: np.ndarray,
                 global_temporal: bool, global_spatial: bool) -> EncoderState:
     """One layer over the whole grid; ``p_proj`` is the layer-invariant
@@ -246,16 +173,16 @@ def _layer_step(state: EncoderState, p_proj: Tensor, fused, params: EncoderParam
                                 state.c_gs, state.c_gt, grid, sp_mask)
     g_t, c_gt, g_s, c_gs = state.g_t, state.c_gt, state.g_s, state.c_gs
     if global_temporal:
-        g_t, c_gt = ad.pooled_cell(h_new, c_new, g_t, c_gt, params.gtemp.weights(),
+        g_t, c_gt = ad.pooled_cell(h_new, c_new, g_t, c_gt, _global_weights(params, "enc.gt"),
                                    grid, axis=1)
     if global_spatial:
-        g_s, c_gs = ad.pooled_cell(h_new, c_new, g_s, c_gs, params.gspat.weights(),
+        g_s, c_gs = ad.pooled_cell(h_new, c_new, g_s, c_gs, _global_weights(params, "enc.gs"),
                                    grid, axis=2)
     return EncoderState(h=h_new, c=c_new, g_t=g_t, c_gt=c_gt, g_s=g_s, c_gs=c_gs,
                         frames=state.frames, entries=state.entries, windows=state.windows)
 
 
-def encode(p: np.ndarray, params: EncoderParams, layout: ChainLayout,
+def encode(p: np.ndarray, params: dict[str, Tensor], layout: ChainLayout,
            layers: int, global_temporal: bool = True,
            global_spatial: bool = True) -> EncoderState:
     """Run the full encoder over (T, K, 3) Lie-entry inputs, or over B

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .decoder import DecoderParams, decode_step, init_decoder
-from .encoder import ChainLayout, EncoderParams, encode
+from .decoder import DECODER_KINDS, decode_step, init_decoder, wiring
+from .encoder import GATE_FIELDS, GATE_ORDER, GLOBAL_FIELDS, ChainLayout, encode
+
+INIT_SIGMA = 0.1  # standard deviation of every initial weight
+# a model whose float64 parameters alone take more is refused before
+# anything is drawn; training holds four more copies (gradients, Adam's
+# two moments, the update) besides the tape
+MAX_PARAM_BYTES = 1 << 30
 
 
 _FIELD_TYPES = {kind.__name__: kind for kind in (int, float, str, bool)}
@@ -44,25 +51,68 @@ class ModelConfig:
         for key in ("hidden_size", "layers"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if self.decoder not in DECODER_KINDS:
+            raise ValueError(f"unknown decoder kind {self.decoder!r}; known kinds: "
+                             f"{', '.join(DECODER_KINDS)}")
+
+
+def param_table(config: ModelConfig, layout: ChainLayout) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in checkpoint order.
+
+    The encoder's embedding, its nine gate heads in ``GATE_ORDER`` and
+    its temporal ("enc.gt") and spatial ("enc.gs") global updaters are
+    as wide as ``hidden_size``; the decoder's cells, sorted by name, and
+    its heads, in wiring order, are K * ``hidden_size`` wide.  Vectors
+    are biases and start at zero; matrices are drawn.
+    """
+    n = config.hidden_size
+    table = {"enc.embed.w": (3, n), "enc.embed.b": (n,)}
+    gate_shapes = ((3, n), (3 * n, n), (n, n), (n, n), (n, n), (n,))
+    for gate in GATE_ORDER:
+        table.update({f"enc.gate.{gate}.{f}": s for f, s in zip(GATE_FIELDS, gate_shapes)})
+    for prefix in ("enc.gt", "enc.gs"):
+        table.update({f"{prefix}.{f}": (n,) if f.startswith("b") else (n, n)
+                      for f in GLOBAL_FIELDS})
+    cells, heads = wiring(config.decoder, layout)
+    k = layout.num_entries
+    d = k * n
+    for name, sources in sorted(cells):
+        width = sum(3 * k if s == "pose" else d for s in sources)
+        table.update({f"dec.{name}.w": (width + d, 4 * d), f"dec.{name}.b": (4 * d,)})
+    for i, (_, chains) in enumerate(heads):
+        width = 3 * sum(layout.entry_counts[c] for c in chains)
+        table.update({f"dec.proj.{i}.w": (d, width), f"dec.proj.{i}.b": (width,)})
+    return table
 
 
 @dataclass
 class ModelParams:
-    encoder: EncoderParams
-    decoder: DecoderParams
+    """A model's parameters: one name -> Tensor table in checkpoint order."""
+
+    tensors: dict[str, Tensor]
 
     @classmethod
     def init(cls, config: ModelConfig, layout: ChainLayout,
              seed: int | np.random.Generator) -> "ModelParams":
+        """Seeded parameters; raises ValueError, before anything is drawn,
+        when they would take more than ``MAX_PARAM_BYTES``."""
+        table = param_table(config, layout)
+        count = sum(math.prod(shape) for shape in table.values())
+        if 8 * count > MAX_PARAM_BYTES:
+            raise ValueError(f"a model of {count:,} parameters takes {8 * count:,} bytes; "
+                             f"at most {MAX_PARAM_BYTES:,} bytes are allowed")
+        # draw order: the gates, the embedding, the global updaters, the
+        # decoder cells in wiring order, then the heads
+        groups = ["enc.gate.", "enc.embed.", "enc.gt.", "enc.gs.",
+                  *(f"dec.{name}." for name, _ in wiring(config.decoder, layout)[0]), "dec.proj."]
+        rank = {name: next(i for i, g in enumerate(groups) if name.startswith(g)) for name in table}
         rng = np.random.default_rng(seed)
-        enc = EncoderParams.init(config.hidden_size, rng)
-        dec = DecoderParams.init(layout, config.hidden_size, rng, kind=config.decoder)
-        return cls(encoder=enc, decoder=dec)
+        arrays = {name: rng.normal(0.0, INIT_SIGMA, size=table[name]) if len(table[name]) == 2
+                  else np.zeros(table[name]) for name in sorted(table, key=rank.get)}
+        return cls({name: Tensor(arrays[name]) for name in table})
 
     def named(self) -> dict[str, Tensor]:
-        out = self.encoder.named()
-        out.update(self.decoder.named())
-        return out
+        return dict(self.tensors)
 
 
 def _check_observed(observed, k: int) -> np.ndarray:
@@ -96,13 +146,13 @@ def forward(params: ModelParams, config: ModelConfig, layout: ChainLayout,
         observed = observed[None]
         feed = None if feed is None else np.asarray(feed)[None]
     b = observed.shape[0]
-    enc = encode(observed[:, :-1], params.encoder, layout, config.layers,
+    enc = encode(observed[:, :-1], params.tensors, layout, config.layers,
                  config.global_temporal, config.global_spatial)
-    state = init_decoder(enc, params.decoder)
+    state = init_decoder(enc, wiring(config.decoder, layout))
     w = observed[:, -1].reshape(b, 3 * k)
     outs: list[Tensor] = []
     for n in range(horizon):
-        w, state = decode_step(w, state, params.decoder)
+        w, state = decode_step(w, state, params.tensors)
         outs.append(w)
         if feed is not None and n + 1 < horizon:
             w = feed[:, n].reshape(b, 3 * k)

@@ -152,13 +152,6 @@ class RootConfig:
     directions: tuple[np.ndarray, ...]
 
     @classmethod
-    def from_pose(cls, joints: np.ndarray, topo: SkeletonTopology) -> "RootConfig":
-        joints = _check_joints(joints, topo)
-        index = topo.joint_index()
-        dirs = tuple(_direction(joints, index, *chain[:2]) for chain in topo.chains)
-        return cls(joints[index[topo.chains[0][0]]].copy(), dirs)
-
-    @classmethod
     def canonical(cls, topo: SkeletonTopology) -> "RootConfig":
         """Fixed fallback anchoring for data without raw positions."""
         base = [

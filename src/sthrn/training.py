@@ -9,19 +9,21 @@ the tips.  Theta is constant once bone lengths are normalized.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import struct
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .encoder import ChainLayout
-from .model import ModelConfig, ModelParams, check_field_types, forward, frames_tensor
+from .model import (ModelConfig, ModelParams, check_field_types, forward, frames_tensor,
+                    param_table)
 from .skeleton import MotionSequence, ParseError, sample_windows
 
 _MAGIC = b"STHRN1\n"
@@ -257,29 +259,21 @@ def write_metrics(path, metrics: list[tuple[int, float, float]]) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _ZeroDraws(np.random.Generator):
-    """Seeds ``ModelParams.init`` to build zeros without drawing a number."""
-
-    def __init__(self):
-        super().__init__(np.random.PCG64(0))
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return np.zeros(size)
-
-
-def _tensors(params: ModelParams, adam: AdamState | None) -> dict[str, np.ndarray]:
-    """A checkpoint's tensors in file order: parameters, then Adam moments."""
-    named = {name: t.data for name, t in params.named().items()}
-    if adam is None:
-        return named
-    return {**named, **{f"adam.m.{n}": adam.m[n] for n in named},
-            **{f"adam.v.{n}": adam.v[n] for n in named}}
+def _file_order(params: dict, moments: tuple[dict, dict] | None) -> dict:
+    """A checkpoint's entries in file order: the parameters, then Adam's
+    first and second moments when ``moments`` is given."""
+    if moments is None:
+        return params
+    m, v = moments
+    return {**params, **{f"adam.m.{n}": m[n] for n in params},
+            **{f"adam.v.{n}": v[n] for n in params}}
 
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig,
                     layout: ChainLayout, iteration: int = 0,
                     adam: AdamState | None = None) -> None:
-    tensors = _tensors(params, adam)
+    tensors = _file_order({name: t.data for name, t in params.named().items()},
+                          None if adam is None else (adam.m, adam.v))
     header = {
         "version": 1,
         "config": asdict(config),
@@ -315,11 +309,13 @@ def load_checkpoint(path) -> Checkpoint:
     """Bit-exact reload of a saved checkpoint.
 
     The header must list exactly the tensors, in save order, that its
-    config and chains imply; each is built from its shape and bytes,
-    with no random draws, and must be finite.  Any other file raises
-    ParseError naming the path, a config too large to allocate
-    included.  Nothing writes the zero arrays before the file's bytes
-    are read into them.
+    config and chains imply (``param_table``, then the Adam moments when
+    it records an Adam step), and the bytes after the header must be
+    exactly those tensors': both are checked before any array is
+    allocated, so a header cannot make the load take memory its file
+    does not back.  Each tensor is read straight into its array, with
+    no random draws, and must be finite.  Any other file raises
+    ParseError naming the path.
     """
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
@@ -334,21 +330,29 @@ def load_checkpoint(path) -> Checkpoint:
             layout = ChainLayout(tuple(header["chains"]))
             iteration = int(header["iteration"])
             listed = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
-            params = ModelParams.init(config, layout, seed=_ZeroDraws())
+            table = param_table(config, layout)
             adam_step = header.get("adam_step")
-            adam = None if adam_step is None else replace(AdamState.init(params.named()),
-                                                           step=int(adam_step))
-        except (KeyError, TypeError, ValueError, struct.error, MemoryError) as exc:
+            adam_step = None if adam_step is None else int(adam_step)
+        except (KeyError, TypeError, ValueError, struct.error) as exc:
             raise ParseError(f"{path}: bad header ({type(exc).__name__}: {exc})") from exc
-        tensors = _tensors(params, adam)  # zeros, filled in place below
-        implied = [(name, a.shape) for name, a in tensors.items()]
+        implied = list(_file_order(table, None if adam_step is None else (table, table)).items())
         if listed != implied:
-            differ = [x for x in listed + implied if (x in listed) != (x in implied)]
-            raise ParseError(f"{path}: header tensors differ from its config's: "
-                             f"{differ or 'in order'}")
-        for name, a in tensors.items():
+            pairs = list(itertools.zip_longest(listed, implied))
+            differ = [(got, want) for got, want in pairs if got != want]
+            raise ParseError(f"{path}: header tensors differ from its config's at "
+                             f"{len(differ)} of {len(pairs)} entries; the first lists "
+                             f"{differ[0][0] or 'nothing'} where the config implies "
+                             f"{differ[0][1] or 'nothing'}")
+        need = 8 * sum(math.prod(shape) for _, shape in implied)
+        have = os.fstat(fh.fileno()).st_size - fh.tell()
+        if need != have:
+            raise ParseError(f"{path}: {'truncated' if need > have else 'trailing bytes'}: "
+                             f"its tensors take {need:,} bytes and {have:,} follow the header")
+        arrays = {}
+        for name, shape in implied:
             # straight into the array: a bytes copy per tensor, freed
             # between the arrays that stay, fragments the heap and lifts RSS
+            a = arrays[name] = np.empty(shape)
             if fh.readinto(a.view(np.uint8).reshape(-1)) != a.nbytes:
                 raise ParseError(f"{path}: truncated tensor {name!r}")
             if not np.little_endian:
@@ -356,7 +360,8 @@ def load_checkpoint(path) -> Checkpoint:
             # min and max make no temporary array; NaN propagates through both
             if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
                 raise ParseError(f"{path}: tensor {name!r} is not finite")
-        if fh.read(1):
-            raise ParseError(f"{path}: trailing bytes after the last tensor")
-    return Checkpoint(params=params, config=config, layout=layout,
-                      iteration=iteration, adam=adam)
+    adam = None if adam_step is None else AdamState(
+        step=adam_step, m={n: arrays[f"adam.m.{n}"] for n in table},
+        v={n: arrays[f"adam.v.{n}"] for n in table})
+    return Checkpoint(params=ModelParams({n: Tensor(arrays[n]) for n in table}), config=config,
+                      layout=layout, iteration=iteration, adam=adam)

@@ -8,7 +8,7 @@ testable: any visitation order gives bit-identical results.
 
 import numpy as np
 
-from sthrn.encoder import GATE_ORDER, ChainLayout, EncoderParams, GateParams, GlobalParams
+from sthrn.encoder import GATE_FIELDS, GATE_ORDER, GLOBAL_FIELDS, ChainLayout
 
 
 def _sigmoid(x):
@@ -18,12 +18,13 @@ def _sigmoid(x):
 def local_cell_step(i: int, j: int, h: np.ndarray, c: np.ndarray,
                     g_t: np.ndarray, c_gt: np.ndarray,
                     g_s: np.ndarray, c_gs: np.ndarray,
-                    p: np.ndarray, params: EncoderParams,
+                    p: np.ndarray, params: dict,
                     layout: ChainLayout) -> tuple[np.ndarray, np.ndarray]:
     """One grid cell's update from layer l-1 arrays.
 
     h, c are (T, K, hidden); g_t, c_gt are (K, hidden); g_s, c_gs are
-    (T, hidden); p is (T, K, 3).  Returns the cell's new (h, c).
+    (T, hidden); p is (T, K, 3); ``params`` is a model's name -> Tensor
+    table.  Returns the cell's new (h, c).
     """
     T, K, hidden = h.shape
     zero = np.zeros(hidden)
@@ -33,12 +34,13 @@ def local_cell_step(i: int, j: int, h: np.ndarray, c: np.ndarray,
     h_s = h[i, sp] if sp >= 0 else zero
     triple = np.concatenate([h_l, h_r, h[i, j]])
 
-    def pre(gp: GateParams) -> np.ndarray:
-        return (p[i, j] @ gp.u.data + triple @ gp.w.data + h_s @ gp.z.data
-                + g_s[i] @ gp.gs.data + g_t[j] @ gp.gt.data + gp.bias.data)
+    def pre(gate: str) -> np.ndarray:
+        gp = {f: params[f"enc.gate.{gate}.{f}"].data for f in GATE_FIELDS}
+        return (p[i, j] @ gp["u"] + triple @ gp["w"] + h_s @ gp["z"]
+                + g_s[i] @ gp["gs"] + g_t[j] @ gp["gt"] + gp["bias"])
 
-    g = {name: _sigmoid(pre(params.gates[name])) for name in GATE_ORDER[:-1]}
-    cand = np.tanh(pre(params.gates["cand"]))
+    g = {name: _sigmoid(pre(name)) for name in GATE_ORDER[:-1]}
+    cand = np.tanh(pre("cand"))
     c_l = c[i - 1, j] if i > 0 else zero
     c_r = c[i + 1, j] if i + 1 < T else zero
     c_s = c[i, sp] if sp >= 0 else zero
@@ -49,22 +51,23 @@ def local_cell_step(i: int, j: int, h: np.ndarray, c: np.ndarray,
     return h_new, c_new
 
 
-def _global_step(h_new, c_new, g_prev, c_prev, gp: GlobalParams, axis: int):
+def _global_step(h_new, c_new, g_prev, c_prev, params: dict, prefix: str, axis: int):
+    gp = {f: params[f"{prefix}.{f}"].data for f in GLOBAL_FIELDS}
     n = h_new.shape[axis]
     if axis == 0:
         prev_rows = g_prev[None, :, :]  # broadcast per bone
     else:
         prev_rows = g_prev[:, None, :]  # broadcast per frame
-    f_cell = _sigmoid(h_new @ gp.w_c.data + prev_rows @ gp.z_c.data + gp.b_c.data)
+    f_cell = _sigmoid(h_new @ gp["w_c"] + prev_rows @ gp["z_c"] + gp["b_c"])
     contrib = (f_cell * c_new).sum(axis=axis)
     h_mean = h_new.sum(axis=axis) / n
-    f_glob = _sigmoid(h_mean @ gp.w_f.data + g_prev @ gp.z_f.data + gp.b_f.data)
-    out = _sigmoid(h_mean @ gp.w_o.data + g_prev @ gp.z_o.data + gp.b_o.data)
+    f_glob = _sigmoid(h_mean @ gp["w_f"] + g_prev @ gp["z_f"] + gp["b_f"])
+    out = _sigmoid(h_mean @ gp["w_o"] + g_prev @ gp["z_o"] + gp["b_o"])
     c_next = contrib + f_glob * c_prev
     return out * np.tanh(c_next), c_next
 
 
-def encode_reference(p: np.ndarray, params: EncoderParams, layout: ChainLayout,
+def encode_reference(p: np.ndarray, params: dict, layout: ChainLayout,
                      layers: int, global_temporal: bool = True,
                      global_spatial: bool = True,
                      cell_order=None) -> dict[str, np.ndarray]:
@@ -76,8 +79,8 @@ def encode_reference(p: np.ndarray, params: EncoderParams, layout: ChainLayout,
     permutation.
     """
     p = np.asarray(p, dtype=np.float64)
-    T, K, hidden = p.shape[0], layout.num_entries, params.hidden
-    e = (p.reshape(T * K, 3) @ params.embed_w.data + params.embed_b.data)
+    T, K, hidden = p.shape[0], layout.num_entries, params["enc.embed.w"].data.shape[1]
+    e = (p.reshape(T * K, 3) @ params["enc.embed.w"].data + params["enc.embed.b"].data)
     h = e.reshape(T, K, hidden).copy()
     c = h.copy()
     g_t = h.mean(axis=0) if global_temporal else np.zeros((K, hidden))
@@ -93,8 +96,8 @@ def encode_reference(p: np.ndarray, params: EncoderParams, layout: ChainLayout,
             h_new[i, j], c_new[i, j] = local_cell_step(
                 i, j, h, c, g_t, c_gt, g_s, c_gs, p, params, layout)
         if global_temporal:
-            g_t, c_gt = _global_step(h_new, c_new, g_t, c_gt, params.gtemp, axis=0)
+            g_t, c_gt = _global_step(h_new, c_new, g_t, c_gt, params, "enc.gt", axis=0)
         if global_spatial:
-            g_s, c_gs = _global_step(h_new, c_new, g_s, c_gs, params.gspat, axis=1)
+            g_s, c_gs = _global_step(h_new, c_new, g_s, c_gs, params, "enc.gs", axis=1)
         h, c = h_new, c_new
     return {"h": h, "c": c, "g_t": g_t, "c_gt": c_gt, "g_s": g_s, "c_gs": c_gs}

@@ -21,7 +21,7 @@ as before the fusion.
 import numpy as np
 
 import sthrn.autodiff as ad
-from sthrn.encoder import EncoderState, _fused_gate_params, init_states
+from sthrn.encoder import EncoderState, _fused_gate_params, _global_weights, init_states
 
 
 def _sigmoid_vjp(node, g):
@@ -191,10 +191,10 @@ def composed_encode(p, params, layout, layers, global_temporal=True, global_spat
                                   cgs_rows, cgt_rows, grid, sp_mask)
         g_t, c_gt, g_s, c_gs = state.g_t, state.c_gt, state.g_s, state.c_gs
         if global_temporal:
-            g_t, c_gt = unfused_pooled(h, c, g_t, c_gt, gt_rows, params.gtemp.weights(),
+            g_t, c_gt = unfused_pooled(h, c, g_t, c_gt, gt_rows, _global_weights(params, "enc.gt"),
                                        grid, 1)
         if global_spatial:
-            g_s, c_gs = unfused_pooled(h, c, g_s, c_gs, gs_rows, params.gspat.weights(),
+            g_s, c_gs = unfused_pooled(h, c, g_s, c_gs, gs_rows, _global_weights(params, "enc.gs"),
                                        grid, 2)
         state = EncoderState(h=h, c=c, g_t=g_t, c_gt=c_gt, g_s=g_s, c_gs=c_gs,
                              frames=T, entries=K, windows=B)

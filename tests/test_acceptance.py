@@ -29,6 +29,7 @@ from sthrn.skeleton import (
 from sthrn.training import TrainConfig, bone_weights, train, weighted_loss
 
 from encoder_reference import encode_reference
+from test_skeleton import root_from_pose
 
 TINY = ModelConfig(hidden_size=6, layers=2)
 
@@ -104,7 +105,7 @@ def test_criterion_03_fk_roundtrip_human():
         w *= rng.uniform(1e-3, np.pi - 0.2, size=(k, 1))
         joints = lie_to_pose(w, topo, RootConfig.canonical(topo))
         back = lie_to_pose(
-            pose_to_lie(joints, topo), topo, RootConfig.from_pose(joints, topo)
+            pose_to_lie(joints, topo), topo, root_from_pose(joints, topo)
         )
         err = float(np.abs(back - joints).max())
         worst = max(worst, err)
@@ -217,7 +218,7 @@ def test_criterion_07_desk_scale_learning():
 def test_criterion_08_simultaneous_update_invariance():
     _, params, layout, observed = tiny_loss_fixture(TINY)
     p = observed[:-1]
-    base = encode_reference(p, params.encoder, layout, TINY.layers)
+    base = encode_reference(p, params.named(), layout, TINY.layers)
     k, t = layout.num_entries, p.shape[0]
     rng = np.random.default_rng(108)
     orders = [
@@ -226,7 +227,7 @@ def test_criterion_08_simultaneous_update_invariance():
                                                   for j in range(k)])],
     ]
     for order in orders:
-        other = encode_reference(p, params.encoder, layout, TINY.layers,
+        other = encode_reference(p, params.named(), layout, TINY.layers,
                                  cell_order=order)
         for key in base:
             assert np.array_equal(base[key], other[key]), key

@@ -1,11 +1,16 @@
 """End-to-end command tests: every subcommand runs in a temp dir."""
 
 import json
+import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sthrn
 from sthrn.cli import _parse_frames, _resolve_seed, build_configs, main, parse_config_file
 from sthrn.encoder import ChainLayout
 from sthrn.evaluation import read_report
@@ -21,7 +26,7 @@ from sthrn.skeleton import (
     save_topology,
     synth_motion,
 )
-from sthrn.model import ModelConfig, ModelParams
+from sthrn.model import MAX_PARAM_BYTES, ModelConfig, ModelParams, param_table
 from sthrn.training import TrainConfig, load_checkpoint, save_checkpoint
 
 
@@ -126,7 +131,10 @@ def test_full_pipeline(tmp_path, capsys):
     rc = main(["train", "--data", data, "--config", config, "--topology", topo,
                "--out-checkpoint", ckpt, "--metrics", metrics, "--seed", "1"])
     assert rc == 0
-    assert "trained 3 iterations" in capsys.readouterr().out
+    table = param_table(ModelConfig(hidden_size=4, layers=1),
+                        ChainLayout.from_topology(builtin_topology("fork7")))
+    count = sum(math.prod(shape) for shape in table.values())
+    assert f"trained 3 iterations of {count:,} parameters, loss " in capsys.readouterr().out
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
     assert lines[0] == "iteration,loss,wallclock_ms"
     assert len(lines) == 4
@@ -365,6 +373,9 @@ CORRUPTIONS = {
     "int-as-bool": lambda h, b: pack_checkpoint(
         {**h, "config": {**h["config"], "layers": True}}, b),
     "adam-tensors-missing": lambda h, b: pack_checkpoint({**h, "adam_step": 3}, b),
+    # equal to the saved ints shape by shape, but no array can take them
+    "chain-count-as-float": lambda h, b: pack_checkpoint(
+        {**h, "chains": [float(c) for c in h["chains"]]}, b),
     "no-config": lambda h, b: pack_checkpoint(without(h, "config"), b),
     "no-chains": lambda h, b: pack_checkpoint(without(h, "chains"), b),
     "no-iteration": lambda h, b: pack_checkpoint(without(h, "iteration"), b),
@@ -406,16 +417,59 @@ def test_model_sizes_below_one_exit_2(tmp_path, capsys, line, bad, key):
     assert f"{key} must be at least 1" in capsys.readouterr().err
 
 
-def test_a_model_too_large_to_allocate_exits_2(tmp_path, capsys):
-    # the first parameter alone asks for 2.4e18 bytes, past any address
-    # space, so the request fails before anything is allocated
-    config = TINY.replace("hidden_size = 4", "hidden_size = 100000000000000000")
-    rc = main(["train", "--data", lie_file(tmp_path, "d.lie"), "--topology",
-               topo_file(tmp_path), "--config", write_config(tmp_path, config)])
+def test_unknown_decoder_kind_exits_2(tmp_path, capsys):
+    """Refused where the config is built: by ``sthrn train``, and as a bad
+    header by the checkpoint reader."""
+    message = "unknown decoder kind 'gru'; known kinds: structured, plain"
+    rc = main(["train", "--data", lie_file(tmp_path, "d.lie"), "--topology", topo_file(tmp_path),
+               "--config", write_config(tmp_path, TINY + "decoder = gru\n")])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Unable to allocate" in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == f"error: {message}\n"
+    layout = ChainLayout.from_topology(builtin_topology("fork7"))
+    config = ModelConfig(hidden_size=2, layers=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, ModelParams.init(config, layout, seed=0), config, layout)
+    data = path.read_bytes()
+    size = struct.unpack("<Q", data[7:15])[0]
+    header = json.loads(data[15:15 + size])
+    header["config"]["decoder"] = "gru"
+    path.write_bytes(pack_checkpoint(header, data[15 + size:]))
+    with pytest.raises(ParseError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: bad header (ValueError: {message})"
+
+
+# Runs the command line given after it, prints the process's peak RSS in
+# MB and exits with the command's status.
+_MAIN_AND_MEASURE = """
+import resource, sys
+from sthrn.cli import main
+rc = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+sys.exit(rc)
+"""
+
+
+def test_a_model_too_large_to_allocate_exits_2(tmp_path):
+    """A model whose parameters take more than ``MAX_PARAM_BYTES`` is
+    refused before anything is drawn, in a fresh process that stays
+    small: hidden size 10**8 would draw and fill 2.24 GiB for its first
+    gate weight, and 10**17 is past any address space."""
+    layout = ChainLayout.from_topology(builtin_topology("fork7"))
+    src = os.path.dirname(os.path.dirname(sthrn.__file__))
+    for hidden in (10**8, 10**17):
+        table = param_table(ModelConfig(hidden_size=hidden, layers=1), layout)
+        count = sum(math.prod(shape) for shape in table.values())
+        config = TINY.replace("hidden_size = 4", f"hidden_size = {hidden}")
+        run = subprocess.run(
+            [sys.executable, "-c", _MAIN_AND_MEASURE, "train", "--data",
+             lie_file(tmp_path, "d.lie"), "--topology", topo_file(tmp_path),
+             "--config", write_config(tmp_path, config)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 2, run.stderr
+        assert run.stderr == (f"error: a model of {count:,} parameters takes {8 * count:,} "
+                              f"bytes; at most {MAX_PARAM_BYTES:,} bytes are allowed\n")
+        assert float(run.stdout) < 100.0
 
 
 def test_predict_refuses_non_finite_frames_exits_2(tmp_path, capsys):

@@ -6,16 +6,10 @@ from scipy.special import expit
 
 import sthrn.autodiff as ad
 from sthrn.autodiff import Tensor, backward, grad_check
-from sthrn.decoder import (
-    DecoderParams,
-    DecoderState,
-    LstmParams,
-    LstmState,
-    decode_step,
-    init_decoder,
-)
+from sthrn.decoder import DecoderState, LstmState, decode_step, init_decoder, wiring
 from sthrn.encoder import ChainLayout, EncoderState
 from sthrn.geometry import wrap_so3
+from sthrn.model import ModelConfig, ModelParams, param_table
 
 import tape_oracles as oracle
 
@@ -26,6 +20,19 @@ def human_layout():
 
 def fork_layout():
     return ChainLayout((2, 2))
+
+
+def decoder_params(layout, hidden, seed, kind="structured"):
+    """A seeded model's parameter table, whose "dec." entries the
+    decoder reads, and the decoder's wiring."""
+    config = ModelConfig(hidden_size=hidden, decoder=kind)
+    return ModelParams.init(config, layout, seed).named(), wiring(kind, layout)
+
+
+def decoder_shapes(layout, hidden, kind="structured"):
+    """The decoder's entries of the parameter table."""
+    table = param_table(ModelConfig(hidden_size=hidden, decoder=kind), layout)
+    return {name: shape for name, shape in table.items() if name.startswith("dec.")}
 
 
 def random_encoder_state(t, k, hidden, seed):
@@ -59,11 +66,11 @@ def independent_lstm(x, h, c, w, b):
 
 def test_lstm_step_matches_independent_cell():
     rng = np.random.default_rng(0)
-    p = LstmParams.init(4, 3, rng)
+    w, b = Tensor(rng.normal(0.0, 0.1, size=(4 + 3, 4 * 3))), Tensor(rng.normal(size=4 * 3))
     x = rng.normal(size=(1, 4))
     h0, c0 = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
-    h, c = ad.lstm_cell(Tensor(x), Tensor(h0), Tensor(c0), p.w, p.b)
-    want_h, want_c = independent_lstm(x, h0, c0, p.w.data, p.b.data)
+    h, c = ad.lstm_cell(Tensor(x), Tensor(h0), Tensor(c0), w, b)
+    want_h, want_c = independent_lstm(x, h0, c0, w.data, b.data)
     assert np.allclose(h.data, want_h, atol=1e-13)
     assert np.allclose(c.data, want_c, atol=1e-13)
 
@@ -71,10 +78,9 @@ def test_lstm_step_matches_independent_cell():
 def test_lstm_step_zero_params_halves_cell():
     # zero weights: every sigmoid is 1/2 and the candidate is 0, so
     # c' = c / 2 and h' = tanh(c / 2) / 2
-    p = LstmParams(w=Tensor(np.zeros((5, 8))), b=Tensor(np.zeros(8)))
     c0 = np.array([[1.0, -2.0]])
     h, c = ad.lstm_cell(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 2))), Tensor(c0),
-                        p.w, p.b)
+                        Tensor(np.zeros((5, 8))), Tensor(np.zeros(8)))
     assert np.allclose(c.data, c0 / 2.0, atol=1e-15)
     assert np.allclose(h.data, 0.5 * np.tanh(c0 / 2.0), atol=1e-15)
 
@@ -83,48 +89,49 @@ def test_lstm_step_zero_params_halves_cell():
 
 
 def test_structured_params_five_chains():
-    lay = human_layout()
-    params = DecoderParams.init(lay, enc_hidden=2, rng=np.random.default_rng(1))
-    assert set(params.cells) == {"overall", "spine", "arm", "leg"}
     d = 12 * 2
-    assert params.cells["overall"].w.data.shape == (3 * 12 + d, 4 * d)
-    assert params.cells["spine"].w.data.shape == (d + d, 4 * d)
-    assert params.cells["arm"].w.data.shape == (2 * d + d, 4 * d)
-    assert params.cells["leg"].w.data.shape == (2 * d + d, 4 * d)
-    assert [w.data.shape for w in params.proj_w] == [
-        (d, 12), (d, 6), (d, 6), (d, 6), (d, 6)
-    ]
+    # cells sorted by name, each a fused-gate LSTM; heads in chain order
+    assert decoder_shapes(human_layout(), 2) == {
+        "dec.arm.w": (2 * d + d, 4 * d), "dec.arm.b": (4 * d,),
+        "dec.leg.w": (2 * d + d, 4 * d), "dec.leg.b": (4 * d,),
+        "dec.overall.w": (3 * 12 + d, 4 * d), "dec.overall.b": (4 * d,),
+        "dec.spine.w": (d + d, 4 * d), "dec.spine.b": (4 * d,),
+        "dec.proj.0.w": (d, 12), "dec.proj.0.b": (12,),
+        **{f"dec.proj.{i}.{x}": s for i in range(1, 5) for x, s in (("w", (d, 6)), ("b", (6,)))},
+    }
+    assert list(decoder_shapes(human_layout(), 2))[:8:2] == [
+        "dec.arm.w", "dec.leg.w", "dec.overall.w", "dec.spine.w"]
 
 
 def test_structured_params_two_chains_has_no_leg():
-    params = DecoderParams.init(fork_layout(), enc_hidden=3, rng=np.random.default_rng(2))
-    assert set(params.cells) == {"overall", "spine", "arm"}
-    assert len(params.proj_w) == 2
+    assert list(decoder_shapes(fork_layout(), 3))[::2] == [
+        "dec.arm.w", "dec.overall.w", "dec.spine.w", "dec.proj.0.w", "dec.proj.1.w"]
     # one chain (chain3): the trunk alone, no arm or leg cell
-    params = DecoderParams.init(ChainLayout((1,)), enc_hidden=3, rng=np.random.default_rng(2))
-    assert set(params.cells) == {"overall", "spine"}
-    assert [w.data.shape for w in params.proj_w] == [(3, 3)]
+    shapes = decoder_shapes(ChainLayout((1,)), 3)
+    assert list(shapes)[::2] == ["dec.overall.w", "dec.spine.w", "dec.proj.0.w"]
+    assert shapes["dec.proj.0.w"] == (3, 3)
 
 
 def test_plain_params_single_head():
-    lay = human_layout()
-    params = DecoderParams.init(lay, enc_hidden=2, rng=np.random.default_rng(3), kind="plain")
-    assert set(params.cells) == {"layer0", "layer1"}
-    assert len(params.proj_w) == 1
-    assert params.proj_w[0].data.shape == (24, 36)
+    d = 12 * 2
+    assert decoder_shapes(human_layout(), 2, kind="plain") == {
+        "dec.layer0.w": (3 * 12 + d, 4 * d), "dec.layer0.b": (4 * d,),
+        "dec.layer1.w": (d + d, 4 * d), "dec.layer1.b": (4 * d,),
+        "dec.proj.0.w": (d, 36), "dec.proj.0.b": (36,),
+    }
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        DecoderParams.init(fork_layout(), 2, np.random.default_rng(4), kind="gru")
+    with pytest.raises(ValueError, match="^unknown decoder kind 'gru'; known kinds: "
+                                         "structured, plain$"):
+        ModelConfig(decoder="gru")
 
 
 def test_named_tensors_unique():
-    params = DecoderParams.init(human_layout(), 2, np.random.default_rng(5))
-    named = params.named()
-    assert len(named) == 4 * 2 + 5 * 2
-    ids = [id(t) for t in named.values()]
-    assert len(set(ids)) == len(ids)
+    named, _ = decoder_params(human_layout(), 2, seed=5)
+    dec = [t for name, t in named.items() if name.startswith("dec.")]
+    assert len(dec) == 4 * 2 + 5 * 2
+    assert len({id(t) for t in dec}) == len(dec)
 
 
 # -- start states ------------------------------------------------------------------
@@ -133,8 +140,7 @@ def test_named_tensors_unique():
 def test_init_decoder_start_state_oracle():
     t, k, hidden = 5, 4, 3
     enc = random_encoder_state(t, k, hidden, seed=6)
-    params = DecoderParams.init(ChainLayout((2, 2)), hidden, np.random.default_rng(7))
-    state = init_decoder(enc, params)
+    state = init_decoder(enc, wiring("structured", ChainLayout((2, 2))))
     rows_h = enc.h.data.reshape(t, k * hidden)
     rows_c = enc.c.data.reshape(t, k * hidden)
     assert np.allclose(state.cells["overall"].h.data, rows_h.mean(axis=0), atol=1e-14)
@@ -149,9 +155,7 @@ def test_init_decoder_start_state_oracle():
 def test_init_decoder_plain_uses_same_recipe():
     t, k, hidden = 4, 4, 2
     enc = random_encoder_state(t, k, hidden, seed=8)
-    params = DecoderParams.init(
-        ChainLayout((2, 2)), hidden, np.random.default_rng(9), kind="plain")
-    state = init_decoder(enc, params)
+    state = init_decoder(enc, wiring("plain", ChainLayout((2, 2))))
     rows_h = enc.h.data.reshape(t, k * hidden)
     assert np.allclose(state.cells["layer0"].h.data, rows_h.mean(axis=0), atol=1e-14)
     want = (rows_h.sum(axis=0) + enc.g_t.data.reshape(-1)) / (t + 1)
@@ -271,22 +275,22 @@ def test_wrap_rows_batch_wraps_each_window_alone():
 # -- decode step -------------------------------------------------------------------
 
 
-def zero_state(params):
-    d = params.proj_w[0].data.shape[0]
+def zero_state(params, wired):
+    d = params["dec.proj.0.w"].data.shape[0]
     return DecoderState(cells={
         name: LstmState(Tensor(np.zeros((1, d))), Tensor(np.zeros((1, d))))
-        for name in params.cells
-    })
+        for name, _ in wired[0]
+    }, wiring=wired)
 
 
 def test_decode_step_shapes_and_state_advance():
     lay = human_layout()
-    params = DecoderParams.init(lay, 2, np.random.default_rng(13))
-    state = zero_state(params)
+    params, wired = decoder_params(lay, 2, seed=13)
+    state = zero_state(params, wired)
     w0 = Tensor(np.random.default_rng(14).normal(size=(1, 36)) * 0.3)
     w1, s1 = decode_step(w0, state, params)
     assert w1.data.shape == (1, 36)
-    assert set(s1.cells) == set(params.cells)
+    assert list(s1.cells) == ["overall", "spine", "arm", "leg"]
     for name in s1.cells:
         assert not np.array_equal(s1.cells[name].h.data, state.cells[name].h.data)
     w2, _ = decode_step(w1, s1, params)
@@ -297,11 +301,11 @@ def test_zero_projection_heads_hold_pose():
     # zero heads emit zero residuals regardless of the LSTM states, so
     # the pose passes through bit-exactly
     lay = fork_layout()
-    params = DecoderParams.init(lay, 3, np.random.default_rng(15))
-    for w in params.proj_w:
-        w.data[:] = 0.0
+    params, wired = decoder_params(lay, 3, seed=15)
+    for i in range(len(wired[1])):
+        params[f"dec.proj.{i}.w"].data[:] = 0.0
     w0 = Tensor(np.random.default_rng(16).normal(size=(1, 12)) * 0.5)
-    state = zero_state(params)
+    state = zero_state(params, wired)
     w1, state = decode_step(w0, state, params)
     w2, _ = decode_step(w1, state, params)
     assert np.array_equal(w1.data, w0.data)
@@ -310,9 +314,9 @@ def test_zero_projection_heads_hold_pose():
 
 def test_decode_step_plain_kind():
     lay = fork_layout()
-    params = DecoderParams.init(lay, 2, np.random.default_rng(17), kind="plain")
+    params, wired = decoder_params(lay, 2, seed=17, kind="plain")
     w0 = Tensor(np.zeros((1, 12)))
-    w1, s1 = decode_step(w0, zero_state(params), params)
+    w1, s1 = decode_step(w0, zero_state(params, wired), params)
     assert w1.data.shape == (1, 12)
     assert set(s1.cells) == {"layer0", "layer1"}
 
@@ -320,13 +324,13 @@ def test_decode_step_plain_kind():
 def test_chain_heads_route_by_group():
     # zeroing one group's head freezes exactly that group's entries
     lay = human_layout()
-    params = DecoderParams.init(lay, 2, np.random.default_rng(18))
+    params, wired = decoder_params(lay, 2, seed=18)
     trunk, arms, legs = lay.decoder_groups()
     for ci in arms:
-        params.proj_w[ci].data[:] = 0.0
-        params.proj_b[ci].data[:] = 0.0
+        params[f"dec.proj.{ci}.w"].data[:] = 0.0
+        params[f"dec.proj.{ci}.b"].data[:] = 0.0
     w0 = Tensor(np.random.default_rng(19).normal(size=(1, 36)) * 0.2)
-    w1, _ = decode_step(w0, zero_state(params), params)
+    w1, _ = decode_step(w0, zero_state(params, wired), params)
     got = w1.data.reshape(12, 3)
     was = w0.data.reshape(12, 3)
     entry_chain = np.repeat(np.arange(len(lay.entry_counts)), lay.entry_counts)

@@ -11,11 +11,11 @@ from sthrn.autodiff import Tensor, backward, grad_check
 from sthrn.encoder import (
     GATE_ORDER,
     ChainLayout,
-    EncoderParams,
-    GlobalParams,
+    GLOBAL_FIELDS,
     encode,
     init_states,
 )
+from sthrn.model import ModelConfig, ModelParams, param_table
 from sthrn.skeleton import builtin_topology
 
 import tape_oracles as oracle
@@ -27,16 +27,16 @@ def fork_layout():
 
 
 def random_params(hidden, seed):
-    return EncoderParams.init(hidden, np.random.default_rng(seed))
+    """The encoder's entries of a seeded model's parameter table."""
+    named = ModelParams.init(ModelConfig(hidden_size=hidden), ChainLayout((1,)), seed).named()
+    return {name: t for name, t in named.items() if name.startswith("enc.")}
 
 
-def zero_global_params(hidden):
-    z = lambda *s: Tensor(np.zeros(s))
-    return GlobalParams(
-        w_c=z(hidden, hidden), z_c=z(hidden, hidden), b_c=z(hidden),
-        w_f=z(hidden, hidden), z_f=z(hidden, hidden), b_f=z(hidden),
-        w_o=z(hidden, hidden), z_o=z(hidden, hidden), b_o=z(hidden),
-    )
+def zero_global_weights(hidden):
+    """A global updater's nine weights, all zero, as ``ad.pooled_cell``
+    takes them."""
+    table = param_table(ModelConfig(hidden_size=hidden), ChainLayout((1,)))
+    return tuple(Tensor(np.zeros(table[f"enc.gt.{f}"])) for f in GLOBAL_FIELDS)
 
 
 # -- layout ---------------------------------------------------------------------
@@ -68,6 +68,8 @@ def test_layout_rejects_empty_chains():
         ChainLayout(())
     with pytest.raises(ValueError):
         ChainLayout((2, 0))
+    with pytest.raises(ValueError, match="whole number"):
+        ChainLayout((2.0, 2))
 
 
 # -- init states -------------------------------------------------------------------
@@ -79,7 +81,7 @@ def test_init_states_embed_and_means():
     rng = np.random.default_rng(1)
     p = rng.normal(size=(3, 4, 3))
     st = init_states(p, params, lay)
-    e = p.reshape(12, 3) @ params.embed_w.data + params.embed_b.data
+    e = p.reshape(12, 3) @ params["enc.embed.w"].data + params["enc.embed.b"].data
     assert np.allclose(st.h.data, e, atol=1e-15)
     assert np.array_equal(st.h.data, st.c.data)
     grid = e.reshape(3, 4, 5)
@@ -103,15 +105,14 @@ def test_parameter_count_formula():
     # 6h^2 + 3h each: total 66h^2 + 46h
     for hidden in (2, 6):
         params = random_params(hidden, seed=4)
-        total = sum(t.data.size for t in params.named().values())
+        total = sum(t.data.size for t in params.values())
         assert total == 66 * hidden * hidden + 46 * hidden
 
 
 def test_named_covers_every_tensor_once():
     params = random_params(3, seed=5)
-    named = params.named()
-    assert len(named) == 2 + 9 * 6 + 2 * 9
-    ids = [id(t) for t in named.values()]
+    assert len(params) == 2 + 9 * 6 + 2 * 9
+    ids = [id(t) for t in params.values()]
     assert len(set(ids)) == len(ids)
 
 
@@ -131,13 +132,13 @@ def independent_cell(i, j, h, c, g_t, c_gt, g_s, c_gs, p, params, layout):
     stacked = np.concatenate([neighbors["left"], neighbors["right"], neighbors["same"]])
     acts = {}
     for name in GATE_ORDER:
-        gp = params.gates[name]
-        pre = gp.bias.data.copy()
-        pre += p[i, j] @ gp.u.data
-        pre += stacked @ gp.w.data
-        pre += neighbors["sp"] @ gp.z.data
-        pre += g_s[i] @ gp.gs.data
-        pre += g_t[j] @ gp.gt.data
+        gp = {f: params[f"enc.gate.{name}.{f}"].data for f in ("u", "w", "z", "gs", "gt", "bias")}
+        pre = gp["bias"].copy()
+        pre += p[i, j] @ gp["u"]
+        pre += stacked @ gp["w"]
+        pre += neighbors["sp"] @ gp["z"]
+        pre += g_s[i] @ gp["gs"]
+        pre += g_t[j] @ gp["gt"]
         acts[name] = np.tanh(pre) if name == "cand" else expit(pre)
     c_terms = [
         acts["in"] * acts["cand"],
@@ -185,7 +186,7 @@ def test_global_step_zero_params_spatial_six_cells():
     h_new = Tensor(np.random.default_rng(8).normal(size=(T * K, hidden)))
     g_prev = Tensor(np.zeros((T, hidden)))
     c_prev = Tensor(np.zeros((T, hidden)))
-    g, c = ad.pooled_cell(h_new, c_new, g_prev, c_prev, zero_global_params(hidden).weights(),
+    g, c = ad.pooled_cell(h_new, c_new, g_prev, c_prev, zero_global_weights(hidden),
                           (T, K, hidden), axis=1)
     assert np.allclose(c.data, 3.0 * c0, atol=1e-14)
     assert np.allclose(g.data, 0.5 * np.tanh(3.0 * c0), atol=1e-14)
@@ -201,7 +202,7 @@ def test_global_step_zero_params_temporal_four_frames():
     h_new = Tensor(np.random.default_rng(9).normal(size=(T * K, hidden)))
     g, c = ad.pooled_cell(
         Tensor(h_new.data), c_new, Tensor(prev.copy()), Tensor(prev.copy()),
-        zero_global_params(hidden).weights(), (T, K, hidden), axis=0,
+        zero_global_weights(hidden), (T, K, hidden), axis=0,
     )
     assert np.allclose(c.data, 2.0 * c0 + 0.5 * prev, atol=1e-14)
     assert np.allclose(g.data, 0.5 * np.tanh(2.0 * c0 + 0.5 * prev), atol=1e-14)
@@ -366,7 +367,7 @@ def test_encode_matches_spread_node_layout(topo, ablated):
     heads = [rng.normal(size=(rows, d))
              for rows in (B * T * K,) * 2 + (B * K,) * 2 + (B * T,) * 2]
     flags = {"global_temporal": ablated != "temporal", "global_spatial": ablated != "spatial"}
-    leaves = list(params.named().values())
+    leaves = list(params.values())
 
     def run(build):
         state = build(p, params, lay, 3, **flags)
@@ -379,7 +380,7 @@ def test_encode_matches_spread_node_layout(topo, ablated):
     want_states, want_grads = run(oracle.composed_encode)
     for name, got, want in zip(STATE_FIELDS, got_states, want_states, strict=True):
         assert np.array_equal(got, want), name
-    for name, got, want in zip(params.named(), got_grads, want_grads, strict=True):
+    for name, got, want in zip(params, got_grads, want_grads, strict=True):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
 
 
@@ -389,7 +390,7 @@ def test_encoder_gradients_against_differences():
     params = random_params(3, seed=20)
     p = np.random.default_rng(21).normal(size=(3, 2, 3))
     leaves = {
-        k: v for k, v in params.named().items()
+        k: v for k, v in params.items()
         if k in ("enc.embed.w", "enc.gate.spatial.z", "enc.gate.gt.gt",
                  "enc.gt.w_c", "enc.gs.z_f", "enc.gate.out.bias")
     }

@@ -5,8 +5,8 @@ import pytest
 
 import sthrn.autodiff as ad
 from sthrn.autodiff import backward
-from sthrn.encoder import ChainLayout, encode
-from sthrn.model import ModelConfig, ModelParams, forward, frames_tensor, predict
+from sthrn.encoder import GATE_ORDER, ChainLayout, encode
+from sthrn.model import ModelConfig, ModelParams, forward, frames_tensor, param_table, predict
 from sthrn.skeleton import builtin_topology, synth_motion
 from sthrn.training import bone_weights, weighted_loss
 
@@ -36,6 +36,39 @@ def test_param_init_deterministic_by_seed():
     for key in a:
         assert np.array_equal(a[key].data, b[key].data), key
     assert any(not np.array_equal(a[k].data, c[k].data) for k in a)
+
+
+@pytest.mark.parametrize("kind", ["structured", "plain"])
+@pytest.mark.parametrize("topo", ["fork7", "human", "one-chain"])
+@pytest.mark.parametrize("ablated", [None, "temporal", "spatial"])
+def test_param_table_lists_init_names_shapes_and_order(kind, topo, ablated):
+    layout = ChainLayout((1,)) if topo == "one-chain" else ChainLayout.from_topology(
+        builtin_topology(topo))
+    config = ModelConfig(hidden_size=3, layers=1, decoder=kind,
+                         global_temporal=ablated != "temporal",
+                         global_spatial=ablated != "spatial")
+    named = ModelParams.init(config, layout, seed=5).named()
+    assert list(param_table(config, layout).items()) == [
+        (name, t.data.shape) for name, t in named.items()]
+
+
+def test_param_init_draws_in_its_documented_order():
+    """Seeded values depend on the draw order, which is not the table's:
+    the gates' matrices, the embedding, the temporal then spatial global
+    updaters, the decoder cells in wiring order, then the heads; every
+    vector (a bias) starts at zero."""
+    table = param_table(CFG, LAYOUT)
+    drawn = ([f"enc.gate.{gate}.{f}" for gate in GATE_ORDER for f in ("u", "w", "z", "gs", "gt")]
+             + ["enc.embed.w"]
+             + [f"{prefix}.{f}" for prefix in ("enc.gt", "enc.gs")
+                for f in ("w_c", "z_c", "w_f", "z_f", "w_o", "z_o")]
+             + ["dec.overall.w", "dec.spine.w", "dec.arm.w", "dec.proj.0.w", "dec.proj.1.w"])
+    rng = np.random.default_rng(9)
+    want = {name: rng.normal(0.0, 0.1, size=table[name]) for name in drawn}
+    named = ModelParams.init(CFG, LAYOUT, seed=9).named()
+    assert sorted(named) == sorted(table)
+    for name, t in named.items():
+        assert np.array_equal(t.data, want.get(name, np.zeros(table[name]))), name
 
 
 def test_forward_matches_predict_values():
@@ -186,7 +219,7 @@ def test_batched_encode_keeps_windows_apart(name):
     cfg = BATCH_CONFIGS[name]
     params = ModelParams.init(cfg, LAYOUT, seed=13)
     obs, _ = three_windows(t=5)
-    args = (params.encoder, LAYOUT, cfg.layers, cfg.global_temporal, cfg.global_spatial)
+    args = (params.named(), LAYOUT, cfg.layers, cfg.global_temporal, cfg.global_spatial)
     batched = encode(np.stack(obs), *args)
     t, k = obs[0].shape[0], LAYOUT.num_entries
     assert batched.grid_shape == (3, t, k, cfg.hidden_size)

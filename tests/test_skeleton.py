@@ -28,6 +28,17 @@ from sthrn.skeleton import (
     save_topology,
     synth_motion,
 )
+from sthrn.skeleton import _check_joints, _direction
+
+
+def root_from_pose(joints, topo):
+    """The ``RootConfig`` that anchors ``lie_to_pose`` of
+    ``pose_to_lie(joints)`` back onto ``joints``: the root joint's
+    position and each chain's first-bone direction."""
+    joints = _check_joints(joints, topo)
+    index = topo.joint_index()
+    dirs = tuple(_direction(joints, index, *chain[:2]) for chain in topo.chains)
+    return RootConfig(joints[index[topo.chains[0][0]]].copy(), dirs)
 
 
 def two_bone_chain():
@@ -229,7 +240,7 @@ def test_pose_to_lie_straight_chain_is_zero():
     w = pose_to_lie(joints, two_bone_chain())
     assert np.array_equal(w, np.zeros((1, 3)))
     # and back: a zero entry turns the bone direction by the identity
-    root = RootConfig.from_pose(joints, two_bone_chain())
+    root = root_from_pose(joints, two_bone_chain())
     assert np.array_equal(lie_to_pose(w, two_bone_chain(), root), joints)
 
 
@@ -246,7 +257,7 @@ def test_pose_to_lie_rejects_degenerate_bone():
     with pytest.raises(DegenerateBone):
         pose_to_lie(joints, two_bone_chain())
     with pytest.raises(DegenerateBone, match="bone 'b' has near-zero length"):
-        RootConfig.from_pose(joints, two_bone_chain())
+        root_from_pose(joints, two_bone_chain())
 
 
 def test_pose_to_lie_rejects_bad_shape():
@@ -259,7 +270,7 @@ def test_root_config_from_pose_unit_directions():
     rng = np.random.default_rng(0)
     w = rng.uniform(-1.0, 1.0, size=(topo.num_entries(), 3))
     joints = lie_to_pose(w, topo, RootConfig.canonical(topo))
-    root = RootConfig.from_pose(joints, topo)
+    root = root_from_pose(joints, topo)
     for d in root.directions:
         assert abs(np.linalg.norm(d) - 1.0) < 1e-12
 
@@ -290,7 +301,7 @@ def test_fk_roundtrip_positions():
               / np.linalg.norm(w, axis=1, keepdims=True))
         joints = lie_to_pose(w, topo, RootConfig.canonical(topo))
         back = lie_to_pose(
-            pose_to_lie(joints, topo), topo, RootConfig.from_pose(joints, topo)
+            pose_to_lie(joints, topo), topo, root_from_pose(joints, topo)
         )
         assert np.max(np.abs(back - joints)) < 1e-8
 
@@ -304,7 +315,7 @@ def test_lie_pose_lie_is_idempotent():
     root = RootConfig.canonical(topo)
     p1 = lie_to_pose(w, topo, root)
     w1 = pose_to_lie(p1, topo)
-    p2 = lie_to_pose(w1, topo, RootConfig.from_pose(p1, topo))
+    p2 = lie_to_pose(w1, topo, root_from_pose(p1, topo))
     assert np.max(np.abs(p2 - p1)) < 1e-10
     assert np.max(np.abs(pose_to_lie(p2, topo) - w1)) < 1e-10
     assert np.all(np.linalg.norm(w1, axis=1) <= np.pi)

@@ -17,7 +17,7 @@ import sthrn.autodiff as ad
 import sthrn.training as training
 from sthrn.autodiff import Tensor, backward
 from sthrn.encoder import ChainLayout
-from sthrn.model import ModelConfig, ModelParams, predict
+from sthrn.model import ModelConfig, ModelParams, param_table, predict
 from sthrn.skeleton import MotionSequence, ParseError, builtin_topology, synth_motion
 from sthrn.training import (
     AdamState,
@@ -308,7 +308,7 @@ def test_train_raises_on_divergence():
     seqs = [synth_motion("sinusoid", 30, TOPO, seed=7)]
     theta = bone_weights(TOPO.entry_lengths())
     params = ModelParams.init(CFG, LAYOUT, seed=0)
-    params.encoder.embed_w.data[:] = np.nan
+    params.named()["enc.embed.w"].data[:] = np.nan
     with pytest.raises(TrainingDiverged):
         train(seqs, LAYOUT, theta, CFG, tiny_train_config(), params=params)
 
@@ -386,6 +386,18 @@ def test_checkpoint_reload_predicts_identically(tmp_path):
     assert np.array_equal(got, want)
 
 
+def test_checkpoint_header_lists_the_param_table_then_the_adam_moments(tmp_path):
+    params = ModelParams.init(CFG, LAYOUT, seed=15)
+    path = tmp_path / "model.ckpt"
+    table = [[name, list(shape)] for name, shape in param_table(CFG, LAYOUT).items()]
+    for adam, moments in ((None, []), (AdamState.init(params.named()), ["adam.m.", "adam.v."])):
+        save_checkpoint(path, params, CFG, LAYOUT, adam=adam)
+        data = path.read_bytes()
+        header = json.loads(data[15:15 + struct.unpack("<Q", data[7:15])[0]])
+        assert [[t["name"], t["shape"]] for t in header["tensors"]] == table + [
+            [prefix + name, shape] for prefix in moments for name, shape in table]
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTSTHRN" + b"\x00" * 64)
@@ -411,14 +423,16 @@ def test_checkpoint_rejects_truncation(tmp_path):
         load_checkpoint(path)
 
 
-# Loads each checkpoint named on the command line, prints its error, and
-# last how far the loads raised the process's peak RSS, in MB.
+# Loads the valid checkpoint named first on the command line, then each
+# of the others, printing their errors, and last how far those raised
+# the process's peak RSS over the valid load, in MB.
 _LOAD_AND_MEASURE = """
 import resource, sys
 from sthrn.skeleton import ParseError
 from sthrn.training import load_checkpoint
+load_checkpoint(sys.argv[1])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-for path in sys.argv[1:]:
+for path in sys.argv[2:]:
     try:
         load_checkpoint(path)
     except ParseError as exc:
@@ -428,34 +442,48 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
 
 
 def test_checkpoint_refuses_a_config_too_big_to_build(tmp_path):
-    """A header whose hidden size implies 224 GiB or 213 PiB of weights
-    raises ParseError, and one that maps but that the file does not back
-    (hidden 250, with Adam moments) costs no resident memory: neither
-    load raises the peak RSS of a fresh process."""
+    """A header whose hidden size implies weights its file does not hold,
+    from hidden 250 up to 10**8 (213 PiB with the Adam moments), is
+    refused by its tensor list before anything is allocated: with one
+    message, naming the first difference and counting them, whatever
+    the host's memory policy, and with no more peak RSS than loading the
+    valid file it was made from.  A header that also lists the tensors
+    of hidden 10**8 is refused by its byte count, as early."""
     params = ModelParams.init(CFG, LAYOUT, seed=16)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, CFG, LAYOUT, adam=AdamState.init(params.named()))
     data = path.read_bytes()
     size = 7 + 8 + struct.unpack("<Q", data[7:15])[0]
     header = json.loads(data[15:size])
-    paths = []
-    for hidden in (10**5, 10**8, 250):
+    paths, hiddens = [], (10**5, 10**8, 250, 1000)
+    for hidden in hiddens:
         header["config"]["hidden_size"] = hidden
         blob = json.dumps(header).encode()
         paths.append(tmp_path / f"hidden{hidden}.ckpt")
         paths[-1].write_bytes(data[:7] + struct.pack("<Q", len(blob)) + blob + data[size:])
+    table = param_table(ModelConfig(hidden_size=10**8, layers=1), LAYOUT)
+    listed = [{"name": prefix + name, "shape": list(shape)}
+              for prefix in ("", "adam.m.", "adam.v.") for name, shape in table.items()]
+    header["config"]["hidden_size"] = 10**8
+    blob = json.dumps({**header, "tensors": listed}).encode()
+    paths.append(tmp_path / "listed.ckpt")
+    paths[-1].write_bytes(data[:7] + struct.pack("<Q", len(blob)) + blob + data[size:])
     src = os.path.dirname(os.path.dirname(sthrn.__file__))
-    run = subprocess.run([sys.executable, "-c", _LOAD_AND_MEASURE, *map(str, paths)],
+    run = subprocess.run([sys.executable, "-c", _LOAD_AND_MEASURE, str(path), *map(str, paths)],
                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 0, run.stderr
     *errors, grown_mb = run.stdout.splitlines()
-    # 224 GiB fails to allocate, or, on a host that overcommits memory,
-    # allocates untouched and then fails the tensor comparison
-    assert errors[0].startswith((f"{paths[0]}: bad header (MemoryError: ",
-                                 f"{paths[0]}: header tensors differ from its config's"))
-    assert errors[1].startswith(f"{paths[1]}: bad header (MemoryError: ")
-    assert errors[2].startswith(f"{paths[2]}: header tensors differ from its config's")
-    assert float(grown_mb) < 100.0
+    # every entry's shape follows the hidden size but the two head biases',
+    # each listed three times (parameter and Adam moments)
+    n = len(header["tensors"])
+    for bad, hidden, error in zip(paths[:-1], hiddens, errors[:-1], strict=True):
+        assert error == (f"{bad}: header tensors differ from its config's at {n - 6} of {n} "
+                         f"entries; the first lists ('enc.embed.w', (3, 3)) where the config "
+                         f"implies ('enc.embed.w', (3, {hidden}))")
+    need = 8 * 3 * sum(math.prod(shape) for shape in table.values())
+    assert errors[-1] == (f"{paths[-1]}: truncated: its tensors take {need:,} bytes and "
+                          f"{len(data) - size:,} follow the header")
+    assert float(grown_mb) < 1.0
 
 
 def test_checkpoint_load_makes_no_random_draws(tmp_path, monkeypatch):
@@ -486,8 +514,9 @@ def test_train_stops_at_a_nan_gradient_before_touching_params():
     seqs = [MotionSequence(fps=25.0, frames=np.repeat(frame[None], 30, axis=0), kind="lie")]
     theta = bone_weights(TOPO.entry_lengths())
     params = ModelParams.init(CFG, LAYOUT, seed=0)
-    for t in params.decoder.named().values():
-        t.data[:] = 0.0
+    for name, t in params.named().items():
+        if name.startswith("dec."):
+            t.data[:] = 0.0
     before = {n: t.data.copy() for n, t in params.named().items()}
     with pytest.raises(TrainingDiverged, match="non-finite gradient of enc.embed.w"):
         train(seqs, LAYOUT, theta, CFG, tiny_train_config(), params=params)
