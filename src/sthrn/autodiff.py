@@ -8,11 +8,15 @@ enabled, a tape node recording the op's parents, its forward, its vjp
 and the values the vjp needs; inside ``no_grad()``, a bare value with
 no parents.  ``backward`` walks the tape once, in reverse topological
 order, from a scalar root, and every vjp adds its gradients into the
-parents through ``_acc``.  ``grad_check`` re-runs the recorded
-forwards of the nodes a perturbed leaf reaches instead of the whole
-function, for a batch of probes on a leading axis per pass (``_cone``
-and ``_replay``), in float64 and again in long double for the
-components it refines.
+parents through ``_acc``, with one exception: an LSTM cell reads its
+leaf weight at every step, so its vjp hands the walk the pair ([x | h],
+d pre-activation) instead (``_defer``), and the walk adds the leaf's
+pairs as one matmul, or one per stack of as many rows as the weight
+has (``_flush``).  ``grad_check`` re-runs the recorded forwards of the
+nodes a perturbed leaf reaches instead of the whole function, for a
+batch of probes on a leading axis per pass (``_cone`` and
+``_replay``), in float64 and again in long double for the components
+it refines.
 """
 
 from __future__ import annotations
@@ -165,10 +169,11 @@ def _apply(out, op: str, parents: tuple, vjp, fwd, *args):
     the very forward that made it.
 
     ``vjp(node, g)`` adds the op's gradients into ``node.parents``
-    through ``_acc``, reading ``node.args`` and ``node.saved``.  A fused
-    cell's forward returns (h, c, *saved) and the cell comes back as an
-    (h, c) pair: taped, one node holds [h | c], keeps the rest as
-    ``saved``, and the two states are narrows of it.
+    through ``_acc`` (or ``_defer``), reading ``node.args`` and
+    ``node.saved``.  A fused cell's forward returns (h, c, *saved) and
+    the cell comes back as an (h, c) pair: taped, one node holds
+    [h | c], keeps the rest as ``saved``, and the two states are
+    narrows of it.
     """
     if type(out) is tuple:
         if not _grad_enabled:
@@ -206,6 +211,45 @@ def _acc(t: Tensor, g: np.ndarray, key: tuple | None = None) -> None:
         t.grad += _unbroadcast(g, t.data.shape)
     else:
         t.grad[key] += g
+
+
+# Leaf weights whose products the walk adds later: id -> [leaf, rows,
+# xs, dzs], the pairs (x, dz) of its deferred x.T @ dz in walk order.
+_deferred: dict[int, list] = {}
+
+
+def _defer(w: Tensor, x: np.ndarray, dz: np.ndarray) -> None:
+    """Add ``x.T @ dz`` into ``w``: at once if ``w`` is a tape node,
+    whose own vjp reads its gradient during the walk; else keep the pair.
+    A leaf's kept pairs are added as one product once they stack to as
+    many rows as ``w`` has, and the rest by ``_flush``: a weight read at
+    each of T steps costs one product per ``w``-high stack, not T
+    weight-sized products and adds, and its pairs never hold more rows
+    than it has."""
+    if w.vjp is not None:
+        _acc(w, x.T @ dz)
+        return
+    entry = _deferred.setdefault(id(w), [w, 0, [], []])
+    entry[1] += x.shape[0]
+    entry[2].append(x)
+    entry[3].append(dz)
+    if entry[1] >= w.data.shape[0]:
+        _add_pairs(_deferred.pop(id(w)))
+
+
+def _add_pairs(entry: list) -> None:
+    w, _, xs, dzs = entry
+    _acc(w, np.concatenate(xs).T @ np.concatenate(dzs))
+
+
+def _flush() -> None:
+    """Add every leaf's kept pairs, one product per leaf, and drop them.
+    Whatever runs vjps calls it when it stops, also when a vjp raised,
+    so no pair outlives its walk."""
+    pending = list(_deferred.values())
+    _deferred.clear()
+    for entry in pending:
+        _add_pairs(entry)
 
 
 # -- arithmetic -------------------------------------------------------------
@@ -563,7 +607,7 @@ def _lstm_vjp(node, grad):
     xh, s, cand, tc = node.saved
     dz, (dc,) = _gated_backward(grad, s, cand, [c.data], tc)
     _acc(b, dz)
-    _acc(w, xh.T @ dz)
+    _defer(w, xh, dz)
     dxh = dz @ w.data.T
     nx = x.data.shape[1]
     _acc(x, dxh[:, :nx])
@@ -802,10 +846,13 @@ def backward(root: Tensor, leaves=()) -> None:
     ``leaves`` holds its gradient; consts and interior nodes end with
     ``grad = None``.  A buffer is allocated by the first vjp that
     writes into it (``_acc``) and an interior node's is released once
-    its own vjp has run.  Gradients are freshly assigned on each call
-    and the tape is left intact, so repeated calls from the same root
-    give identical results.  Tensors in ``leaves`` that the root does
-    not depend on get zero gradients instead of None.
+    its own vjp has run.  A leaf LSTM weight is the exception: its
+    vjps defer their products (``_defer``), and ``_flush`` adds those
+    still kept after the last vjp, also when a vjp raises.  Gradients
+    are freshly assigned on each call and the tape is left intact, so
+    repeated calls from the same root give identical results.  Tensors
+    in ``leaves`` that the root does not depend on get zero gradients
+    instead of None.
     """
     if root.data.size != 1:
         raise NonScalarRoot(f"backward root must be scalar, got shape {root.data.shape}")
@@ -815,12 +862,15 @@ def backward(root: Tensor, leaves=()) -> None:
     for node in order:
         node.grad = None
     root.grad = np.ones_like(root.data)
-    for node in reversed(order):
-        if node.vjp is None:
-            continue
-        node.vjp(node, node.grad)
-        if id(node) not in keep:
-            node.grad = None
+    try:
+        for node in reversed(order):
+            if node.vjp is None:
+                continue
+            node.vjp(node, node.grad)
+            if id(node) not in keep:
+                node.grad = None
+    finally:
+        _flush()
     for leaf in leaves:
         if id(leaf) not in seen:
             leaf.grad = np.zeros_like(leaf.data)

@@ -132,9 +132,7 @@ def cmd_preprocess(args) -> int:
     seq = load_motion(getattr(args, "in"), topo)
     if seq.kind != "joints":
         raise ValidationError("preprocess expects raw joint positions, got Lie vectors")
-    bad = np.flatnonzero(~np.isfinite(seq.frames).all(axis=(1, 2)))
-    if bad.size:
-        raise ValidationError(f"{getattr(args, 'in')}: frame {bad[0]} is not finite")
+    seq.check_finite(getattr(args, "in"))
     if args.fps is not None:
         seq = resample_fps(seq, args.fps)
     topo = normalize_lengths([seq], topo)
@@ -165,6 +163,7 @@ def cmd_train(args) -> int:
     for path, seq in zip(args.data, sequences):
         if seq.kind != "lie":
             raise ValidationError(f"{path}: training data must be Lie vectors")
+        seq.check_finite(path)
     theta = bone_weights(topo.entry_lengths())
     result = train(sequences, layout, theta, model_config, train_config)
     if args.out_checkpoint:
@@ -195,8 +194,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred = load_motion(args.pred)
-    target = load_motion(args.target)
+    pred = load_motion(args.pred).check_finite(args.pred)
+    target = load_motion(args.target).check_finite(args.target)
     if pred.frames.shape != target.frames.shape:
         raise DimensionMismatch(
             f"prediction {pred.frames.shape} vs target {target.frames.shape}")

@@ -184,6 +184,14 @@ class MotionSequence:
         if not 0.0 < self.fps < math.inf:
             raise ValidationError(f"fps must be positive and finite, got {self.fps}")
 
+    def check_finite(self, where) -> MotionSequence:
+        """This sequence, or a ValidationError naming ``where`` and its
+        first frame that is not finite."""
+        bad = np.flatnonzero(~np.isfinite(self.frames).all(axis=(1, 2)))
+        if bad.size:
+            raise ValidationError(f"{where}: frame {bad[0]} is not finite")
+        return self
+
 
 @dataclass(frozen=True)
 class SampleWindow:

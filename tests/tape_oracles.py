@@ -12,7 +12,8 @@ that ``grid_cell``'s gradients match its vjp's order of adds.  The ops
 below are those of the compositions, built the way the package builds
 its own ops (through ``_apply`` and ``_acc``).
 ``composed_grid_cell`` and ``unfused_pooled`` spell the two cells out
-with them, taking the spread global states as arguments, and
+with them, taking the spread global states as arguments,
+``unfused_lstm`` the LSTM step, and
 ``composed_encode`` is the encoder built from them, with one spread
 node per global state that the grid cell and the pooled cell share,
 as before the fusion.
@@ -51,6 +52,22 @@ def _div_vjp(node, g):
 def div(a, b):
     a, b = ad._as_tensor(a), ad._as_tensor(b)
     return ad._apply(np.true_divide(a.data, b.data), "div", (a, b), _div_vjp, np.true_divide)
+
+
+def unfused_lstm(x, h, c, w, b):
+    """The fifteen-op LSTM step that ``ad.lstm_cell`` fuses.  Its matmul
+    node adds ``[x | h].T @ dz`` into ``w`` at every step, the layout
+    before ``lstm_cell`` deferred a leaf weight's products to the end of
+    the walk."""
+    hidden = h.data.shape[1]
+    z = ad.add(ad.matmul(ad.concat([x, h], axis=1), w), b)
+    i = sigmoid(z[:, 0 * hidden:1 * hidden])
+    f = sigmoid(z[:, 1 * hidden:2 * hidden])
+    o = sigmoid(z[:, 2 * hidden:3 * hidden])
+    g = tanh(z[:, 3 * hidden:4 * hidden])
+    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
+    h_new = ad.mul(o, tanh(c_new))
+    return h_new, c_new
 
 
 def _linear_fwd(pairs, *arrays):

@@ -172,19 +172,6 @@ def test_sigmoid_tanh_gradients():
     assert np.allclose(x.grad, 1.0 - np.tanh(x.data) ** 2, atol=1e-12)
 
 
-def unfused_lstm(x, h, c, w, b):
-    """The fifteen-op LSTM step that ad.lstm_cell fuses; the oracle."""
-    hidden = h.data.shape[1]
-    z = ad.add(ad.matmul(ad.concat([x, h], axis=1), w), b)
-    i = oracle.sigmoid(z[:, 0 * hidden:1 * hidden])
-    f = oracle.sigmoid(z[:, 1 * hidden:2 * hidden])
-    o = oracle.sigmoid(z[:, 2 * hidden:3 * hidden])
-    g = oracle.tanh(z[:, 3 * hidden:4 * hidden])
-    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, oracle.tanh(c_new))
-    return h_new, c_new
-
-
 def test_lstm_cell_matches_unfused_composition():
     rng = np.random.default_rng(30)
     nx, d = 4, 3
@@ -195,7 +182,7 @@ def test_lstm_cell_matches_unfused_composition():
     for mode in (nullcontext, no_grad):  # taped and value-only
         with mode():
             got = ad.lstm_cell(x, h, c, w, b)
-            want = unfused_lstm(x, h, c, w, b)
+            want = oracle.unfused_lstm(x, h, c, w, b)
         for g_t, w_t in zip(got, want):
             assert g_t.data.shape == (1, d)
             assert np.array_equal(g_t.data, w_t.data)
@@ -217,11 +204,45 @@ def test_lstm_cell_matches_unfused_composition():
     for name, err in report.per_leaf.items():
         assert err < 1e-6, name
 
-    backward(loss(unfused_lstm)(), leaves=leaves.values())
+    backward(loss(oracle.unfused_lstm)(), leaves=leaves.values())
     want_grads = {name: t.grad.copy() for name, t in leaves.items()}
     backward(loss(ad.lstm_cell)(), leaves=leaves.values())
     for name, t in leaves.items():
         assert np.allclose(t.grad, want_grads[name], rtol=1e-12, atol=1e-15), name
+
+
+@pytest.mark.parametrize("steps", [1, 3, 10])
+@pytest.mark.parametrize("batch", [1, 4])
+def test_lstm_chain_weight_gradient_moves_only_at_round_off(steps, batch):
+    # a chain of steps sharing (w, b), as the decoder runs its cells: the
+    # fused walk adds w's products one matmul per stack of 9 rows (w's
+    # height) and the rest after the walk, the unfused one a product at
+    # every step; every other gradient takes the same adds in one order
+    rng = np.random.default_rng(31 + steps + batch)
+    nx, d = 4, 5
+    xs = [leaf(rng.normal(size=(batch, nx))) for _ in range(steps)]
+    h0, c0 = (leaf(rng.normal(size=(batch, d))) for _ in range(2))
+    w = leaf(rng.normal(size=(nx + d, 4 * d)) * 0.5)
+    b = leaf(rng.normal(size=4 * d) * 0.5)
+    head = leaf(rng.normal(size=(batch, 2 * d)))
+    leaves = {**{f"x{t}": x for t, x in enumerate(xs)}, "h0": h0, "c0": c0, "w": w, "b": b,
+              "head": head}
+
+    def loss(cell):
+        h, c = h0, c0
+        for x in xs:
+            h, c = cell(x, h, c, w, b)
+        return ad.tsum(ad.mul(ad.concat([h, c], axis=1), head))
+
+    backward(loss(oracle.unfused_lstm), leaves=leaves.values())
+    want = {name: t.grad.copy() for name, t in leaves.items()}
+    backward(loss(ad.lstm_cell), leaves=leaves.values())
+    for name, t in leaves.items():
+        if name != "w" or steps == 1:
+            assert np.array_equal(t.grad, want[name]), name
+    # each entry of w.grad sums steps * batch products: one rounding per term
+    bound = steps * batch * np.finfo(np.float64).eps * np.abs(want["w"]).max()
+    assert np.abs(w.grad - want["w"]).max() <= bound
 
 
 def unfused_gated(pre, sources):
@@ -576,7 +597,8 @@ def tape_nodes(root):
 def eager_backward(root, leaves=()):
     """Oracle: the walk that gives every tape node a zero gradient up
     front and keeps them all afterwards (``_acc`` leaves a const's at
-    zero)."""
+    zero).  Like ``backward`` it ends with ``_flush``, which adds the
+    leaf LSTM weights' deferred products."""
     order, seen = [], set()
     stack = [(root, False)]
     while stack:
@@ -594,9 +616,12 @@ def eager_backward(root, leaves=()):
     for node in order:
         node.grad = np.zeros_like(node.data)
     root.grad = np.ones_like(root.data)
-    for node in reversed(order):
-        if node.vjp is not None:
-            node.vjp(node, node.grad)
+    try:
+        for node in reversed(order):
+            if node.vjp is not None:
+                node.vjp(node, node.grad)
+    finally:
+        ad._flush()
     for t in leaves:
         if id(t) not in seen:
             t.grad = np.zeros_like(t.data)
@@ -655,6 +680,33 @@ def test_backward_matches_eager_walk_and_frees_interior_gradients(fixture):
                 assert np.array_equal(t.grad, want[id(t)]), t
             else:  # interior nodes and consts
                 assert t.grad is None, t
+
+
+def test_walk_that_raises_leaves_nothing_to_the_next_walk():
+    rng = np.random.default_rng(32)
+    xs = [leaf(rng.normal(size=(2, 3))) for _ in range(3)]
+    h0, c0 = (leaf(rng.normal(size=(2, 4))) for _ in range(2))
+    w, b = leaf(rng.normal(size=(7, 16))), leaf(rng.normal(size=16))
+    leaves = [*xs, h0, c0, w, b]
+
+    def boom(node, g):
+        raise RuntimeError("boom")
+
+    def loss(first):
+        h, c = h0, c0
+        for x in (first, *xs[1:]):
+            h, c = ad.lstm_cell(x, h, c, w, b)
+        return ad.tsum(ad.mul(h, c))
+
+    backward(loss(xs[0]), leaves=leaves)
+    want = [t.grad.copy() for t in leaves]
+    # the copy's vjp runs after every step's, with w's products pending
+    copied = ad._apply(xs[0].data.copy(), "copy", (xs[0],), boom, np.copy)
+    with pytest.raises(RuntimeError, match="boom"):
+        backward(loss(copied), leaves=leaves)
+    backward(loss(xs[0]), leaves=leaves)
+    for t, g in zip(leaves, want):
+        assert np.array_equal(t.grad, g), t
 
 
 def test_backward_keeps_gradients_of_listed_tensors():

@@ -304,16 +304,44 @@ def test_train_and_predict_refuse_raw_positions_exit_2(tmp_path, capsys, command
 
 
 def test_training_divergence_exits_1(tmp_path, capsys):
-    topo = builtin_topology("fork7")
-    seq = synth_motion("sinusoid", 40, topo, seed=5)
-    frames = seq.frames.copy()
-    frames[3, 1, 0] = np.nan
-    path = tmp_path / "bad.lie"
-    save_motion(path, MotionSequence(fps=25.0, frames=frames, kind="lie"))
-    rc = main(["train", "--data", str(path), "--topology", topo_file(tmp_path),
-               "--config", write_config(tmp_path, TINY)])
+    # Adam moves each parameter by about the learning rate: at 1e300 the
+    # second forward overflows
+    config = write_config(tmp_path, TINY.replace("learning_rate = 0.001", "learning_rate = 1e300"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["train", "--data", lie_file(tmp_path, "train.lie"),
+                   "--topology", topo_file(tmp_path), "--config", config])
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    assert "error: non-finite" in capsys.readouterr().err
+
+
+def non_finite_lie_file(tmp_path, name, frames, bad, value):
+    seq = load_motion(lie_file(tmp_path, name, frames=frames))
+    data = seq.frames.copy()
+    data[bad, 2, 1] = value
+    save_motion(tmp_path / name, MotionSequence(fps=seq.fps, frames=data, kind="lie"))
+    return str(tmp_path / name)
+
+
+def test_train_refuses_non_finite_frames_exits_2(tmp_path, capsys):
+    good = lie_file(tmp_path, "good.lie")
+    bad = non_finite_lie_file(tmp_path, "bad.lie", 100, 70, np.nan)
+    ckpt = tmp_path / "model.ckpt"
+    rc = main(["train", "--data", good, bad, "--topology", topo_file(tmp_path),
+               "--config", write_config(tmp_path, TINY), "--out-checkpoint", str(ckpt)])
+    assert rc == 2
+    assert f"error: {bad}: frame 70 is not finite" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_eval_refuses_non_finite_frames_exits_2(tmp_path, capsys):
+    target = lie_file(tmp_path, "target.lie", frames=25)
+    pred = non_finite_lie_file(tmp_path, "pred.lie", 25, 3, np.inf)
+    report = tmp_path / "r.csv"
+    for argv, path in (([pred, target], pred), ([target, pred], pred)):
+        rc = main(["eval", "--pred", argv[0], "--target", argv[1], "--out", str(report)])
+        assert rc == 2
+        assert f"error: {path}: frame 3 is not finite" in capsys.readouterr().err
+        assert not report.exists()
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

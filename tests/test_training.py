@@ -18,7 +18,8 @@ import sthrn.training as training
 from sthrn.autodiff import Tensor, backward
 from sthrn.encoder import ChainLayout
 from sthrn.model import ModelConfig, ModelParams, param_table, predict
-from sthrn.skeleton import MotionSequence, ParseError, builtin_topology, synth_motion
+from sthrn.skeleton import (MotionSequence, ParseError, ValidationError, builtin_topology,
+                            synth_motion)
 from sthrn.training import (
     AdamState,
     TrainConfig,
@@ -311,6 +312,13 @@ def test_train_raises_on_divergence():
     params.named()["enc.embed.w"].data[:] = np.nan
     with pytest.raises(TrainingDiverged):
         train(seqs, LAYOUT, theta, CFG, tiny_train_config(), params=params)
+
+
+def test_train_refuses_non_finite_frames():
+    seqs = [synth_motion("sinusoid", 30, TOPO, seed=s) for s in (7, 8)]
+    seqs[1].frames[12, 0, 2] = -np.inf
+    with pytest.raises(ValidationError, match="sequence 1: frame 12 is not finite"):
+        train(seqs, LAYOUT, bone_weights(TOPO.entry_lengths()), CFG, tiny_train_config())
 
 
 def test_write_metrics_roundtrips_loss_column(tmp_path):
