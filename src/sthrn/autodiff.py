@@ -234,12 +234,8 @@ def _defer(w: Tensor, x: np.ndarray, dz: np.ndarray) -> None:
     entry[2].append(x)
     entry[3].append(dz)
     if entry[1] >= w.data.shape[0]:
-        _add_pairs(_deferred.pop(id(w)))
-
-
-def _add_pairs(entry: list) -> None:
-    w, _, xs, dzs = entry
-    _acc(w, np.concatenate(xs).T @ np.concatenate(dzs))
+        del _deferred[id(w)]
+        _acc(w, np.concatenate(entry[2]).T @ np.concatenate(entry[3]))
 
 
 def _flush() -> None:
@@ -248,8 +244,8 @@ def _flush() -> None:
     so no pair outlives its walk."""
     pending = list(_deferred.values())
     _deferred.clear()
-    for entry in pending:
-        _add_pairs(entry)
+    for w, _, xs, dzs in pending:
+        _acc(w, np.concatenate(xs).T @ np.concatenate(dzs))
 
 
 # -- arithmetic -------------------------------------------------------------
