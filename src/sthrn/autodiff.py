@@ -1,16 +1,19 @@
 """Reverse-mode automatic differentiation over numpy float64 arrays.
 
-Each operation returns a new ``Tensor`` whose value is computed
-eagerly by one module-level forward function of its static arguments
-and its parents' arrays.  Every op hands that value and the forward to
-``_apply``, which decides what the result is: while gradients are
-enabled, a tape node recording the op's parents, its forward, its vjp
-and the values the vjp needs; inside ``no_grad()``, a bare value with
-no parents.  ``backward`` walks the tape once, in reverse topological
-order, from a scalar root, and every vjp adds its gradients into the
-parents through ``_acc``, with one exception: an LSTM cell reads its
-leaf weight at every step, so its vjp hands the walk the pair ([x | h],
-d pre-activation) instead (``_defer``), and the walk adds the leaf's
+Each operation returns a new ``Tensor`` whose value one module-level
+forward function computes eagerly from the op's static arguments and
+its parents' arrays.  An op checks its operands and hands its parents,
+vjp, forward and static arguments to ``_apply``, which runs the
+forward and decides what the result is: while gradients are enabled, a
+tape node recording the op's parents, its forward, its vjp and the
+values the vjp needs; inside ``no_grad()``, a bare value with no
+parents.  The ops are the only way to make a tape value.
+
+``backward`` walks the tape once, in reverse topological order, from a
+scalar root, and every vjp adds its gradients into the parents through
+``_acc``, with one exception: an LSTM cell reads its leaf weight at
+every step, so its vjp hands the walk the pair ([x | h], d
+pre-activation) instead (``_defer``), and the walk adds the leaf's
 pairs as one matmul, or one per stack of as many rows as the weight
 has (``_flush``).  ``grad_check`` re-runs the recorded forwards of the
 nodes a perturbed leaf reaches instead of the whole function, for a
@@ -53,16 +56,17 @@ class no_grad:
 
 
 class Tensor:
-    """A float64 array plus its place on the tape.
+    """A float64 array plus its place on the tape; it has no arithmetic:
+    the ops build every new value.
 
     ``op`` is "leaf" for a tensor built directly (a parameter, or a
     value-only result), "const" for an array an op took as an operand,
     or else the op that made this tape node.  A node holds its
-    ``parents``, its forward ``fwd`` and static ``args`` (its value is
-    ``fwd(*args, *parent arrays)``), its ``vjp`` and the values the vjp
-    reads (``saved``).  ``backward`` gives leaves a ``grad``, never
-    consts, and leaves None on interior nodes, which are rebuilt every
-    forward pass.
+    ``parents``, the forward ``fwd`` and static ``args`` that made its
+    value, ``fwd(*args, *parent arrays)``, its ``vjp`` and the values
+    the vjp reads (``saved``).  ``backward`` gives leaves a ``grad``,
+    never consts, and leaves None on interior nodes, which are rebuilt
+    every forward pass.
     """
 
     __slots__ = ("data", "grad", "op", "parents", "vjp", "saved", "fwd", "args", "__weakref__")
@@ -79,40 +83,8 @@ class Tensor:
         self.fwd = None
         self.args = ()
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __getitem__(self, key):
-        return narrow(self, key)
 
 
 def _as_tensor(x) -> Tensor:
@@ -161,12 +133,12 @@ def _value(out):
     return _cat(out[:2], -1) if type(out) is tuple else out
 
 
-def _apply(out, op: str, parents: tuple, vjp, fwd, *args):
-    """An op's value ``out = fwd(*args, *parent arrays)``, which the op
-    computes by calling ``fwd`` itself, as a tape node, or inside
-    ``no_grad()`` as a bare Tensor with no parents: the one place that
-    decides.  The node keeps ``fwd`` and ``args``, so replay re-runs
-    the very forward that made it.
+def _apply(op: str, parents: tuple, vjp, fwd, *args):
+    """Run ``fwd(*args, *parent arrays)`` and return its value as a tape
+    node, or inside ``no_grad()`` as a bare Tensor with no parents: the
+    one place where a value is made and where that is decided.  The node
+    keeps ``fwd`` and ``args``, so replay re-runs the very forward that
+    made it.
 
     ``vjp(node, g)`` adds the op's gradients into ``node.parents``
     through ``_acc`` (or ``_defer``), reading ``node.args`` and
@@ -175,6 +147,7 @@ def _apply(out, op: str, parents: tuple, vjp, fwd, *args):
     [h | c], keeps the rest as ``saved``, and the two states are
     narrows of it.
     """
+    out = fwd(*args, *[p.data for p in parents])
     if type(out) is tuple:
         if not _grad_enabled:
             return _result(out[0]), _result(out[1])
@@ -261,7 +234,7 @@ def _add_vjp(node, g):
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return _apply(np.add(a.data, b.data), "add", (a, b), _add_vjp, np.add)
+    return _apply("add", (a, b), _add_vjp, np.add)
 
 
 def _tree_sum(parts):
@@ -292,7 +265,7 @@ def _sub_vjp(node, g):
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return _apply(np.subtract(a.data, b.data), "sub", (a, b), _sub_vjp, np.subtract)
+    return _apply("sub", (a, b), _sub_vjp, np.subtract)
 
 
 def _mul_vjp(node, g):
@@ -304,7 +277,7 @@ def _mul_vjp(node, g):
 def mul(a, b) -> Tensor:
     """Elementwise (Hadamard) product with numpy broadcasting."""
     a, b = _as_tensor(a), _as_tensor(b)
-    return _apply(np.multiply(a.data, b.data), "mul", (a, b), _mul_vjp, np.multiply)
+    return _apply("mul", (a, b), _mul_vjp, np.multiply)
 
 
 def _scale_fwd(s, a):
@@ -317,8 +290,7 @@ def _scale_vjp(node, g):
 
 def scale(a, s: float) -> Tensor:
     """Product with a python scalar (no tape node for the scalar)."""
-    a = _as_tensor(a)
-    return _apply(_scale_fwd(s, a.data), "scale", (a,), _scale_vjp, _scale_fwd, s)
+    return _apply("scale", (_as_tensor(a),), _scale_vjp, _scale_fwd, s)
 
 
 def _check_matmul(a: Tensor, b: Tensor) -> None:
@@ -335,7 +307,7 @@ def _matmul_vjp(node, g):
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_matmul(a, b)
-    return _apply(np.matmul(a.data, b.data), "matmul", (a, b), _matmul_vjp, np.matmul)
+    return _apply("matmul", (a, b), _matmul_vjp, np.matmul)
 
 
 def _affine(x, w, b):
@@ -354,10 +326,18 @@ def linear(x, w, b) -> Tensor:
     value of ``add(matmul(x, w), b)``."""
     x, w, b = parents = tuple(map(_as_tensor, (x, w, b)))
     _check_matmul(x, w)
-    return _apply(_affine(x.data, w.data, b.data), "linear", parents, _linear_vjp, _affine)
+    return _apply("linear", parents, _linear_vjp, _affine)
 
 
 # -- shape ------------------------------------------------------------------
+
+
+def _from_last(axis: int, nd: int, error=IndexError) -> int:
+    """``axis`` of an ``nd``-axis operand counted from the last axis, as a
+    forward records it, or ``error`` if the operand has no such axis."""
+    if not -nd <= axis < nd:
+        raise error(f"axis {axis} is out of range for {nd} axes")
+    return axis % nd - nd
 
 
 def _reshape_fwd(nd, shape, a):
@@ -371,9 +351,7 @@ def _reshape_vjp(node, g):
 
 def reshape(a, shape: tuple) -> Tensor:
     a = _as_tensor(a)
-    nd, shape = a.data.ndim, tuple(shape)
-    return _apply(_reshape_fwd(nd, shape, a.data), "reshape", (a,), _reshape_vjp, _reshape_fwd,
-                  nd, shape)
+    return _apply("reshape", (a,), _reshape_vjp, _reshape_fwd, a.data.ndim, tuple(shape))
 
 
 def _concat_fwd(axis, *arrays):
@@ -394,15 +372,11 @@ def _concat_vjp(node, g):
 
 
 def concat(parts, axis: int = 0) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    if len({p.data.ndim for p in parts}) > 1:  # _cat would broadcast the lower rank
+    parts = tuple(map(_as_tensor, parts))
+    if len({p.data.ndim for p in parts}) != 1:  # _cat would broadcast the lower rank
         raise ShapeMismatch(f"concat: {[p.data.shape for p in parts]}")
-    out = _concat_fwd(axis, *[p.data for p in parts])
-    return _apply(out, "concat", tuple(parts), _concat_vjp, _concat_fwd,
-                  axis % out.ndim - out.ndim)
-
-
-_BASIC_INDEX = (int, np.integer, slice, type(Ellipsis), type(None))
+    return _apply("concat", parts, _concat_vjp, _concat_fwd,
+                  _from_last(axis, parts[0].data.ndim, ShapeMismatch))
 
 
 def _narrow_fwd(nd, key, a):
@@ -413,22 +387,11 @@ def _narrow_vjp(node, g):
     _acc(node.parents[0], g, node.args[1])
 
 
-def narrow(a, key) -> Tensor:
-    """Basic indexing (ints, slices, ``...``, ``None`` or a tuple of them)
-    selects each element at most once, so its gradient adds into the
-    selected part; any other key raises ShapeMismatch."""
-    key = key if type(key) is tuple else (key,)
-    for k in key:
-        if not isinstance(k, _BASIC_INDEX) or isinstance(k, bool):
-            raise ShapeMismatch(f"narrow: {k!r} is not a basic index")
-    return _narrow(_as_tensor(a), key)
-
-
 def _narrow(a: Tensor, key: tuple) -> Tensor:
-    """``narrow`` for a key already known to be a tuple of basic indices."""
-    nd = a.data.ndim
-    return _apply(_narrow_fwd(nd, key, a.data), "narrow", (a,), _narrow_vjp, _narrow_fwd, nd,
-                  key)
+    """``a[key]`` for a tuple of basic indices (ints, slices, ``...``,
+    ``None``), which select each element at most once, so its gradient
+    adds into the selected part."""
+    return _apply("narrow", (a,), _narrow_vjp, _narrow_fwd, a.data.ndim, key)
 
 
 # -- reductions -------------------------------------------------------------
@@ -446,9 +409,9 @@ def _sum_vjp(node, g):
 def tsum(a, axis: int | None = None) -> Tensor:
     """Sum along one axis, or over all of them."""
     a = _as_tensor(a)
-    out, nd = _sum_fwd(axis, a.data), a.data.ndim  # numpy refuses an axis out of range
-    axis = tuple(range(-nd, 0)) if axis is None else axis % nd - nd
-    return _apply(out, "sum", (a,), _sum_vjp, _sum_fwd, axis)
+    nd = a.data.ndim
+    axis = tuple(range(-nd, 0)) if axis is None else _from_last(axis, nd)
+    return _apply("sum", (a,), _sum_vjp, _sum_fwd, axis)
 
 
 def _pool(grid_shape: tuple, axis: int, x: np.ndarray) -> np.ndarray:
@@ -488,8 +451,7 @@ def l2norm(a, axis: int = -1) -> Tensor:
     not: in a batch, another row's kink must not poison this one.
     """
     a = _as_tensor(a)
-    out, nd = _l2norm_fwd(axis, a.data), a.data.ndim  # numpy refuses an axis out of range
-    return _apply(out, "l2norm", (a,), _l2norm_vjp, _l2norm_fwd, axis % nd - nd)
+    return _apply("l2norm", (a,), _l2norm_vjp, _l2norm_fwd, _from_last(axis, a.data.ndim))
 
 
 # -- rotation wrap ----------------------------------------------------------
@@ -546,8 +508,7 @@ def wrap_rows(a) -> Tensor:
     constant per evaluation and the scaling stays differentiable;
     entries that need no wrap keep their exact values.
     """
-    a = _as_tensor(a)
-    return _apply(_wrap_fwd(a.data), "wrap", (a,), _wrap_vjp, _wrap_fwd)
+    return _apply("wrap", (_as_tensor(a),), _wrap_vjp, _wrap_fwd)
 
 
 # -- fused cells ------------------------------------------------------------
@@ -620,9 +581,7 @@ def lstm_cell(x, h, c, w, b) -> tuple[Tensor, Tensor]:
     The values are bit-identical to composing concat, matmul, add,
     sigmoid, tanh and mul, at one node instead of fifteen.
     """
-    x, h, c, w, b = parents = tuple(map(_as_tensor, (x, h, c, w, b)))
-    return _apply(_lstm_fwd(x.data, h.data, c.data, w.data, b.data), "lstm_cell", parents,
-                  _lstm_vjp, _lstm_fwd)
+    return _apply("lstm_cell", tuple(map(_as_tensor, (x, h, c, w, b))), _lstm_vjp, _lstm_fwd)
 
 
 def _pooled_fwd(grid_shape, axis, h, c, g_prev, c_prev,
@@ -692,8 +651,7 @@ def pooled_cell(h, c, g_prev, c_prev, weights, grid_shape, axis: int) -> tuple[T
     tsum, scale and tanh that spells this out.
     """
     parents = tuple(map(_as_tensor, (h, c, g_prev, c_prev, *weights)))
-    out = _pooled_fwd(grid_shape, axis, *[t.data for t in parents])
-    return _apply(out, "pooled_cell", parents, _pooled_vjp, _pooled_fwd, grid_shape, axis)
+    return _apply("pooled_cell", parents, _pooled_vjp, _pooled_fwd, grid_shape, axis)
 
 
 def _shift_blocks(n: int, block: int, x: np.ndarray) -> np.ndarray:
@@ -806,8 +764,7 @@ def grid_cell(h, c, p_proj, g_s, g_t, weights, c_gs, c_gt, grid_shape,
     spread copies.
     """
     parents = tuple(map(_as_tensor, (h, c, p_proj, g_s, g_t, *weights, c_gs, c_gt)))
-    out = _grid_fwd(grid_shape, sp_mask, *[t.data for t in parents])
-    return _apply(out, "grid_cell", parents, _grid_vjp, _grid_fwd, grid_shape, sp_mask)
+    return _apply("grid_cell", parents, _grid_vjp, _grid_fwd, grid_shape, sp_mask)
 
 
 # -- tape walk --------------------------------------------------------------
@@ -909,8 +866,7 @@ def _cone(order: list[Tensor], leaf: Tensor):
     value index, shape)] of the parents the leaf reaches, [value indices
     no later step reads]); value 0 is the leaf's, value k + 1 step k's.
     Every other node is read through its recorded array; a node the
-    root does not depend on is not in ``order``.  A node ``_apply``
-    recorded without a forward makes its pass raise TypeError.
+    root does not depend on is not in ``order``.
     """
     value_of = {id(leaf): 0}
     steps, last_read, nbytes = [], {}, 0
@@ -1056,11 +1012,10 @@ def grad_check(
     inside an op.  As a guard, some components are also measured by
     calling ``f()``: the first and last of the float64 sweep, the first
     of the extended one.  If the replayed losses are not in the sweep's
-    dtype or differ from f()'s at a guard at all, or a pass raises (as
-    at a node with no recorded forward), the sweep measures the other
-    components by calling ``f()`` too, and so does the extended sweep
-    of a leaf whose float64 sweep fell back; the leaf counts once as a
-    fallback.
+    dtype or differ from f()'s at a guard at all, or a pass raises, the
+    sweep measures the other components by calling ``f()`` too, and so
+    does the extended sweep of a leaf whose float64 sweep fell back; the
+    leaf counts once as a fallback.
     """
     start = time.perf_counter()
     out = f()
@@ -1093,8 +1048,8 @@ def grad_check(
                     passes += 1
                     replays += parts[-1].size
                 losses = np.concatenate(parts).reshape(-1, 2)
-            except (ValueError, TypeError, IndexError):
-                pass  # a forward that cannot take the probe axis, or none: f() decides
+            except (ValueError, IndexError):
+                pass  # a forward that cannot take the probe axis: f() decides
         if losses is None or losses.dtype != dtype or not np.array_equal(losses[guarded], by_f):
             cone = None  # and every other component by calling f()
             losses = np.empty((len(index), 2), by_f.dtype)

@@ -163,7 +163,7 @@ def cmd_train(args) -> int:
     for path, seq in zip(args.data, sequences):
         if seq.kind != "lie":
             raise ValidationError(f"{path}: training data must be Lie vectors")
-        seq.check_finite(path)
+        seq.check_finite(path).check_length(path, train_config.observed + train_config.horizon)
     theta = bone_weights(topo.entry_lengths())
     result = train(sequences, layout, theta, model_config, train_config)
     if args.out_checkpoint:
@@ -180,7 +180,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    seq = load_motion(args.data)
+    seq = load_motion(args.data).check_finite(args.data)
     if seq.kind != "lie":
         raise ValidationError("predict expects Lie-vector data")
     k = ckpt.layout.num_entries

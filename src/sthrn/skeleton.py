@@ -192,6 +192,13 @@ class MotionSequence:
             raise ValidationError(f"{where}: frame {bad[0]} is not finite")
         return self
 
+    def check_length(self, where, need: int) -> MotionSequence:
+        """This sequence, or a SequenceTooShort naming ``where`` if it
+        holds fewer than the ``need`` frames of one window."""
+        if self.frames.shape[0] < need:
+            raise SequenceTooShort(f"{where}: {self.frames.shape[0]} frames, need at least {need}")
+        return self
+
 
 @dataclass(frozen=True)
 class SampleWindow:
@@ -526,9 +533,7 @@ def sample_windows(
 ) -> list[SampleWindow]:
     """Uniformly sampled (observed, target) windows, with replacement."""
     need = observed + horizon
-    total = seq.frames.shape[0]
-    if total < need:
-        raise SequenceTooShort(f"{total} frames, need at least {need}")
+    total = seq.check_length("sequence", need).frames.shape[0]
     starts = rng.integers(0, total - need + 1, size=count)
     return [
         SampleWindow(

@@ -191,12 +191,14 @@ def train(sequences: list[MotionSequence], layout: ChainLayout, theta: np.ndarra
     its gradients on the parameters, so the gradient checks, clipping
     and the Adam step run with no tape alive.  The same seed reproduces
     the exact loss curve.
-    A sequence with a frame that is not finite raises ValidationError
-    before anything is drawn.  Raises TrainingDiverged when the loss or a
-    gradient stops being finite, before the parameters are touched.
+    A sequence with a frame that is not finite raises ValidationError,
+    and one shorter than a window SequenceTooShort, before anything is
+    drawn.  Raises TrainingDiverged when the loss or a gradient stops
+    being finite, before the parameters are touched.
     """
+    need = train_config.observed + train_config.horizon
     for i, seq in enumerate(sequences):
-        seq.check_finite(f"sequence {i}")
+        seq.check_finite(f"sequence {i}").check_length(f"sequence {i}", need)
     rng = np.random.default_rng(train_config.seed)
     if params is None:
         params = ModelParams.init(model_config, layout, seed=train_config.seed)

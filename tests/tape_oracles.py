@@ -30,8 +30,7 @@ def _sigmoid_vjp(node, g):
 
 
 def sigmoid(a):
-    a = ad._as_tensor(a)
-    return ad._apply(ad._sigmoid(a.data), "sigmoid", (a,), _sigmoid_vjp, ad._sigmoid)
+    return ad._apply("sigmoid", (ad._as_tensor(a),), _sigmoid_vjp, ad._sigmoid)
 
 
 def _tanh_vjp(node, g):
@@ -39,8 +38,7 @@ def _tanh_vjp(node, g):
 
 
 def tanh(a):
-    a = ad._as_tensor(a)
-    return ad._apply(np.tanh(a.data), "tanh", (a,), _tanh_vjp, np.tanh)
+    return ad._apply("tanh", (ad._as_tensor(a),), _tanh_vjp, np.tanh)
 
 
 def _div_vjp(node, g):
@@ -50,8 +48,7 @@ def _div_vjp(node, g):
 
 
 def div(a, b):
-    a, b = ad._as_tensor(a), ad._as_tensor(b)
-    return ad._apply(np.true_divide(a.data, b.data), "div", (a, b), _div_vjp, np.true_divide)
+    return ad._apply("div", (ad._as_tensor(a), ad._as_tensor(b)), _div_vjp, np.true_divide)
 
 
 def unfused_lstm(x, h, c, w, b):
@@ -61,10 +58,10 @@ def unfused_lstm(x, h, c, w, b):
     the walk."""
     hidden = h.data.shape[1]
     z = ad.add(ad.matmul(ad.concat([x, h], axis=1), w), b)
-    i = sigmoid(z[:, 0 * hidden:1 * hidden])
-    f = sigmoid(z[:, 1 * hidden:2 * hidden])
-    o = sigmoid(z[:, 2 * hidden:3 * hidden])
-    g = tanh(z[:, 3 * hidden:4 * hidden])
+    i = sigmoid(ad._narrow(z, np.s_[:, 0 * hidden:1 * hidden]))
+    f = sigmoid(ad._narrow(z, np.s_[:, 1 * hidden:2 * hidden]))
+    o = sigmoid(ad._narrow(z, np.s_[:, 2 * hidden:3 * hidden]))
+    g = tanh(ad._narrow(z, np.s_[:, 3 * hidden:4 * hidden]))
     c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
     h_new = ad.mul(o, tanh(c_new))
     return h_new, c_new
@@ -105,9 +102,7 @@ def linear(terms):
             ad._check_matmul(*operands)
         parents += operands
         pairs.append(pair)
-    pairs = tuple(pairs)
-    return ad._apply(_linear_fwd(pairs, *[t.data for t in parents]), "linear", tuple(parents),
-                     _linear_vjp, _linear_fwd, pairs)
+    return ad._apply("linear", tuple(parents), _linear_vjp, _linear_fwd, tuple(pairs))
 
 
 def _spread_vjp(node, g):
@@ -117,9 +112,7 @@ def _spread_vjp(node, g):
 def spread_rows(a, grid_shape: tuple, axis: int):
     """Each row of ``a`` copied over ``axis`` of ``grid_shape``, one row
     per grid index: the transpose of summing the grid over ``axis``."""
-    a = ad._as_tensor(a)
-    return ad._apply(ad._spread(grid_shape, axis, a.data), "spread", (a,), _spread_vjp,
-                     ad._spread, grid_shape, axis)
+    return ad._apply("spread", (ad._as_tensor(a),), _spread_vjp, ad._spread, grid_shape, axis)
 
 
 def _shift_vjp(node, g):
@@ -132,8 +125,7 @@ def shift_rows(a, n: int, block: int | None = None):
     of ``block`` consecutive rows (default: all rows as one run)."""
     a = ad._as_tensor(a)
     block = a.data.shape[0] if block is None else block
-    return ad._apply(ad._shift_blocks(n, block, a.data), "shift", (a,), _shift_vjp,
-                     ad._shift_blocks, n, block)
+    return ad._apply("shift", (a,), _shift_vjp, ad._shift_blocks, n, block)
 
 
 def _gated_vjp(node, grad):
@@ -150,8 +142,7 @@ def gated_cell(pre, sources):
     ``pre`` is (rows, (len(sources) + 3) * hidden): one sigmoid gate per
     input (the tanh candidate first), the output gate, the candidate."""
     parents = (ad._as_tensor(pre), *map(ad._as_tensor, sources))
-    return ad._apply(ad._gated_fwd(*[t.data for t in parents]), "gated_cell", parents,
-                     _gated_vjp, ad._gated_fwd)
+    return ad._apply("gated_cell", parents, _gated_vjp, ad._gated_fwd)
 
 
 def composed_grid_cell(h, c, p_proj, gs_rows, gt_rows, weights, cgs_rows, cgt_rows,

@@ -333,6 +333,21 @@ def test_train_refuses_non_finite_frames_exits_2(tmp_path, capsys):
     assert not ckpt.exists()
 
 
+def test_train_refuses_a_file_shorter_than_a_window_exits_2(tmp_path, capsys):
+    # TINY's windows are 6 + 2 frames; the short file is refused before
+    # the first iteration, whichever file the seed would draw first
+    short = lie_file(tmp_path, "short.lie", frames=7)
+    ckpt, metrics = tmp_path / "model.ckpt", tmp_path / "m.csv"
+    rc = main(["train", "--data", lie_file(tmp_path, "good.lie"), short, "--topology",
+               topo_file(tmp_path), "--config", write_config(tmp_path, TINY),
+               "--out-checkpoint", str(ckpt), "--metrics", str(metrics)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {short}: 7 frames, need at least 8\n"
+    assert out == ""
+    assert not ckpt.exists() and not metrics.exists()
+
+
 def test_eval_refuses_non_finite_frames_exits_2(tmp_path, capsys):
     target = lie_file(tmp_path, "target.lie", frames=25)
     pred = non_finite_lie_file(tmp_path, "pred.lie", 25, 3, np.inf)
@@ -516,7 +531,7 @@ def test_predict_refuses_non_finite_frames_exits_2(tmp_path, capsys):
     rc = main(["predict", "--checkpoint", ckpt, "--data", str(obs),
                "--horizon", "3", "--out", str(out)])
     assert rc == 2
-    assert "observed frame 6 is not finite" in capsys.readouterr().err
+    assert f"error: {obs}: frame 6 is not finite" in capsys.readouterr().err
     assert not out.exists()
 
 

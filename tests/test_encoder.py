@@ -296,7 +296,7 @@ def test_repeat_rows_gradient():
     out = oracle.spread_rows(t, (1, 2, 3, 2), axis=2)  # each frame's row over 3 bones
     assert np.array_equal(out.data, np.repeat(t.data, 3, axis=0))
     w = Tensor(np.arange(12.0).reshape(6, 2))
-    backward(ad.tsum(out * w), leaves=[t])
+    backward(ad.tsum(ad.mul(out, w)), leaves=[t])
     assert np.array_equal(t.grad, w.data.reshape(2, 3, 2).sum(axis=1))
 
 
@@ -305,7 +305,7 @@ def test_tile_rows_gradient():
     out = oracle.spread_rows(t, (1, 3, 2, 2), axis=1)  # the 2 bone rows over 3 frames
     assert np.array_equal(out.data, np.tile(t.data, (3, 1)))
     w = Tensor(np.arange(12.0).reshape(6, 2))
-    backward(ad.tsum(out * w), leaves=[t])
+    backward(ad.tsum(ad.mul(out, w)), leaves=[t])
     assert np.array_equal(t.grad, w.data.reshape(3, 2, 2).sum(axis=0))
 
 
@@ -314,12 +314,12 @@ def test_shift_gradients_shift_back():
     w = Tensor(np.arange(8.0).reshape(4, 2) + 1.0)
     down_out = oracle.shift_rows(t, 1)
     assert np.array_equal(down_out.data, np.vstack([np.zeros((1, 2)), t.data[:-1]]))
-    backward(ad.tsum(down_out * w), leaves=[t])
+    backward(ad.tsum(ad.mul(down_out, w)), leaves=[t])
     down = t.grad.copy()
     assert np.array_equal(down, np.vstack([w.data[1:], np.zeros((1, 2))]))
     up_out = oracle.shift_rows(t, -1)
     assert np.array_equal(up_out.data, np.vstack([t.data[1:], np.zeros((1, 2))]))
-    backward(ad.tsum(up_out * w), leaves=[t])
+    backward(ad.tsum(ad.mul(up_out, w)), leaves=[t])
     assert np.array_equal(t.grad, np.vstack([np.zeros((1, 2)), w.data[:-1]]))
 
 
@@ -397,7 +397,7 @@ def test_encoder_gradients_against_differences():
 
     def f():
         st = encode(p, params, lay, layers=2)
-        return ad.tsum(st.h) + ad.tsum(st.g_t) + ad.tsum(st.g_s)
+        return ad.add(ad.add(ad.tsum(st.h), ad.tsum(st.g_t)), ad.tsum(st.g_s))
 
     report = grad_check(f, leaves)
     assert report.max_rel_error < 1e-4

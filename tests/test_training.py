@@ -18,8 +18,8 @@ import sthrn.training as training
 from sthrn.autodiff import Tensor, backward
 from sthrn.encoder import ChainLayout
 from sthrn.model import ModelConfig, ModelParams, param_table, predict
-from sthrn.skeleton import (MotionSequence, ParseError, ValidationError, builtin_topology,
-                            synth_motion)
+from sthrn.skeleton import (MotionSequence, ParseError, SequenceTooShort, ValidationError,
+                            builtin_topology, synth_motion)
 from sthrn.training import (
     AdamState,
     TrainConfig,
@@ -318,6 +318,18 @@ def test_train_refuses_non_finite_frames():
     seqs = [synth_motion("sinusoid", 30, TOPO, seed=s) for s in (7, 8)]
     seqs[1].frames[12, 0, 2] = -np.inf
     with pytest.raises(ValidationError, match="sequence 1: frame 12 is not finite"):
+        train(seqs, LAYOUT, bone_weights(TOPO.entry_lengths()), CFG, tiny_train_config())
+
+
+def test_train_refuses_a_sequence_shorter_than_a_window_before_drawing(monkeypatch):
+    # the sampler alone would refuse it only once a seeded draw picks it
+    seqs = [synth_motion("sinusoid", frames, TOPO, seed=7) for frames in (30, 30, 5, 30)]
+
+    def drawn(*args):
+        raise AssertionError("a window was drawn")
+
+    monkeypatch.setattr(training, "sample_windows", drawn)
+    with pytest.raises(SequenceTooShort, match="sequence 2: 5 frames, need at least 6"):
         train(seqs, LAYOUT, bone_weights(TOPO.entry_lengths()), CFG, tiny_train_config())
 
 

@@ -1,10 +1,10 @@
 """Print the line counts of the Python sources under ``src/``.
 
-Three numbers: total lines, code lines and docstring lines.  A code
-line holds a token other than a comment and is not part of a
-docstring; a docstring line is one spanned by the docstring of a
-module, class or function.  Blank and comment-only lines count in the
-total alone.  From the repository root::
+Three totals: total lines, code lines and docstring lines, then the
+same three numbers for each source file.  A code line holds a token
+other than a comment and is not part of a docstring; a docstring line
+is one spanned by the docstring of a module, class or function.  Blank
+and comment-only lines count in the total alone.  From the repository root::
 
     python3 tools/linecount.py
 """
@@ -44,12 +44,15 @@ def count(text: str) -> tuple[int, int, int]:
 
 
 def main() -> None:
-    totals = [0, 0, 0]
-    for path in sorted(SRC.rglob("*.py")):
-        for k, n in enumerate(count(path.read_text())):
-            totals[k] += n
+    rows = {path.relative_to(SRC.parent).as_posix(): count(path.read_text())
+            for path in sorted(SRC.rglob("*.py"))}
+    totals = [sum(column) for column in zip(*rows.values())]
     for label, n in zip(("total", "code", "docstring"), totals):
         print(f"{label:<10}{n:>6,}")
+    width = max(map(len, rows))
+    print(f"\n{'file':<{width}}  {'total':>6}  {'code':>6}  {'docstring':>9}")
+    for name, (total, code, docs) in rows.items():
+        print(f"{name:<{width}}  {total:>6,}  {code:>6,}  {docs:>9,}")
 
 
 if __name__ == "__main__":
