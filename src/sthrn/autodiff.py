@@ -257,17 +257,6 @@ def _tree_sum(parts):
     return total
 
 
-def _sub_vjp(node, g):
-    a, b = node.parents
-    _acc(a, g)
-    _acc(b, -g)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    return _apply("sub", (a, b), _sub_vjp, np.subtract)
-
-
 def _mul_vjp(node, g):
     a, b = node.parents
     _acc(a, g * b.data)
@@ -278,19 +267,6 @@ def mul(a, b) -> Tensor:
     """Elementwise (Hadamard) product with numpy broadcasting."""
     a, b = _as_tensor(a), _as_tensor(b)
     return _apply("mul", (a, b), _mul_vjp, np.multiply)
-
-
-def _scale_fwd(s, a):
-    return a * s
-
-
-def _scale_vjp(node, g):
-    _acc(node.parents[0], g * node.args[0])
-
-
-def scale(a, s: float) -> Tensor:
-    """Product with a python scalar (no tape node for the scalar)."""
-    return _apply("scale", (_as_tensor(a),), _scale_vjp, _scale_fwd, s)
 
 
 def _check_matmul(a: Tensor, b: Tensor) -> None:
@@ -648,7 +624,7 @@ def pooled_cell(h, c, g_prev, c_prev, weights, grid_shape, axis: int) -> tuple[T
     with means and sums over ``axis``, and ``g_rows`` the op's own spread
     of ``g_prev`` to one row per grid cell; values are bit-identical to
     the composition of a spread, matmul, add, sigmoid, mul, reshape,
-    tsum, scale and tanh that spells this out.
+    tsum, mul and tanh that spells this out.
     """
     parents = tuple(map(_as_tensor, (h, c, g_prev, c_prev, *weights)))
     return _apply("pooled_cell", parents, _pooled_vjp, _pooled_fwd, grid_shape, axis)

@@ -79,10 +79,10 @@ def init_decoder(enc: EncoderState, wired: tuple) -> DecoderState:
     hidden = enc.h.data.shape[1]
     d = k * hidden
     h_sum = ad.tsum(ad.reshape(enc.h, (b, t_minus_1, d)), axis=1)
-    h_mean = ad.scale(h_sum, 1.0 / t_minus_1)
-    c_mean = ad.scale(ad.tsum(ad.reshape(enc.c, (b, t_minus_1, d)), axis=1), 1.0 / t_minus_1)
+    h_mean = ad.mul(h_sum, 1.0 / t_minus_1)
+    c_mean = ad.mul(ad.tsum(ad.reshape(enc.c, (b, t_minus_1, d)), axis=1), 1.0 / t_minus_1)
     gt_flat = ad.reshape(enc.g_t, (b, d))
-    h_second = ad.scale(ad.add(h_sum, gt_flat), 1.0 / (t_minus_1 + 1))
+    h_second = ad.mul(ad.add(h_sum, gt_flat), 1.0 / (t_minus_1 + 1))
 
     zero = Tensor(np.zeros((b, d)), op="const")
     starts = [LstmState(h=h_mean, c=c_mean), LstmState(h=h_second, c=c_mean),

@@ -112,14 +112,14 @@ class EncoderState:
 
 
 def _as_windows(p: np.ndarray, k: int) -> np.ndarray:
-    """(B, T, K, 3) inputs; a single (T, K, 3) window is B = 1."""
+    """(B, T, K, 3) inputs with B, T >= 1; a single (T, K, 3) window is
+    B = 1.  The one check of a window's shape."""
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim == 3:
-        p = p[None]
-    if p.ndim != 4 or p.shape[2:] != (k, 3):
-        raise ad.ShapeMismatch(f"expected (T, {k}, 3) or (B, T, {k}, 3) inputs, "
-                               f"got {p.shape}")
-    return p
+    windows = p[None] if p.ndim == 3 else p
+    if windows.ndim != 4 or windows.shape[2:] != (k, 3) or 0 in windows.shape[:2]:
+        raise ad.ShapeMismatch(f"expected (T, {k}, 3) or (B, T, {k}, 3) inputs with "
+                               f"B, T >= 1, got {p.shape}")
+    return windows
 
 
 def init_states(p: np.ndarray, params: dict[str, Tensor], layout: ChainLayout,
@@ -138,7 +138,7 @@ def init_states(p: np.ndarray, params: dict[str, Tensor], layout: ChainLayout,
     def mean(axis, on, rows):
         if not on:
             return Tensor(np.zeros((rows, hidden)), op="const")
-        pooled = ad.scale(ad.tsum(grid, axis), 1.0 / grid.data.shape[axis])
+        pooled = ad.mul(ad.tsum(grid, axis), 1.0 / grid.data.shape[axis])
         return ad.reshape(pooled, (rows, hidden))
 
     g_t, g_s = mean(1, global_temporal, B * K), mean(2, global_spatial, B * T)

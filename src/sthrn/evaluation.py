@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import DimensionMismatch
-from .skeleton import ParseError, ValidationError
+from .skeleton import ValidationError
 
 HORIZON_MS = (80, 160, 320, 400, 560, 640, 720, 1000)
 
@@ -87,30 +87,6 @@ def write_report(path, rows: list[ReportRow]) -> None:
                 for ms in HORIZON_MS
             ]
             fh.write(f"{row.activity},{row.method}," + ",".join(cells) + "\n")
-
-
-def read_report(path) -> list[ReportRow]:
-    rows: list[ReportRow] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != _REPORT_HEADER:
-            raise ParseError(f"{path}:1: bad report header")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2 + len(HORIZON_MS):
-                raise ParseError(f"{path}:{lineno}: expected {2 + len(HORIZON_MS)} columns")
-            values = {}
-            for ms, cell in zip(HORIZON_MS, parts[2:]):
-                if cell != "_":
-                    try:
-                        values[ms] = float(cell)
-                    except ValueError as exc:
-                        raise ParseError(f"{path}:{lineno}: bad value {cell!r}") from exc
-            rows.append(ReportRow(activity=parts[0], method=parts[1], values=values))
-    return rows
 
 
 def format_report(rows: list[ReportRow]) -> str:

@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .decoder import DECODER_KINDS, decode_step, init_decoder, wiring
-from .encoder import GATE_FIELDS, GATE_ORDER, GLOBAL_FIELDS, ChainLayout, encode
+from .encoder import GATE_FIELDS, GATE_ORDER, GLOBAL_FIELDS, ChainLayout, _as_windows, encode
 
 INIT_SIGMA = 0.1  # standard deviation of every initial weight
 # a model whose float64 parameters alone take more is refused before
@@ -116,12 +116,9 @@ class ModelParams:
 
 
 def _check_observed(observed, k: int) -> np.ndarray:
-    """``observed`` as a float64 (t, K, 3) or (B, t, K, 3) array with t >= 2."""
-    observed = np.asarray(observed, dtype=np.float64)
-    if observed.ndim not in (3, 4) or observed.shape[-2:] != (k, 3):
-        raise ad.ShapeMismatch(
-            f"observed must be (t, {k}, 3) or (B, t, {k}, 3), got {observed.shape}")
-    if observed.shape[-3] < 2:
+    """``observed`` as float64 (B, t, K, 3) windows with t >= 2."""
+    observed = _as_windows(observed, k)
+    if observed.shape[1] < 2:
         raise ad.ShapeMismatch("need at least 2 observed frames")
     return observed
 
@@ -139,12 +136,11 @@ def forward(params: ModelParams, config: ModelConfig, layout: ChainLayout,
     each step (teacher forcing).
     """
     k = layout.num_entries
+    if feed is not None and np.ndim(observed) == 3:
+        feed = np.asarray(feed)[None]
     observed = _check_observed(observed, k)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if observed.ndim == 3:
-        observed = observed[None]
-        feed = None if feed is None else np.asarray(feed)[None]
     b = observed.shape[0]
     enc = encode(observed[:, :-1], params.tensors, layout, config.layers,
                  config.global_temporal, config.global_spatial)
@@ -173,13 +169,14 @@ def predict(params: ModelParams, config: ModelConfig, layout: ChainLayout,
             observed: np.ndarray, horizon: int) -> np.ndarray:
     """Value-only prediction of (horizon, K, 3) future Lie frames from a
     (t, K, 3) window, or (B, horizon, K, 3) from (B, t, K, 3) windows."""
+    single = np.ndim(observed) == 3
     observed = _check_observed(observed, layout.num_entries)
     if not np.isfinite(observed).all():
-        *window, frame = np.argwhere(~np.isfinite(observed))[0][:-2]
-        where = f"window {window[0]} frame {frame}" if window else f"frame {frame}"
+        window, frame = np.argwhere(~np.isfinite(observed))[0][:2]
+        where = f"frame {frame}" if single else f"window {window} frame {frame}"
         raise ValueError(f"observed {where} is not finite")
     with ad.no_grad():
         outs = forward(params, config, layout, observed, horizon)
     k = layout.num_entries
     frames = np.stack([t.data.reshape(-1, k, 3) for t in outs], axis=1)
-    return frames if np.ndim(observed) == 4 else frames[0]
+    return frames[0] if single else frames

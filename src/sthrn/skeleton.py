@@ -290,17 +290,6 @@ def load_topology(path) -> SkeletonTopology:
     return with_lengths(path, length_rows, SkeletonTopology(tuple(joints), tuple(chains), {}))
 
 
-def save_topology(path, topo: SkeletonTopology) -> None:
-    lines = ["[joints]"]
-    lines.extend(topo.joints)
-    lines.append("[chains]")
-    lines.extend(" ".join(chain) for chain in topo.chains)
-    lines.append("[lengths]")
-    lines.extend(length_lines(topo))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def builtin_topology(name: str) -> SkeletonTopology:
     """Load one of the shipped topologies: human, mouse, chain3, fork7."""
     ref = resources.files("sthrn.data").joinpath(f"{name}.topo")

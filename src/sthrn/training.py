@@ -55,7 +55,7 @@ def _error(pred: Tensor, target: np.ndarray) -> tuple[Tensor, int]:
     target = np.asarray(target, dtype=np.float64)
     if pred.data.shape != target.shape:
         raise ad.ShapeMismatch(f"loss shapes {pred.data.shape} vs {target.shape}")
-    return ad.sub(pred, target), target.shape[0]
+    return ad.add(pred, -target), target.shape[0]
 
 
 def weighted_loss(pred: Tensor, target: np.ndarray, theta: np.ndarray) -> Tensor:
@@ -68,14 +68,14 @@ def weighted_loss(pred: Tensor, target: np.ndarray, theta: np.ndarray) -> Tensor
     diff, frames = _error(pred, target)
     norms = ad.l2norm(diff, axis=2)                      # (frames, K)
     weighted = ad.mul(norms, theta)                      # broadcast over frames
-    return ad.scale(ad.tsum(weighted), 1.0 / frames)
+    return ad.mul(ad.tsum(weighted), 1.0 / frames)
 
 
 def l2_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean over frames of the summed squared entry errors; like
     ``weighted_loss``, stacked windows average over windows too."""
     diff, frames = _error(pred, target)
-    return ad.scale(ad.tsum(ad.mul(diff, diff)), 1.0 / frames)
+    return ad.mul(ad.tsum(ad.mul(diff, diff)), 1.0 / frames)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,8 @@ class TrainConfig:
         check_field_types(self)
         if self.loss not in ("weighted", "l2"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        for key, least in (("batch_size", 1), ("iterations", 1), ("observed", 2), ("horizon", 1)):
+        for key, least in (("batch_size", 1), ("iterations", 1), ("observed", 2), ("horizon", 1),
+                           ("seed", 0)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
         # settings under which Adam would write non-finite parameters, or
@@ -191,11 +192,14 @@ def train(sequences: list[MotionSequence], layout: ChainLayout, theta: np.ndarra
     its gradients on the parameters, so the gradient checks, clipping
     and the Adam step run with no tape alive.  The same seed reproduces
     the exact loss curve.
-    A sequence with a frame that is not finite raises ValidationError,
-    and one shorter than a window SequenceTooShort, before anything is
-    drawn.  Raises TrainingDiverged when the loss or a gradient stops
-    being finite, before the parameters are touched.
+    No sequences raise ValueError, a sequence with a frame that is not
+    finite ValidationError, and one shorter than a window
+    SequenceTooShort, all before anything is drawn.  Raises
+    TrainingDiverged when the loss or a gradient stops being finite,
+    before the parameters are touched.
     """
+    if not sequences:
+        raise ValueError("train needs at least one sequence")
     need = train_config.observed + train_config.horizon
     for i, seq in enumerate(sequences):
         seq.check_finite(f"sequence {i}").check_length(f"sequence {i}", need)

@@ -172,7 +172,7 @@ def unfused_pooled(h, c, g_prev, c_prev, g_rows, weights, grid_shape, axis):
 
     cell = sigmoid(ad.add(ad.add(ad.matmul(h, w_c), ad.matmul(g_rows, z_c)), b_c))
     contrib = pool(ad.mul(cell, c))
-    h_mean = ad.scale(pool(h), 1.0 / n)
+    h_mean = ad.mul(pool(h), 1.0 / n)
     f = sigmoid(ad.add(ad.add(ad.matmul(h_mean, w_f), ad.matmul(g_prev, z_f)), b_f))
     out = sigmoid(ad.add(ad.add(ad.matmul(h_mean, w_o), ad.matmul(g_prev, z_o)), b_o))
     c_next = ad.add(contrib, ad.mul(f, c_prev))

@@ -9,12 +9,11 @@ from sthrn.evaluation import (
     format_report,
     horizon_frames,
     mae,
-    read_report,
     write_report,
     zero_velocity,
 )
 from sthrn.geometry import DimensionMismatch
-from sthrn.skeleton import ParseError, ValidationError, builtin_topology, synth_motion
+from sthrn.skeleton import ValidationError, builtin_topology, synth_motion
 
 
 def test_horizon_grid_frozen():
@@ -93,14 +92,12 @@ def test_report_roundtrip_with_missing_cells(tmp_path):
     ]
     path = tmp_path / "report.csv"
     write_report(path, rows)
-    back = read_report(path)
-    # rows come back sorted by (activity, method)
-    assert [(r.activity, r.method) for r in back] == [
-        ("eating", "zero-velocity"), ("walking", "model"), ("walking dog_2", "sthrn v1.ckpt")
+    # rows are written sorted by (activity, method), values exact through repr
+    assert path.read_text().splitlines()[1:] == [
+        "eating,zero-velocity," + ",".join(repr(0.1 * i) for i in range(len(HORIZON_MS))),
+        "walking,model,0.25,_,_,_,_,_,_,1.5",
+        "walking dog_2,sthrn v1.ckpt,_,0.125,_,_,_,_,_,_",
     ]
-    assert back[1].values == rows[0].values
-    assert back[0].values == rows[1].values
-    assert back[2].values == rows[2].values
 
 
 def test_report_file_layout(tmp_path):
@@ -119,24 +116,6 @@ def test_write_report_refuses_names_it_cannot_hold(tmp_path, field, name):
     with pytest.raises(ValidationError, match=field):
         write_report(path, [row])
     assert not path.exists()
-
-
-def test_read_report_rejects_bad_header(tmp_path):
-    path = tmp_path / "r.csv"
-    path.write_text("activity,method,h80\nwalk,m,1.0\n")
-    with pytest.raises(ParseError):
-        read_report(path)
-
-
-def test_read_report_rejects_ragged_and_bad_values(tmp_path):
-    header = "activity,method," + ",".join(f"h{ms}" for ms in HORIZON_MS)
-    path = tmp_path / "r.csv"
-    path.write_text(header + "\nwalk,m,1.0\n")
-    with pytest.raises(ParseError):
-        read_report(path)
-    path.write_text(header + "\nwalk,m,x,_,_,_,_,_,_,_\n")
-    with pytest.raises(ParseError):
-        read_report(path)
 
 
 def test_format_report_readable():

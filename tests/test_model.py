@@ -1,5 +1,7 @@
 """Whole-model forward/predict behavior."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,32 @@ def test_forward_input_validation():
         forward(params, CFG, LAYOUT, np.zeros((1, 4, 3)), 2)
     with pytest.raises(ValueError):
         forward(params, CFG, LAYOUT, observed_frames(4), 0)
+
+
+@pytest.mark.parametrize("shape", [(0, 5, 4, 3), (1, 0, 4, 3), (0, 4, 3)],
+                         ids=["no-windows", "no-frames", "one-window-no-frames"])
+@pytest.mark.parametrize("run", [
+    lambda params, observed: encode(observed, params.tensors, LAYOUT, CFG.layers),
+    lambda params, observed: forward(params, CFG, LAYOUT, observed, 2),
+    lambda params, observed: predict(params, CFG, LAYOUT, observed, 2),
+], ids=["encode", "forward", "predict"])
+def test_empty_windows_are_refused_naming_their_shape(run, shape):
+    params = ModelParams.init(CFG, LAYOUT, seed=6)
+    with pytest.raises(ad.ShapeMismatch, match=re.escape(f"got {shape}")):
+        run(params, np.zeros(shape))
+
+
+@pytest.mark.parametrize("observed, where", [((6, 4, 3), "frame 2"),
+                                             ((2, 6, 4, 3), "window 1 frame 2")],
+                         ids=["one-window", "stacked"])
+def test_predict_names_the_first_frame_that_is_not_finite(observed, where):
+    params = ModelParams.init(CFG, LAYOUT, seed=6)
+    bad = np.zeros(observed)
+    windows = bad.reshape(-1, 6, 4, 3)  # a view: a single window is window 0
+    windows[-1, 2, 3, 1] = np.nan
+    windows[-1, 4, 0, 0] = np.inf
+    with pytest.raises(ValueError, match=f"^observed {where} is not finite$"):
+        predict(params, CFG, LAYOUT, bad, 2)
 
 
 def test_predict_checks_the_rank_before_the_values():

@@ -2,6 +2,7 @@
 
 import math
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from sthrn.skeleton import (
     resample_fps,
     sample_windows,
     save_motion,
-    save_topology,
     synth_motion,
 )
 from sthrn.skeleton import _check_joints, _direction
@@ -155,16 +155,6 @@ def test_validate_rejects_joint_list_mismatch():
 # -- topology file IO -------------------------------------------------------------
 
 
-def test_topology_save_load_roundtrip(tmp_path):
-    topo = builtin_topology("human")
-    path = tmp_path / "rig.topo"
-    save_topology(path, topo)
-    back = load_topology(path)
-    assert back.joints == topo.joints
-    assert back.chains == topo.chains
-    assert back.lengths == topo.lengths
-
-
 def test_topology_parse_comments_and_blanks(tmp_path):
     path = tmp_path / "rig.topo"
     path.write_text(
@@ -199,8 +189,7 @@ def test_topology_parse_errors(tmp_path, text):
 ], ids=["root", "unknown", "twice"])
 def test_topology_lengths_name_each_bone_once(tmp_path, extra, message):
     path = tmp_path / "fork7.topo"
-    save_topology(path, builtin_topology("fork7"))
-    text = path.read_text()
+    text = (resources.files("sthrn.data") / "fork7.topo").read_text(encoding="utf-8")
     path.write_text(text + extra + "\n")
     where = f"{path}:{len(text.splitlines()) + 1}: "
     with pytest.raises(ParseError, match=f"^{re.escape(where + message)}$"):

@@ -333,6 +333,11 @@ def test_train_refuses_a_sequence_shorter_than_a_window_before_drawing(monkeypat
         train(seqs, LAYOUT, bone_weights(TOPO.entry_lengths()), CFG, tiny_train_config())
 
 
+def test_train_refuses_no_sequences():
+    with pytest.raises(ValueError, match="^train needs at least one sequence$"):
+        train([], LAYOUT, bone_weights(TOPO.entry_lengths()), CFG, tiny_train_config())
+
+
 def test_write_metrics_roundtrips_loss_column(tmp_path):
     path = tmp_path / "metrics.csv"
     metrics = [(0, 1.5, 12.345), (1, 0.3333333333333333, 8.1)]
@@ -557,6 +562,7 @@ def test_train_rejects_empty_runs(field):
     ("batch_size", 2.0, "batch_size must be int"),
     ("clip_norm", True, "clip_norm must be float"),
     ("loss", "huber", "unknown loss 'huber'"),
+    ("seed", -1, "^seed must be at least 0, got -1$"),
 ])
 def test_train_config_rejects_bad_fields(key, value, message):
     with pytest.raises(ValueError, match=message):
