@@ -348,11 +348,12 @@ def _concat_vjp(node, g):
 
 
 def concat(parts, axis: int = 0) -> Tensor:
+    """``parts`` joined along ``axis``; a single part is returned as it is."""
     parts = tuple(map(_as_tensor, parts))
     if len({p.data.ndim for p in parts}) != 1:  # _cat would broadcast the lower rank
         raise ShapeMismatch(f"concat: {[p.data.shape for p in parts]}")
-    return _apply("concat", parts, _concat_vjp, _concat_fwd,
-                  _from_last(axis, parts[0].data.ndim, ShapeMismatch))
+    axis = _from_last(axis, parts[0].data.ndim, ShapeMismatch)
+    return parts[0] if len(parts) == 1 else _apply("concat", parts, _concat_vjp, _concat_fwd, axis)
 
 
 def _narrow_fwd(nd, key, a):

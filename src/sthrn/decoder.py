@@ -39,17 +39,19 @@ def wiring(kind: str, layout: ChainLayout):
     ``kind`` is one of ``DECODER_KINDS``.  Cells, in random-draw and step
     order, are (name, sources): "pose" is the previous pose, a cell name
     that cell's new h; several sources are concatenated.  Heads, in chain
-    order, are (source cell, chain ids written); a structured head per
-    chain reads its ``decoder_groups`` group's cell.  Cells nothing reads
-    (no arm or leg chains) are dropped.  Each cell is an LSTM with fused
-    gate columns ordered input, forget, out, cand.
+    order, are (source cell, chain ids written).  A structured head per
+    chain reads its group's cell: chain 0 is the trunk ("spine"); of n
+    chains, chains 1 to n // 2 are arms and the rest legs (for the
+    five-chain human: arms are chains 1-2, legs chains 3-4).  Cells
+    nothing reads (no arm or leg chains) are dropped.  Each cell is an
+    LSTM with fused gate columns ordered input, forget, out, cand.
     """
-    trunk, arms, _ = layout.decoder_groups()
     chains = tuple(range(len(layout.entry_counts)))
+    arms = chains[1:1 + len(chains) // 2]
     table = {
         "structured": ((("overall", ("pose",)), ("spine", ("overall",)),
                         ("arm", ("overall", "spine")), ("leg", ("overall", "spine"))),
-                       tuple(("spine" if c in trunk else "arm" if c in arms else "leg", (c,))
+                       tuple(("spine" if c == 0 else "arm" if c in arms else "leg", (c,))
                              for c in chains)),
         "plain": ((("layer0", ("pose",)), ("layer1", ("layer0",))), (("layer1", chains),)),
     }
@@ -75,8 +77,7 @@ def init_decoder(enc: EncoderState, wired: tuple) -> DecoderState:
     and from (sum of hidden rows + flattened g_t) / t.  Remaining cells
     start at zero.
     """
-    b, t_minus_1, k = enc.windows, enc.frames, enc.entries
-    hidden = enc.h.data.shape[1]
+    b, t_minus_1, k, hidden = enc.grid_shape
     d = k * hidden
     h_sum = ad.tsum(ad.reshape(enc.h, (b, t_minus_1, d)), axis=1)
     h_mean = ad.mul(h_sum, 1.0 / t_minus_1)
@@ -103,12 +104,11 @@ def decode_step(w_prev: Tensor | np.ndarray, state: DecoderState,
     cell_sources, heads = state.wiring
     for name, sources in cell_sources:
         if sources not in inputs:
-            parts = [w_prev if s == "pose" else new[s].h for s in sources]
-            inputs[sources] = parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
+            inputs[sources] = ad.concat([w_prev if s == "pose" else new[s].h for s in sources],
+                                        axis=1)
         s = state.cells[name]
         new[name] = LstmState(*ad.lstm_cell(inputs[sources], s.h, s.c,
                                             params[f"dec.{name}.w"], params[f"dec.{name}.b"]))
-    deltas = [ad.linear(new[cell].h, params[f"dec.proj.{i}.w"], params[f"dec.proj.{i}.b"])
-              for i, (cell, _) in enumerate(heads)]
-    delta = deltas[0] if len(deltas) == 1 else ad.concat(deltas, axis=1)
+    delta = ad.concat([ad.linear(new[cell].h, params[f"dec.proj.{i}.w"], params[f"dec.proj.{i}.b"])
+                       for i, (cell, _) in enumerate(heads)], axis=1)
     return ad.wrap_rows(ad.add(w_prev, delta)), DecoderState(cells=new, wiring=state.wiring)

@@ -74,17 +74,6 @@ class ChainLayout:
             z += k
         return out
 
-    def decoder_groups(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """(trunk, arm, leg) chain ids for the structured decoder.
-
-        Chain 0 is the trunk; the remaining chains split in half, first
-        half arms, second half legs (for the five-chain human: arms are
-        chains 1-2, legs chains 3-4).
-        """
-        rest = list(range(1, len(self.entry_counts)))
-        half = (len(rest) + 1) // 2
-        return (0,), tuple(rest[:half]), tuple(rest[half:])
-
 
 @dataclass
 class EncoderState:
@@ -93,7 +82,7 @@ class EncoderState:
     Rows are window-major: h and c are (B*T*K, hidden) with row
     (b*T + i)*K + j holding cell (i, j) of window b; g_t / c_gt are per
     window and bone (B*K, hidden), g_s / c_gs per window and frame
-    (B*T, hidden).
+    (B*T, hidden).  ``grid_shape`` is (B, T, K, hidden).
     """
 
     h: Tensor
@@ -102,13 +91,7 @@ class EncoderState:
     c_gt: Tensor
     g_s: Tensor
     c_gs: Tensor
-    frames: int
-    entries: int
-    windows: int = 1
-
-    @property
-    def grid_shape(self) -> tuple[int, int, int, int]:
-        return (self.windows, self.frames, self.entries, self.h.data.shape[1])
+    grid_shape: tuple[int, int, int, int]
 
 
 def _as_windows(p: np.ndarray, k: int) -> np.ndarray:
@@ -120,30 +103,6 @@ def _as_windows(p: np.ndarray, k: int) -> np.ndarray:
         raise ad.ShapeMismatch(f"expected (T, {k}, 3) or (B, T, {k}, 3) inputs with "
                                f"B, T >= 1, got {p.shape}")
     return windows
-
-
-def init_states(p: np.ndarray, params: dict[str, Tensor], layout: ChainLayout,
-                global_temporal: bool = True, global_spatial: bool = True) -> EncoderState:
-    """Layer-0 states: h = c = embed(p), globals = means of those.
-
-    ``p`` is one (T, K, 3) window or B of them stacked as (B, T, K, 3);
-    ``params`` is a model's name -> Tensor table.
-    """
-    p = _as_windows(p, layout.num_entries)
-    B, T, K, _ = p.shape
-    e = ad.linear(p.reshape(B * T * K, 3), params["enc.embed.w"], params["enc.embed.b"])
-    hidden = e.data.shape[1]
-    grid = ad.reshape(e, (B, T, K, hidden))
-
-    def mean(axis, on, rows):
-        if not on:
-            return Tensor(np.zeros((rows, hidden)), op="const")
-        pooled = ad.mul(ad.tsum(grid, axis), 1.0 / grid.data.shape[axis])
-        return ad.reshape(pooled, (rows, hidden))
-
-    g_t, g_s = mean(1, global_temporal, B * K), mean(2, global_spatial, B * T)
-    return EncoderState(h=e, c=e, g_t=g_t, c_gt=g_t, g_s=g_s, c_gs=g_s,
-                        frames=T, entries=K, windows=B)
 
 
 def _fused_gate_params(params: dict[str, Tensor]):
@@ -159,46 +118,51 @@ def _global_weights(params: dict[str, Tensor], prefix: str) -> tuple[Tensor, ...
     return tuple(params[f"{prefix}.{f}"] for f in GLOBAL_FIELDS)
 
 
-def _layer_step(state: EncoderState, p_proj: Tensor, fused, params: dict[str, Tensor],
-                sp_mask: np.ndarray,
-                global_temporal: bool, global_spatial: bool) -> EncoderState:
-    """One layer over the whole grid; ``p_proj`` is the layer-invariant
-    input projection U p, computed once per encode.  The global temporal
-    state pools the new grid over frames (axis 1), the spatial one over
-    bones (axis 2)."""
-    grid = state.grid_shape
-    # GATE_ORDER is the grid cell's column layout: the "in" gate on the
-    # candidate, one gate per cell source, "out", then "cand"
-    h_new, c_new = ad.grid_cell(state.h, state.c, p_proj, state.g_s, state.g_t, fused[1:],
-                                state.c_gs, state.c_gt, grid, sp_mask)
-    g_t, c_gt, g_s, c_gs = state.g_t, state.c_gt, state.g_s, state.c_gs
-    if global_temporal:
-        g_t, c_gt = ad.pooled_cell(h_new, c_new, g_t, c_gt, _global_weights(params, "enc.gt"),
-                                   grid, axis=1)
-    if global_spatial:
-        g_s, c_gs = ad.pooled_cell(h_new, c_new, g_s, c_gs, _global_weights(params, "enc.gs"),
-                                   grid, axis=2)
-    return EncoderState(h=h_new, c=c_new, g_t=g_t, c_gt=c_gt, g_s=g_s, c_gs=c_gs,
-                        frames=state.frames, entries=state.entries, windows=state.windows)
-
-
 def encode(p: np.ndarray, params: dict[str, Tensor], layout: ChainLayout,
            layers: int, global_temporal: bool = True,
            global_spatial: bool = True) -> EncoderState:
-    """Run the full encoder over (T, K, 3) Lie-entry inputs, or over B
-    windows at once stacked as (B, T, K, 3).
+    """Run the encoder over (T, K, 3) Lie-entry inputs, or over B windows
+    at once stacked as (B, T, K, 3); ``params`` is a model's name ->
+    Tensor table.
 
-    Windows never see each other: each window's states are those of its
-    own (T, K, 3) encode.  Disabling a global state replaces its gate
-    inputs and cell contributions with zeros and skips its updates.
+    Layer 0 (``layers=0``) is h = c = embed(p), each global state the
+    mean of those over its axis: frames for g_t, bones for g_s.  Each
+    of the ``layers`` layers then updates the whole grid, and after it
+    the global states: g_t pools the new grid over frames (axis 1), g_s
+    over bones (axis 2).  Windows never see each other: each window's
+    states are those of its own (T, K, 3) encode.  Disabling a global
+    state replaces its gate inputs and cell contributions with zeros
+    and skips its updates.
     """
-    state = init_states(p, params, layout, global_temporal, global_spatial)
-    B, T, K = state.windows, state.frames, state.entries
+    if layers < 0:
+        raise ValueError(f"layers must be at least 0, got {layers}")
+    p = _as_windows(p, layout.num_entries)
+    B, T, K, _ = p.shape
+    rows = p.reshape(B * T * K, 3)
+    h = c = ad.linear(rows, params["enc.embed.w"], params["enc.embed.b"])
+    grid = (B, T, K, h.data.shape[1])
+    embedded = ad.reshape(h, grid)  # one node both means read
+
+    def mean(axis, on):
+        pooled_rows = (B * T * K // grid[axis], grid[3])
+        if not on:
+            return Tensor(np.zeros(pooled_rows), op="const")
+        return ad.reshape(ad.mul(ad.tsum(embedded, axis), 1.0 / grid[axis]), pooled_rows)
+
+    g_t = c_gt = mean(1, global_temporal)
+    g_s = c_gs = mean(2, global_spatial)
     fused = _fused_gate_params(params)
-    p_proj = ad.matmul(np.reshape(p, (B * T * K, 3)), fused[0])
+    p_proj = ad.matmul(rows, fused[0])  # U p, the same at every layer
     sp_mask = (layout.spatial_prev() >= 0).astype(np.float64)
     sp_mask = np.tile(sp_mask, B * T)[:, None]  # (B*T*K, 1), 0 at chain heads
     for _ in range(layers):
-        state = _layer_step(state, p_proj, fused, params, sp_mask,
-                            global_temporal, global_spatial)
-    return state
+        # GATE_ORDER is the grid cell's column layout: the "in" gate on the
+        # candidate, one gate per cell source, "out", then "cand"
+        h, c = ad.grid_cell(h, c, p_proj, g_s, g_t, fused[1:], c_gs, c_gt, grid, sp_mask)
+        if global_temporal:
+            g_t, c_gt = ad.pooled_cell(h, c, g_t, c_gt, _global_weights(params, "enc.gt"),
+                                       grid, axis=1)
+        if global_spatial:
+            g_s, c_gs = ad.pooled_cell(h, c, g_s, c_gs, _global_weights(params, "enc.gs"),
+                                       grid, axis=2)
+    return EncoderState(h=h, c=c, g_t=g_t, c_gt=c_gt, g_s=g_s, c_gs=c_gs, grid_shape=grid)

@@ -115,11 +115,22 @@ class ModelParams:
         return dict(self.tensors)
 
 
+def _check_finite(name: str, windows: np.ndarray, single: bool) -> None:
+    """Raise ValueError naming the first frame of (B, t, K, 3) ``windows``
+    that is not finite, and its window unless ``single``."""
+    if not np.isfinite(windows).all():
+        window, frame = np.argwhere(~np.isfinite(windows))[0][:2]
+        where = f"frame {frame}" if single else f"window {window} frame {frame}"
+        raise ValueError(f"{name} {where} is not finite")
+
+
 def _check_observed(observed, k: int) -> np.ndarray:
-    """``observed`` as float64 (B, t, K, 3) windows with t >= 2."""
+    """``observed`` as float64 (B, t, K, 3) windows with t >= 2, all finite."""
+    single = np.ndim(observed) == 3
     observed = _as_windows(observed, k)
     if observed.shape[1] < 2:
         raise ad.ShapeMismatch("need at least 2 observed frames")
+    _check_finite("observed", observed, single)
     return observed
 
 
@@ -129,19 +140,25 @@ def forward(params: ModelParams, config: ModelConfig, layout: ChainLayout,
     """Predicted frames as one (B, 3K) tape tensor per step.
 
     ``observed`` is one window (t, K, 3), which is B = 1, or B windows
-    stacked as (B, t, K, 3), with t >= 2: the first t - 1 frames drive
-    the encoder and the last one seeds the decoder.  Decoding consumes
-    its own outputs; passing ``feed`` (horizon, K, 3), or (B, horizon,
-    K, 3) for stacked windows, instead feeds the true previous frame at
-    each step (teacher forcing).
+    stacked as (B, t, K, 3), with t >= 2 finite frames: the first t - 1
+    drive the encoder and the last one seeds the decoder.  Decoding
+    consumes its own outputs; passing ``feed`` (horizon, K, 3), or (B,
+    horizon, K, 3), instead feeds the true previous frame at each step
+    (teacher forcing); only its first horizon - 1 frames are read, and
+    they must be finite.
     """
     k = layout.num_entries
-    if feed is not None and np.ndim(observed) == 3:
-        feed = np.asarray(feed)[None]
     observed = _check_observed(observed, k)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     b = observed.shape[0]
+    if feed is not None:
+        windows = _as_windows(feed, k)[:, :horizon - 1]
+        if windows.shape[:2] != (b, horizon - 1):
+            raise ad.ShapeMismatch(f"feed needs {b} window(s) of at least {horizon - 1} frames, "
+                                   f"got {np.shape(feed)}")
+        _check_finite("feed", windows, np.ndim(feed) == 3)
+        feed = windows
     enc = encode(observed[:, :-1], params.tensors, layout, config.layers,
                  config.global_temporal, config.global_spatial)
     state = init_decoder(enc, wiring(config.decoder, layout))
@@ -161,7 +178,7 @@ def frames_tensor(outs: list[Tensor], k: int) -> Tensor:
     Rows are window-major: window b's frames are rows b * horizon to
     (b + 1) * horizon - 1, so one window gives (horizon, K, 3).
     """
-    stacked = outs[0] if len(outs) == 1 else ad.concat(outs, axis=1)
+    stacked = ad.concat(outs, axis=1)
     return ad.reshape(stacked, (stacked.data.shape[0] * len(outs), k, 3))
 
 
@@ -170,11 +187,6 @@ def predict(params: ModelParams, config: ModelConfig, layout: ChainLayout,
     """Value-only prediction of (horizon, K, 3) future Lie frames from a
     (t, K, 3) window, or (B, horizon, K, 3) from (B, t, K, 3) windows."""
     single = np.ndim(observed) == 3
-    observed = _check_observed(observed, layout.num_entries)
-    if not np.isfinite(observed).all():
-        window, frame = np.argwhere(~np.isfinite(observed))[0][:2]
-        where = f"frame {frame}" if single else f"window {window} frame {frame}"
-        raise ValueError(f"observed {where} is not finite")
     with ad.no_grad():
         outs = forward(params, config, layout, observed, horizon)
     k = layout.num_entries

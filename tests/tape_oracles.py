@@ -22,7 +22,7 @@ as before the fusion.
 import numpy as np
 
 import sthrn.autodiff as ad
-from sthrn.encoder import EncoderState, _fused_gate_params, _global_weights, init_states
+from sthrn.encoder import EncoderState, _fused_gate_params, _global_weights, encode
 
 
 def _sigmoid_vjp(node, g):
@@ -184,13 +184,13 @@ def composed_encode(p, params, layout, layers, global_temporal=True, global_spat
     from the oracles: per layer one ``spread_rows`` per global state,
     ``composed_grid_cell`` and ``unfused_pooled``, the latter reading
     the grid cell's spread of its own previous state."""
-    state = init_states(p, params, layout, global_temporal, global_spatial)
-    B, T, K = state.windows, state.frames, state.entries
+    state = encode(p, params, layout, 0, global_temporal, global_spatial)
+    grid = state.grid_shape
+    B, T, K, _ = grid
     fused = _fused_gate_params(params)
     p_proj = ad.matmul(np.asarray(p, dtype=np.float64).reshape(B * T * K, 3), fused[0])
     sp_mask = np.tile((layout.spatial_prev() >= 0).astype(np.float64), B * T)[:, None]
     for _ in range(layers):
-        grid = state.grid_shape
         gs_rows = spread_rows(state.g_s, grid, 2)
         gt_rows = spread_rows(state.g_t, grid, 1)
         cgs_rows = spread_rows(state.c_gs, grid, 2)
@@ -204,6 +204,5 @@ def composed_encode(p, params, layout, layers, global_temporal=True, global_spat
         if global_spatial:
             g_s, c_gs = unfused_pooled(h, c, g_s, c_gs, gs_rows, _global_weights(params, "enc.gs"),
                                        grid, 2)
-        state = EncoderState(h=h, c=c, g_t=g_t, c_gt=c_gt, g_s=g_s, c_gs=c_gs,
-                             frames=T, entries=K, windows=B)
+        state = EncoderState(h=h, c=c, g_t=g_t, c_gt=c_gt, g_s=g_s, c_gs=c_gs, grid_shape=grid)
     return state

@@ -144,6 +144,16 @@ def test_concat_splits_gradient():
     assert np.array_equal(b.grad, [[2.0, 2.0], [3.0, 3.0]])
 
 
+def test_concat_of_one_part_is_that_part():
+    a = leaf([[1.0, 2.0]])
+    out = ad.concat([a], axis=1)
+    assert out is a
+    backward(ad.tsum(ad.mul(out, leaf([[3.0, 4.0]]))), leaves=[a])
+    assert np.array_equal(a.grad, [[3.0, 4.0]])
+    with pytest.raises(ad.ShapeMismatch):
+        ad.concat([a], axis=2)
+
+
 def test_l2norm_gradient_is_unit_direction():
     v = leaf([[3.0, 4.0]])
     backward(ad.tsum(ad.l2norm(v, axis=1)), leaves=[v])
@@ -306,8 +316,8 @@ def test_grid_cell_matches_its_composition(topo, windows, first_layer, ablated):
     """Values, taped and value-only, and every parent's gradient equal
     the composition the op fuses, one spread node per global state
     included, bit for bit.  At the first layer h is c and each global
-    state is its own cell (as ``init_states`` makes them), so the fused
-    vjp has to add into the shared tensors in the order the
+    state is its own cell (as ``encode`` makes them at layer 0), so the
+    fused vjp has to add into the shared tensors in the order the
     composition's walk did; an ablated global state is a zero const."""
     layout = ChainLayout.from_topology(builtin_topology(topo))
     T, K, d = 2, layout.num_entries, 3

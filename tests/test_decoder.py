@@ -44,8 +44,7 @@ def random_encoder_state(t, k, hidden, seed):
         c_gt=Tensor(rng.normal(size=(k, hidden))),
         g_s=Tensor(rng.normal(size=(t, hidden))),
         c_gs=Tensor(rng.normal(size=(t, hidden))),
-        frames=t,
-        entries=k,
+        grid_shape=(1, t, k, hidden),
     )
 
 
@@ -86,6 +85,17 @@ def test_lstm_step_zero_params_halves_cell():
 
 
 # -- parameter layout -----------------------------------------------------------
+
+
+def test_layout_decoder_groups():
+    def groups(counts):  # (trunk, arm, leg) chain ids, read from the structured heads
+        heads = wiring("structured", ChainLayout(counts))[1]
+        return tuple(tuple(c for cell, (c,) in heads if cell == group)
+                     for group in ("spine", "arm", "leg"))
+
+    assert groups((4, 2, 2, 2, 2)) == ((0,), (1, 2), (3, 4))
+    assert groups((2, 2)) == ((0,), (1,), ())
+    assert groups((1, 1, 1, 1)) == ((0,), (1, 2), (3,))
 
 
 def test_structured_params_five_chains():
@@ -325,7 +335,7 @@ def test_chain_heads_route_by_group():
     # zeroing one group's head freezes exactly that group's entries
     lay = human_layout()
     params, wired = decoder_params(lay, 2, seed=18)
-    trunk, arms, legs = lay.decoder_groups()
+    arms = [ci for cell, (ci,) in wired[1] if cell == "arm"]
     for ci in arms:
         params[f"dec.proj.{ci}.w"].data[:] = 0.0
         params[f"dec.proj.{ci}.b"].data[:] = 0.0

@@ -13,7 +13,6 @@ from sthrn.encoder import (
     ChainLayout,
     GLOBAL_FIELDS,
     encode,
-    init_states,
 )
 from sthrn.model import ModelConfig, ModelParams, param_table
 from sthrn.skeleton import builtin_topology
@@ -57,12 +56,6 @@ def test_layout_from_topologies():
     )
 
 
-def test_layout_decoder_groups():
-    assert ChainLayout((4, 2, 2, 2, 2)).decoder_groups() == ((0,), (1, 2), (3, 4))
-    assert ChainLayout((2, 2)).decoder_groups() == ((0,), (1,), ())
-    assert ChainLayout((1, 1, 1, 1)).decoder_groups() == ((0,), (1, 2), (3,))
-
-
 def test_layout_rejects_empty_chains():
     with pytest.raises(ValueError):
         ChainLayout(())
@@ -72,15 +65,15 @@ def test_layout_rejects_empty_chains():
         ChainLayout((2.0, 2))
 
 
-# -- init states -------------------------------------------------------------------
+# -- layer 0 --------------------------------------------------------------------
 
 
-def test_init_states_embed_and_means():
+def test_layer_zero_embed_and_means():
     lay = fork_layout()
     params = random_params(5, seed=0)
     rng = np.random.default_rng(1)
     p = rng.normal(size=(3, 4, 3))
-    st = init_states(p, params, lay)
+    st = encode(p, params, lay, 0)
     e = p.reshape(12, 3) @ params["enc.embed.w"].data + params["enc.embed.b"].data
     assert np.allclose(st.h.data, e, atol=1e-15)
     assert np.array_equal(st.h.data, st.c.data)
@@ -91,11 +84,11 @@ def test_init_states_embed_and_means():
     assert np.array_equal(st.g_s.data, st.c_gs.data)
 
 
-def test_init_states_disabled_globals_are_zero():
+def test_layer_zero_disabled_globals_are_zero():
     lay = fork_layout()
     params = random_params(5, seed=2)
     p = np.random.default_rng(3).normal(size=(3, 4, 3))
-    st = init_states(p, params, lay, global_temporal=False, global_spatial=False)
+    st = encode(p, params, lay, 0, global_temporal=False, global_spatial=False)
     assert np.array_equal(st.g_t.data, np.zeros((4, 5)))
     assert np.array_equal(st.g_s.data, np.zeros((3, 5)))
 
@@ -277,6 +270,13 @@ def test_encode_rejects_bad_input_shape():
     params = random_params(3, seed=19)
     with pytest.raises(ad.ShapeMismatch):
         encode(np.zeros((4, 3, 3)), params, lay, layers=1)
+
+
+def test_encode_refuses_a_negative_layer_count():
+    params = random_params(3, seed=19)
+    p = np.zeros((3, 4, 3))
+    with pytest.raises(ValueError, match=r"^layers must be at least 0, got -1$"):
+        encode(p, params, fork_layout(), layers=-1)
 
 
 # -- custom grid ops carry correct gradients ----------------------------------------------

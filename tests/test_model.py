@@ -138,6 +138,52 @@ def test_predict_names_the_first_frame_that_is_not_finite(observed, where):
         predict(params, CFG, LAYOUT, bad, 2)
 
 
+@pytest.mark.parametrize("observed, where", [((6, 4, 3), "frame 2"),
+                                             ((2, 6, 4, 3), "window 1 frame 2")],
+                         ids=["one-window", "stacked"])
+def test_forward_names_the_first_observed_frame_that_is_not_finite(observed, where):
+    params = ModelParams.init(CFG, LAYOUT, seed=6)
+    bad = np.zeros(observed)
+    bad.reshape(-1, 6, 4, 3)[-1, 2, 3, 1] = np.nan
+    with pytest.raises(ValueError, match=f"^observed {where} is not finite$"):
+        forward(params, CFG, LAYOUT, bad, 2)
+
+
+@pytest.mark.parametrize("feed, message", [
+    ((3, 5, 3), r"got \(3, 5, 3\)"),
+    ((1, 4, 3), r"^feed needs 1 window\(s\) of at least 2 frames, got \(1, 4, 3\)$"),
+    ((2, 2, 4, 3), r"^feed needs 1 window\(s\) of at least 2 frames, got \(2, 2, 4, 3\)$"),
+], ids=["bad-entries", "too-few-frames", "too-many-windows"])
+def test_forward_refuses_a_feed_of_the_wrong_shape(feed, message):
+    params = ModelParams.init(CFG, LAYOUT, seed=6)
+    with pytest.raises(ad.ShapeMismatch, match=message):
+        forward(params, CFG, LAYOUT, observed_frames(5), 3, feed=np.zeros(feed))
+
+
+@pytest.mark.parametrize("observed, feed, where", [
+    ((5, 4, 3), (3, 4, 3), "frame 1"),
+    ((2, 5, 4, 3), (2, 3, 4, 3), "window 1 frame 1"),
+], ids=["one-window", "stacked"])
+def test_forward_names_the_first_feed_frame_that_is_not_finite(observed, feed, where):
+    params = ModelParams.init(CFG, LAYOUT, seed=6)
+    bad = np.zeros(feed)
+    bad.reshape(-1, 3, 4, 3)[-1, 1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match=f"^feed {where} is not finite$"):
+        forward(params, CFG, LAYOUT, np.zeros(observed), 3, feed=bad)
+
+
+def test_forward_reads_only_the_feed_frames_it_feeds():
+    params = ModelParams.init(CFG, LAYOUT, seed=6)
+    obs, target = observed_frames(5, seed=3), observed_frames(3, seed=4)
+    unused = target.copy()
+    unused[2] = np.nan  # the last step's output is never fed back
+    want = forward(params, CFG, LAYOUT, obs, 3, feed=target)
+    got = forward(params, CFG, LAYOUT, obs, 3, feed=unused[:2])
+    assert all(np.array_equal(g.data, w.data) for g, w in zip(got, want))
+    got = forward(params, CFG, LAYOUT, obs, 3, feed=unused)
+    assert all(np.array_equal(g.data, w.data) for g, w in zip(got, want))
+
+
 def test_predict_checks_the_rank_before_the_values():
     params = ModelParams.init(CFG, LAYOUT, seed=6)
     bad = np.zeros((5, 3))
