@@ -768,29 +768,35 @@ def _tape_order(root: Tensor) -> tuple[list[Tensor], set[int]]:
     return order, seen
 
 
-def backward(root: Tensor, leaves=()) -> None:
+def backward(root: Tensor, leaves=(), grads=None) -> None:
     """Populate ``.grad`` on the tensors that ``root`` depends on.
 
     After the walk, every leaf the root depends on (a tensor with no
     vjp that is not a const, such as a parameter) and every tensor in
     ``leaves`` holds its gradient; consts and interior nodes end with
-    ``grad = None``.  A buffer is allocated by the first vjp that
-    writes into it (``_acc``) and an interior node's is released once
-    its own vjp has run.  A leaf LSTM weight is the exception: its
+    ``grad = None``.  A tensor in ``leaves`` starts the walk with a
+    zero gradient: a fresh array on each call or, when ``grads`` is
+    given, its entry there; ``grads`` holds one zeroed array per leaf,
+    in the same order and shapes, such as the leaves' views of one flat
+    gradient buffer.  Any other buffer is allocated by the first vjp
+    that writes into it (``_acc``) and an interior node's is released
+    once its own vjp has run.  A leaf LSTM weight is the exception: its
     vjps defer their products (``_defer``), and ``_flush`` adds those
-    still kept after the last vjp, also when a vjp raises.  Gradients
-    are freshly assigned on each call and the tape is left intact, so
-    repeated calls from the same root give identical results.  Tensors
-    in ``leaves`` that the root does not depend on get zero gradients
-    instead of None.
+    still kept after the last vjp, also when a vjp raises.  The tape is
+    left intact, so repeated calls from the same root give identical
+    results.  Tensors in ``leaves`` that the root does not depend on
+    keep zero gradients.
     """
     if root.data.size != 1:
         raise NonScalarRoot(f"backward root must be scalar, got shape {root.data.shape}")
     leaves = tuple(leaves)
     keep = {id(leaf) for leaf in leaves}
-    order, seen = _tape_order(root)
+    order, _ = _tape_order(root)
     for node in order:
         node.grad = None
+    fresh = (np.zeros_like(leaf.data) for leaf in leaves)
+    for leaf, g in zip(leaves, fresh if grads is None else grads, strict=True):
+        leaf.grad = g
     root.grad = np.ones_like(root.data)
     try:
         for node in reversed(order):
@@ -801,9 +807,6 @@ def backward(root: Tensor, leaves=()) -> None:
                 node.grad = None
     finally:
         _flush()
-    for leaf in leaves:
-        if id(leaf) not in seen:
-            leaf.grad = np.zeros_like(leaf.data)
 
 
 # -- re-evaluating a recorded tape ------------------------------------------

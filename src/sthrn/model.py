@@ -14,8 +14,8 @@ from .encoder import GATE_FIELDS, GATE_ORDER, GLOBAL_FIELDS, ChainLayout, _as_wi
 
 INIT_SIGMA = 0.1  # standard deviation of every initial weight
 # a model whose float64 parameters alone take more is refused before
-# anything is drawn; training holds four more copies (gradients, Adam's
-# two moments, the update) besides the tape
+# anything is drawn; training holds three more copies (gradients and
+# Adam's two moments), chunk-sized scratch and the tape
 MAX_PARAM_BYTES = 1 << 30
 
 
@@ -85,11 +85,24 @@ def param_table(config: ModelConfig, layout: ChainLayout) -> dict[str, tuple[int
     return table
 
 
-@dataclass
-class ModelParams:
-    """A model's parameters: one name -> Tensor table in checkpoint order."""
+def flat_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """``flat`` cut, in order, into one reshaped view per name -> shape."""
+    cuts = np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1]
+    return {name: part.reshape(shape)
+            for (name, shape), part in zip(shapes.items(), np.split(flat, cuts))}
 
-    tensors: dict[str, Tensor]
+
+class ModelParams:
+    """A model's parameters: one name -> Tensor table in checkpoint order,
+    each tensor's data a reshaped view of one flat float64 array,
+    ``flat``.  ``grad`` is their flat gradient array, in the same
+    order: None until the first ``train()`` on them allocates it, and
+    kept after that."""
+
+    def __init__(self, flat: np.ndarray, shapes: dict[str, tuple[int, ...]]):
+        self.flat = flat
+        self.tensors = {name: Tensor(view) for name, view in flat_views(flat, shapes).items()}
+        self.grad: np.ndarray | None = None
 
     @classmethod
     def init(cls, config: ModelConfig, layout: ChainLayout,
@@ -107,9 +120,15 @@ class ModelParams:
                   *(f"dec.{name}." for name, _ in wiring(config.decoder, layout)[0]), "dec.proj."]
         rank = {name: next(i for i, g in enumerate(groups) if name.startswith(g)) for name in table}
         rng = np.random.default_rng(seed)
-        arrays = {name: rng.normal(0.0, INIT_SIGMA, size=table[name]) if len(table[name]) == 2
-                  else np.zeros(table[name]) for name in sorted(table, key=rank.get)}
-        return cls({name: Tensor(arrays[name]) for name in table})
+        params = cls(np.zeros(count), table)
+        for name in sorted((n for n in table if len(table[n]) == 2), key=rank.get):
+            # rng.normal(0.0, INIT_SIGMA)'s values, drawn straight into the
+            # view: a drawn temporary, copied in and freed, raises glibc's
+            # mmap threshold and, with it, a later peak RSS
+            view = params.tensors[name].data
+            rng.standard_normal(out=view)
+            view *= INIT_SIGMA
+        return params
 
     def named(self) -> dict[str, Tensor]:
         return dict(self.tensors)

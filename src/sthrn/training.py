@@ -22,8 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .encoder import ChainLayout
-from .model import (ModelConfig, ModelParams, check_field_types, forward, frames_tensor,
-                    param_table)
+from .model import (ModelConfig, ModelParams, check_field_types, flat_views, forward,
+                    frames_tensor, param_table)
 from .skeleton import MotionSequence, ParseError, sample_windows
 
 _MAGIC = b"STHRN1\n"
@@ -85,49 +85,61 @@ def l2_loss(pred: Tensor, target: np.ndarray) -> Tensor:
 
 @dataclass
 class AdamState:
+    """Adam's step count and its two moments, flat arrays laid out as the
+    parameters' flat array."""
+
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
-    def init(cls, named: dict[str, Tensor]) -> "AdamState":
-        return cls(
-            step=0,
-            m={name: np.zeros(t.data.shape) for name, t in named.items()},
-            v={name: np.zeros(t.data.shape) for name, t in named.items()},
-        )
+    def init(cls, size: int) -> "AdamState":
+        return cls(step=0, m=np.zeros(size), v=np.zeros(size))
 
 
-def adam_step(named: dict[str, Tensor], state: AdamState, lr: float = 1e-3,
+# Adam runs over this many values at a time: a chunk of the parameters,
+# gradient, moments and two scratch arrays stays in cache, where passes
+# over the whole human model's 2.1 M values run from memory.
+_ADAM_CHUNK = 1 << 15
+
+
+def adam_step(flat: np.ndarray, grad: np.ndarray, state: AdamState, lr: float = 1e-3,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update, in place on the parameter data."""
+    """One bias-corrected Adam update of the flat parameters ``flat`` from
+    their flat gradient ``grad``, in place, chunk by chunk, rounding as
+    ``m += (1 - beta1) * (g - m)``, ``v += (1 - beta2) * (g * g - v)``
+    and ``flat -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` do."""
     state.step += 1
     bc1 = 1.0 - beta1 ** state.step
     bc2 = 1.0 - beta2 ** state.step
-    for name, t in named.items():
-        g = t.grad
-        m = state.m[name]
-        v = state.v[name]
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
-        t.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    a = np.empty(min(_ADAM_CHUNK, flat.size))
+    b = np.empty_like(a)
+    for lo in range(0, flat.size, _ADAM_CHUNK):
+        p, g, m, v = (x[lo:lo + _ADAM_CHUNK] for x in (flat, grad, state.m, state.v))
+        s, t = a[:p.size], b[:p.size]
+        m += np.multiply(np.subtract(g, m, out=s), 1.0 - beta1, out=s)
+        v += np.multiply(np.subtract(np.multiply(g, g, out=s), v, out=s), 1.0 - beta2, out=s)
+        np.add(np.sqrt(np.divide(v, bc2, out=t), out=t), eps, out=t)
+        p -= np.divide(np.multiply(np.divide(m, bc1, out=s), lr, out=s), t, out=s)
 
 
-def first_nonfinite(named: dict[str, Tensor]) -> str | None:
-    """Name of the first tensor whose gradient holds a NaN or inf."""
-    for name, t in named.items():
-        if not np.isfinite(t.grad).all():
-            return name
-    return None
+def first_nonfinite(flat: np.ndarray, named) -> str | None:
+    """Name of the first of the (name, array) pairs ``named``, views that
+    cover ``flat``, that holds a NaN or inf, or None.  ``flat`` decides
+    first, in one min and one max, which make no temporary array and
+    propagate NaN; only a non-finite ``flat`` has its views looked at."""
+    def finite(a: np.ndarray) -> bool:
+        return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+    return None if finite(flat) else next(name for name, a in named if not finite(a))
 
 
-def clip_gradients(named: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most max_norm."""
-    total = float(np.sqrt(sum(float((t.grad * t.grad).sum()) for t in named.values())))
+def clip_gradients(grad: np.ndarray, parts, max_norm: float) -> float:
+    """Scale the flat gradient ``grad`` so its global norm is at most
+    max_norm, and return the norm before scaling; ``parts`` are its
+    per-parameter views, whose sums of squares add up in their order."""
+    total = float(np.sqrt(sum(float((g * g).sum()) for g in parts)))
     if max_norm > 0.0 and total > max_norm:
-        factor = max_norm / total
-        for t in named.values():
-            t.grad *= factor
+        grad *= max_norm / total
     return total
 
 
@@ -179,6 +191,7 @@ class TrainResult:
     params: ModelParams
     metrics: list[tuple[int, float, float]]  # (iteration, loss, wallclock_ms)
     adam: AdamState
+    grad_norms: list[float]  # global gradient norm before clipping, per iteration
 
 
 def train(sequences: list[MotionSequence], layout: ChainLayout, theta: np.ndarray,
@@ -207,9 +220,15 @@ def train(sequences: list[MotionSequence], layout: ChainLayout, theta: np.ndarra
     if params is None:
         params = ModelParams.init(model_config, layout, seed=train_config.seed)
     named = params.named()
-    adam = AdamState.init(named)
+    if params.grad is None:
+        # kept for later calls: a new buffer per call would keep the last
+        # one alive, through the leaves' .grad, while the next tape peaks
+        params.grad = np.zeros_like(params.flat)
+    grads = flat_views(params.grad, {name: t.data.shape for name, t in named.items()})
+    adam = AdamState.init(params.flat.size)
     k = layout.num_entries
     metrics: list[tuple[int, float, float]] = []
+    grad_norms: list[float] = []
     for it in range(train_config.iterations):
         t0 = time.perf_counter()
         windows = []
@@ -229,18 +248,19 @@ def train(sequences: list[MotionSequence], layout: ChainLayout, theta: np.ndarra
             loss = l2_loss(pred, target)
         if not np.isfinite(loss.data):
             raise TrainingDiverged(f"non-finite loss at iteration {it}")
-        backward(loss, leaves=named.values())
+        params.grad.fill(0.0)
+        backward(loss, named.values(), grads.values())
         loss_value = float(loss.data)
         del outs, pred, loss  # free the tape: only the leaves' gradients are needed now
-        bad = first_nonfinite(named)
+        bad = first_nonfinite(params.grad, grads.items())
         if bad is not None:
             raise TrainingDiverged(f"non-finite gradient of {bad} at iteration {it}")
-        clip_gradients(named, train_config.clip_norm)
-        adam_step(named, adam, lr=train_config.learning_rate,
+        grad_norms.append(clip_gradients(params.grad, grads.values(), train_config.clip_norm))
+        adam_step(params.flat, params.grad, adam, lr=train_config.learning_rate,
                   beta1=train_config.beta1, beta2=train_config.beta2,
                   eps=train_config.epsilon)
         metrics.append((it, loss_value, (time.perf_counter() - t0) * 1000.0))
-    return TrainResult(params=params, metrics=metrics, adam=adam)
+    return TrainResult(params=params, metrics=metrics, adam=adam, grad_norms=grad_norms)
 
 
 def write_metrics(path, metrics: list[tuple[int, float, float]]) -> None:
@@ -264,45 +284,44 @@ def write_metrics(path, metrics: list[tuple[int, float, float]]) -> None:
 #   the tensors back to back, row-major little-endian float64
 # The JSON header records the model config, the chain layout, the
 # iteration count, and each tensor's name and shape in write order.
-# Optimizer moments ride along as "adam.m.*" / "adam.v.*" tensors.
+# Optimizer moments ride along as "adam.m.*" / "adam.v.*" tensors.  The
+# tensors back to back are the flat parameter array, then Adam's flat
+# moments, each in ``param_table`` order.
 # ---------------------------------------------------------------------------
 
 
-def _file_order(params: dict, moments: tuple[dict, dict] | None) -> dict:
-    """A checkpoint's entries in file order: the parameters, then Adam's
-    first and second moments when ``moments`` is given."""
-    if moments is None:
-        return params
-    m, v = moments
-    return {**params, **{f"adam.m.{n}": m[n] for n in params},
-            **{f"adam.v.{n}": v[n] for n in params}}
+def _file_order(table: dict, moments: bool) -> dict:
+    """A checkpoint's entries, name -> shape, in file order: the
+    parameters, then Adam's first and second moments if ``moments``."""
+    prefixes = ("", "adam.m.", "adam.v.") if moments else ("",)
+    return {f"{prefix}{name}": shape for prefix in prefixes for name, shape in table.items()}
 
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig,
                     layout: ChainLayout, iteration: int = 0,
                     adam: AdamState | None = None) -> None:
-    tensors = _file_order({name: t.data for name, t in params.named().items()},
-                          None if adam is None else (adam.m, adam.v))
+    shapes = {name: t.data.shape for name, t in params.tensors.items()}
     header = {
         "version": 1,
         "config": asdict(config),
         "chains": list(layout.entry_counts),
         "iteration": iteration,
         "adam_step": adam.step if adam is not None else None,
-        "tensors": [{"name": n, "shape": list(a.shape)} for n, a in tensors.items()],
+        "tensors": [{"name": n, "shape": list(s)}
+                    for n, s in _file_order(shapes, adam is not None).items()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for a in tensors.values():
-            # straight from the array: a freed bytes copy of a large tensor
+        for a in (params.flat,) if adam is None else (params.flat, adam.m, adam.v):
+            # straight from the array: a freed bytes copy of a large array
             # raises glibc's dynamic mmap threshold, later loads then put
             # their arrays on the heap, and the peak RSS of a process that
             # saves and then loads the human model read 86 or 94 MB by heap
             # layout alone
-            fh.write(np.ascontiguousarray(a, dtype="<f8").view(np.uint8).reshape(-1))
+            fh.write(np.ascontiguousarray(a, dtype="<f8").view(np.uint8))
 
 
 @dataclass
@@ -322,8 +341,9 @@ def load_checkpoint(path) -> Checkpoint:
     it records an Adam step), and the bytes after the header must be
     exactly those tensors': both are checked before any array is
     allocated, so a header cannot make the load take memory its file
-    does not back.  Each tensor is read straight into its array, with
-    no random draws, and must be finite.  Any other file raises
+    does not back.  The tensors are read straight into one flat array,
+    with no random draws, and must be finite; the parameters view its
+    first part and Adam's moments the rest.  Any other file raises
     ParseError naming the path.
     """
     with open(path, "rb") as fh:
@@ -344,33 +364,31 @@ def load_checkpoint(path) -> Checkpoint:
             adam_step = None if adam_step is None else int(adam_step)
         except (KeyError, TypeError, ValueError, struct.error) as exc:
             raise ParseError(f"{path}: bad header ({type(exc).__name__}: {exc})") from exc
-        implied = list(_file_order(table, None if adam_step is None else (table, table)).items())
-        if listed != implied:
-            pairs = list(itertools.zip_longest(listed, implied))
+        implied = _file_order(table, adam_step is not None)
+        if listed != list(implied.items()):
+            pairs = list(itertools.zip_longest(listed, implied.items()))
             differ = [(got, want) for got, want in pairs if got != want]
             raise ParseError(f"{path}: header tensors differ from its config's at "
                              f"{len(differ)} of {len(pairs)} entries; the first lists "
                              f"{differ[0][0] or 'nothing'} where the config implies "
                              f"{differ[0][1] or 'nothing'}")
-        need = 8 * sum(math.prod(shape) for _, shape in implied)
+        need = 8 * sum(math.prod(shape) for shape in implied.values())
         have = os.fstat(fh.fileno()).st_size - fh.tell()
         if need != have:
             raise ParseError(f"{path}: {'truncated' if need > have else 'trailing bytes'}: "
                              f"its tensors take {need:,} bytes and {have:,} follow the header")
-        arrays = {}
-        for name, shape in implied:
-            # straight into the array: a bytes copy per tensor, freed
-            # between the arrays that stay, fragments the heap and lifts RSS
-            a = arrays[name] = np.empty(shape)
-            if fh.readinto(a.view(np.uint8).reshape(-1)) != a.nbytes:
-                raise ParseError(f"{path}: truncated tensor {name!r}")
-            if not np.little_endian:
-                a.byteswap(inplace=True)
-            # min and max make no temporary array; NaN propagates through both
-            if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
-                raise ParseError(f"{path}: tensor {name!r} is not finite")
+        # straight into one buffer: a bytes copy per tensor, freed between
+        # the arrays that stay, fragments the heap and lifts RSS
+        flat = np.empty(need // 8)
+        if fh.readinto(flat.view(np.uint8)) != need:
+            raise ParseError(f"{path}: truncated tensors")
+        if not np.little_endian:
+            flat.byteswap(inplace=True)
+        bad = first_nonfinite(flat, flat_views(flat, implied).items())
+        if bad is not None:
+            raise ParseError(f"{path}: tensor {bad!r} is not finite")
+    count = sum(math.prod(shape) for shape in table.values())
     adam = None if adam_step is None else AdamState(
-        step=adam_step, m={n: arrays[f"adam.m.{n}"] for n in table},
-        v={n: arrays[f"adam.v.{n}"] for n in table})
-    return Checkpoint(params=ModelParams({n: Tensor(arrays[n]) for n in table}), config=config,
-                      layout=layout, iteration=iteration, adam=adam)
+        step=adam_step, m=flat[count:2 * count], v=flat[2 * count:])
+    return Checkpoint(params=ModelParams(flat[:count], table), config=config, layout=layout,
+                      iteration=iteration, adam=adam)

@@ -17,12 +17,26 @@ with them, taking the spread global states as arguments,
 ``composed_encode`` is the encoder built from them, with one spread
 node per global state that the grid cell and the pooled cell share,
 as before the fusion.
+
+``looped_train`` is ``sthrn.train`` on the per-tensor optimizer path it
+had before a model's parameters, gradients and Adam's moments became
+views of flat arrays, and ``looped_checkpoint`` the checkpoint writer
+of that path: the oracles of the flat path.
 """
+
+import json
+import struct
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 
 import sthrn.autodiff as ad
+from sthrn.autodiff import Tensor
 from sthrn.encoder import EncoderState, _fused_gate_params, _global_weights, encode
+from sthrn.model import forward, frames_tensor
+from sthrn.skeleton import sample_windows
+from sthrn.training import TrainingDiverged, l2_loss, weighted_loss
 
 
 def _sigmoid_vjp(node, g):
@@ -206,3 +220,92 @@ def composed_encode(p, params, layout, layers, global_temporal=True, global_spat
                                        grid, 2)
         state = EncoderState(h=h, c=c, g_t=g_t, c_gt=c_gt, g_s=g_s, c_gs=c_gs, grid_shape=grid)
     return state
+
+
+def looped_first_nonfinite(named):
+    """Name of the first tensor whose gradient holds a NaN or inf."""
+    for name, t in named.items():
+        if not np.isfinite(t.grad).all():
+            return name
+    return None
+
+
+def looped_clip(named, max_norm):
+    """Scale every tensor's gradient so their global norm is at most
+    max_norm; returns the norm before scaling and whether it scaled."""
+    total = float(np.sqrt(sum(float((t.grad * t.grad).sum()) for t in named.values())))
+    clipped = max_norm > 0.0 and total > max_norm
+    if clipped:
+        factor = max_norm / total
+        for t in named.values():
+            t.grad *= factor
+    return total, clipped
+
+
+def looped_adam(named, m, v, step, lr, beta1, beta2, eps):
+    """Adam step ``step``, tensor by tensor, with one moment array each."""
+    bc1 = 1.0 - beta1 ** step
+    bc2 = 1.0 - beta2 ** step
+    for name, t in named.items():
+        g = t.grad
+        m[name] += (1.0 - beta1) * (g - m[name])
+        v[name] += (1.0 - beta2) * (g * g - v[name])
+        t.data -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+
+
+def looped_train(sequences, layout, theta, model_config, train_config, params):
+    """``sthrn.train`` from a copy of ``params``, each parameter its own
+    array: every walk gives the leaves fresh ``zeros_like`` gradients,
+    and the finite check, clip and Adam loop over the tensors.  Returns
+    the losses, the gradient norms before clipping, whether each
+    iteration clipped, and the final parameters and Adam moments, each
+    name -> array."""
+    named = {name: Tensor(t.data.copy()) for name, t in params.named().items()}
+    model = SimpleNamespace(tensors=named)
+    m = {name: np.zeros(t.data.shape) for name, t in named.items()}
+    v = {name: np.zeros(t.data.shape) for name, t in named.items()}
+    rng = np.random.default_rng(train_config.seed)
+    k = layout.num_entries
+    losses, norms, clipped = [], [], []
+    for it in range(train_config.iterations):
+        windows = []
+        for _ in range(train_config.batch_size):
+            si = int(rng.integers(len(sequences)))
+            windows.append(sample_windows(sequences[si], train_config.observed,
+                                          train_config.horizon, 1, rng)[0])
+        targets = np.stack([w.target for w in windows])
+        outs = forward(model, model_config, layout, np.stack([w.observed for w in windows]),
+                       train_config.horizon,
+                       feed=targets if train_config.teacher_forcing else None)
+        pred, target = frames_tensor(outs, k), targets.reshape(-1, k, 3)
+        if train_config.loss == "weighted":
+            loss = weighted_loss(pred, target, theta)
+        else:
+            loss = l2_loss(pred, target)
+        ad.backward(loss, leaves=named.values())
+        losses.append(float(loss.data))
+        bad = looped_first_nonfinite(named)
+        if bad is not None:
+            raise TrainingDiverged(f"non-finite gradient of {bad} at iteration {it}")
+        total, clip = looped_clip(named, train_config.clip_norm)
+        norms.append(total)
+        clipped.append(clip)
+        looped_adam(named, m, v, it + 1, train_config.learning_rate, train_config.beta1,
+                    train_config.beta2, train_config.epsilon)
+    return losses, norms, clipped, {name: t.data for name, t in named.items()}, m, v
+
+
+def looped_checkpoint(path, params, m, v, step, config, layout, iteration):
+    """The checkpoint of per-tensor ``params`` and Adam moments ``m`` and
+    ``v`` (name -> array) after ``step`` steps, written tensor by tensor:
+    magic, header length, JSON header, then each tensor's float64 bytes."""
+    tensors = {**params, **{f"adam.m.{n}": m[n] for n in params},
+               **{f"adam.v.{n}": v[n] for n in params}}
+    header = {"version": 1, "config": asdict(config), "chains": list(layout.entry_counts),
+              "iteration": iteration, "adam_step": step,
+              "tensors": [{"name": n, "shape": list(a.shape)} for n, a in tensors.items()]}
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"STHRN1\n" + struct.pack("<Q", len(blob)) + blob)
+        for a in tensors.values():
+            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())

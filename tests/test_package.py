@@ -44,8 +44,10 @@ def test_benchmark_tracer_wraps_and_restores_the_package():
     package (``sthrn.model.encode``, ``init_decoder``, ``decode_step``,
     ``sthrn.training.sample_windows`` and more) and reads the encoder's
     and decoder's state fields.  A traced two-iteration ``train()``
-    counts encoder, decoder and tape nodes, and removing the tracer puts
-    every attribute back."""
+    counts encoder, decoder and tape nodes, opens one clip and one Adam
+    span per iteration, as ``train()`` calls ``clip_gradients`` and
+    ``adam_step`` through ``sthrn.training``, and removing the tracer
+    puts every attribute back."""
     sys.path.insert(0, str(BENCHMARKS))
     write_bytecode = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave no cache under benchmarks/
@@ -69,3 +71,5 @@ def test_benchmark_tracer_wraps_and_restores_the_package():
     assert tracer.counts["encoder.nodes"] > 0
     assert tracer.counts["decoder.nodes"] > 0
     assert tracer.counts["tape.roots"] == 2
+    assert tracer.names.count("training.clip") == 2
+    assert tracer.names.count("training.adam") == 2

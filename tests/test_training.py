@@ -17,9 +17,10 @@ import sthrn.autodiff as ad
 import sthrn.training as training
 from sthrn.autodiff import Tensor, backward
 from sthrn.encoder import ChainLayout
-from sthrn.model import ModelConfig, ModelParams, param_table, predict
+from sthrn.model import ModelConfig, ModelParams, flat_views, param_table, predict
 from sthrn.skeleton import (MotionSequence, ParseError, SequenceTooShort, ValidationError,
                             builtin_topology, synth_motion)
+from tape_oracles import looped_checkpoint, looped_first_nonfinite, looped_train
 from sthrn.training import (
     AdamState,
     TrainConfig,
@@ -27,6 +28,7 @@ from sthrn.training import (
     adam_step,
     bone_weights,
     clip_gradients,
+    first_nonfinite,
     l2_loss,
     load_checkpoint,
     save_checkpoint,
@@ -154,31 +156,28 @@ def test_adam_first_step_size_is_learning_rate():
     # bias correction makes the first update lr-sized for any gradient
     # scale large against epsilon
     for g in (1.0, 100.0):
-        t = Tensor(np.array([0.0]))
-        t.grad = np.array([g])
-        adam_step({"p": t}, AdamState.init({"p": t}), lr=0.05)
-        assert abs(abs(t.data[0]) - 0.05) < 1e-6
+        p = np.array([0.0])
+        adam_step(p, np.array([g]), AdamState.init(1), lr=0.05)
+        assert abs(abs(p[0]) - 0.05) < 1e-6
 
 
 def test_adam_matches_reference_trace():
     rng = np.random.default_rng(2)
     p0 = rng.normal(size=(3, 2))
     grads = [rng.normal(size=(3, 2)) for _ in range(5)]
-    t = Tensor(p0.copy())
-    state = AdamState.init({"p": t})
+    p = p0.reshape(-1).copy()
+    state = AdamState.init(p.size)
     for g in grads:
-        t.grad = g.copy()
-        adam_step({"p": t}, state, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+        adam_step(p, g.reshape(-1).copy(), state, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
     want = reference_adam(p0, grads, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
-    assert np.allclose(t.data, want, atol=1e-12)
+    assert np.allclose(p.reshape(p0.shape), want, atol=1e-12)
     assert state.step == 5
 
 
 def test_adam_updates_every_tensor():
-    a, b = Tensor(np.zeros(2)), Tensor(np.zeros((2, 2)))
-    a.grad, b.grad = np.ones(2), np.ones((2, 2))
-    named = {"a": a, "b": b}
-    adam_step(named, AdamState.init(named), lr=0.1)
+    params = ModelParams(np.zeros(6), {"a": (2,), "b": (2, 2)})
+    a, b = params.tensors["a"], params.tensors["b"]
+    adam_step(params.flat, np.ones(6), AdamState.init(6), lr=0.1)
     assert np.all(a.data != 0.0)
     assert np.all(b.data != 0.0)
 
@@ -187,28 +186,26 @@ def test_adam_updates_every_tensor():
 
 
 def test_clip_leaves_small_gradients_alone():
-    t = Tensor(np.zeros(3))
-    t.grad = np.array([0.3, 0.4, 0.0])
-    total = clip_gradients({"t": t}, max_norm=5.0)
+    g = np.array([0.3, 0.4, 0.0])
+    total = clip_gradients(g, [g], max_norm=5.0)
     assert abs(total - 0.5) < 1e-12
-    assert np.array_equal(t.grad, [0.3, 0.4, 0.0])
+    assert np.array_equal(g, [0.3, 0.4, 0.0])
 
 
 def test_clip_scales_to_max_norm():
-    a, b = Tensor(np.zeros(1)), Tensor(np.zeros(1))
-    a.grad, b.grad = np.array([3.0]), np.array([4.0])
-    total = clip_gradients({"a": a, "b": b}, max_norm=1.0)
+    g = np.array([3.0, 4.0])
+    a, b = g[:1], g[1:]  # two parameters' views of the flat gradient
+    total = clip_gradients(g, [a, b], max_norm=1.0)
     assert abs(total - 5.0) < 1e-12
-    clipped = math.hypot(a.grad[0], b.grad[0])
+    clipped = math.hypot(a[0], b[0])
     assert abs(clipped - 1.0) < 1e-12
-    assert abs(a.grad[0] / b.grad[0] - 0.75) < 1e-12  # direction kept
+    assert abs(a[0] / b[0] - 0.75) < 1e-12  # direction kept
 
 
 def test_clip_zero_max_norm_disables():
-    t = Tensor(np.zeros(1))
-    t.grad = np.array([10.0])
-    clip_gradients({"t": t}, max_norm=0.0)
-    assert t.grad[0] == 10.0
+    g = np.array([10.0])
+    clip_gradients(g, [g], max_norm=0.0)
+    assert g[0] == 10.0
 
 
 # -- training loop -------------------------------------------------------------------
@@ -298,6 +295,150 @@ def test_train_frees_the_tape_before_the_optimizer(monkeypatch):
     assert alive == [False, False, False]
     assert [loss for _, loss, _ in result.metrics] == values
     assert values == [loss for _, loss, _ in unpatched.metrics]
+
+
+# -- flat buffers ---------------------------------------------------------------------
+
+FORK7_TINY = ModelConfig(hidden_size=6, layers=2)  # criterion 7's model
+HUMAN = ChainLayout.from_topology(builtin_topology("human"))
+MB = 1 << 20
+
+
+@pytest.mark.parametrize("clip_norm", [30.0, 0.0])
+def test_flat_optimizer_matches_the_looped_oracle(tmp_path, clip_norm):
+    """Twenty fork7-tiny iterations on the flat parameter, gradient and
+    moment buffers give, bit for bit, the looped per-tensor path's
+    losses, parameters, moments and checkpoint bytes.  ``grad_norms``
+    are its norms before clipping, which exceed ``clip_norm`` exactly on
+    the iterations it clipped: some of them at 30, none with 0."""
+    seqs = [synth_motion("sinusoid", 60, TOPO, seed=21)]
+    theta = bone_weights(TOPO.entry_lengths())
+    config = TrainConfig(iterations=20, batch_size=16, learning_rate=5e-3, observed=10,
+                         horizon=10, seed=2, clip_norm=clip_norm)
+    start = ModelParams.init(FORK7_TINY, LAYOUT, seed=2)
+    losses, norms, clipped, params, m, v = looped_train(seqs, LAYOUT, theta, FORK7_TINY,
+                                                        config, start)
+    result = train(seqs, LAYOUT, theta, FORK7_TINY, config, params=start)
+    assert [loss for _, loss, _ in result.metrics] == losses
+    assert result.grad_norms == norms
+    assert [clip_norm > 0.0 and n > clip_norm for n in result.grad_norms] == clipped
+    assert 0 < sum(clipped) < 20 if clip_norm else not any(clipped)
+    table = param_table(FORK7_TINY, LAYOUT)
+    got_m, got_v = flat_views(result.adam.m, table), flat_views(result.adam.v, table)
+    for name, t in result.params.named().items():
+        assert np.array_equal(t.data, params[name]), name
+        assert np.array_equal(got_m[name], m[name]), name
+        assert np.array_equal(got_v[name], v[name]), name
+    save_checkpoint(tmp_path / "flat.ckpt", result.params, FORK7_TINY, LAYOUT, iteration=20,
+                    adam=result.adam)
+    looped_checkpoint(tmp_path / "looped.ckpt", params, m, v, 20, FORK7_TINY, LAYOUT, 20)
+    assert (tmp_path / "flat.ckpt").read_bytes() == (tmp_path / "looped.ckpt").read_bytes()
+
+
+def test_first_nonfinite_names_the_tensor_the_looped_check_names():
+    params = ModelParams.init(CFG, LAYOUT, seed=3)
+    params.grad = np.ones_like(params.flat)
+    grads = flat_views(params.grad, param_table(CFG, LAYOUT))
+    for name, t in params.tensors.items():
+        t.grad = grads[name]
+    assert first_nonfinite(params.grad, grads.items()) is None
+    params.grad[:] = 1e200  # finite, though its squares overflow
+    assert first_nonfinite(params.grad, grads.items()) is None
+    for name, value in (("enc.gate.in.u", np.nan), ("dec.proj.0.b", -np.inf)):
+        grads[name].reshape(-1)[-1] = value
+        want = looped_first_nonfinite(params.tensors)
+        assert want == "enc.gate.in.u"
+        assert first_nonfinite(params.grad, grads.items()) == want
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak bytes it held allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_human_params_are_drawn_and_loaded_into_one_buffer(tmp_path):
+    """Neither ``ModelParams.init`` nor ``load_checkpoint`` of the human
+    model peaks more than 1 MB above its flat buffer: a drawn or read
+    temporary per tensor, copied in and freed, would add the largest
+    tensor's bytes and lift a later peak RSS through glibc's heap."""
+    config = ModelConfig()
+    params, peak = traced_peak(lambda: ModelParams.init(config, HUMAN, seed=7))
+    assert peak <= params.flat.nbytes + MB, (peak, params.flat.nbytes)
+    assert all(np.shares_memory(t.data, params.flat) for t in params.tensors.values())
+    save_checkpoint(tmp_path / "human.ckpt", params, config, HUMAN)
+    ck, peak = traced_peak(lambda: load_checkpoint(tmp_path / "human.ckpt"))
+    assert peak <= ck.params.flat.nbytes + MB, (peak, ck.params.flat.nbytes)
+    assert np.array_equal(ck.params.flat, params.flat)
+
+
+def test_adam_step_on_the_human_model_allocates_at_most_1_mb():
+    params = ModelParams.init(ModelConfig(), HUMAN, seed=7)
+    grad = np.full(params.flat.size, 1e-3)
+    state = AdamState.init(params.flat.size)
+    _, peak = traced_peak(lambda: adam_step(params.flat, grad, state))
+    assert peak <= MB, peak
+    assert state.step == 1
+
+
+def test_a_second_train_call_keeps_the_gradient_buffer():
+    """The flat gradient is allocated by the first ``train()`` on a model
+    and reused by the next: a buffer per call would keep the previous
+    one alive, through the leaves' ``.grad`` views, while the tape peaks."""
+    seqs = [synth_motion("sinusoid", 30, TOPO, seed=3)]
+    theta = bone_weights(TOPO.entry_lengths())
+    params = ModelParams.init(CFG, LAYOUT, seed=4)
+    assert params.grad is None
+    train(seqs, LAYOUT, theta, CFG, tiny_train_config(), params=params)
+    grad = params.grad
+    assert grad.shape == params.flat.shape
+    train(seqs, LAYOUT, theta, CFG, tiny_train_config(seed=6), params=params)
+    assert params.grad is grad
+    assert all(np.shares_memory(t.grad, grad) for t in params.tensors.values())
+
+
+def test_grad_check_restores_each_leaf_to_its_view_of_the_buffer():
+    """``grad_check`` probes a widened copy of a leaf and puts back the
+    leaf's own array, the view of the model's flat buffer, after a normal
+    return and after an ``f()`` that raises; the buffer's bytes are
+    unchanged, and a later ``train()`` updates the model through it."""
+    seqs = [synth_motion("sinusoid", 30, TOPO, seed=3)]
+    theta = bone_weights(TOPO.entry_lengths())
+    params = ModelParams.init(CFG, LAYOUT, seed=6)
+    leaves = {name: params.tensors[name] for name in ("enc.gt.w_f", "dec.proj.0.b")}
+    views = {name: t.data for name, t in leaves.items()}
+    saved = params.flat.tobytes()
+    frames = seqs[0].frames
+    calls = []
+
+    def loss(fail_at=None):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise RuntimeError("probe failed")
+        outs = sthrn.forward(params, CFG, LAYOUT, frames[:6], 3)
+        return weighted_loss(sthrn.model.frames_tensor(outs, LAYOUT.num_entries),
+                             frames[6:9], theta)
+
+    def restored():
+        for name, t in leaves.items():
+            assert t.data is views[name], name
+            assert np.shares_memory(t.data, params.flat), name
+        assert params.flat.tobytes() == saved
+
+    ad.grad_check(loss, leaves)
+    restored()
+    calls.clear()
+    with pytest.raises(RuntimeError, match="probe failed"):
+        ad.grad_check(lambda: loss(fail_at=2), leaves)  # the first probe after the taped call
+    restored()
+    before = {name: view.copy() for name, view in views.items()}
+    train(seqs, LAYOUT, theta, CFG, tiny_train_config(), params=params)
+    for name, t in leaves.items():
+        assert t.data is views[name], name
+        assert not np.array_equal(t.data, before[name]), name
 
 
 def test_train_rejects_unknown_loss():
@@ -395,9 +536,8 @@ def test_checkpoint_roundtrip_with_adam(tmp_path):
     ck = load_checkpoint(path)
     assert ck.adam is not None
     assert ck.adam.step == 3
-    for name in result.adam.m:
-        assert np.array_equal(ck.adam.m[name], result.adam.m[name]), name
-        assert np.array_equal(ck.adam.v[name], result.adam.v[name]), name
+    assert np.array_equal(ck.adam.m, result.adam.m)
+    assert np.array_equal(ck.adam.v, result.adam.v)
 
 
 def test_checkpoint_reload_predicts_identically(tmp_path):
@@ -415,7 +555,7 @@ def test_checkpoint_header_lists_the_param_table_then_the_adam_moments(tmp_path)
     params = ModelParams.init(CFG, LAYOUT, seed=15)
     path = tmp_path / "model.ckpt"
     table = [[name, list(shape)] for name, shape in param_table(CFG, LAYOUT).items()]
-    for adam, moments in ((None, []), (AdamState.init(params.named()), ["adam.m.", "adam.v."])):
+    for adam, moments in ((None, []), (AdamState.init(params.flat.size), ["adam.m.", "adam.v."])):
         save_checkpoint(path, params, CFG, LAYOUT, adam=adam)
         data = path.read_bytes()
         header = json.loads(data[15:15 + struct.unpack("<Q", data[7:15])[0]])
@@ -476,7 +616,7 @@ def test_checkpoint_refuses_a_config_too_big_to_build(tmp_path):
     of hidden 10**8 is refused by its byte count, as early."""
     params = ModelParams.init(CFG, LAYOUT, seed=16)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, params, CFG, LAYOUT, adam=AdamState.init(params.named()))
+    save_checkpoint(path, params, CFG, LAYOUT, adam=AdamState.init(params.flat.size))
     data = path.read_bytes()
     size = 7 + 8 + struct.unpack("<Q", data[7:15])[0]
     header = json.loads(data[15:size])
@@ -593,12 +733,13 @@ def test_train_config_keeps_the_edge_values():
 def test_checkpoint_refuses_non_finite_tensors(tmp_path):
     params = ModelParams.init(CFG, LAYOUT, seed=14)
     named = params.named()
-    adam = AdamState.init(named)
+    adam = AdamState.init(params.flat.size)
     first, last = list(named)[0], list(named)[-1]
     path = tmp_path / "model.ckpt"
     for name, array, value in ((first, named[first].data, np.nan),
                                (last, named[last].data, np.inf),
-                               (f"adam.v.{first}", adam.v[first], -np.inf)):
+                               (f"adam.v.{first}", flat_views(adam.v, param_table(CFG, LAYOUT))[first],
+                                -np.inf)):
         saved = array.copy()
         array.reshape(-1)[-1] = value
         save_checkpoint(path, params, CFG, LAYOUT, adam=adam)
