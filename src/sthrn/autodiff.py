@@ -115,16 +115,22 @@ def _result(out, op: str = "leaf", parents: tuple = (), vjp=None, saved: tuple =
 
 
 def _cat(arrays, axis: int) -> np.ndarray:
-    """``np.concatenate`` along ``axis``, in C order.  In a replay pass
-    some arrays carry a leading probe axis and the rest, which the probed
-    leaf does not reach, are broadcast across it first.  Numpy would
-    order the result's axes by the broadcast copies' zero strides, and a
-    sum over an array laid out otherwise adds in another order."""
-    if len({a.ndim for a in arrays}) > 1:
-        big = max(arrays, key=np.ndim)
-        arrays = [a if a.ndim == big.ndim else np.broadcast_to(a, big.shape[:1] + a.shape)
-                  for a in arrays]
-    return np.ascontiguousarray(np.concatenate(arrays, axis=axis))
+    """``np.concatenate`` along ``axis``, in C order and the arrays'
+    result dtype.  In a replay pass some arrays carry a leading probe
+    axis and the rest, which the probed leaf does not reach, are
+    broadcast across it as they are written into their part of the
+    result; ``axis`` then counts from the last axis.  A sum over an
+    array laid out otherwise than in C order adds in another order."""
+    if len({a.ndim for a in arrays}) == 1:
+        return np.ascontiguousarray(np.concatenate(arrays, axis=axis))
+    shape = list(max(arrays, key=np.ndim).shape)
+    shape[axis] = sum(a.shape[axis] for a in arrays)
+    out = np.empty(shape, np.result_type(*arrays))
+    lo, tail = 0, (slice(None),) * (-axis - 1)
+    for a in arrays:
+        out[(..., slice(lo, lo + a.shape[axis]), *tail)] = a
+        lo += a.shape[axis]
+    return out
 
 
 def _value(out):
@@ -274,18 +280,6 @@ def _check_matmul(a: Tensor, b: Tensor) -> None:
         raise ShapeMismatch(f"matmul: {a.data.shape} @ {b.data.shape}")
 
 
-def _matmul_vjp(node, g):
-    a, b = node.parents
-    _acc(a, g @ b.data.T)
-    _acc(b, a.data.T @ g)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_matmul(a, b)
-    return _apply("matmul", (a, b), _matmul_vjp, np.matmul)
-
-
 def _affine(x, w, b):
     return x @ w + b
 
@@ -298,8 +292,7 @@ def _linear_vjp(node, g):
 
 
 def linear(x, w, b) -> Tensor:
-    """``x @ w + b`` as one node, ``b`` broadcast as in ``add``: the
-    value of ``add(matmul(x, w), b)``."""
+    """``x @ w + b`` as one node, ``b`` broadcast as in ``add``."""
     x, w, b = parents = tuple(map(_as_tensor, (x, w, b)))
     _check_matmul(x, w)
     return _apply("linear", parents, _linear_vjp, _affine)
@@ -675,19 +668,23 @@ def _grid_globals(grid_shape, g_s, g_t):
     return _spread(grid_shape, 2, g_s), _spread(grid_shape, 1, g_t)
 
 
-def _grid_fwd(grid_shape, sp_mask, h, c, p_proj, g_s, g_t, w, z, gs, gt, b, c_gs, c_gt):
-    """(h, c, gates, candidate, tanh(c)) of an encoder layer's grid cells."""
+def _grid_block(grid_shape, sp_mask, p, h, g_s, g_t) -> np.ndarray:
+    """Each grid row's sources side by side, [p | h_left | h_right | h |
+    h_sp | gs_rows | gt_rows], in the operands' dtype: the rows that
+    the stacked gate weights multiply."""
     h_left, h_right, h_sp = _grid_sources(grid_shape, sp_mask, h)
-    triple = np.concatenate([h_left, h_right, h], axis=-1)
-    gs_rows, gt_rows = _grid_globals(grid_shape, g_s, g_t)
-    # the six terms in ``_tree_sum`` order, as the composition adds them
-    pre = ((p_proj + triple @ w) + (h_sp @ z + gs_rows @ gs)) + (gt_rows @ gt + b)
+    return _cat([p, h_left, h_right, h, h_sp, *_grid_globals(grid_shape, g_s, g_t)], -1)
+
+
+def _grid_fwd(grid_shape, sp_mask, h, c, p, g_s, g_t, u, w, z, gs, gt, b, c_gs, c_gt):
+    """(h, c, gates, candidate, tanh(c)) of an encoder layer's grid cells."""
+    pre = _grid_block(grid_shape, sp_mask, p, h, g_s, g_t) @ _cat([u, w, z, gs, gt], -2) + b
     c_left, c_right, c_sp = _grid_sources(grid_shape, sp_mask, c)
     return _gated_fwd(pre, c_left, c, c_right, c_sp, *_grid_globals(grid_shape, c_gs, c_gt))
 
 
 def _grid_vjp(node, grad):
-    h, c, p_proj, g_s, g_t, w, z, gs, gt, b, c_gs, c_gt = node.parents
+    h, c, p, g_s, g_t, *weights, b, c_gs, c_gt = node.parents
     grid_shape, sp_mask = node.args
     s, cand, tc = node.saved
     c_left, c_right, c_sp = _grid_sources(grid_shape, sp_mask, c.data)
@@ -696,60 +693,58 @@ def _grid_vjp(node, grad):
                         *_grid_globals(grid_shape, c_gs.data, c_gt.data)], tc)
     # each parent's gradients in the order the walk of the composition
     # this op replaces added them, since h is c (and g_s is c_gs) at the
-    # first layer: the cell's own c, the linear terms, h through its own
-    # block of the triple and then its three shifts, c through its shifts,
-    # and last each global state through its spread
+    # first layer: the cell's own c, the stacked weights and the bias,
+    # the block's p and h, h through its three shifts, c through its
+    # shifts, and last each global state through its spread
     _acc(c, dc_same)
-    d_cgs, d_cgt = _pool(grid_shape, 2, dcgs), _pool(grid_shape, 1, dcgt)
-    h_left, h_right, h_sp = _grid_sources(grid_shape, sp_mask, h.data)
-    triple = np.concatenate([h_left, h_right, h.data], axis=1)
-    _acc(p_proj, dpre)
-    d_left, d_right, d_self = np.split(dpre @ w.data.T, 3, axis=1)
-    _acc(w, triple.T @ dpre)
-    d_sp = dpre @ z.data.T
-    _acc(z, h_sp.T @ dpre)
-    gs_rows, gt_rows = _grid_globals(grid_shape, g_s.data, g_t.data)
-    d_gs = _pool(grid_shape, 2, dpre @ gs.data.T)
-    _acc(gs, gs_rows.T @ dpre)
-    d_gt = _pool(grid_shape, 1, dpre @ gt.data.T)
-    _acc(gt, gt_rows.T @ dpre)
+    block = _grid_block(grid_shape, sp_mask, p.data, h.data, g_s.data, g_t.data)
+    stacked = _cat([t.data for t in weights], 0)
+    w_bounds = np.cumsum([t.data.shape[0] for t in weights[:-1]])  # u | w | z | gs | gt
+    for t, g in zip(weights, np.split(block.T @ dpre, w_bounds)):
+        _acc(t, g)
     _acc(b, dpre)
+    src_bounds = p.data.shape[1] + h.data.shape[1] * np.arange(6)  # p | l | r | h | sp | gs | gt
+    d_p, d_left, d_right, d_self, d_sp, d_gs, d_gt = np.split(dpre @ stacked.T, src_bounds, axis=1)
+    _acc(p, d_p)
     _acc(h, d_self)
     for g in _grid_sources_vjp(grid_shape, sp_mask, d_left, d_right, d_sp):
         _acc(h, g)
     for g in _grid_sources_vjp(grid_shape, sp_mask, dc_left, dc_right, dc_sp):
         _acc(c, g)
-    for state, g in ((g_s, d_gs), (g_t, d_gt), (c_gs, d_cgs), (c_gt, d_cgt)):
-        _acc(state, g)
+    for state, g, axis in ((g_s, d_gs, 2), (g_t, d_gt, 1), (c_gs, dcgs, 2), (c_gt, dcgt, 1)):
+        _acc(state, _pool(grid_shape, axis, g))
 
 
-def grid_cell(h, c, p_proj, g_s, g_t, weights, c_gs, c_gt, grid_shape,
+def grid_cell(h, c, p, g_s, g_t, weights, c_gs, c_gt, grid_shape,
               sp_mask) -> tuple[Tensor, Tensor]:
     """One encoder layer's update of every cell of a (B, T, K, hidden)
-    ``grid_shape`` grid with (rows, hidden) states ``h``, ``c``; returns (h, c):
+    ``grid_shape`` grid with (rows, hidden) states ``h``, ``c`` and
+    (rows, 3) inputs ``p``; returns (h, c):
 
-        pre = p_proj + [h_left | h_right | h] w + h_sp z + gs_rows gs + gt_rows gt + b
+        block = [p | h_left | h_right | h | h_sp | gs_rows | gt_rows]
+        pre = block [u; w; z; gs; gt] + b
         (h', c') = gated cell of pre over [c_left, c, c_right, c_sp, cgs_rows, cgt_rows]
 
-    ``weights`` is (w, z, gs, gt, b); the global states ``g_s``, ``c_gs``
-    (B*T, hidden) and ``g_t``, ``c_gt`` (B*K, hidden) enter as ``*_rows``,
-    spread to one row per cell, and left, right and sp are the sources
-    of ``_grid_sources``, with ``sp_mask`` (rows, 1) 0 at chain heads.
-    Values and gradients are bit-identical to that composition with one
-    spread node per global state; the node saves the gates, the
-    candidate and tanh(c'), and its vjp recomputes the shifted and
-    spread copies.
+    ``weights`` is (u, w, z, gs, gt, b), the first five stacked by rows
+    into one (3 + 6 * hidden, 9 * hidden) matrix; the global states
+    ``g_s``, ``c_gs`` (B*T, hidden) and ``g_t``, ``c_gt`` (B*K, hidden)
+    enter as ``*_rows``, spread to one row per cell, and left, right and
+    sp are the sources of ``_grid_sources``, with ``sp_mask`` (rows, 1)
+    0 at chain heads.  Values and gradients are bit-identical to that
+    composition with one spread node per global state; the node saves
+    the gates, the candidate and tanh(c'), and its vjp recomputes the
+    block and the shifted and spread copies of c.
     """
-    parents = tuple(map(_as_tensor, (h, c, p_proj, g_s, g_t, *weights, c_gs, c_gt)))
+    parents = tuple(map(_as_tensor, (h, c, p, g_s, g_t, *weights, c_gs, c_gt)))
     return _apply("grid_cell", parents, _grid_vjp, _grid_fwd, grid_shape, sp_mask)
 
 
 # -- tape walk --------------------------------------------------------------
 
 
-def _tape_order(root: Tensor) -> tuple[list[Tensor], set[int]]:
+def _tape_order(root: Tensor) -> list[Tensor]:
     """Every tensor ``root`` depends on, each after its parents, ``root``
-    last; and the set of their ids."""
+    last."""
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -765,7 +760,7 @@ def _tape_order(root: Tensor) -> tuple[list[Tensor], set[int]]:
         for parent in node.parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
-    return order, seen
+    return order
 
 
 def backward(root: Tensor, leaves=(), grads=None) -> None:
@@ -791,7 +786,7 @@ def backward(root: Tensor, leaves=(), grads=None) -> None:
         raise NonScalarRoot(f"backward root must be scalar, got shape {root.data.shape}")
     leaves = tuple(leaves)
     keep = {id(leaf) for leaf in leaves}
-    order, _ = _tape_order(root)
+    order = _tape_order(root)
     for node in order:
         node.grad = None
     fresh = (np.zeros_like(leaf.data) for leaf in leaves)
@@ -1001,7 +996,7 @@ def grad_check(
     out = f()
     backward(out, leaves=leaves.values())
     analytic = {name: t.grad.copy() for name, t in leaves.items()}
-    order, _ = _tape_order(out)
+    order = _tape_order(out)
     per_leaf: dict[str, float] = {}
     skipped: list[tuple[str, int]] = []
     refine = refine_threshold is not None and _REFINE_AVAILABLE

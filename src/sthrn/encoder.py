@@ -152,13 +152,12 @@ def encode(p: np.ndarray, params: dict[str, Tensor], layout: ChainLayout,
     g_t = c_gt = mean(1, global_temporal)
     g_s = c_gs = mean(2, global_spatial)
     fused = _fused_gate_params(params)
-    p_proj = ad.matmul(rows, fused[0])  # U p, the same at every layer
     sp_mask = (layout.spatial_prev() >= 0).astype(np.float64)
     sp_mask = np.tile(sp_mask, B * T)[:, None]  # (B*T*K, 1), 0 at chain heads
     for _ in range(layers):
         # GATE_ORDER is the grid cell's column layout: the "in" gate on the
         # candidate, one gate per cell source, "out", then "cand"
-        h, c = ad.grid_cell(h, c, p_proj, g_s, g_t, fused[1:], c_gs, c_gt, grid, sp_mask)
+        h, c = ad.grid_cell(h, c, rows, g_s, g_t, fused, c_gs, c_gt, grid, sp_mask)
         if global_temporal:
             g_t, c_gt = ad.pooled_cell(h, c, g_t, c_gt, _global_weights(params, "enc.gt"),
                                        grid, axis=1)

@@ -291,8 +291,10 @@ def load_topology(path) -> SkeletonTopology:
 
 
 def builtin_topology(name: str) -> SkeletonTopology:
-    """Load one of the shipped topologies: human, mouse, chain3, fork7."""
-    ref = resources.files("sthrn.data").joinpath(f"{name}.topo")
+    """Load one of the shipped topologies: human, mouse, chain3, fork7,
+    from this package's own ``data`` directory, whatever name the
+    package was imported under."""
+    ref = resources.files(__package__) / "data" / f"{name}.topo"
     if not ref.is_file():
         raise ValidationError(f"no builtin topology named {name!r}")
     with resources.as_file(ref) as path:

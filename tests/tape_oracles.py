@@ -2,21 +2,24 @@
 
 ``sthrn.autodiff.grid_cell`` fuses one encoder layer's composition of
 ``spread_rows`` of each global state, ``shift_rows``, ``mul`` by the
-chain-head mask, ``concat``, ``linear`` and ``gated_cell`` into one
-node, and ``sthrn.autodiff.pooled_cell`` a ``spread_rows`` of the
-previous global state and the op-by-op global update.  Those
-compositions, and the ones that the LSTM cell and ``wrap_rows``
-replace, also take ``sigmoid``, ``tanh`` and ``div`` nodes; the
-composed grid cell's ``linear`` adds its six terms at one node, so
-that ``grid_cell``'s gradients match its vjp's order of adds.  The ops
-below are those of the compositions, built the way the package builds
-its own ops (through ``_apply`` and ``_acc``).
+chain-head mask, ``concat`` of the source block and of the stacked
+gate weights, ``linear`` and ``gated_cell`` into one node, and
+``sthrn.autodiff.pooled_cell`` a ``spread_rows`` of the previous global
+state and the op-by-op global update.  Those compositions, and the
+ones that the LSTM cell and ``wrap_rows`` replace, also take
+``matmul``, ``sigmoid``, ``tanh`` and ``div`` nodes.  The ops below are
+those of the compositions, built the way the package builds its own
+ops (through ``_apply`` and ``_acc``).
 ``composed_grid_cell`` and ``unfused_pooled`` spell the two cells out
 with them, taking the spread global states as arguments,
 ``unfused_lstm`` the LSTM step, and
 ``composed_encode`` is the encoder built from them, with one spread
 node per global state that the grid cell and the pooled cell share,
-as before the fusion.
+as before the fusion.  ``six_term_grid_cell`` is the grid cell as it
+summed its pre-activation before the source block: a term-list
+``linear`` of U p, four products and the bias, whose one node makes
+its gradients match that cell's order of adds; ``composed_encode``
+builds that layout too, the oracle of the source block's round-off.
 
 ``looped_train`` is ``sthrn.train`` on the per-tensor optimizer path it
 had before a model's parameters, gradients and Adam's moments became
@@ -65,13 +68,25 @@ def div(a, b):
     return ad._apply("div", (ad._as_tensor(a), ad._as_tensor(b)), _div_vjp, np.true_divide)
 
 
+def _matmul_vjp(node, g):
+    a, b = node.parents
+    ad._acc(a, g @ b.data.T)
+    ad._acc(b, a.data.T @ g)
+
+
+def matmul(a, b):
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    ad._check_matmul(a, b)
+    return ad._apply("matmul", (a, b), _matmul_vjp, np.matmul)
+
+
 def unfused_lstm(x, h, c, w, b):
     """The fifteen-op LSTM step that ``ad.lstm_cell`` fuses.  Its matmul
     node adds ``[x | h].T @ dz`` into ``w`` at every step, the layout
     before ``lstm_cell`` deferred a leaf weight's products to the end of
     the walk."""
     hidden = h.data.shape[1]
-    z = ad.add(ad.matmul(ad.concat([x, h], axis=1), w), b)
+    z = ad.add(matmul(ad.concat([x, h], axis=1), w), b)
     i = sigmoid(ad._narrow(z, np.s_[:, 0 * hidden:1 * hidden]))
     f = sigmoid(ad._narrow(z, np.s_[:, 1 * hidden:2 * hidden]))
     o = sigmoid(ad._narrow(z, np.s_[:, 2 * hidden:3 * hidden]))
@@ -159,19 +174,38 @@ def gated_cell(pre, sources):
     return ad._apply("gated_cell", parents, _gated_vjp, ad._gated_fwd)
 
 
-def composed_grid_cell(h, c, p_proj, gs_rows, gt_rows, weights, cgs_rows, cgt_rows,
-                       grid_shape, sp_mask):
-    """``ad.grid_cell`` op by op, with the same arguments."""
+def _grid_shifts(x, grid_shape, sp_mask):
+    """``x``'s left, right and masked spatial sources as shift nodes."""
     _, T, K, _ = grid_shape
+    return (shift_rows(x, K, T * K), shift_rows(x, -K, T * K),
+            ad.mul(shift_rows(x, 1), sp_mask))
+
+
+def composed_grid_cell(h, c, p, gs_rows, gt_rows, weights, cgs_rows, cgt_rows,
+                       grid_shape, sp_mask):
+    """``ad.grid_cell`` op by op, with the same arguments: the source
+    block a concat node and the stacked weights another, read by one
+    ``linear``."""
+    *stacked, b = weights
+    h_left, h_right, h_sp = _grid_shifts(h, grid_shape, sp_mask)
+    block = ad.concat([p, h_left, h_right, h, h_sp, gs_rows, gt_rows], axis=1)
+    pre = ad.linear(block, ad.concat(stacked, axis=0), b)
+    c_left, c_right, c_sp = _grid_shifts(c, grid_shape, sp_mask)
+    return gated_cell(pre, [c_left, c, c_right, c_sp, cgs_rows, cgt_rows])
+
+
+def six_term_grid_cell(h, c, p_proj, gs_rows, gt_rows, weights, cgs_rows, cgt_rows,
+                       grid_shape, sp_mask):
+    """The grid cell as it summed its pre-activation before the source
+    block: ``p_proj`` is U p, a node that every layer reads, and
+    ``weights`` (w, z, gs, gt, b); one ``linear`` adds p_proj and the
+    products of the neighbour triple, h_sp and the spread global states
+    with their own weights, and the bias, in ``_tree_sum`` order."""
     w, z, gs, gt, b = weights
-    h_left = shift_rows(h, K, T * K)
-    h_right = shift_rows(h, -K, T * K)
-    h_sp = ad.mul(shift_rows(h, 1), sp_mask)
+    h_left, h_right, h_sp = _grid_shifts(h, grid_shape, sp_mask)
     triple = ad.concat([h_left, h_right, h], axis=1)
     pre = linear([p_proj, (triple, w), (h_sp, z), (gs_rows, gs), (gt_rows, gt), b])
-    c_left = shift_rows(c, K, T * K)
-    c_right = shift_rows(c, -K, T * K)
-    c_sp = ad.mul(shift_rows(c, 1), sp_mask)
+    c_left, c_right, c_sp = _grid_shifts(c, grid_shape, sp_mask)
     return gated_cell(pre, [c_left, c, c_right, c_sp, cgs_rows, cgt_rows])
 
 
@@ -184,33 +218,40 @@ def unfused_pooled(h, c, g_prev, c_prev, g_rows, weights, grid_shape, axis):
     def pool(x):
         return ad.reshape(ad.tsum(ad.reshape(x, grid_shape), axis=axis), rows)
 
-    cell = sigmoid(ad.add(ad.add(ad.matmul(h, w_c), ad.matmul(g_rows, z_c)), b_c))
+    cell = sigmoid(ad.add(ad.add(matmul(h, w_c), matmul(g_rows, z_c)), b_c))
     contrib = pool(ad.mul(cell, c))
     h_mean = ad.mul(pool(h), 1.0 / n)
-    f = sigmoid(ad.add(ad.add(ad.matmul(h_mean, w_f), ad.matmul(g_prev, z_f)), b_f))
-    out = sigmoid(ad.add(ad.add(ad.matmul(h_mean, w_o), ad.matmul(g_prev, z_o)), b_o))
+    f = sigmoid(ad.add(ad.add(matmul(h_mean, w_f), matmul(g_prev, z_f)), b_f))
+    out = sigmoid(ad.add(ad.add(matmul(h_mean, w_o), matmul(g_prev, z_o)), b_o))
     c_next = ad.add(contrib, ad.mul(f, c_prev))
     return ad.mul(out, tanh(c_next)), c_next
 
 
-def composed_encode(p, params, layout, layers, global_temporal=True, global_spatial=True):
+def composed_encode(p, params, layout, layers, global_temporal=True, global_spatial=True,
+                    six_terms=False):
     """``sthrn.encoder.encode`` for B stacked (B, T, K, 3) windows, built
     from the oracles: per layer one ``spread_rows`` per global state,
     ``composed_grid_cell`` and ``unfused_pooled``, the latter reading
-    the grid cell's spread of its own previous state."""
+    the grid cell's spread of its own previous state.  With
+    ``six_terms`` the grid cell is ``six_term_grid_cell``, every layer
+    reading one ``matmul`` node of U p: the layout before the source
+    block."""
     state = encode(p, params, layout, 0, global_temporal, global_spatial)
     grid = state.grid_shape
     B, T, K, _ = grid
     fused = _fused_gate_params(params)
-    p_proj = ad.matmul(np.asarray(p, dtype=np.float64).reshape(B * T * K, 3), fused[0])
+    rows = np.asarray(p, dtype=np.float64).reshape(B * T * K, 3)
+    cell, first, weights = composed_grid_cell, rows, fused
+    if six_terms:
+        cell, first, weights = six_term_grid_cell, matmul(rows, fused[0]), fused[1:]
     sp_mask = np.tile((layout.spatial_prev() >= 0).astype(np.float64), B * T)[:, None]
     for _ in range(layers):
         gs_rows = spread_rows(state.g_s, grid, 2)
         gt_rows = spread_rows(state.g_t, grid, 1)
         cgs_rows = spread_rows(state.c_gs, grid, 2)
         cgt_rows = spread_rows(state.c_gt, grid, 1)
-        h, c = composed_grid_cell(state.h, state.c, p_proj, gs_rows, gt_rows, fused[1:],
-                                  cgs_rows, cgt_rows, grid, sp_mask)
+        h, c = cell(state.h, state.c, first, gs_rows, gt_rows, weights, cgs_rows, cgt_rows,
+                    grid, sp_mask)
         g_t, c_gt, g_s, c_gs = state.g_t, state.c_gt, state.g_s, state.c_gs
         if global_temporal:
             g_t, c_gt = unfused_pooled(h, c, g_t, c_gt, gt_rows, _global_weights(params, "enc.gt"),

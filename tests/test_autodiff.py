@@ -56,7 +56,7 @@ def test_matmul_value_matches_naive_loops():
         for j in range(5):
             for k in range(3):
                 naive[i, j] += x[i, k] * y[k, j]
-    assert np.allclose(ad.matmul(leaf(x), leaf(y)).data, naive, atol=1e-12)
+    assert np.allclose(oracle.matmul(leaf(x), leaf(y)).data, naive, atol=1e-12)
 
 
 def test_shape_op_values():
@@ -117,7 +117,7 @@ def test_broadcast_gradient_unbroadcasts():
 def test_matmul_gradient_by_hand():
     rng = np.random.default_rng(1)
     a, b = leaf(rng.normal(size=(2, 3))), leaf(rng.normal(size=(3, 4)))
-    backward(ad.tsum(ad.matmul(a, b)), leaves=[a, b])
+    backward(ad.tsum(oracle.matmul(a, b)), leaves=[a, b])
     g = np.ones((2, 4))
     assert np.allclose(a.grad, g @ b.data.T, atol=1e-12)
     assert np.allclose(b.grad, a.data.T @ g, atol=1e-12)
@@ -308,6 +308,15 @@ def test_gated_cell_matches_unfused_composition():
         assert err < 1e-6, name
 
 
+def spread_grid_composition(h, c, p, g_s, g_t, weights, c_gs, c_gt, grid, sp_mask):
+    """``ad.grid_cell``'s composition with one spread node per global
+    state, taking the op's arguments."""
+    spread = [oracle.spread_rows(g, grid, axis)
+              for g, axis in ((g_s, 2), (g_t, 1), (c_gs, 2), (c_gt, 1))]
+    return oracle.composed_grid_cell(h, c, p, spread[0], spread[1], weights,
+                                     spread[2], spread[3], grid, sp_mask)
+
+
 @pytest.mark.parametrize("topo", ["fork7", "chain3"])
 @pytest.mark.parametrize("windows", [1, 3])
 @pytest.mark.parametrize("first_layer", [True, False])
@@ -333,37 +342,68 @@ def test_grid_cell_matches_its_composition(topo, windows, first_layer, ablated):
             g = leaf(rng.normal(size=(n, d)))
             states[name] = (g, g if first_layer else leaf(rng.normal(size=(n, d))))
     (g_s, c_gs), (g_t, c_gt) = states["s"], states["t"]
-    p_proj = leaf(0.3 * rng.normal(size=(rows, 9 * d)))
-    weights = (leaf(0.3 * rng.normal(size=(3 * d, 9 * d))),
+    p = leaf(rng.normal(size=(rows, 3)))
+    weights = (leaf(0.3 * rng.normal(size=(3, 9 * d))), leaf(0.3 * rng.normal(size=(3 * d, 9 * d))),
                *[leaf(0.3 * rng.normal(size=(d, 9 * d))) for _ in range(3)],
                leaf(rng.normal(size=9 * d)))
     sp_mask = np.tile((layout.spatial_prev() >= 0).astype(np.float64), windows * T)[:, None]
     heads = [rng.normal(size=(rows, d)) for _ in range(2)]
 
-    def composed(h, c, p_proj, g_s, g_t, weights, c_gs, c_gt, grid, sp_mask):
-        spread = [oracle.spread_rows(g, grid, axis)
-                  for g, axis in ((g_s, 2), (g_t, 1), (c_gs, 2), (c_gt, 1))]
-        return oracle.composed_grid_cell(h, c, p_proj, spread[0], spread[1], weights,
-                                         spread[2], spread[3], grid, sp_mask)
-
     def run(cell):
-        args = (h, c, p_proj, g_s, g_t, weights, c_gs, c_gt, grid, sp_mask)
+        args = (h, c, p, g_s, g_t, weights, c_gs, c_gt, grid, sp_mask)
         with no_grad():
             bare = cell(*args)
         out = cell(*args)
         root = ad.add(ad.tsum(ad.mul(out[0], heads[0])), ad.tsum(ad.mul(out[1], heads[1])))
-        parents = [h, c, g_s, c_gs, g_t, c_gt, p_proj, *weights]
+        parents = [h, c, g_s, c_gs, g_t, c_gt, p, *weights]
         backward(root, leaves=parents)
         grads = [None if t.grad is None else t.grad.copy() for t in parents]
         return [t.data for t in (*out, *bare)], grads
 
     got_values, got_grads = run(ad.grid_cell)
-    want_values, want_grads = run(composed)
+    want_values, want_grads = run(spread_grid_composition)
     for got, want in zip(got_values, want_values, strict=True):
         assert np.array_equal(got, want)
     for k, (got, want) in enumerate(zip(got_grads, want_grads, strict=True)):
         assert (got is None) == (want is None), k
         assert got is None or np.array_equal(got, want), k
+
+
+@pytest.mark.parametrize("wide", ["h", "u", "gs", "b"])
+def test_grid_cell_keeps_long_double(wide):
+    """One operand in long double, as grad_check's refinement widens a
+    leaf: both states and that operand's gradient come out long double
+    and equal the composition's, also in long double, bit for bit.  A
+    source block written in float64 would round a long-double h."""
+    layout = ChainLayout.from_topology(builtin_topology("fork7"))
+    T, K, d = 2, layout.num_entries, 3
+    grid, rows = (1, T, K, d), T * K
+    rng = np.random.default_rng(63)
+    h, c = leaf(rng.normal(size=(rows, d))), leaf(rng.normal(size=(rows, d)))
+    g_s, c_gs = (leaf(rng.normal(size=(T, d))) for _ in range(2))
+    g_t, c_gt = (leaf(rng.normal(size=(K, d))) for _ in range(2))
+    p = rng.normal(size=(rows, 3))
+    weights = dict(zip(("u", "w", "z", "gs", "gt"),
+                       (leaf(0.3 * rng.normal(size=(m, 9 * d))) for m in (3, 3 * d, d, d, d))))
+    weights["b"] = leaf(rng.normal(size=9 * d))
+    target = h if wide == "h" else weights[wide]
+    target.data = target.data.astype(np.longdouble)
+    sp_mask = np.tile((layout.spatial_prev() >= 0).astype(np.float64), T)[:, None]
+    heads = [rng.normal(size=(rows, d)) for _ in range(2)]
+
+    def run(cell):
+        out = cell(h, c, p, g_s, g_t, tuple(weights.values()), c_gs, c_gt, grid, sp_mask)
+        root = ad.add(ad.tsum(ad.mul(out[0], heads[0])), ad.tsum(ad.mul(out[1], heads[1])))
+        backward(root, leaves=[target])
+        return [t.data for t in out], target.grad.copy()
+
+    got_values, got_grad = run(ad.grid_cell)
+    want_values, want_grad = run(spread_grid_composition)
+    for got, want in zip(got_values, want_values, strict=True):
+        assert got.dtype == np.longdouble
+        assert np.array_equal(got, want)
+    assert got_grad.dtype == np.longdouble
+    assert np.array_equal(got_grad, want_grad)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -411,7 +451,7 @@ def test_linear_matches_nested_adds():
     extra, bias = leaf(rng.normal(size=(3, 5))), leaf(rng.normal(size=5))
     leaves = {"extra": extra, "bias": bias, "x0": xs[0], "w3": ws[3]}
     terms = [extra] + list(zip(xs, ws)) + [bias]
-    prods = [ad.matmul(x, w) for x, w in zip(xs, ws)]
+    prods = [oracle.matmul(x, w) for x, w in zip(xs, ws)]
     want = ad.add(ad.add(ad.add(extra, prods[0]), ad.add(prods[1], prods[2])),
                   ad.add(prods[3], bias))
     assert np.array_equal(oracle.linear(terms).data, want.data)
@@ -499,7 +539,7 @@ OPS = {
     "mul": (ad.mul, [_r(3, 2), _r(1, 2)]),
     "mul/number": (lambda a: ad.mul(a, -1.5), [_r(3, 2)]),
     "div": (oracle.div, [_r(3, 2), 2.0 + np.abs(_r(3, 2))]),
-    "matmul": (ad.matmul, [_r(3, 4), _r(4, 2)]),
+    "matmul": (oracle.matmul, [_r(3, 4), _r(4, 2)]),
     "linear_terms": (lambda x, w, y, v, b: oracle.linear([(x, w), b, (y, v)]),
                [_r(3, 4), _r(4, 2), _r(3, 1), _r(1, 2), _r(2)]),
     "reshape": (lambda a: ad.reshape(a, (2, 3)), [_r(3, 2)]),
@@ -525,17 +565,17 @@ OPS = {
     "pooled_cell": (lambda h, c, gp, cp, *w: ad.pooled_cell(h, c, gp, cp, w, (3, 2, 2), 0),
                     [_r(6, 2), _r(6, 2), _r(2, 2), _r(2, 2)]
                     + [0.3 * _r(2, 2), 0.3 * _r(2, 2), _r(2)] * 3),
-    "grid_cell": (lambda h, c, p, g_s, g_t, w, z, gs, gt, b, c_gs, c_gt: ad.grid_cell(
-                      h, c, p, g_s, g_t, (w, z, gs, gt, b), c_gs, c_gt, (1, 2, 3, 2),
+    "grid_cell": (lambda h, c, p, g_s, g_t, u, w, z, gs, gt, b, c_gs, c_gt: ad.grid_cell(
+                      h, c, p, g_s, g_t, (u, w, z, gs, gt, b), c_gs, c_gt, (1, 2, 3, 2),
                       np.array([[0.0], [1.0], [1.0]] * 2)),
-                  [_r(6, 2), _r(6, 2), 0.3 * _r(6, 18), _r(2, 2), _r(3, 2)]
-                  + [0.3 * _r(6, 18)] + [0.3 * _r(2, 18) for _ in range(3)]
+                  [_r(6, 2), _r(6, 2), _r(6, 3), _r(2, 2), _r(3, 2)]
+                  + [0.3 * _r(3, 18), 0.3 * _r(6, 18)] + [0.3 * _r(2, 18) for _ in range(3)]
                   + [_r(18), _r(2, 2), _r(3, 2)]),
     "linear": (ad.linear, [_r(3, 4), _r(4, 2), _r(2)]),
 }
 # the test-local oracle ops take the same checks, since the tests of the
 # fused ops and of the wrap trust their values and gradients
-ORACLE_OPS = {"div", "sigmoid", "tanh", "shift_rows", "gated_cell", "linear_terms"}
+ORACLE_OPS = {"div", "sigmoid", "tanh", "matmul", "shift_rows", "gated_cell", "linear_terms"}
 
 
 def test_op_table_covers_every_public_op():
@@ -793,9 +833,9 @@ def test_composite_chain_hand_gradient():
 
 def test_matmul_shape_errors():
     with pytest.raises(ShapeMismatch):
-        ad.matmul(leaf(np.ones(3)), leaf(np.ones((3, 2))))
+        oracle.matmul(leaf(np.ones(3)), leaf(np.ones((3, 2))))
     with pytest.raises(ShapeMismatch):
-        ad.matmul(leaf(np.ones((2, 3))), leaf(np.ones((4, 2))))
+        oracle.matmul(leaf(np.ones((2, 3))), leaf(np.ones((4, 2))))
 
 
 def test_reductions_refuse_an_axis_out_of_range():
@@ -824,7 +864,7 @@ def test_grad_check_passes_smooth_function():
     w = leaf(rng.normal(size=(4, 2)))
 
     def f():
-        return ad.tsum(oracle.sigmoid(ad.matmul(x, w)))
+        return ad.tsum(oracle.sigmoid(oracle.matmul(x, w)))
 
     report = grad_check(f, {"x": x, "w": w})
     assert report.max_rel_error < 1e-6
@@ -911,7 +951,7 @@ def test_grad_check_report_counts_its_cost():
     w = leaf(rng.normal(size=(4, 2)))
 
     def f():
-        return ad.tsum(oracle.sigmoid(ad.matmul(x, w)))
+        return ad.tsum(oracle.sigmoid(oracle.matmul(x, w)))
 
     report = grad_check(f, {"x": x, "w": w}, refine_threshold=None)
     # the taped call, then the first and last component of each leaf at
@@ -934,7 +974,7 @@ def test_grad_check_sizes_its_passes_by_the_cone_bytes():
     def f():
         return ad.tsum(oracle.tanh(ad.mul(x, big)))
 
-    order, _ = ad._tape_order(f())
+    order = ad._tape_order(f())
     assert ad._cone(order, x)[1] == 1
     report = grad_check(f, {"x": x}, refine_threshold=None)
     assert (report.replays, report.passes, report.fallbacks) == (6, 3, 0)
@@ -1056,7 +1096,7 @@ WRAP_BIASES = {"dec.proj.0.b": [1.8, 0.3, 0.3, 0.2, 0.3, 0.2],
 
 def first_step_wraps(f) -> bool:
     """Whether the first decoder step of ``f``'s tape wraps an entry."""
-    order, _ = ad._tape_order(f())
+    order = ad._tape_order(f())
     wrap = next(n for n in order if n.op == "wrap")
     return wrap.data is not wrap.parents[0].data
 
@@ -1066,7 +1106,7 @@ def at_pi_biases(config, step=1e-5):
     first step at (pi - step / 2, 0, 0): at +step on ``dec.proj.0.b[0]``
     it wraps, at -step it does not."""
     f, _ = model_loss_fn("fork7", config, windows=1, observed=6, horizon=3, seed=7)
-    order, _ = ad._tape_order(f())
+    order = ad._tape_order(f())
     before_wrap = next(n for n in order if n.op == "wrap").parents[0].data  # bias 0
     bias = np.zeros(6)
     bias[:3] = np.array([np.pi - step / 2, 0.0, 0.0]) - before_wrap[0, :3]
@@ -1097,7 +1137,7 @@ def test_replayed_losses_equal_calling_f(fixture):
     f, named = model_loss_fn("fork7", config, windows=1, observed=6, horizon=3, seed=7,
                              biases=biases(config) if callable(biases) else biases)
     root = f()
-    order, _ = ad._tape_order(root)
+    order = ad._tape_order(root)
     wraps = [n for n in order if n.op == "wrap" and n.data is not n.parents[0].data]
     assert len(wraps) == recorded_wraps
     if fixture == "wrap-at-pi":  # one component's two probes fall on both sides of pi
@@ -1147,7 +1187,7 @@ def test_long_double_replay_equals_refine_fd(fixture):
     f, named = model_loss_fn("fork7", config, windows=1, observed=6, horizon=3, seed=7,
                              biases=biases(config) if callable(biases) else biases)
     root = f()
-    order, _ = ad._tape_order(root)
+    order = ad._tape_order(root)
     rng = np.random.default_rng(53)
     with no_grad():
         for name, t in named.items():

@@ -1,12 +1,13 @@
 """Encoder grid/global update checks against independent calculators."""
 
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
 import sthrn.autodiff as ad
+import sthrn.model
 from sthrn.autodiff import Tensor, backward, grad_check
 from sthrn.encoder import (
     GATE_ORDER,
@@ -14,8 +15,9 @@ from sthrn.encoder import (
     GLOBAL_FIELDS,
     encode,
 )
-from sthrn.model import ModelConfig, ModelParams, param_table
-from sthrn.skeleton import builtin_topology
+from sthrn.model import ModelConfig, ModelParams, forward, frames_tensor, param_table
+from sthrn.skeleton import builtin_topology, synth_motion
+from sthrn.training import bone_weights, weighted_loss
 
 import tape_oracles as oracle
 from encoder_reference import encode_reference, local_cell_step
@@ -382,6 +384,44 @@ def test_encode_matches_spread_node_layout(topo, ablated):
         assert np.array_equal(got, want), name
     for name, got, want in zip(params, got_grads, want_grads, strict=True):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("topo", ["fork7", "human"])
+def test_source_block_moves_the_model_only_at_round_off(topo, monkeypatch):
+    """``encode`` against the six-term layout it had before the grid
+    cell multiplied one source block (``composed_encode`` with
+    ``six_terms``: one ``matmul`` node of U p that every layer reads,
+    and the six terms of each pre-activation added in ``_tree_sum``
+    order).  One product sums each entry's 3 + 6 * hidden products in
+    another order, so the six states, a model's loss and every leaf
+    gradient move by at most one rounding per summed product of their
+    largest magnitude."""
+    skeleton = builtin_topology(topo)
+    lay = ChainLayout.from_topology(skeleton)
+    config = ModelConfig(hidden_size=8, layers=3)
+    params = ModelParams.init(config, lay, seed=28)
+    named = params.named()
+    k = lay.num_entries
+    seq = synth_motion("sinusoid", 12, skeleton, seed=29).frames
+    frames = np.stack([seq[:10], seq[2:]])  # two windows of 6 observed and 4 future frames
+    theta = bone_weights(skeleton.entry_lengths())
+    bound = (3 + 6 * config.hidden_size) * np.finfo(np.float64).eps
+
+    def run(build):
+        monkeypatch.setattr(sthrn.model, "encode", build)
+        state = build(frames[:, :5], named, lay, config.layers)
+        outs = forward(params, config, lay, frames[:, :6], 4)
+        loss = weighted_loss(frames_tensor(outs, k), frames[:, 6:].reshape(-1, k, 3), theta)
+        backward(loss, leaves=named.values())
+        return ([getattr(state, name).data for name in STATE_FIELDS] + [loss.data],
+                [t.grad.copy() for t in named.values()])
+
+    got_values, got_grads = run(encode)
+    want_values, want_grads = run(partial(oracle.composed_encode, six_terms=True))
+    for name, got, want in zip(STATE_FIELDS + ("loss",), got_values, want_values, strict=True):
+        assert np.abs(got - want).max() <= bound * np.abs(want).max(), name
+    for name, got, want in zip(named, got_grads, want_grads, strict=True):
+        assert np.abs(got - want).max() <= bound * np.abs(want).max(), name
 
 
 def test_encoder_gradients_against_differences():

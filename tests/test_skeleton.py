@@ -1,12 +1,17 @@
 """Topology, pose conversion, motion IO, and sampling checks."""
 
+import importlib.util
 import math
 import re
+import shutil
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sthrn
 from sthrn.geometry import DegenerateBone, DimensionMismatch
 from sthrn.skeleton import (
     EmptyInput,
@@ -68,6 +73,27 @@ def test_builtin_small_rigs():
     fork7 = builtin_topology("fork7")
     assert fork7.entry_counts() == (2, 2)
     assert fork7.num_entries() == 4
+
+
+def test_builtin_topology_reads_its_own_package_data(tmp_path):
+    # a copy of the package imported under another name, with chain3's
+    # file as its fork7.topo: it loads its own file, not sthrn's
+    copy = tmp_path / "sthrn_copy"
+    shutil.copytree(Path(sthrn.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copyfile(copy / "data" / "chain3.topo", copy / "data" / "fork7.topo")
+    spec = importlib.util.spec_from_file_location(
+        copy.name, copy / "__init__.py", submodule_search_locations=[str(copy)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[copy.name] = module
+    try:
+        spec.loader.exec_module(module)
+        assert module.builtin_topology("fork7").entry_counts() == (1,)
+        assert module.builtin_topology("human").entry_counts() == (4, 2, 2, 2, 2)
+    finally:
+        for name in [n for n in sys.modules if n.split(".")[0] == copy.name]:
+            del sys.modules[name]
+    assert builtin_topology("fork7").entry_counts() == (2, 2)
 
 
 def test_builtin_unknown_name():
