@@ -136,7 +136,7 @@ def cmd_preprocess(args) -> int:
     if args.fps is not None:
         seq = resample_fps(seq, args.fps)
     topo = normalize_lengths([seq], topo)
-    lie = np.stack([pose_to_lie(frame, topo) for frame in seq.frames], axis=0)
+    lie = pose_to_lie(seq.frames, topo)
     save_motion(args.out, MotionSequence(fps=seq.fps, frames=lie, kind="lie"))
     lengths_out = args.lengths_out or (str(args.out) + ".lengths")
     with open(lengths_out, "w", encoding="utf-8") as fh:
@@ -234,8 +234,9 @@ def _parse_frames(spec: str, total: int) -> list[int]:
     return indices
 
 
-def render_svg(poses: list[np.ndarray], topo: SkeletonTopology) -> str:
-    """Stick figures side by side, one color per chain, front (x, z) view."""
+def render_svg(poses, topo: SkeletonTopology) -> str:
+    """Stick figures of poses, each (J, 3), side by side, one color per
+    chain, front (x, z) view."""
     index = topo.joint_index()
     spans = [pose[:, 0].max() - pose[:, 0].min() for pose in poses]
     slot = max(max(spans), 1e-6) * 1.25
@@ -286,13 +287,11 @@ def render_svg(poses: list[np.ndarray], topo: SkeletonTopology) -> str:
 
 def cmd_plot(args) -> int:
     topo = load_topology(args.topology)
-    seq = load_motion(args.data, topo)
+    seq = load_motion(args.data, topo).check_finite(args.data)
     indices = _parse_frames(args.frames, seq.frames.shape[0])
-    if seq.kind == "joints":
-        poses = [seq.frames[i] for i in indices]
-    else:
-        root = RootConfig.canonical(topo)
-        poses = [lie_to_pose(seq.frames[i], topo, root) for i in indices]
+    poses = seq.frames[indices]
+    if seq.kind == "lie":
+        poses = lie_to_pose(poses, topo, RootConfig.canonical(topo))
     svg = render_svg(poses, topo)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)

@@ -3,9 +3,16 @@
 All rotations are 3x3 orthonormal matrices with determinant +1.  The
 vector form of a rotation is the scaled axis ``omega = theta * n`` with
 ``n`` a unit axis and ``theta`` in ``[0, pi]``; ``exp_map`` and
-``log_map`` convert between the two.  ``axis_angle_between`` produces
-the rotation carrying one unit direction onto another, which is the
-primitive underlying the relative-bone pose representation.
+``log_map`` convert between the two (Murray, Li and Sastry, *A
+Mathematical Introduction to Robotic Manipulation*, 1994, ch. 2).
+``axis_angle_between`` produces the rotation carrying one unit
+direction onto another, which is the primitive underlying the
+relative-bone pose representation.
+
+Every map but ``log_map`` takes a stack of vectors, a ``(..., 3)``
+array, and one vector is the single-item case.  Inner products and
+norms go through ``inner``, so a stack rounds each row exactly as a
+call on that one vector would.
 """
 
 from __future__ import annotations
@@ -23,10 +30,6 @@ _X_HAT = np.array([1.0, 0.0, 0.0])
 _Y_HAT = np.array([0.0, 1.0, 0.0])
 
 
-class AntipodalInput(ValueError):
-    """Directions are opposite, so the rotation axis is underdetermined."""
-
-
 class DegenerateBone(ValueError):
     """A bone has (near) zero length, so its direction is undefined."""
 
@@ -36,23 +39,24 @@ class DimensionMismatch(ValueError):
 
 
 class AxisAngle(NamedTuple):
-    """A unit rotation axis and an angle in [0, pi]."""
+    """Unit rotation axes (..., 3) and angles (...) in [0, pi]."""
 
     axis: np.ndarray
-    angle: float
+    angle: float | np.ndarray
 
 
 def _as_vec3(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (3,):
-        raise DimensionMismatch(f"{name} must have shape (3,), got {v.shape}")
+    if v.ndim == 0 or v.shape[-1] != 3:
+        raise DimensionMismatch(f"{name} must have shape (..., 3), got {v.shape}")
     return v
 
 
 def _check_unit(v: np.ndarray, name: str) -> np.ndarray:
-    n = np.linalg.norm(v)
-    if abs(n - 1.0) > _UNIT_TOL:
-        raise ValueError(f"{name} must be unit length, norm is {n!r}")
+    n = _norm(v)
+    off = np.abs(n - 1.0) > _UNIT_TOL
+    if off.any():
+        raise ValueError(f"{name} must be unit length, norm is {n[off][0]!r}")
     return v
 
 
@@ -66,65 +70,74 @@ def _check_rotation(rot) -> np.ndarray:
     return rot
 
 
+def inner(a, b) -> np.ndarray:
+    """Row-wise inner product of (..., 3) arrays.
+
+    Each row is a stacked (1, 3) @ (3, 1) product, which rounds exactly
+    as ``np.dot`` of that one pair does; ``(a * b).sum(-1)`` and
+    ``einsum`` do not, nor does ``np.linalg.norm(axis=-1)`` match
+    ``np.linalg.norm`` of one vector as ``sqrt(inner(v, v))`` does.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(inner(v, v))
+
+
 def hat(v) -> np.ndarray:
-    """Skew-symmetric matrix such that hat(v) @ u == cross(v, u)."""
+    """Skew-symmetric matrices (..., 3, 3) such that hat(v) @ u == cross(v, u)."""
     v = _as_vec3(v, "v")
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    k = np.zeros(v.shape[:-1] + (3, 3))
+    k[..., [2, 0, 1], [1, 2, 0]] = v   # k[2, 1] = x, k[0, 2] = y, k[1, 0] = z
+    k[..., [1, 2, 0], [2, 0, 1]] = -v
+    return k
 
 
-def rodrigues(axis, angle: float) -> np.ndarray:
-    """Rotation matrix for a unit axis and an angle.
+def rodrigues(axis, angle) -> np.ndarray:
+    """Rotation matrices (..., 3, 3) for unit axes (..., 3) and angles (...).
 
     R = I + sin(angle) * hat(axis) + (1 - cos(angle)) * hat(axis)^2.
     """
-    axis = _check_unit(_as_vec3(axis, "axis"), "axis")
-    k = hat(axis)
+    k = hat(_check_unit(_as_vec3(axis, "axis"), "axis"))
+    angle = np.asarray(angle, dtype=np.float64)[..., None, None]
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
 def axis_angle_between(e_from, e_to) -> AxisAngle:
-    """Axis-angle rotation carrying unit vector ``e_from`` onto ``e_to``.
+    """Axis-angle rotations carrying unit vectors ``e_from`` onto ``e_to``.
 
     The axis is ``cross(e_from, e_to)`` normalized and the angle is
     ``arccos`` of the clamped inner product.  Identical directions give
-    a zero angle with a conventional axis.
-
-    Raises:
-        AntipodalInput: if the directions are opposite; the caller must
-            pick an orthogonal axis, e.g. via ``antipodal_axis``.
+    a zero angle with a conventional axis, x.  Opposite directions, with
+    an inner product below -1 + 1e-8, give the half turn about
+    ``antipodal_axis(e_from)``: any axis orthogonal to the source
+    realizes it, and this one is deterministic.
     """
     e_from = _check_unit(_as_vec3(e_from, "e_from"), "e_from")
     e_to = _check_unit(_as_vec3(e_to, "e_to"), "e_to")
-    d = float(np.dot(e_from, e_to))
-    if d < -1.0 + _ANTIPODAL_MARGIN:
-        raise AntipodalInput("directions are antipodal, axis is underdetermined")
+    d = inner(e_from, e_to)
     c = np.cross(e_from, e_to)
-    s = float(np.linalg.norm(c))
-    if s < _EPS:
-        return AxisAngle(_X_HAT.copy(), 0.0)
-    angle = float(np.arccos(np.clip(d, -1.0, 1.0)))
-    return AxisAngle(c / s, angle)
+    s = _norm(c)
+    antipodal = d < -1.0 + _ANTIPODAL_MARGIN
+    parallel = (s < _EPS) & ~antipodal
+    axis = c / np.where(parallel | antipodal, 1.0, s)[..., None]
+    axis = np.where(parallel[..., None], _X_HAT, axis)
+    axis = np.where(antipodal[..., None], antipodal_axis(e_from), axis)
+    angle = np.where(antipodal, np.pi, np.where(parallel, 0.0, np.arccos(np.clip(d, -1.0, 1.0))))
+    return AxisAngle(axis, angle[()])
 
 
 def antipodal_axis(e_from) -> np.ndarray:
-    """Deterministic unit axis orthogonal to ``e_from``.
+    """Deterministic unit axes orthogonal to the rows of ``e_from``.
 
-    Used to resolve the antipodal case of ``axis_angle_between``: any
-    axis orthogonal to the source direction realizes the half-turn.
     The axis is ``normalize(cross(e_from, x_hat))``, falling back to
     ``y_hat`` when ``e_from`` is (anti)parallel to ``x_hat``.
     """
     e_from = _check_unit(_as_vec3(e_from, "e_from"), "e_from")
     c = np.cross(e_from, _X_HAT)
-    n = float(np.linalg.norm(c))
-    if n < 1e-6:
-        c = np.cross(e_from, _Y_HAT)
-        n = float(np.linalg.norm(c))
-    return c / n
+    c = np.where((_norm(c) < 1e-6)[..., None], np.cross(e_from, _Y_HAT), c)
+    return c / _norm(c)[..., None]
 
 
 def log_map(rot) -> np.ndarray:
@@ -160,20 +173,20 @@ def log_map(rot) -> np.ndarray:
 
 
 def exp_map(w) -> np.ndarray:
-    """Rotation matrix of a scaled-axis vector.
+    """Rotation matrices (..., 3, 3) of scaled-axis vectors (..., 3).
 
     Any norm is accepted; norms above pi are first wrapped into the
     equivalent [0, pi] representation, then Rodrigues is applied with
-    axis w / ||w|| and angle ||w||.
+    axis w / ||w|| and angle ||w||.  Norms below 1e-12 give the identity.
     """
     w = _as_vec3(w, "w")
-    theta = float(np.linalg.norm(w))
-    if theta > np.pi:
-        w = wrap_so3(w)
-        theta = float(np.linalg.norm(w))
-    if theta < _EPS:
-        return np.eye(3)
-    return rodrigues(w / theta, theta)
+    wrap = _norm(w) > np.pi
+    if wrap.any():  # skipping a no-op wrap keeps one vector's call cheap
+        w = np.where(wrap[..., None], wrap_so3(w), w)
+    theta = _norm(w)
+    small = theta < _EPS
+    axis = np.where(small[..., None], _X_HAT, w / np.where(small, 1.0, theta)[..., None])
+    return np.where(small[..., None, None], np.eye(3), rodrigues(axis, theta))
 
 
 def wrap_so3(w) -> np.ndarray:

@@ -19,15 +19,7 @@ from importlib import resources
 
 import numpy as np
 
-from .geometry import (
-    AntipodalInput,
-    AxisAngle,
-    DegenerateBone,
-    DimensionMismatch,
-    antipodal_axis,
-    axis_angle_between,
-    exp_map,
-)
+from .geometry import DegenerateBone, DimensionMismatch, axis_angle_between, exp_map, inner
 
 _MIN_BONE = 1e-9
 
@@ -308,79 +300,85 @@ def builtin_topology(name: str) -> SkeletonTopology:
 
 def _check_joints(joints, topo: SkeletonTopology) -> np.ndarray:
     joints = np.asarray(joints, dtype=np.float64)
-    if joints.shape != (len(topo.joints), 3):
+    if joints.shape[-2:] != (len(topo.joints), 3):
         raise DimensionMismatch(
-            f"expected ({len(topo.joints)}, 3) joint array, got {joints.shape}"
+            f"expected (..., {len(topo.joints)}, 3) joint array, got {joints.shape}"
         )
     return joints
 
 
-def _direction(joints: np.ndarray, index: dict[str, int], parent: str, child: str) -> np.ndarray:
-    """Unit direction of the bone from ``parent`` to ``child``."""
-    v = joints[index[child]] - joints[index[parent]]
-    n = float(np.linalg.norm(v))
-    if n < _MIN_BONE:
-        raise DegenerateBone(f"bone {child!r} has near-zero length")
-    return v / n
-
-
-def pose_to_lie(joints, topo: SkeletonTopology) -> np.ndarray:
-    """Relative Lie vector (K, 3) of one raw pose.
-
-    Per chain, each entry is the scaled axis of the rotation carrying
-    bone direction b onto bone direction b + 1.  Antipodal bone pairs
-    resolve to a half turn around ``antipodal_axis`` of the source
-    direction.
+def _bone_directions(joints, topo: SkeletonTopology) -> np.ndarray:
+    """Unit directions (..., B, 3) of the bones of poses (..., J, 3), in
+    ``topo.bones()`` order.
 
     Raises:
-        DegenerateBone: if any bone in the pose has near-zero length.
+        DegenerateBone: naming the first frame with a bone of near-zero
+            length, and its first such bone.
     """
     joints = _check_joints(joints, topo)
     index = topo.joint_index()
-    out = np.zeros((topo.num_entries(), 3))
-    z = 0
-    for c in range(len(topo.chains)):
-        dirs = [_direction(joints, index, *bone) for bone in topo.chain_bones(c)]
-        for b in range(1, len(dirs)):
-            try:
-                aa = axis_angle_between(dirs[b - 1], dirs[b])
-            except AntipodalInput:
-                aa = AxisAngle(antipodal_axis(dirs[b - 1]), math.pi)
-            out[z] = aa.axis * aa.angle
-            z += 1
-    return out
+    parents, children = np.array([(index[p], index[c]) for p, c in topo.bones()]).T
+    v = joints[..., children, :] - joints[..., parents, :]
+    n = np.sqrt(inner(v, v))
+    bad = np.argwhere(n < _MIN_BONE)
+    if bad.size:
+        *frame, bone = bad[0]
+        where = f"frame {', '.join(map(str, frame))}: " if frame else ""
+        raise DegenerateBone(f"{where}bone {topo.bones()[bone][1]!r} has near-zero length")
+    return v / n[..., None]
+
+
+def pose_to_lie(joints, topo: SkeletonTopology) -> np.ndarray:
+    """Relative Lie vectors (..., K, 3) of raw poses (..., J, 3).
+
+    Per chain, each entry is the scaled axis of the rotation carrying
+    bone direction b onto bone direction b + 1, as
+    ``axis_angle_between`` gives it, antipodal pairs included.
+
+    Raises:
+        DegenerateBone: if any bone of any pose has near-zero length.
+    """
+    dirs = _bone_directions(joints, topo)
+    # each entry's second bone, any but a chain's first; its first is the bone before
+    firsts = {chain[1] for chain in topo.chains}
+    onto = np.array([i for i, (_, child) in enumerate(topo.bones()) if child not in firsts], int)
+    aa = axis_angle_between(dirs[..., onto - 1, :], dirs[..., onto, :])
+    return aa.axis * aa.angle[..., None]
 
 
 def lie_to_pose(w, topo: SkeletonTopology, root: RootConfig) -> np.ndarray:
-    """Joint positions (J, 3) from a Lie vector and a root anchoring.
+    """Joint positions (..., J, 3) from Lie vectors (..., K, 3) and a root
+    anchoring.
 
-    Walks each chain from its attachment joint: the first bone follows
-    the chain's anchored direction, and every entry rotates the running
-    direction onto the next bone.
+    One ``exp_map`` call turns every entry into a rotation.  Then each
+    chain is walked once, for all frames together, from its attachment
+    joint: the first bone follows the chain's anchored direction, and
+    every entry rotates the running direction onto the next bone.
     """
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (topo.num_entries(), 3):
+    if w.shape[-2:] != (topo.num_entries(), 3):
         raise DimensionMismatch(
-            f"expected ({topo.num_entries()}, 3) Lie vector, got {w.shape}"
+            f"expected (..., {topo.num_entries()}, 3) Lie vector, got {w.shape}"
         )
     if len(root.directions) != len(topo.chains):
         raise DimensionMismatch("root config has wrong number of chain directions")
+    rot = exp_map(w)
     index = topo.joint_index()
-    positions = np.zeros((len(topo.joints), 3))
+    positions = np.zeros(w.shape[:-2] + (len(topo.joints), 3))
     known = {topo.chains[0][0]}
-    positions[index[topo.chains[0][0]]] = np.asarray(root.position, dtype=np.float64)
+    positions[..., index[topo.chains[0][0]], :] = np.asarray(root.position, dtype=np.float64)
     z = 0
     for c, chain in enumerate(topo.chains):
         if chain[0] not in known:
             raise ValidationError(f"chain {c} attaches to an unplaced joint")
-        p = positions[index[chain[0]]]
+        p = positions[..., index[chain[0]], :]
         d = np.asarray(root.directions[c], dtype=np.float64)
         for b, (parent, child) in enumerate(topo.chain_bones(c)):
             if b > 0:
-                d = exp_map(w[z]) @ d
+                d = (rot[..., z, :, :] @ d[..., None])[..., 0]
                 z += 1
             p = p + topo.lengths[child] * d
-            positions[index[child]] = p
+            positions[..., index[child], :] = p
             known.add(child)
     return positions
 

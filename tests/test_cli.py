@@ -119,6 +119,21 @@ def test_preprocess_refuses_non_finite_positions_exits_2(tmp_path, capsys):
     assert not (tmp_path / "motion.lie.lengths").exists()
 
 
+def test_preprocess_names_the_frame_of_a_degenerate_bone_exits_2(tmp_path, capsys):
+    raw = tmp_path / "raw.txt"
+    seq = load_motion(joints_file(tmp_path, "good.txt"))
+    frames = seq.frames.copy()
+    frames[5, 5] = frames[5, 4]  # b2 onto b1: bone b2 has no length
+    frames[9, 2] = frames[9, 1]  # a2 onto a1, in a later frame
+    save_motion(raw, MotionSequence(fps=seq.fps, frames=frames, kind="joints"))
+    out = tmp_path / "motion.lie"
+    rc = main(["preprocess", "--in", str(raw), "--topology", topo_file(tmp_path),
+               "--out", str(out)])
+    assert rc == 2
+    assert "error: frame 5: bone 'b2' has near-zero length" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- train / predict / eval / plot pipeline -----------------------------------
 
 
@@ -190,6 +205,24 @@ def test_plot_accepts_raw_positions_and_ranges(tmp_path, capsys):
     assert rc == 0
     assert "plotted frames [0, 3]" in capsys.readouterr().out
     assert out.read_text().count("<circle") == 2 * 7  # 2 figures x 7 joints
+
+
+@pytest.mark.parametrize("kind", ["lie", "joints"])
+def test_plot_refuses_non_finite_frames_exits_2(tmp_path, capsys, kind):
+    if kind == "lie":
+        data, bad = non_finite_lie_file(tmp_path, "bad.lie", 5, 3, np.nan), 3
+    else:
+        seq = load_motion(joints_file(tmp_path, "good.txt", frames=5))
+        frames = seq.frames.copy()
+        frames[2, 6, 0] = np.inf
+        data, bad = str(tmp_path / "bad.txt"), 2
+        save_motion(data, MotionSequence(fps=seq.fps, frames=frames, kind="joints"))
+    out = tmp_path / "strip.svg"
+    rc = main(["plot", "--data", data, "--topology", topo_file(tmp_path),
+               "--frames", "0:5", "--out", str(out)])
+    assert rc == 2
+    assert f"error: {data}: frame {bad} is not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plot_refuses_a_huge_frame_range(tmp_path, capsys):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sthrn.geometry import (
-    AntipodalInput,
     DimensionMismatch,
     antipodal_axis,
     axis_angle_between,
@@ -134,10 +133,13 @@ def test_axis_angle_between_parallel_is_exact_zero():
         assert np.array_equal(aa.axis, X)
 
 
-def test_axis_angle_between_antipodal_raises():
-    for e in random_units(10, seed=8):
-        with pytest.raises(AntipodalInput):
-            axis_angle_between(e, -e)
+def test_axis_angle_between_antipodal_is_half_turn():
+    # the half turn about antipodal_axis(e_from), bit for bit; x and -x
+    # take the y fallback
+    for e in [*random_units(10, seed=8), X, -X]:
+        aa = axis_angle_between(e, -e)
+        assert aa.angle == np.pi
+        assert np.array_equal(aa.axis, antipodal_axis(e))
 
 
 def test_axis_angle_between_rejects_non_unit():

@@ -33,7 +33,7 @@ from sthrn.skeleton import (
     save_motion,
     synth_motion,
 )
-from sthrn.skeleton import _check_joints, _direction
+from sthrn.skeleton import _bone_directions, _check_joints
 
 
 def root_from_pose(joints, topo):
@@ -41,9 +41,10 @@ def root_from_pose(joints, topo):
     ``pose_to_lie(joints)`` back onto ``joints``: the root joint's
     position and each chain's first-bone direction."""
     joints = _check_joints(joints, topo)
-    index = topo.joint_index()
-    dirs = tuple(_direction(joints, index, *chain[:2]) for chain in topo.chains)
-    return RootConfig(joints[index[topo.chains[0][0]]].copy(), dirs)
+    bones = [child for _, child in topo.bones()]
+    dirs = _bone_directions(joints, topo)
+    firsts = tuple(dirs[bones.index(chain[1])] for chain in topo.chains)
+    return RootConfig(joints[topo.joint_index()[topo.chains[0][0]]].copy(), firsts)
 
 
 def two_bone_chain():
@@ -273,6 +274,27 @@ def test_pose_to_lie_rejects_degenerate_bone():
         pose_to_lie(joints, two_bone_chain())
     with pytest.raises(DegenerateBone, match="bone 'b' has near-zero length"):
         root_from_pose(joints, two_bone_chain())
+
+
+def test_pose_to_lie_names_the_first_degenerate_frame():
+    pose = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+    poses = np.stack([pose] * 4)
+    poses[2, 2] = poses[2, 1]  # bone c of frame 2
+    poses[3, 1] = poses[3, 0]  # bone b of frame 3
+    with pytest.raises(DegenerateBone, match="^frame 2: bone 'c' has near-zero length$"):
+        pose_to_lie(poses, two_bone_chain())
+
+
+def test_conversions_take_any_leading_shape():
+    topo = builtin_topology("fork7")
+    w = np.random.default_rng(4).normal(size=(2, 3, topo.num_entries(), 3))
+    root = RootConfig.canonical(topo)
+    poses = lie_to_pose(w, topo, root)
+    assert poses.shape == (2, 3, len(topo.joints), 3)
+    assert np.array_equal(poses[1, 2], lie_to_pose(w[1, 2], topo, root))
+    lie = pose_to_lie(poses, topo)
+    assert lie.shape == w.shape
+    assert np.array_equal(lie[1, 2], pose_to_lie(poses[1, 2], topo))
 
 
 def test_pose_to_lie_rejects_bad_shape():

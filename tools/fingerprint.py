@@ -33,7 +33,11 @@ both checkouts and compares the lines.  The cases are:
 - ``motion/save/lie`` and ``motion/save/joints``: the ``save_motion``
   bytes of a human Lie sequence and of its joint positions;
 - ``plot/svg``: ``sthrn.cli.render_svg`` of the poses of three of those
-  frames.
+  frames;
+- ``preprocess/lie`` and ``preprocess/lengths``: the Lie file and lengths
+  sidecar that ``sthrn preprocess`` writes for that joints file, and
+  ``plot/cli-svg`` the SVG that ``sthrn plot`` draws of every third frame
+  of that Lie file, both run through ``sthrn.cli.main``.
 
 A report hashes its error, per-leaf errors, skipped components and the
 count of components refined in extended precision, not its cost
@@ -52,14 +56,17 @@ It takes about 5 s on a 2-vCPU Xeon VM.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import tempfile
+from importlib import resources
 
 import numpy as np
 
 import sthrn
-from sthrn.cli import render_svg
+from sthrn.cli import main as cli_main, render_svg
 from sthrn.model import frames_tensor
 
 # benchmarks/workloads.py GRADCHECK_LEAVES
@@ -204,6 +211,22 @@ def io_cases(workdir: str):
         with open(path, "rb") as fh:
             yield f"motion/save/{kind}", digest(fh.read())
     yield "plot/svg", digest(render_svg([poses[0], poses[12], poses[39]], topo))
+    yield from cli_cases(workdir, os.path.join(workdir, "fingerprint.joints"))
+
+
+def cli_cases(workdir: str, joints: str):
+    out = {case: os.path.join(workdir, case.replace("/", ".")) for case in
+           ("preprocess/lie", "preprocess/lengths", "plot/cli-svg")}
+    with resources.as_file(resources.files("sthrn") / "data" / "human.topo") as topo, \
+            contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["preprocess", "--in", joints, "--topology", str(topo),
+                         "--out", out["preprocess/lie"],
+                         "--lengths-out", out["preprocess/lengths"]]) == 0
+        assert cli_main(["plot", "--data", out["preprocess/lie"], "--topology", str(topo),
+                         "--frames", "0:40:3", "--out", out["plot/cli-svg"]]) == 0
+    for case, path in out.items():
+        with open(path, "rb") as fh:
+            yield case, digest(fh.read())
 
 
 def main() -> None:
