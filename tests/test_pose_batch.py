@@ -35,8 +35,9 @@ def poses_with(topo, pairs, rng):
     """Poses (F, J, 3) whose bone pairs lie as ``pairs`` (F, K) says."""
     frames, bones = pairs.shape[0], len(topo.bones())
     dirs = unit(rng.normal(size=(frames, bones, 3)))
+    bone_pairs = entry_pairs(topo)
     for (f, e), kind in np.ndenumerate(pairs):
-        a, b = entry_pairs(topo)[e]
+        a, b = bone_pairs[e]
         if kind == "x-antipodal":
             dirs[f, a] = X * rng.choice([-1.0, 1.0])
         if kind == "parallel":
