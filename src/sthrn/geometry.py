@@ -180,10 +180,11 @@ def exp_map(w) -> np.ndarray:
     axis w / ||w|| and angle ||w||.  Norms below 1e-12 give the identity.
     """
     w = _as_vec3(w, "w")
-    wrap = _norm(w) > np.pi
+    theta = _norm(w)
+    wrap = theta > np.pi
     if wrap.any():  # skipping a no-op wrap keeps one vector's call cheap
         w = np.where(wrap[..., None], wrap_so3(w), w)
-    theta = _norm(w)
+        theta = _norm(w)
     small = theta < _EPS
     axis = np.where(small[..., None], _X_HAT, w / np.where(small, 1.0, theta)[..., None])
     return np.where(small[..., None, None], np.eye(3), rodrigues(axis, theta))
