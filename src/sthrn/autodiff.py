@@ -820,22 +820,24 @@ def backward(root: Tensor, leaves=(), grads=None) -> None:
 # ``narrow`` record their operand's rank and act on that many trailing
 # axes.
 
-# A pass's memory grows with P times its cone's recorded bytes, so a
-# float64 pass takes as many probes as this budget allows, and at least
-# two: 8 to 36 on the criterion-4 fixture, whose cones record 7 to 32
-# KB.  A sweep in a wider dtype scales that by 8 bytes over its width:
-# half as many in a 16-byte long double.  The budget counts the cone, not
-# the P stacked copies of the leaf: a decoder weight's copies dwarf its
-# cone (1.77 of the 1.92 MB one dec.arm.w pass peaks at), so counting
-# them shrinks the decoder weights' passes to 4 to 6 probes: tried on
-# criterion 4, its 1,764 passes became 8,177 and its 4.0 s 7.2-7.3 s.
-_PASS_BYTES = 1 << 18
+# A float64 probe holds its stacked copy of the leaf and its cone's
+# values, counted at twice the cone's recorded bytes for the forwards'
+# temporaries, so a float64 pass takes as many probes as this budget
+# over their sum allows, and at least two.  A sweep in a wider dtype
+# scales that by 8 bytes over its width: half as many in a 16-byte long
+# double.  Counting the copies keeps a pass near the budget whatever the
+# leaf's size (a 2,048-value leaf read by one ``tsum`` peaks at 1.6 MB,
+# where one pass sized by the cone alone held 64 MB), and it pays because
+# the budget was raised with it, from 256 KB to 1.5 MB: the criterion-4
+# fixture's passes hold 22 to 112 probes and peak at 1.26 MB at most.
+_PASS_BYTES = 3 << 19
 
 
 def _cone(order: list[Tensor], leaf: Tensor):
     """The nodes of ``order`` that depend on ``leaf`` as replay steps, in
     tape order, and how many components of the leaf one float64 pass
-    probes (``_PASS_BYTES`` over twice their recorded bytes).
+    probes: ``_PASS_BYTES`` over the bytes of two probes, each the
+    leaf's stacked copy and twice the steps' recorded bytes.
 
     A step is (forward, static args, parent arrays, [(parent position,
     value index, shape)] of the parents the leaf reaches, [value indices
@@ -860,7 +862,7 @@ def _cone(order: list[Tensor], leaf: Tensor):
         nbytes += node.data.nbytes
     for k, j in last_read.items():
         steps[j][-1].append(k)
-    return steps, max(1, _PASS_BYTES // (2 * max(nbytes, 1)))
+    return steps, max(1, _PASS_BYTES // (2 * (leaf.data.nbytes + 2 * nbytes)))
 
 
 def _replay(steps, root: Tensor, leaf: Tensor, index, step: float,

@@ -146,6 +146,11 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
+    for flag, path in (("--out-checkpoint", args.out_checkpoint), ("--metrics", args.metrics)):
+        folder = os.path.dirname(os.path.abspath(path or "."))
+        if path and (os.path.isdir(path) or not os.access(folder, os.W_OK | os.X_OK)):
+            why = "is a directory" if os.path.isdir(path) else f"cannot create a file in {folder}"
+            raise ValidationError(f"{flag} {path}: {why}")
     config_values = parse_config_file(args.config) if args.config else {}
     model_config, train_config, extras = build_configs(config_values)
     seed = _resolve_seed(args.seed, config_values)

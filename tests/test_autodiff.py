@@ -21,6 +21,7 @@ from sthrn.skeleton import builtin_topology, synth_motion
 from sthrn.training import bone_weights, weighted_loss
 
 import tape_oracles as oracle
+from test_training import traced_peak
 
 
 def leaf(x):
@@ -968,17 +969,60 @@ def test_grad_check_report_counts_its_cost():
 
 
 def test_grad_check_sizes_its_passes_by_the_cone_bytes():
+    # each probe counts its copy of x and twice the two (n, 3) float64
+    # values of its cone, so two components fit the budget up to n =
+    # _PASS_BYTES / 384 and one past it
     x = leaf([0.3, -0.2, 0.5])
-    big = np.random.default_rng(4).normal(size=(2, ad._PASS_BYTES // 8, 3))
+    rng = np.random.default_rng(4)
+    for n, components in ((ad._PASS_BYTES // 384 - 1, 2), (ad._PASS_BYTES // 384 + 1, 1)):
+        big = rng.normal(size=(n, 3))
 
-    def f():
-        return ad.tsum(oracle.tanh(ad.mul(x, big)))
+        def f():
+            return ad.tsum(oracle.tanh(ad.mul(x, big)))
 
-    order = ad._tape_order(f())
-    assert ad._cone(order, x)[1] == 1
+        assert ad._cone(ad._tape_order(f()), x)[1] == components
     report = grad_check(f, {"x": x}, refine_threshold=None)
     assert (report.replays, report.passes, report.fallbacks) == (6, 3, 0)
     assert report.max_rel_error < 1e-6
+
+
+def test_grad_check_counts_the_leaf_copies_in_a_pass():
+    # a 2,048-value leaf read by one sum has a cone of 8 bytes: its
+    # stacked copies are all a pass holds
+    x = leaf(np.random.default_rng(5).normal(size=2048))
+    report, peak = traced_peak(lambda: grad_check(lambda: ad.tsum(x), {"x": x},
+                                                  refine_threshold=None))
+    assert peak < 2 * ad._PASS_BYTES
+    assert report.passes > 1
+    assert report.max_rel_error < 1e-6
+
+
+def test_grad_check_passes_stay_within_the_budget_on_the_criterion_4_fixture():
+    # each leaf's first float64 pass, the largest it makes, holds at most
+    # 1.5 MB: a dec.arm.w pass held 1.92 MB when only the cone counted
+    root, named = LOSS_FIXTURES["criterion-4"]()
+    order = ad._tape_order(root)
+    with no_grad():
+        for name, t in named.items():
+            steps, size = ad._cone(order, t)
+            index = np.arange(min(size, t.data.size))
+            _, peak = traced_peak(lambda: ad._replay(steps, root, t, index, 1e-5))
+            assert peak <= 1.5 * 2**20, name
+
+
+def test_grad_check_of_the_benchmark_leaves_takes_few_passes():
+    # the criterion-4 fixture's six leaves that gradcheck-tiny checks: a
+    # float64 sweep of each fits two or three passes, and the calls of
+    # f() and the refined components do not depend on the pass size
+    f, named = model_loss_fn("fork7", ModelConfig(hidden_size=6, layers=2), windows=1,
+                             observed=6, horizon=3, seed=7)
+    names = ("enc.gate.gs.gs", "enc.gt.w_f", "enc.gs.w_f", "enc.gs.z_o", "dec.spine.b",
+             "dec.proj.1.w")
+    report = grad_check(f, {name: named[name] for name in names})
+    assert report.passes <= 20
+    if ad._REFINE_AVAILABLE:
+        assert (report.forward_calls, report.refined) == (29, 16)
+    assert report.max_rel_error < 1e-4
 
 
 @pytest.mark.skipif(not ad._REFINE_AVAILABLE,

@@ -381,6 +381,35 @@ def test_train_refuses_a_file_shorter_than_a_window_exits_2(tmp_path, capsys):
     assert not ckpt.exists() and not metrics.exists()
 
 
+def test_train_refuses_an_output_it_cannot_write_exits_2(tmp_path, capsys):
+    # each output is checked before the data is read, so nothing is
+    # trained and neither file is written
+    data = [lie_file(tmp_path, "good.lie"), "--topology", topo_file(tmp_path),
+            "--config", write_config(tmp_path, TINY)]
+    ckpt, metrics = tmp_path / "model.ckpt", tmp_path / "m.csv"
+    missing, folder, locked = tmp_path / "missing", tmp_path / "folder", tmp_path / "locked"
+    folder.mkdir()
+    locked.mkdir()
+    locked.chmod(0o500)
+    cases = [(missing / "c.ckpt", f"cannot create a file in {missing}"),
+             (folder, "is a directory")]
+    if not os.access(locked, os.W_OK):  # a superuser writes anywhere
+        cases.append((locked / "c.ckpt", f"cannot create a file in {locked}"))
+    try:
+        for bad, why in cases:
+            for flag, other, good in (("--out-checkpoint", "--metrics", metrics),
+                                      ("--metrics", "--out-checkpoint", ckpt)):
+                rc = main(["train", "--data", *data, flag, str(bad), other, str(good)])
+                assert rc == 2
+                out, err = capsys.readouterr()
+                assert err == f"error: {flag} {bad}: {why}\n"
+                assert out == ""
+                assert not ckpt.exists() and not metrics.exists()
+                assert not (missing.exists() or any(folder.iterdir()) or any(locked.iterdir()))
+    finally:
+        locked.chmod(0o700)
+
+
 def test_eval_refuses_non_finite_frames_exits_2(tmp_path, capsys):
     target = lie_file(tmp_path, "target.lie", frames=25)
     pred = non_finite_lie_file(tmp_path, "pred.lie", 25, 3, np.inf)
@@ -516,12 +545,15 @@ def test_unknown_decoder_kind_exits_2(tmp_path, capsys):
 
 
 # Runs the command line given after it, prints the process's peak RSS in
-# MB and exits with the command's status.
+# MB and exits with the command's status.  The peak is the kernel's
+# VmHWM: on Linux a child's ru_maxrss starts at its parent's peak, here
+# the test runner's.
 _MAIN_AND_MEASURE = """
-import resource, sys
+import sys
 from sthrn.cli import main
 rc = main(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+with open("/proc/self/status", encoding="ascii") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024)
 sys.exit(rc)
 """
 

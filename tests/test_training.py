@@ -590,19 +590,26 @@ def test_checkpoint_rejects_truncation(tmp_path):
 
 # Loads the valid checkpoint named first on the command line, then each
 # of the others, printing their errors, and last how far those raised
-# the process's peak RSS over the valid load, in MB.
+# the process's peak RSS over the valid load, in MB.  The peak is the
+# kernel's VmHWM: on Linux a child's ru_maxrss starts at its parent's
+# peak, here the test runner's, which would hide any growth below it.
 _LOAD_AND_MEASURE = """
-import resource, sys
+import sys
 from sthrn.skeleton import ParseError
 from sthrn.training import load_checkpoint
+
+def peak_kb():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
 load_checkpoint(sys.argv[1])
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kb()
 for path in sys.argv[2:]:
     try:
         load_checkpoint(path)
     except ParseError as exc:
         print(exc)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+print((peak_kb() - before) / 1024)
 """
 
 

@@ -8,8 +8,13 @@ per end-to-end metric the median and quartiles of each side, the count
 of pairs the change won, the median change against the metric's bound,
 and whether a gain claim holds: at least 10 pairs, at least 9 of every
 10 pairs won, and a median gap larger than the parent's interquartile
-range.  From the
-repository root::
+range.  For a workload timed at reference host speed (gradcheck-tiny,
+train-fork7-tiny) each pair and the summary also show each side's raw
+rate, its items over the wall time of its blocks, and its host-speed
+factor, read from the run's record in ``benchmarks/out/``: the factor
+can move between trees that differ only in code it never runs, and the
+raw rate shows whether a scaled gain is the code's.  The claim rule
+uses the benchmark's metric alone.  From the repository root::
 
     python3 tools/ab.py --workload train-human --parent ../a --change ../b --pairs 10
 
@@ -41,7 +46,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
-    """The metrics of one untraced run, from the JSON on its last line."""
+    """The metrics of one untraced run, from the JSON on its last line,
+    and for a host-scaled workload its raw rate and host-speed factor,
+    from its record."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -53,7 +60,13 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, f
     if not result["correct"]:
         print(f"# warning: {checkout} seed {seed}: {result['failed']} of "
               f"{result['attempted']} operations failed")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    if ", applied)" in done.stdout:  # the host-speed line of a scaled workload
+        record = json.loads((checkout / "benchmarks" / "out" /
+                             f"{workload}-seed{seed}-trace0.json").read_text())
+        items, wall = (sum(column) for column in zip(*record["blocks"]))
+        values.update(raw_items_per_s=items / wall, host_factor=record["host_factor"])
+    return values
 
 
 def summary(spec: dict, parent: list[float], change: list[float]) -> str:
@@ -106,6 +119,11 @@ def main(argv=None) -> int:
         if spec["name"] in results["parent"][0]:
             print(summary(spec, [r[spec["name"]] for r in results["parent"]],
                           [r[spec["name"]] for r in results["change"]]))
+    if "host_factor" in results["parent"][0]:
+        print("unscaled         " + "  ".join(
+            f"{side} {statistics.median(r['raw_items_per_s'] for r in runs):.4g} items/s "
+            f"at host factor {statistics.median(r['host_factor'] for r in runs):.3f}"
+            for side, runs in results.items()))
     return 0
 
 

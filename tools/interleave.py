@@ -17,7 +17,9 @@ that goes first alternates from round to round.  The scenarios are:
   how many components need extended precision depends on the data.
 
 Prints, per scenario, each side's median and quartiles in ms and the
-median over rounds of the change's time over the parent's.  The two
+median over rounds of the change's time over the parent's, and for
+``gradcheck-tiny`` each side's median replay passes and calls of
+``f()`` per ``grad_check``, from its reports.  The two
 calls of a round run on the same host state and the same data, so that
 ratio is steadier than the ratio of two benchmark runs.  Each side
 reads its topologies from its own checkout's files, so a checkout
@@ -120,18 +122,24 @@ def main(argv=None) -> int:
         sides[side] = scenarios(load(checkout, f"sthrn_{side}"), checkout)
     for name in args.scenario or SCENARIOS:
         times = {side: [] for side in sides}
+        reports = {side: [] for side in sides}
         for calls in sides.values():  # warm-up
             calls[name]()
         for r in range(args.rounds):
             for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
                 t0 = time.perf_counter()
-                sides[side][name]()
+                result = sides[side][name]()
                 times[side].append((time.perf_counter() - t0) * 1e3)
+                reports[side].append(result)
         (p1, pm, p3), (c1, cm, c3) = quartiles(times["parent"]), quartiles(times["change"])
         ratio = statistics.median(c / p for p, c in zip(times["parent"], times["change"]))
+        counts = "".join(
+            f"  {side} {statistics.median(r.passes for r in runs):g} passes, "
+            f"{statistics.median(r.forward_calls for r in runs):g} calls of f()"
+            for side, runs in reports.items()) if name == "gradcheck-tiny" else ""
         print(f"{name:17s} parent {pm:9.2f} ms [{p1:.2f}, {p3:.2f}]  "
               f"change {cm:9.2f} ms [{c1:.2f}, {c3:.2f}]  ratio {ratio:.3f}  "
-              f"({args.rounds} rounds)", flush=True)
+              f"({args.rounds} rounds){counts}", flush=True)
     return 0
 
 
