@@ -192,15 +192,6 @@ class MotionSequence:
         return self
 
 
-@dataclass(frozen=True)
-class SampleWindow:
-    """One training sample: observed frames and the frames to predict."""
-
-    observed: np.ndarray  # (t, K, 3)
-    target: np.ndarray    # (horizon, K, 3)
-    start: int = 0
-
-
 # ---------------------------------------------------------------------------
 # line-based text: topologies, config files and lengths sidecars
 #
@@ -453,16 +444,16 @@ def load_motion(path, topo: SkeletonTopology | None = None) -> MotionSequence:
 
 def save_motion(path, seq: MotionSequence) -> None:
     # repr of a python float is shortest-roundtrip, so load(save(x)) is
-    # bit-exact; numpy scalars repr with a type wrapper, hence float(v).
+    # bit-exact
     if seq.kind == "lie":
         header = f"fps={float(seq.fps)!r},k={seq.frames.shape[1]}"
     else:
         header = f"fps={float(seq.fps)!r}"
-    flat = seq.frames.reshape(seq.frames.shape[0], -1)
+    rows = seq.frames.reshape(seq.frames.shape[0], -1).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for row in flat:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -513,25 +504,23 @@ def normalize_lengths(
     return replace(topo, lengths=lengths)
 
 
-def sample_windows(
-    seq: MotionSequence,
-    observed: int,
-    horizon: int,
-    count: int,
-    rng: np.random.Generator,
-) -> list[SampleWindow]:
-    """Uniformly sampled (observed, target) windows, with replacement."""
-    need = observed + horizon
-    total = seq.check_length("sequence", need).frames.shape[0]
-    starts = rng.integers(0, total - need + 1, size=count)
-    return [
-        SampleWindow(
-            observed=seq.frames[s : s + observed].copy(),
-            target=seq.frames[s + observed : s + need].copy(),
-            start=int(s),
-        )
-        for s in starts
-    ]
+def sample_windows(sequences: list[MotionSequence], length: int, count: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """``count`` windows of ``length`` consecutive frames, drawn uniformly
+    with replacement, as one (count, length, n, 3) array.
+
+    Each window draws its sequence's index, then its start in that
+    sequence.  Every sequence is checked first: one shorter than a
+    window raises SequenceTooShort naming its index before any draw.
+    """
+    for i, seq in enumerate(sequences):
+        seq.check_length(f"sequence {i}", length)
+    batch = np.empty((count, length) + sequences[0].frames.shape[1:])
+    for window in batch:
+        frames = sequences[rng.integers(len(sequences))].frames
+        start = rng.integers(0, frames.shape[0] - length + 1)
+        window[...] = frames[start:start + length]
+    return batch
 
 
 # ---------------------------------------------------------------------------

@@ -199,12 +199,13 @@ def train(sequences: list[MotionSequence], layout: ChainLayout, theta: np.ndarra
           params: ModelParams | None = None) -> TrainResult:
     """Seeded minibatch training over uniformly sampled windows.
 
-    Each iteration stacks its ``batch_size`` windows and runs them as
-    one batch: one forward pass, one loss (the mean over windows) and
-    one tape walk.  The tape is released as soon as the walk has left
-    its gradients on the parameters, so the gradient checks, clipping
-    and the Adam step run with no tape alive.  The same seed reproduces
-    the exact loss curve.
+    Each iteration draws its ``batch_size`` windows as one array, splits
+    it into the observed frames and the targets, and runs them as one
+    batch: one forward pass, one loss (the mean over windows) and one
+    tape walk.  The tape is released as soon as the walk has left its
+    gradients on the parameters, so the gradient checks, clipping and
+    the Adam step run with no tape alive.  The same seed reproduces the
+    exact loss curve.
     No sequences raise ValueError, a sequence with a frame that is not
     finite ValidationError, and one shorter than a window
     SequenceTooShort, all before anything is drawn.  Raises
@@ -231,16 +232,10 @@ def train(sequences: list[MotionSequence], layout: ChainLayout, theta: np.ndarra
     grad_norms: list[float] = []
     for it in range(train_config.iterations):
         t0 = time.perf_counter()
-        windows = []
-        for _ in range(train_config.batch_size):
-            si = int(rng.integers(len(sequences)))
-            windows.append(sample_windows(sequences[si], train_config.observed,
-                                          train_config.horizon, 1, rng)[0])
-        targets = np.stack([w.target for w in windows])
+        observed, targets = np.split(sample_windows(sequences, need, train_config.batch_size, rng),
+                                     [train_config.observed], axis=1)
         feed = targets if train_config.teacher_forcing else None
-        outs = forward(params, model_config, layout,
-                       np.stack([w.observed for w in windows]),
-                       train_config.horizon, feed=feed)
+        outs = forward(params, model_config, layout, observed, train_config.horizon, feed=feed)
         pred, target = frames_tensor(outs, k), targets.reshape(-1, k, 3)
         if train_config.loss == "weighted":
             loss = weighted_loss(pred, target, theta)
@@ -251,7 +246,8 @@ def train(sequences: list[MotionSequence], layout: ChainLayout, theta: np.ndarra
         params.grad.fill(0.0)
         backward(loss, named.values(), grads.values())
         loss_value = float(loss.data)
-        del outs, pred, loss  # free the tape: only the leaves' gradients are needed now
+        # free the tape and the batch: a batch held to the next draw quintupled page faults
+        del outs, pred, loss, observed, targets, target, feed
         bad = first_nonfinite(params.grad, grads.items())
         if bad is not None:
             raise TrainingDiverged(f"non-finite gradient of {bad} at iteration {it}")
@@ -311,17 +307,21 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
                     for n, s in _file_order(shapes, adam is not None).items()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for a in (params.flat,) if adam is None else (params.flat, adam.m, adam.v):
-            # straight from the array: a freed bytes copy of a large array
-            # raises glibc's dynamic mmap threshold, later loads then put
-            # their arrays on the heap, and the peak RSS of a process that
-            # saves and then loads the human model read 86 or 94 MB by heap
-            # layout alone
-            fh.write(np.ascontiguousarray(a, dtype="<f8").view(np.uint8))
+    tmp = f"{os.fspath(path)}.tmp"  # path is replaced only once the whole file is written
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC + struct.pack("<Q", len(blob)) + blob)
+            for a in (params.flat,) if adam is None else (params.flat, adam.m, adam.v):
+                # straight from the array: a freed bytes copy of a large array raises
+                # glibc's dynamic mmap threshold, later loads then put their arrays on the
+                # heap, and the peak RSS of a process that saves and then loads the human
+                # model read 86 or 94 MB by heap layout alone
+                fh.write(np.ascontiguousarray(a, dtype="<f8").view(np.uint8))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 @dataclass

@@ -309,14 +309,10 @@ def looped_train(sequences, layout, theta, model_config, train_config, params):
     k = layout.num_entries
     losses, norms, clipped = [], [], []
     for it in range(train_config.iterations):
-        windows = []
-        for _ in range(train_config.batch_size):
-            si = int(rng.integers(len(sequences)))
-            windows.append(sample_windows(sequences[si], train_config.observed,
-                                          train_config.horizon, 1, rng)[0])
-        targets = np.stack([w.target for w in windows])
-        outs = forward(model, model_config, layout, np.stack([w.observed for w in windows]),
-                       train_config.horizon,
+        batch = sample_windows(sequences, train_config.observed + train_config.horizon,
+                               train_config.batch_size, rng)
+        observed, targets = np.split(batch, [train_config.observed], axis=1)
+        outs = forward(model, model_config, layout, observed, train_config.horizon,
                        feed=targets if train_config.teacher_forcing else None)
         pred, target = frames_tensor(outs, k), targets.reshape(-1, k, 3)
         if train_config.loss == "weighted":

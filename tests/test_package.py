@@ -44,10 +44,10 @@ def test_benchmark_tracer_wraps_and_restores_the_package():
     package (``sthrn.model.encode``, ``init_decoder``, ``decode_step``,
     ``sthrn.training.sample_windows`` and more) and reads the encoder's
     and decoder's state fields.  A traced two-iteration ``train()``
-    counts encoder, decoder and tape nodes, opens one clip and one Adam
-    span per iteration, as ``train()`` calls ``clip_gradients`` and
-    ``adam_step`` through ``sthrn.training``, and removing the tracer
-    puts every attribute back."""
+    counts encoder, decoder and tape nodes, opens one draw, one clip and
+    one Adam span per iteration, as ``train()`` calls ``sample_windows``,
+    ``clip_gradients`` and ``adam_step`` through ``sthrn.training``, and
+    removing the tracer puts every attribute back."""
     sys.path.insert(0, str(BENCHMARKS))
     write_bytecode = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave no cache under benchmarks/
@@ -71,5 +71,6 @@ def test_benchmark_tracer_wraps_and_restores_the_package():
     assert tracer.counts["encoder.nodes"] > 0
     assert tracer.counts["decoder.nodes"] > 0
     assert tracer.counts["tape.roots"] == 2
+    assert tracer.names.count("skeleton.sample_windows") == 2
     assert tracer.names.count("training.clip") == 2
     assert tracer.names.count("training.adam") == 2

@@ -528,34 +528,57 @@ def test_normalize_lengths_empty():
 # -- window sampling ----------------------------------------------------------------
 
 
-def _counting_sequence(frames):
-    data = np.arange(frames, dtype=np.float64)[:, None, None] * np.ones((1, 2, 3))
+def _counting_sequence(frames, offset=0.0):
+    """Linear-sweep frames: every value of frame f is ``offset + f``."""
+    data = offset + np.arange(frames, dtype=np.float64)[:, None, None] * np.ones((1, 2, 3))
     return MotionSequence(fps=25.0, frames=data, kind="lie")
+
+
+def _looped_windows(sequences, length, count, rng):
+    """The per-window draw ``train()`` made before it drew a batch: a
+    sequence index, then a one-element array of starts, then a slice."""
+    windows = []
+    for _ in range(count):
+        frames = sequences[int(rng.integers(len(sequences)))].frames
+        start = rng.integers(0, frames.shape[0] - length + 1, size=1)[0]
+        windows.append(frames[start:start + length])
+    return np.stack(windows)
+
+
+@pytest.mark.parametrize("count", [1, 17])
+def test_sample_windows_draws_the_per_window_stream(count):
+    seqs = [_counting_sequence(f, 1000.0 * i) for i, f in enumerate((30, 12, 50))]
+    batch = sample_windows(seqs, 10, count, np.random.default_rng(5))
+    assert np.array_equal(batch, _looped_windows(seqs, 10, count, np.random.default_rng(5)))
 
 
 def test_sample_windows_shapes_and_contiguity():
     seq = _counting_sequence(30)
-    rng = np.random.default_rng(6)
-    for win in sample_windows(seq, observed=5, horizon=3, count=20, rng=rng):
-        assert win.observed.shape == (5, 2, 3)
-        assert win.target.shape == (3, 2, 3)
-        assert win.observed[0, 0, 0] == win.start
-        # target frames continue exactly where observed stops
-        assert win.target[0, 0, 0] == win.observed[-1, 0, 0] + 1.0
-        assert 0 <= win.start <= 30 - 8
+    batch = sample_windows([seq], 8, 20, np.random.default_rng(6))
+    assert batch.shape == (20, 8, 2, 3)
+    starts = batch[:, 0, 0, 0]
+    # every window holds consecutive frames, each value the same within a frame
+    assert np.array_equal(batch, starts[:, None, None, None] + np.arange(8)[None, :, None, None]
+                          * np.ones((1, 1, 2, 3)))
+    assert np.all((0 <= starts) & (starts <= 30 - 8))
+    batch[...] = -1.0  # a copy: writing the batch leaves the sequence alone
+    assert np.array_equal(seq.frames[:, 0, 0], np.arange(30))
 
 
 def test_sample_windows_deterministic_by_seed():
-    seq = _counting_sequence(40)
-    a = sample_windows(seq, 4, 2, 10, np.random.default_rng(7))
-    b = sample_windows(seq, 4, 2, 10, np.random.default_rng(7))
-    assert [w.start for w in a] == [w.start for w in b]
+    seqs = [_counting_sequence(40), _counting_sequence(25, 100.0)]
+    a = sample_windows(seqs, 6, 10, np.random.default_rng(7))
+    b = sample_windows(seqs, 6, 10, np.random.default_rng(7))
+    assert np.array_equal(a, b)
 
 
 def test_sample_windows_too_short():
-    seq = _counting_sequence(6)
-    with pytest.raises(SequenceTooShort):
-        sample_windows(seq, 5, 2, 1, np.random.default_rng(8))
+    seqs = [_counting_sequence(30), _counting_sequence(6), _counting_sequence(30)]
+    rng = np.random.default_rng(8)
+    state = rng.bit_generator.state
+    with pytest.raises(SequenceTooShort, match="^sequence 1: 6 frames, need at least 7$"):
+        sample_windows(seqs, 7, 1, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_sample_windows_uniform_start_coverage():
@@ -564,8 +587,8 @@ def test_sample_windows_uniform_start_coverage():
     # the chi2 inverse CDF evaluated once offline.
     seq = _counting_sequence(17)
     rng = np.random.default_rng(123)
-    wins = sample_windows(seq, 5, 3, 2000, rng)
-    counts = np.bincount([w.start for w in wins], minlength=10)
+    batch = sample_windows([seq], 8, 2000, rng)
+    counts = np.bincount(batch[:, 0, 0, 0].astype(int), minlength=10)
     expected = 2000 / 10.0
     stat = float(((counts - expected) ** 2 / expected).sum())
     assert stat < 21.665994333461924

@@ -527,6 +527,25 @@ def test_checkpoint_save_writes_each_tensor_without_a_copy(tmp_path):
         assert np.array_equal(t.data, reloaded[name].data), name
 
 
+def test_a_failed_checkpoint_save_keeps_the_earlier_file(tmp_path):
+    class Unwritable:
+        def __array__(self, *args, **kwargs):
+            raise OSError("disk full")
+
+    params = ModelParams.init(CFG, LAYOUT, seed=8)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, CFG, LAYOUT, iteration=5)
+    before = path.read_bytes()
+    params.flat += 1.0
+    # raises after the header, the parameters and the first moments went out
+    adam = AdamState(step=3, m=np.zeros(params.flat.size), v=Unwritable())
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, params, CFG, LAYOUT, iteration=6, adam=adam)
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).iteration == 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
 def test_checkpoint_roundtrip_with_adam(tmp_path):
     seqs = [synth_motion("sinusoid", 30, TOPO, seed=9)]
     theta = bone_weights(TOPO.entry_lengths())

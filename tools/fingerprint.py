@@ -12,6 +12,9 @@ both checkouts and compares the lines.  The cases are:
 - ``train/<topology>/no-global-temporal`` and ``.../no-global-spatial``:
   the same runs' losses and parameters with one global state ablated
   (criterion 9's switches; structured decoder, free-running, weighted);
+- ``windows/draw``: 40 windows of 10 frames that ``sample_windows``
+  draws from fork7 sequences of 30, 12 and 50 frames (a checkout from
+  before the batch draw prints ``absent``);
 - ``criterion-4/loss`` and ``criterion-4/grad/<leaf>``: the taped
   weighted loss of the criterion-4 fixture (fork7, hidden 6, 2 layers,
   6 observed frames, horizon 3) and every leaf gradient ``backward``
@@ -128,6 +131,18 @@ def train_cases(workdir: str):
                 {n: t.data for n, t in result.params.named().items()})
 
 
+def draw_cases():
+    topo = sthrn.builtin_topology("fork7")
+    seqs = [sthrn.synth_motion("sinusoid", frames, topo, seed=s)
+            for s, frames in ((1, 30), (2, 12), (3, 50))]
+    try:
+        batch = sthrn.sample_windows(seqs, 10, 40, np.random.default_rng(17))
+    except TypeError:  # the per-sequence sampler: sequence, observed, horizon, count, rng
+        yield "windows/draw", "absent"
+        return
+    yield "windows/draw", array_digest({"batch": batch})
+
+
 # criterion 9's configs, by the name the acceptance test gives them
 ABLATIONS = {"no-global-temporal": {"global_temporal": False},
              "no-global-spatial": {"global_spatial": False},
@@ -231,7 +246,7 @@ def cli_cases(workdir: str, joints: str):
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
-        for cases in (train_cases(workdir), gradient_cases(), predict_cases(),
+        for cases in (train_cases(workdir), draw_cases(), gradient_cases(), predict_cases(),
                       io_cases(workdir)):
             for case, sha in cases:
                 print(case, sha, flush=True)
