@@ -676,15 +676,15 @@ def _grid_block(grid_shape, sp_mask, p, h, g_s, g_t) -> np.ndarray:
     return _cat([p, h_left, h_right, h, h_sp, *_grid_globals(grid_shape, g_s, g_t)], -1)
 
 
-def _grid_fwd(grid_shape, sp_mask, h, c, p, g_s, g_t, u, w, z, gs, gt, b, c_gs, c_gt):
+def _grid_fwd(grid_shape, sp_mask, h, c, p, g_s, g_t, w, b, c_gs, c_gt):
     """(h, c, gates, candidate, tanh(c)) of an encoder layer's grid cells."""
-    pre = _grid_block(grid_shape, sp_mask, p, h, g_s, g_t) @ _cat([u, w, z, gs, gt], -2) + b
+    pre = _grid_block(grid_shape, sp_mask, p, h, g_s, g_t) @ w + b
     c_left, c_right, c_sp = _grid_sources(grid_shape, sp_mask, c)
     return _gated_fwd(pre, c_left, c, c_right, c_sp, *_grid_globals(grid_shape, c_gs, c_gt))
 
 
 def _grid_vjp(node, grad):
-    h, c, p, g_s, g_t, *weights, b, c_gs, c_gt = node.parents
+    h, c, p, g_s, g_t, w, b, c_gs, c_gt = node.parents
     grid_shape, sp_mask = node.args
     s, cand, tc = node.saved
     c_left, c_right, c_sp = _grid_sources(grid_shape, sp_mask, c.data)
@@ -693,18 +693,14 @@ def _grid_vjp(node, grad):
                         *_grid_globals(grid_shape, c_gs.data, c_gt.data)], tc)
     # each parent's gradients in the order the walk of the composition
     # this op replaces added them, since h is c (and g_s is c_gs) at the
-    # first layer: the cell's own c, the stacked weights and the bias,
-    # the block's p and h, h through its three shifts, c through its
-    # shifts, and last each global state through its spread
+    # first layer: the cell's own c, the weight and the bias, the
+    # block's p and h, h through its three shifts, c through its shifts,
+    # and last each global state through its spread
     _acc(c, dc_same)
-    block = _grid_block(grid_shape, sp_mask, p.data, h.data, g_s.data, g_t.data)
-    stacked = _cat([t.data for t in weights], 0)
-    w_bounds = np.cumsum([t.data.shape[0] for t in weights[:-1]])  # u | w | z | gs | gt
-    for t, g in zip(weights, np.split(block.T @ dpre, w_bounds)):
-        _acc(t, g)
+    _acc(w, _grid_block(grid_shape, sp_mask, p.data, h.data, g_s.data, g_t.data).T @ dpre)
     _acc(b, dpre)
     src_bounds = p.data.shape[1] + h.data.shape[1] * np.arange(6)  # p | l | r | h | sp | gs | gt
-    d_p, d_left, d_right, d_self, d_sp, d_gs, d_gt = np.split(dpre @ stacked.T, src_bounds, axis=1)
+    d_p, d_left, d_right, d_self, d_sp, d_gs, d_gt = np.split(dpre @ w.data.T, src_bounds, axis=1)
     _acc(p, d_p)
     _acc(h, d_self)
     for g in _grid_sources_vjp(grid_shape, sp_mask, d_left, d_right, d_sp):
@@ -715,18 +711,20 @@ def _grid_vjp(node, grad):
         _acc(state, _pool(grid_shape, axis, g))
 
 
-def grid_cell(h, c, p, g_s, g_t, weights, c_gs, c_gt, grid_shape,
+def grid_cell(h, c, p, g_s, g_t, w, b, c_gs, c_gt, grid_shape,
               sp_mask) -> tuple[Tensor, Tensor]:
     """One encoder layer's update of every cell of a (B, T, K, hidden)
     ``grid_shape`` grid with (rows, hidden) states ``h``, ``c`` and
     (rows, 3) inputs ``p``; returns (h, c):
 
         block = [p | h_left | h_right | h | h_sp | gs_rows | gt_rows]
-        pre = block [u; w; z; gs; gt] + b
+        pre = block w + b
         (h', c') = gated cell of pre over [c_left, c, c_right, c_sp, cgs_rows, cgt_rows]
 
-    ``weights`` is (u, w, z, gs, gt, b), the first five stacked by rows
-    into one (3 + 6 * hidden, 9 * hidden) matrix; the global states
+    ``w`` is the (3 + 6 * hidden, 9 * hidden) stack of the gate weights
+    on p, on the neighbour triple, on h_sp, on gs and on gt, in the
+    block's row order, and ``b`` the (9 * hidden,) bias, both built once
+    for all of an encoder's layers; the global states
     ``g_s``, ``c_gs`` (B*T, hidden) and ``g_t``, ``c_gt`` (B*K, hidden)
     enter as ``*_rows``, spread to one row per cell, and left, right and
     sp are the sources of ``_grid_sources``, with ``sp_mask`` (rows, 1)
@@ -735,7 +733,7 @@ def grid_cell(h, c, p, g_s, g_t, weights, c_gs, c_gt, grid_shape,
     the gates, the candidate and tanh(c'), and its vjp recomputes the
     block and the shifted and spread copies of c.
     """
-    parents = tuple(map(_as_tensor, (h, c, p, g_s, g_t, *weights, c_gs, c_gt)))
+    parents = tuple(map(_as_tensor, (h, c, p, g_s, g_t, w, b, c_gs, c_gt)))
     return _apply("grid_cell", parents, _grid_vjp, _grid_fwd, grid_shape, sp_mask)
 
 
@@ -763,7 +761,7 @@ def _tape_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(root: Tensor, leaves=(), grads=None) -> None:
+def backward(root: Tensor, leaves=(), grads=None) -> list[Tensor]:
     """Populate ``.grad`` on the tensors that ``root`` depends on.
 
     After the walk, every leaf the root depends on (a tensor with no
@@ -780,7 +778,7 @@ def backward(root: Tensor, leaves=(), grads=None) -> None:
     still kept after the last vjp, also when a vjp raises.  The tape is
     left intact, so repeated calls from the same root give identical
     results.  Tensors in ``leaves`` that the root does not depend on
-    keep zero gradients.
+    keep zero gradients.  Returns the tape it walked, in ``_tape_order``.
     """
     if root.data.size != 1:
         raise NonScalarRoot(f"backward root must be scalar, got shape {root.data.shape}")
@@ -802,6 +800,7 @@ def backward(root: Tensor, leaves=(), grads=None) -> None:
                 node.grad = None
     finally:
         _flush()
+    return order
 
 
 # -- re-evaluating a recorded tape ------------------------------------------
@@ -996,9 +995,8 @@ def grad_check(
     """
     start = time.perf_counter()
     out = f()
-    backward(out, leaves=leaves.values())
+    order = backward(out, leaves=leaves.values())
     analytic = {name: t.grad.copy() for name, t in leaves.items()}
-    order = _tape_order(out)
     per_leaf: dict[str, float] = {}
     skipped: list[tuple[str, int]] = []
     refine = refine_threshold is not None and _REFINE_AVAILABLE

@@ -105,11 +105,13 @@ def _as_windows(p: np.ndarray, k: int) -> np.ndarray:
     return windows
 
 
-def _fused_gate_params(params: dict[str, Tensor]):
-    """Each ``GATE_FIELDS`` weight of the nine gates side by side, in
-    ``GATE_ORDER``."""
-    return tuple(ad.concat([params[f"enc.gate.{name}.{f}"] for name in GATE_ORDER], axis=-1)
-                 for f in GATE_FIELDS)
+def _grid_weights(params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
+    """The grid cell's (w, b): each ``GATE_FIELDS`` field of the nine
+    gates side by side in ``GATE_ORDER``, and the five weight fields
+    stacked by rows into w."""
+    *fields, b = (ad.concat([params[f"enc.gate.{name}.{f}"] for name in GATE_ORDER], axis=-1)
+                  for f in GATE_FIELDS)
+    return ad.concat(fields, axis=0), b
 
 
 def _global_weights(params: dict[str, Tensor], prefix: str) -> tuple[Tensor, ...]:
@@ -151,17 +153,16 @@ def encode(p: np.ndarray, params: dict[str, Tensor], layout: ChainLayout,
 
     g_t = c_gt = mean(1, global_temporal)
     g_s = c_gs = mean(2, global_spatial)
-    fused = _fused_gate_params(params)
+    w, b = _grid_weights(params)
+    gt_weights, gs_weights = _global_weights(params, "enc.gt"), _global_weights(params, "enc.gs")
     sp_mask = (layout.spatial_prev() >= 0).astype(np.float64)
     sp_mask = np.tile(sp_mask, B * T)[:, None]  # (B*T*K, 1), 0 at chain heads
     for _ in range(layers):
         # GATE_ORDER is the grid cell's column layout: the "in" gate on the
         # candidate, one gate per cell source, "out", then "cand"
-        h, c = ad.grid_cell(h, c, rows, g_s, g_t, fused, c_gs, c_gt, grid, sp_mask)
+        h, c = ad.grid_cell(h, c, rows, g_s, g_t, w, b, c_gs, c_gt, grid, sp_mask)
         if global_temporal:
-            g_t, c_gt = ad.pooled_cell(h, c, g_t, c_gt, _global_weights(params, "enc.gt"),
-                                       grid, axis=1)
+            g_t, c_gt = ad.pooled_cell(h, c, g_t, c_gt, gt_weights, grid, axis=1)
         if global_spatial:
-            g_s, c_gs = ad.pooled_cell(h, c, g_s, c_gs, _global_weights(params, "enc.gs"),
-                                       grid, axis=2)
+            g_s, c_gs = ad.pooled_cell(h, c, g_s, c_gs, gs_weights, grid, axis=2)
     return EncoderState(h=h, c=c, g_t=g_t, c_gt=c_gt, g_s=g_s, c_gs=c_gs, grid_shape=grid)

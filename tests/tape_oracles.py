@@ -2,8 +2,8 @@
 
 ``sthrn.autodiff.grid_cell`` fuses one encoder layer's composition of
 ``spread_rows`` of each global state, ``shift_rows``, ``mul`` by the
-chain-head mask, ``concat`` of the source block and of the stacked
-gate weights, ``linear`` and ``gated_cell`` into one node, and
+chain-head mask, ``concat`` of the source block, ``linear`` and
+``gated_cell`` into one node, and
 ``sthrn.autodiff.pooled_cell`` a ``spread_rows`` of the previous global
 state and the op-by-op global update.  Those compositions, and the
 ones that the LSTM cell and ``wrap_rows`` replace, also take
@@ -36,7 +36,7 @@ import numpy as np
 
 import sthrn.autodiff as ad
 from sthrn.autodiff import Tensor
-from sthrn.encoder import EncoderState, _fused_gate_params, _global_weights, encode
+from sthrn.encoder import EncoderState, encode
 from sthrn.model import forward, frames_tensor
 from sthrn.skeleton import sample_windows
 from sthrn.training import TrainingDiverged, l2_loss, weighted_loss
@@ -181,27 +181,26 @@ def _grid_shifts(x, grid_shape, sp_mask):
             ad.mul(shift_rows(x, 1), sp_mask))
 
 
-def composed_grid_cell(h, c, p, gs_rows, gt_rows, weights, cgs_rows, cgt_rows,
+def composed_grid_cell(h, c, p, gs_rows, gt_rows, w, b, cgs_rows, cgt_rows,
                        grid_shape, sp_mask):
     """``ad.grid_cell`` op by op, with the same arguments: the source
-    block a concat node and the stacked weights another, read by one
-    ``linear``."""
-    *stacked, b = weights
+    block a concat node that one ``linear`` reads with the stacked
+    weight ``w``."""
     h_left, h_right, h_sp = _grid_shifts(h, grid_shape, sp_mask)
     block = ad.concat([p, h_left, h_right, h, h_sp, gs_rows, gt_rows], axis=1)
-    pre = ad.linear(block, ad.concat(stacked, axis=0), b)
+    pre = ad.linear(block, w, b)
     c_left, c_right, c_sp = _grid_shifts(c, grid_shape, sp_mask)
     return gated_cell(pre, [c_left, c, c_right, c_sp, cgs_rows, cgt_rows])
 
 
-def six_term_grid_cell(h, c, p_proj, gs_rows, gt_rows, weights, cgs_rows, cgt_rows,
+def six_term_grid_cell(h, c, p_proj, gs_rows, gt_rows, weights, b, cgs_rows, cgt_rows,
                        grid_shape, sp_mask):
     """The grid cell as it summed its pre-activation before the source
     block: ``p_proj`` is U p, a node that every layer reads, and
-    ``weights`` (w, z, gs, gt, b); one ``linear`` adds p_proj and the
+    ``weights`` (w, z, gs, gt); one ``linear`` adds p_proj and the
     products of the neighbour triple, h_sp and the spread global states
     with their own weights, and the bias, in ``_tree_sum`` order."""
-    w, z, gs, gt, b = weights
+    w, z, gs, gt = weights
     h_left, h_right, h_sp = _grid_shifts(h, grid_shape, sp_mask)
     triple = ad.concat([h_left, h_right, h], axis=1)
     pre = linear([p_proj, (triple, w), (h_sp, z), (gs_rows, gs), (gt_rows, gt), b])
@@ -227,38 +226,52 @@ def unfused_pooled(h, c, g_prev, c_prev, g_rows, weights, grid_shape, axis):
     return ad.mul(out, tanh(c_next)), c_next
 
 
+# the nine gates in the grid cell's column order, and the gate fields:
+# the weights on p, on the neighbour triple, on h_sp, on gs and on gt,
+# then the bias; a global updater's weights in ``unfused_pooled`` order
+GATES = ("in", "left", "same", "right", "spatial", "gs", "gt", "out", "cand")
+FIELDS = ("u", "w", "z", "gs", "gt", "bias")
+POOLED = ("w_c", "z_c", "b_c", "w_f", "z_f", "b_f", "w_o", "z_o", "b_o")
+
+
 def composed_encode(p, params, layout, layers, global_temporal=True, global_spatial=True,
                     six_terms=False):
     """``sthrn.encoder.encode`` for B stacked (B, T, K, 3) windows, built
     from the oracles: per layer one ``spread_rows`` per global state,
     ``composed_grid_cell`` and ``unfused_pooled``, the latter reading
-    the grid cell's spread of its own previous state.  With
-    ``six_terms`` the grid cell is ``six_term_grid_cell``, every layer
-    reading one ``matmul`` node of U p: the layout before the source
-    block."""
+    the grid cell's spread of its own previous state.  Every weight is
+    read from ``params`` by name, not through the encoder's builders:
+    each gate field is one concat node of the nine gates' parameters,
+    and every layer stacks the five weight fields by rows again, so each
+    field sums its layers' gradients as it did before the encoder built
+    the stack once.  With ``six_terms`` the grid cell is
+    ``six_term_grid_cell``, every layer reading one ``matmul`` node of
+    U p: the layout before the source block."""
     state = encode(p, params, layout, 0, global_temporal, global_spatial)
     grid = state.grid_shape
     B, T, K, _ = grid
-    fused = _fused_gate_params(params)
+    u, *fields, b = (ad.concat([params[f"enc.gate.{gate}.{f}"] for gate in GATES], axis=-1)
+                     for f in FIELDS)
     rows = np.asarray(p, dtype=np.float64).reshape(B * T * K, 3)
-    cell, first, weights = composed_grid_cell, rows, fused
+    cell, first = composed_grid_cell, rows
     if six_terms:
-        cell, first, weights = six_term_grid_cell, matmul(rows, fused[0]), fused[1:]
+        cell, first = six_term_grid_cell, matmul(rows, u)
+    gt_weights, gs_weights = ([params[f"{prefix}.{f}"] for f in POOLED]
+                              for prefix in ("enc.gt", "enc.gs"))
     sp_mask = np.tile((layout.spatial_prev() >= 0).astype(np.float64), B * T)[:, None]
     for _ in range(layers):
         gs_rows = spread_rows(state.g_s, grid, 2)
         gt_rows = spread_rows(state.g_t, grid, 1)
         cgs_rows = spread_rows(state.c_gs, grid, 2)
         cgt_rows = spread_rows(state.c_gt, grid, 1)
-        h, c = cell(state.h, state.c, first, gs_rows, gt_rows, weights, cgs_rows, cgt_rows,
+        weights = fields if six_terms else ad.concat([u, *fields], axis=0)
+        h, c = cell(state.h, state.c, first, gs_rows, gt_rows, weights, b, cgs_rows, cgt_rows,
                     grid, sp_mask)
         g_t, c_gt, g_s, c_gs = state.g_t, state.c_gt, state.g_s, state.c_gs
         if global_temporal:
-            g_t, c_gt = unfused_pooled(h, c, g_t, c_gt, gt_rows, _global_weights(params, "enc.gt"),
-                                       grid, 1)
+            g_t, c_gt = unfused_pooled(h, c, g_t, c_gt, gt_rows, gt_weights, grid, 1)
         if global_spatial:
-            g_s, c_gs = unfused_pooled(h, c, g_s, c_gs, gs_rows, _global_weights(params, "enc.gs"),
-                                       grid, 2)
+            g_s, c_gs = unfused_pooled(h, c, g_s, c_gs, gs_rows, gs_weights, grid, 2)
         state = EncoderState(h=h, c=c, g_t=g_t, c_gt=c_gt, g_s=g_s, c_gs=c_gs, grid_shape=grid)
     return state
 

@@ -309,12 +309,12 @@ def test_gated_cell_matches_unfused_composition():
         assert err < 1e-6, name
 
 
-def spread_grid_composition(h, c, p, g_s, g_t, weights, c_gs, c_gt, grid, sp_mask):
+def spread_grid_composition(h, c, p, g_s, g_t, w, b, c_gs, c_gt, grid, sp_mask):
     """``ad.grid_cell``'s composition with one spread node per global
     state, taking the op's arguments."""
     spread = [oracle.spread_rows(g, grid, axis)
               for g, axis in ((g_s, 2), (g_t, 1), (c_gs, 2), (c_gt, 1))]
-    return oracle.composed_grid_cell(h, c, p, spread[0], spread[1], weights,
+    return oracle.composed_grid_cell(h, c, p, spread[0], spread[1], w, b,
                                      spread[2], spread[3], grid, sp_mask)
 
 
@@ -328,7 +328,9 @@ def test_grid_cell_matches_its_composition(topo, windows, first_layer, ablated):
     included, bit for bit.  At the first layer h is c and each global
     state is its own cell (as ``encode`` makes them at layer 0), so the
     fused vjp has to add into the shared tensors in the order the
-    composition's walk did; an ablated global state is a zero const."""
+    composition's walk did; an ablated global state is a zero const.
+    The five weight fields are leaves stacked by one concat node, so
+    each keeps its own gradient."""
     layout = ChainLayout.from_topology(builtin_topology(topo))
     T, K, d = 2, layout.num_entries, 3
     grid, rows = (windows, T, K, d), windows * T * K
@@ -351,7 +353,8 @@ def test_grid_cell_matches_its_composition(topo, windows, first_layer, ablated):
     heads = [rng.normal(size=(rows, d)) for _ in range(2)]
 
     def run(cell):
-        args = (h, c, p, g_s, g_t, weights, c_gs, c_gt, grid, sp_mask)
+        w = ad.concat(weights[:5], axis=0)
+        args = (h, c, p, g_s, g_t, w, weights[5], c_gs, c_gt, grid, sp_mask)
         with no_grad():
             bare = cell(*args)
         out = cell(*args)
@@ -393,7 +396,8 @@ def test_grid_cell_keeps_long_double(wide):
     heads = [rng.normal(size=(rows, d)) for _ in range(2)]
 
     def run(cell):
-        out = cell(h, c, p, g_s, g_t, tuple(weights.values()), c_gs, c_gt, grid, sp_mask)
+        w = ad.concat([weights[f] for f in ("u", "w", "z", "gs", "gt")], axis=0)
+        out = cell(h, c, p, g_s, g_t, w, weights["b"], c_gs, c_gt, grid, sp_mask)
         root = ad.add(ad.tsum(ad.mul(out[0], heads[0])), ad.tsum(ad.mul(out[1], heads[1])))
         backward(root, leaves=[target])
         return [t.data for t in out], target.grad.copy()
@@ -567,8 +571,8 @@ OPS = {
                     [_r(6, 2), _r(6, 2), _r(2, 2), _r(2, 2)]
                     + [0.3 * _r(2, 2), 0.3 * _r(2, 2), _r(2)] * 3),
     "grid_cell": (lambda h, c, p, g_s, g_t, u, w, z, gs, gt, b, c_gs, c_gt: ad.grid_cell(
-                      h, c, p, g_s, g_t, (u, w, z, gs, gt, b), c_gs, c_gt, (1, 2, 3, 2),
-                      np.array([[0.0], [1.0], [1.0]] * 2)),
+                      h, c, p, g_s, g_t, ad.concat([u, w, z, gs, gt], axis=0), b, c_gs, c_gt,
+                      (1, 2, 3, 2), np.array([[0.0], [1.0], [1.0]] * 2)),
                   [_r(6, 2), _r(6, 2), _r(6, 3), _r(2, 2), _r(3, 2)]
                   + [0.3 * _r(3, 18), 0.3 * _r(6, 18)] + [0.3 * _r(2, 18) for _ in range(3)]
                   + [_r(18), _r(2, 2), _r(3, 2)]),
@@ -1254,7 +1258,8 @@ CELL_FORWARDS = {
     "lstm": (ad._lstm_fwd, (), OPS["lstm_cell"][1]),
     "pooled": (ad._pooled_fwd, ((3, 2, 2), 0), OPS["pooled_cell"][1]),
     "grid": (ad._grid_fwd, ((1, 2, 3, 2), np.array([[0.0], [1.0], [1.0]] * 2)),
-             OPS["grid_cell"][1]),
+             [*OPS["grid_cell"][1][:5], np.concatenate(OPS["grid_cell"][1][5:10]),
+              *OPS["grid_cell"][1][10:]]),
 }
 
 

@@ -353,6 +353,29 @@ def test_taped_layer_is_one_grid_cell_and_two_pooled_cells():
                                     + ["narrow"] * 6)
 
 
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_every_grid_cell_reads_one_stacked_weight_and_bias(layers):
+    # encode stacks the gate weights once: every layer's grid cell reads
+    # the same (3 + 6n, 9n) node, the five fields' gate columns stacked
+    # by rows in block order, and the same bias node
+    lay = fork_layout()
+    hidden = 3
+    params = random_params(hidden, seed=30)
+    p = np.random.default_rng(31).normal(size=(2, 3, 4, 3))
+    cells = [n for n in interior_nodes(encode(p, params, lay, layers=layers))
+             if n.op == "grid_cell"]
+    assert len(cells) == layers
+    w, b = cells[0].parents[5:7]
+    assert all(len(n.parents) == 9 and n.parents[5] is w and n.parents[6] is b for n in cells)
+    stacked = np.concatenate([
+        np.concatenate([params[f"enc.gate.{gate}.{field}"].data for gate in GATE_ORDER], axis=1)
+        for field in ("u", "w", "z", "gs", "gt")])
+    assert w.data.shape == (3 + 6 * hidden, 9 * hidden)
+    assert np.array_equal(w.data, stacked)
+    assert np.array_equal(b.data, np.concatenate(
+        [params[f"enc.gate.{gate}.bias"].data for gate in GATE_ORDER]))
+
+
 @pytest.mark.parametrize("topo", ["fork7", "chain3"])
 @pytest.mark.parametrize("ablated", [None, "temporal", "spatial"])
 def test_encode_matches_spread_node_layout(topo, ablated):

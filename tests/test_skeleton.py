@@ -378,6 +378,20 @@ def test_lie_to_pose_rejects_bad_shapes():
         lie_to_pose(np.zeros((1, 3)), topo, RootConfig(np.zeros(3), ()))
 
 
+def test_lie_to_pose_rejects_a_chain_hung_from_a_later_chain():
+    # built without validate(): chain 1 starts at "d", which only chain 2
+    # places, so the walk reaches chain 1 before its attachment joint
+    topo = SkeletonTopology(
+        ("r", "a", "b", "d", "e", "f", "c"),
+        (("r", "a", "b"), ("d", "e", "f"), ("r", "c", "d")),
+        {name: 1.0 for name in "abcdef"},
+    )
+    with pytest.raises(ValidationError, match="^chain 1 attaches to an unplaced joint$"):
+        lie_to_pose(np.zeros((3, 3)), topo, RootConfig.canonical(topo))
+    with pytest.raises(ValidationError, match="disconnected"):
+        topo.validate()
+
+
 # -- motion file IO ----------------------------------------------------------------
 
 

@@ -15,6 +15,10 @@ both checkouts and compares the lines.  The cases are:
 - ``windows/draw``: 40 windows of 10 frames that ``sample_windows``
   draws from fork7 sequences of 30, 12 and 50 frames (a checkout from
   before the batch draw prints ``absent``);
+- ``encode/fork7-tiny`` and ``encode/human``: the six states of a
+  value-only ``encode`` of two fixed 8-frame windows at once, under the
+  criterion-4 config (fork7, hidden 6, 2 layers) and the default human
+  config;
 - ``criterion-4/loss`` and ``criterion-4/grad/<leaf>``: the taped
   weighted loss of the criterion-4 fixture (fork7, hidden 6, 2 layers,
   6 observed frames, horizon 3) and every leaf gradient ``backward``
@@ -143,6 +147,21 @@ def draw_cases():
     yield "windows/draw", array_digest({"batch": batch})
 
 
+def encode_cases():
+    for case, topo_name, config in (
+            ("encode/fork7-tiny", "fork7", sthrn.ModelConfig(hidden_size=6, layers=2)),
+            ("encode/human", "human", sthrn.ModelConfig())):
+        topo = sthrn.builtin_topology(topo_name)
+        layout = sthrn.ChainLayout.from_topology(topo)
+        params = sthrn.ModelParams.init(config, layout, seed=7)
+        frames = sthrn.synth_motion("sinusoid", 12, topo, seed=19).frames
+        with sthrn.no_grad():
+            state = sthrn.encode(np.stack([frames[:8], frames[4:]]), params.named(), layout,
+                                 config.layers, config.global_temporal, config.global_spatial)
+        yield case, array_digest({field: getattr(state, field).data
+                                  for field in ("h", "c", "g_t", "c_gt", "g_s", "c_gs")})
+
+
 # criterion 9's configs, by the name the acceptance test gives them
 ABLATIONS = {"no-global-temporal": {"global_temporal": False},
              "no-global-spatial": {"global_spatial": False},
@@ -246,8 +265,8 @@ def cli_cases(workdir: str, joints: str):
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
-        for cases in (train_cases(workdir), draw_cases(), gradient_cases(), predict_cases(),
-                      io_cases(workdir)):
+        for cases in (train_cases(workdir), draw_cases(), encode_cases(), gradient_cases(),
+                      predict_cases(), io_cases(workdir)):
             for case, sha in cases:
                 print(case, sha, flush=True)
 
