@@ -25,6 +25,7 @@ it refines.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -554,73 +555,68 @@ def lstm_cell(x, h, c, w, b) -> tuple[Tensor, Tensor]:
     return _apply("lstm_cell", tuple(map(_as_tensor, (x, h, c, w, b))), _lstm_vjp, _lstm_fwd)
 
 
-def _pooled_fwd(grid_shape, axis, h, c, g_prev, c_prev,
-                w_c, z_c, b_c, w_f, z_f, b_f, w_o, z_o, b_o):
+def _pooled_fwd(grid_shape, axis, h, c, g_prev, c_prev, w, b):
     """(g, c, cell gates, mean h, forget gate, out gate, tanh(c)) of a
     pooled cell."""
-    cell = _sigmoid((h @ w_c + _spread(grid_shape, axis, g_prev) @ z_c) + b_c)
-    contrib = _pool(grid_shape, axis, cell * c)
+    n = h.shape[-1]
+    g_part = g_prev @ w[..., n:, :]  # every gate's g_prev product, at pooled rows
+    cell = _sigmoid((h @ w[..., :n, :n] + _spread(grid_shape, axis, g_part[..., :n]))
+                    + b[..., :n])
     h_mean = _pool(grid_shape, axis, h) * (1.0 / grid_shape[axis])
-    f = _sigmoid((h_mean @ w_f + g_prev @ z_f) + b_f)
-    out = _sigmoid((h_mean @ w_o + g_prev @ z_o) + b_o)
-    c_new = contrib + f * c_prev
+    fo = _sigmoid((h_mean @ w[..., :n, n:] + g_part[..., n:]) + b[..., n:])
+    f, out = fo[..., :n], fo[..., n:]
+    c_new = _pool(grid_shape, axis, cell * c) + f * c_prev
     tc = np.tanh(c_new)
     return out * tc, c_new, cell, h_mean, f, out, tc
 
 
 def _pooled_vjp(node, grad):
-    h, c, g_prev, c_prev, w_c, z_c, b_c, w_f, z_f, b_f, w_o, z_o, b_o = node.parents
+    h, c, g_prev, c_prev, w, b = node.parents
     grid_shape, axis = node.args
     cell, h_mean, f, out, tc = node.saved
-    d = out.shape[1]
-    gg, gc = grad[:, :d], grad[:, d:]
+    n = out.shape[1]
+    gg, gc = grad[:, :n], grad[:, n:]
     dc = gc + gg * out * (1.0 - tc * tc)
-    d_f = dc * c_prev.data * f * (1.0 - f)
-    d_o = gg * tc * out * (1.0 - out)
-    for dz, tw, tz, tb in ((d_f, w_f, z_f, b_f), (d_o, w_o, z_o, b_o)):
-        _acc(tw, h_mean.T @ dz)
-        _acc(tz, g_prev.data.T @ dz)
-        _acc(tb, dz)
-    d_mean = (d_f @ w_f.data.T + d_o @ w_o.data.T) * (1.0 / grid_shape[axis])
+    d_fo = np.concatenate([dc * c_prev.data * f * (1.0 - f), gg * tc * out * (1.0 - out)], axis=1)
     spread = _spread(grid_shape, axis, dc).reshape(h.data.shape)
-    _acc(c, spread * cell)
     d_cell = spread * c.data * cell * (1.0 - cell)
-    _acc(w_c, h.data.T @ d_cell)
-    _acc(z_c, _spread(grid_shape, axis, g_prev.data).T @ d_cell)
-    _acc(b_c, d_cell)
-    d_rows = _pool(grid_shape, axis, d_cell @ z_c.data.T)
-    _acc(h, d_cell @ w_c.data.T)
-    _acc(h, _spread(grid_shape, axis, d_mean).reshape(h.data.shape))
-    # the previous states in the order the walk of the composition this
-    # op replaces added them, since g_prev is c_prev at the first layer:
-    # the out gate, the spread of g_prev, the kept cell, the forget gate
-    _acc(g_prev, d_o @ z_o.data.T)
-    _acc(g_prev, d_rows)
+    # the three gates' pre-activation gradients at pooled rows, as g_prev
+    # and the bias read them
+    d_pooled = np.concatenate([_pool(grid_shape, axis, d_cell), d_fo], axis=1)
+    wc, wfo, z = w.data[:n, :n], w.data[:n, n:], w.data[n:]
+    d_mean = (d_fo @ wfo.T) * (1.0 / grid_shape[axis])
+    _acc(h, d_cell @ wc.T + _spread(grid_shape, axis, d_mean).reshape(h.data.shape))
+    _acc(c, spread * cell)
+    _acc(g_prev, d_pooled @ z.T)
     _acc(c_prev, dc * f)
-    _acc(g_prev, d_f @ z_f.data.T)
+    _acc(w, np.concatenate([np.concatenate([h.data.T @ d_cell, h_mean.T @ d_fo], axis=1),
+                            g_prev.data.T @ d_pooled]))
+    _acc(b, d_pooled)
 
 
-def pooled_cell(h, c, g_prev, c_prev, weights, grid_shape, axis: int) -> tuple[Tensor, Tensor]:
+def pooled_cell(h, c, g_prev, c_prev, w, b, grid_shape, axis: int) -> tuple[Tensor, Tensor]:
     """A global state pooled from a grid of cells; returns the new (g, c).
 
-    ``h`` and ``c`` are the grid's (rows, hidden) states, ``grid_shape``
-    their (..., hidden) view, for example (B, T, K, hidden) for B
-    windows, and the pool runs over ``axis`` of it.  ``g_prev`` and
-    ``c_prev`` are the previous global states, one row per remaining
-    grid index in row-major order.  ``weights`` is (w_c, z_c, b_c, w_f,
-    z_f, b_f, w_o, z_o, b_o):
+    ``h`` and ``c`` are the grid's (rows, n) states, ``grid_shape``
+    their (..., n) view, for example (B, T, K, n) for B windows, and the
+    pool runs over ``axis`` of it.  ``g_prev`` and ``c_prev`` are the
+    previous global states, one row per remaining grid index in
+    row-major order.  ``w`` is the (2n, 3n) stack [[w_c, w_f, w_o], [z_c,
+    z_f, z_o]] and ``b`` the (3n,) bias [b_c, b_f, b_o], both built once
+    for all of an encoder's layers:
 
-        cell = sigmoid(h w_c + g_rows z_c + b_c)      per grid cell
-        f    = sigmoid(mean(h) w_f + g_prev z_f + b_f)
-        out  = sigmoid(mean(h) w_o + g_prev z_o + b_o)
+        [zc | zf | zo] = g_prev [z_c, z_f, z_o]         per global row
+        cell = sigmoid(h w_c + spread(zc) + b_c)        per grid cell
+        [f | out] = sigmoid(mean(h) [w_f, w_o] + [zf | zo] + [b_f, b_o])
         c'   = sum(cell . c) + f . c_prev,   g' = out . tanh(c')
 
-    with means and sums over ``axis``, and ``g_rows`` the op's own spread
-    of ``g_prev`` to one row per grid cell; values are bit-identical to
-    the composition of a spread, matmul, add, sigmoid, mul, reshape,
-    tsum, mul and tanh that spells this out.
+    with means and sums over ``axis`` and ``spread`` copying each global
+    row back over it: ``g_prev`` is multiplied once, at pooled rows.
+    The vjp likewise pools the cell gate's gradient before its products
+    with ``g_prev`` and the bias, so those gradients differ from the
+    per-cell composition's at round-off.
     """
-    parents = tuple(map(_as_tensor, (h, c, g_prev, c_prev, *weights)))
+    parents = tuple(map(_as_tensor, (h, c, g_prev, c_prev, w, b)))
     return _apply("pooled_cell", parents, _pooled_vjp, _pooled_fwd, grid_shape, axis)
 
 
@@ -894,21 +890,20 @@ def _replay(steps, root: Tensor, leaf: Tensor, index, step: float,
 # -- gradient checking ------------------------------------------------------
 
 
+@dataclass(repr=False)
 class GradCheckReport:
     """Outcome of comparing tape gradients against central differences,
     and what the comparison cost."""
 
-    def __init__(self, max_rel_error, per_leaf, skipped, forward_calls, replays, passes,
-                 fallbacks, refined, seconds):
-        self.max_rel_error = max_rel_error
-        self.per_leaf = per_leaf          # name -> worst relative error
-        self.skipped = skipped            # (name, flat index) of NaN/inf grads
-        self.forward_calls = forward_calls  # calls of f(), the taped one included
-        self.replays = replays            # losses re-evaluated on the recorded tape
-        self.passes = passes              # batched replay passes that made them
-        self.fallbacks = fallbacks        # leaves probed by calling f() alone
-        self.refined = refined            # components re-probed in extended precision
-        self.seconds = seconds            # wall time of the whole check
+    max_rel_error: float
+    per_leaf: dict[str, float]        # name -> worst relative error
+    skipped: list[tuple[str, int]]    # (name, flat index) of NaN/inf grads
+    forward_calls: int                # calls of f(), the taped one included
+    replays: int                      # losses re-evaluated on the recorded tape
+    passes: int                       # batched replay passes that made them
+    fallbacks: int                    # leaves probed by calling f() alone
+    refined: int                      # components re-probed in extended precision
+    seconds: float                    # wall time of the whole check
 
     def __repr__(self) -> str:
         return (

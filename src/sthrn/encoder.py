@@ -15,9 +15,16 @@ spatial state g_s, and a per-bone global temporal state g_t:
 
 with sigmoid activations everywhere except the tanh candidate.  The
 global states are LSTM-like summaries updated after each layer from
-the new grid states; one parameter set is shared across frames, bones,
-and layers, and the raw inputs p are re-fed at every layer.  Out-of-
-grid neighbors contribute zeros.
+the new grid states, g_t pooled over frames and g_s over bones:
+
+    cell_ij = sigmoid(W_c h_ij + Z_c g + b_c)
+    f, out  = sigmoid(W_{f,o} mean(h) + Z_{f,o} g + b_{f,o})
+    c_g'    = sum_ij cell_ij . c_ij + f . c_g,   g' = out . tanh(c_g')
+
+One parameter set is shared across frames, bones, and layers, and the
+raw inputs p are re-fed at every layer.  Out-of-grid neighbors
+contribute zeros.  ``encode`` hands the grid cell and each updater one
+stacked weight and bias, built once per call from the named parameters.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ GATE_FIELDS = ("u", "w", "z", "gs", "gt", "bias")
 # one global-state updater: w_c / z_c / b_c gate each grid cell's
 # contribution, w_f / z_f / b_f forget the previous global cell, w_o /
 # z_o / b_o are the output gate; the w_* act on the new grid states, the
-# z_* on the previous global hidden state
+# z_* on the previous global hidden state; GLOBAL_FIELDS[k::3] is the
+# row of w, z or b
 GLOBAL_FIELDS = ("w_c", "z_c", "b_c", "w_f", "z_f", "b_f", "w_o", "z_o", "b_o")
 
 
@@ -105,19 +113,12 @@ def _as_windows(p: np.ndarray, k: int) -> np.ndarray:
     return windows
 
 
-def _grid_weights(params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """The grid cell's (w, b): each ``GATE_FIELDS`` field of the nine
-    gates side by side in ``GATE_ORDER``, and the five weight fields
-    stacked by rows into w."""
-    *fields, b = (ad.concat([params[f"enc.gate.{name}.{f}"] for name in GATE_ORDER], axis=-1)
-                  for f in GATE_FIELDS)
-    return ad.concat(fields, axis=0), b
-
-
-def _global_weights(params: dict[str, Tensor], prefix: str) -> tuple[Tensor, ...]:
-    """A global updater's nine weights ("enc.gt" or "enc.gs") in
-    ``GLOBAL_FIELDS`` order, as ``ad.pooled_cell`` takes them."""
-    return tuple(params[f"{prefix}.{f}"] for f in GLOBAL_FIELDS)
+def _stacked(params: dict[str, Tensor], rows) -> tuple[Tensor, Tensor]:
+    """A fused cell's (w, b) from rows of parameter names: each row's
+    parameters side by side, the rows stacked into w but the last, which
+    is the bias b."""
+    *w, b = (ad.concat([params[name] for name in row], axis=-1) for row in rows)
+    return ad.concat(w, axis=0), b
 
 
 def encode(p: np.ndarray, params: dict[str, Tensor], layout: ChainLayout,
@@ -153,8 +154,12 @@ def encode(p: np.ndarray, params: dict[str, Tensor], layout: ChainLayout,
 
     g_t = c_gt = mean(1, global_temporal)
     g_s = c_gs = mean(2, global_spatial)
-    w, b = _grid_weights(params)
-    gt_weights, gs_weights = _global_weights(params, "enc.gt"), _global_weights(params, "enc.gs")
+    # the grid cell's rows are the source block's fields; an updater's
+    # columns are its gates c, f and o, its rows w, z and the bias
+    w, b = _stacked(params, [[f"enc.gate.{gate}.{f}" for gate in GATE_ORDER]
+                             for f in GATE_FIELDS])
+    gt, gs = (_stacked(params, [[f"{prefix}.{f}" for f in GLOBAL_FIELDS[k::3]] for k in range(3)])
+              for prefix in ("enc.gt", "enc.gs"))
     sp_mask = (layout.spatial_prev() >= 0).astype(np.float64)
     sp_mask = np.tile(sp_mask, B * T)[:, None]  # (B*T*K, 1), 0 at chain heads
     for _ in range(layers):
@@ -162,7 +167,7 @@ def encode(p: np.ndarray, params: dict[str, Tensor], layout: ChainLayout,
         # candidate, one gate per cell source, "out", then "cand"
         h, c = ad.grid_cell(h, c, rows, g_s, g_t, w, b, c_gs, c_gt, grid, sp_mask)
         if global_temporal:
-            g_t, c_gt = ad.pooled_cell(h, c, g_t, c_gt, gt_weights, grid, axis=1)
+            g_t, c_gt = ad.pooled_cell(h, c, g_t, c_gt, *gt, grid, axis=1)
         if global_spatial:
-            g_s, c_gs = ad.pooled_cell(h, c, g_s, c_gs, gs_weights, grid, axis=2)
+            g_s, c_gs = ad.pooled_cell(h, c, g_s, c_gs, *gs, grid, axis=2)
     return EncoderState(h=h, c=c, g_t=g_t, c_gt=c_gt, g_s=g_s, c_gs=c_gs, grid_shape=grid)

@@ -17,6 +17,9 @@ INIT_SIGMA = 0.1  # standard deviation of every initial weight
 # anything is drawn; training holds three more copies (gradients and
 # Adam's two moments), chunk-sized scratch and the tape
 MAX_PARAM_BYTES = 1 << 30
+# the longest prediction ``forward`` makes: it keeps every step's output,
+# so a horizon is refused before encoding rather than run out of memory
+MAX_HORIZON = 100_000
 
 
 _FIELD_TYPES = {kind.__name__: kind for kind in (int, float, str, bool)}
@@ -164,12 +167,12 @@ def forward(params: ModelParams, config: ModelConfig, layout: ChainLayout,
     consumes its own outputs; passing ``feed`` (horizon, K, 3), or (B,
     horizon, K, 3), instead feeds the true previous frame at each step
     (teacher forcing); only its first horizon - 1 frames are read, and
-    they must be finite.
+    they must be finite.  A horizon above ``MAX_HORIZON`` is refused.
     """
     k = layout.num_entries
     observed = _check_observed(observed, k)
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise ValueError(f"horizon must be 1 to {MAX_HORIZON:,} frames, got {horizon:,}")
     b = observed.shape[0]
     if feed is not None:
         windows = _as_windows(feed, k)[:, :horizon - 1]

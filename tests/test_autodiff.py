@@ -411,11 +411,21 @@ def test_grid_cell_keeps_long_double(wide):
     assert np.array_equal(got_grad, want_grad)
 
 
+def stack_global(*weights):
+    """A global updater's nine weights, in ``unfused_pooled`` order, as
+    the stacked (w, b) that ``ad.pooled_cell`` takes."""
+    w_row, z_row, b = (ad.concat(weights[k::3], axis=-1) for k in range(3))
+    return ad.concat([w_row, z_row], axis=0), b
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 def test_pooled_cell_matches_unfused_composition(axis):
-    """Values, taped and value-only, and every parent's gradient equal
-    the op-by-op update on a spread node of ``g_prev``, bit for bit,
-    also when ``g_prev`` is ``c_prev`` (the first layer)."""
+    """Values, taped and value-only, equal the op-by-op update on a
+    spread node of ``g_prev`` with nine weights, bit for bit, and every
+    parent's gradient equals the composition's up to round-off: the
+    cell takes ``g_prev``'s products at pooled rows, so the cell gate's
+    gradient is pooled before its products with ``g_prev`` and the
+    bias.  Also when ``g_prev`` is ``c_prev`` (the first layer)."""
     rng = np.random.default_rng(32 + axis)
     T, K, d = 3, 4, 2
     grid, kept = (T, K, d), K if axis == 0 else T
@@ -424,6 +434,10 @@ def test_pooled_cell_matches_unfused_composition(axis):
     weights = [leaf(rng.normal(size=(d, d)) if k % 3 < 2 else rng.normal(size=d))
                for k in range(9)]
     head = rng.normal(size=(kept, 2 * d))
+    bound = 2 * d * np.finfo(np.float64).eps
+
+    def fused(h, c, g_prev, c_prev, weights, grid, axis):
+        return ad.pooled_cell(h, c, g_prev, c_prev, *stack_global(*weights), grid, axis)
 
     def composed(h, c, g_prev, c_prev, weights, grid, axis):
         g_rows = oracle.spread_rows(g_prev, grid, axis)
@@ -440,13 +454,13 @@ def test_pooled_cell_matches_unfused_composition(axis):
             backward(ad.tsum(ad.mul(ad.concat(out, axis=1), head)), leaves=parents)
             return [t.data for t in (*out, *bare)], [t.grad.copy() for t in parents]
 
-        got_values, got_grads = run(ad.pooled_cell)
+        got_values, got_grads = run(fused)
         want_values, want_grads = run(composed)
         for got, want in zip(got_values, want_values, strict=True):
             assert got.shape == (kept, d)
             assert np.array_equal(got, want)
         for k, (got, want) in enumerate(zip(got_grads, want_grads, strict=True)):
-            assert np.array_equal(got, want), k
+            assert np.abs(got - want).max() <= bound * np.abs(want).max(), k
 
 
 def test_linear_matches_nested_adds():
@@ -567,7 +581,8 @@ OPS = {
     "gated_cell": (lambda pre, s0, s1: oracle.gated_cell(pre, [s0, s1]),
                    [0.3 * _r(3, 10), _r(3, 2), _r(3, 2)]),
     "lstm_cell": (ad.lstm_cell, [_r(2, 3), _r(2, 2), _r(2, 2), 0.3 * _r(5, 8), _r(8)]),
-    "pooled_cell": (lambda h, c, gp, cp, *w: ad.pooled_cell(h, c, gp, cp, w, (3, 2, 2), 0),
+    "pooled_cell": (lambda h, c, gp, cp, *w: ad.pooled_cell(h, c, gp, cp, *stack_global(*w),
+                                                            (3, 2, 2), 0),
                     [_r(6, 2), _r(6, 2), _r(2, 2), _r(2, 2)]
                     + [0.3 * _r(2, 2), 0.3 * _r(2, 2), _r(2)] * 3),
     "grid_cell": (lambda h, c, p, g_s, g_t, u, w, z, gs, gt, b, c_gs, c_gt: ad.grid_cell(
@@ -1256,7 +1271,9 @@ def test_long_double_replay_equals_refine_fd(fixture):
 CELL_FORWARDS = {
     "gated": (ad._gated_fwd, (), OPS["gated_cell"][1]),
     "lstm": (ad._lstm_fwd, (), OPS["lstm_cell"][1]),
-    "pooled": (ad._pooled_fwd, ((3, 2, 2), 0), OPS["pooled_cell"][1]),
+    "pooled": (ad._pooled_fwd, ((3, 2, 2), 0),
+               [*OPS["pooled_cell"][1][:4],
+                *(t.data for t in stack_global(*OPS["pooled_cell"][1][4:]))]),
     "grid": (ad._grid_fwd, ((1, 2, 3, 2), np.array([[0.0], [1.0], [1.0]] * 2)),
              [*OPS["grid_cell"][1][:5], np.concatenate(OPS["grid_cell"][1][5:10]),
               *OPS["grid_cell"][1][10:]]),

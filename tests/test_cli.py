@@ -7,6 +7,8 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -26,7 +28,7 @@ from sthrn.skeleton import (
     save_motion,
     synth_motion,
 )
-from sthrn.model import MAX_PARAM_BYTES, ModelConfig, ModelParams, param_table
+from sthrn.model import MAX_HORIZON, MAX_PARAM_BYTES, ModelConfig, ModelParams, param_table
 from sthrn.training import TrainConfig, load_checkpoint, save_checkpoint
 
 
@@ -597,6 +599,34 @@ def test_predict_refuses_non_finite_frames_exits_2(tmp_path, capsys):
                "--horizon", "3", "--out", str(out)])
     assert rc == 2
     assert f"error: {obs}: frame 6 is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_refuses_a_huge_horizon_exits_2(tmp_path, capsys):
+    """A horizon above ``MAX_HORIZON`` is refused before the encoder
+    runs: ``--horizon 100000000`` would keep some 80 GB of step outputs,
+    and instead exits 2 at once, holding little beyond the checkpoint
+    and the observed frames."""
+    ckpt = str(tmp_path / "model.ckpt")
+    assert main(["train", "--data", lie_file(tmp_path, "train.lie"),
+                 "--config", write_config(tmp_path, TINY), "--topology", topo_file(tmp_path),
+                 "--out-checkpoint", ckpt]) == 0
+    capsys.readouterr()
+    out = tmp_path / "p.lie"
+    argv = ["predict", "--checkpoint", ckpt, "--data", lie_file(tmp_path, "obs.lie", frames=10),
+            "--horizon", "100000000", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        rc = main(argv)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: horizon must be 1 to {MAX_HORIZON:,} frames, "
+                                       f"got 100,000,000\n")
+    assert seconds < 0.5 and peak < 1 << 20, (seconds, peak)
     assert not out.exists()
 
 

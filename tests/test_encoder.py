@@ -15,7 +15,7 @@ from sthrn.encoder import (
     GLOBAL_FIELDS,
     encode,
 )
-from sthrn.model import ModelConfig, ModelParams, forward, frames_tensor, param_table
+from sthrn.model import ModelConfig, ModelParams, forward, frames_tensor
 from sthrn.skeleton import builtin_topology, synth_motion
 from sthrn.training import bone_weights, weighted_loss
 
@@ -34,10 +34,9 @@ def random_params(hidden, seed):
 
 
 def zero_global_weights(hidden):
-    """A global updater's nine weights, all zero, as ``ad.pooled_cell``
-    takes them."""
-    table = param_table(ModelConfig(hidden_size=hidden), ChainLayout((1,)))
-    return tuple(Tensor(np.zeros(table[f"enc.gt.{f}"])) for f in GLOBAL_FIELDS)
+    """A global updater's stacked weight and bias, all zero, as
+    ``ad.pooled_cell`` takes them."""
+    return Tensor(np.zeros((2 * hidden, 3 * hidden))), Tensor(np.zeros(3 * hidden))
 
 
 # -- layout ---------------------------------------------------------------------
@@ -181,7 +180,7 @@ def test_global_step_zero_params_spatial_six_cells():
     h_new = Tensor(np.random.default_rng(8).normal(size=(T * K, hidden)))
     g_prev = Tensor(np.zeros((T, hidden)))
     c_prev = Tensor(np.zeros((T, hidden)))
-    g, c = ad.pooled_cell(h_new, c_new, g_prev, c_prev, zero_global_weights(hidden),
+    g, c = ad.pooled_cell(h_new, c_new, g_prev, c_prev, *zero_global_weights(hidden),
                           (T, K, hidden), axis=1)
     assert np.allclose(c.data, 3.0 * c0, atol=1e-14)
     assert np.allclose(g.data, 0.5 * np.tanh(3.0 * c0), atol=1e-14)
@@ -197,7 +196,7 @@ def test_global_step_zero_params_temporal_four_frames():
     h_new = Tensor(np.random.default_rng(9).normal(size=(T * K, hidden)))
     g, c = ad.pooled_cell(
         Tensor(h_new.data), c_new, Tensor(prev.copy()), Tensor(prev.copy()),
-        zero_global_weights(hidden), (T, K, hidden), axis=0,
+        *zero_global_weights(hidden), (T, K, hidden), axis=0,
     )
     assert np.allclose(c.data, 2.0 * c0 + 0.5 * prev, atol=1e-14)
     assert np.allclose(g.data, 0.5 * np.tanh(2.0 * c0 + 0.5 * prev), atol=1e-14)
@@ -409,16 +408,11 @@ def test_encode_matches_spread_node_layout(topo, ablated):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
 
 
-@pytest.mark.parametrize("topo", ["fork7", "human"])
-def test_source_block_moves_the_model_only_at_round_off(topo, monkeypatch):
-    """``encode`` against the six-term layout it had before the grid
-    cell multiplied one source block (``composed_encode`` with
-    ``six_terms``: one ``matmul`` node of U p that every layer reads,
-    and the six terms of each pre-activation added in ``_tree_sum``
-    order).  One product sums each entry's 3 + 6 * hidden products in
-    another order, so the six states, a model's loss and every leaf
-    gradient move by at most one rounding per summed product of their
-    largest magnitude."""
+def assert_moves_only_at_round_off(topo, build, summed, monkeypatch):
+    """A hidden-8, 3-layer model on ``topo`` gives the same six states
+    of two windows, weighted loss and leaf gradients with ``encode`` as
+    its encoder as with ``build``, each within ``summed(hidden)``
+    roundings of its largest magnitude."""
     skeleton = builtin_topology(topo)
     lay = ChainLayout.from_topology(skeleton)
     config = ModelConfig(hidden_size=8, layers=3)
@@ -428,7 +422,7 @@ def test_source_block_moves_the_model_only_at_round_off(topo, monkeypatch):
     seq = synth_motion("sinusoid", 12, skeleton, seed=29).frames
     frames = np.stack([seq[:10], seq[2:]])  # two windows of 6 observed and 4 future frames
     theta = bone_weights(skeleton.entry_lengths())
-    bound = (3 + 6 * config.hidden_size) * np.finfo(np.float64).eps
+    bound = summed(config.hidden_size) * np.finfo(np.float64).eps
 
     def run(build):
         monkeypatch.setattr(sthrn.model, "encode", build)
@@ -440,11 +434,60 @@ def test_source_block_moves_the_model_only_at_round_off(topo, monkeypatch):
                 [t.grad.copy() for t in named.values()])
 
     got_values, got_grads = run(encode)
-    want_values, want_grads = run(partial(oracle.composed_encode, six_terms=True))
+    want_values, want_grads = run(build)
     for name, got, want in zip(STATE_FIELDS + ("loss",), got_values, want_values, strict=True):
         assert np.abs(got - want).max() <= bound * np.abs(want).max(), name
     for name, got, want in zip(named, got_grads, want_grads, strict=True):
         assert np.abs(got - want).max() <= bound * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("topo", ["fork7", "human"])
+def test_source_block_moves_the_model_only_at_round_off(topo, monkeypatch):
+    """``encode`` against the six-term layout it had before the grid
+    cell multiplied one source block (``composed_encode`` with
+    ``six_terms``: one ``matmul`` node of U p that every layer reads,
+    and the six terms of each pre-activation added in ``_tree_sum``
+    order).  One product sums each entry's 3 + 6 * hidden products in
+    another order, so the model moves by at most one rounding per
+    summed product."""
+    assert_moves_only_at_round_off(topo, partial(oracle.composed_encode, six_terms=True),
+                                   lambda n: 3 + 6 * n, monkeypatch)
+
+
+@pytest.mark.parametrize("topo", ["fork7", "human"])
+def test_global_update_moves_the_model_only_at_round_off(topo, monkeypatch):
+    """``encode`` against ``composed_encode``, whose global updates are
+    ``unfused_pooled`` with nine weights on a spread node of each
+    previous global state.  The pooled cell multiplies that state at
+    pooled rows and pools its cell gate's gradient before the products
+    with it and the bias, so the model moves by at most one rounding
+    per summed product of a gate's 2 * hidden inputs."""
+    assert_moves_only_at_round_off(topo, oracle.composed_encode, lambda n: 2 * n, monkeypatch)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_every_pooled_cell_reads_its_updaters_stacked_weight_and_bias(layers):
+    # encode stacks each global updater's weights once: every layer's
+    # pooled cell over frames reads the same (2n, 3n) node [[w_c, w_f,
+    # w_o], [z_c, z_f, z_o]] of "enc.gt", over bones that of "enc.gs",
+    # and the same (3n,) bias node [b_c, b_f, b_o]
+    lay = fork_layout()
+    hidden = 3
+    params = random_params(hidden, seed=32)
+    p = np.random.default_rng(33).normal(size=(2, 3, 4, 3))
+    cells = [n for n in interior_nodes(encode(p, params, lay, layers=layers))
+             if n.op == "pooled_cell"]
+    assert len(cells) == 2 * layers
+    for prefix, axis in (("enc.gt", 1), ("enc.gs", 2)):
+        mine = [n for n in cells if n.args[1] == axis]
+        assert len(mine) == layers
+        w, b = mine[0].parents[4:]
+        assert all(len(n.parents) == 6 and n.parents[4] is w and n.parents[5] is b
+                   for n in mine)
+        field = {f: params[f"{prefix}.{f}"].data for f in GLOBAL_FIELDS}
+        assert np.array_equal(w.data, np.block([[field["w_c"], field["w_f"], field["w_o"]],
+                                                [field["z_c"], field["z_f"], field["z_o"]]]))
+        assert np.array_equal(b.data, np.concatenate([field["b_c"], field["b_f"], field["b_o"]]))
 
 
 def test_encoder_gradients_against_differences():
