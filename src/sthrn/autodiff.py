@@ -491,7 +491,8 @@ def wrap_rows(a) -> Tensor:
 # each ``hidden`` wide.  The fused ops below compute exactly the values
 # of the equivalent narrow/sigmoid/tanh/mul/add composition, adding the
 # gated inputs in ``_tree_sum`` order, at one tape node: the node
-# holds [h | c] and the two states are narrows of it.
+# holds [h | c] and the two states are narrows of it.  No cell saves
+# tanh(c): its vjp rebuilds it from the c half of the node's value.
 
 
 def _sigmoid(x):
@@ -499,22 +500,23 @@ def _sigmoid(x):
 
 
 def _gated_fwd(pre: np.ndarray, *sources):
-    """(h, c, gates, candidate, tanh(c)) of a gated cell."""
+    """(h, c, gates, candidate) of a gated cell."""
     n = len(sources) + 1
     d = pre.shape[-1] // (n + 2)
     s = _sigmoid(pre[..., :(n + 1) * d])
     cand = np.tanh(pre[..., (n + 1) * d:])
     inputs = [cand, *sources]
     c = _tree_sum(s[..., k * d:(k + 1) * d] * inputs[k] for k in range(n))
-    tc = np.tanh(c)
-    return s[..., n * d:] * tc, c, s, cand, tc
+    return s[..., n * d:] * np.tanh(c), c, s, cand
 
 
-def _gated_backward(grad: np.ndarray, s, cand, sources: list, tc):
+def _gated_backward(grad: np.ndarray, value: np.ndarray, s, cand, sources: list):
     """Gradients of a gated cell's [h | c] w.r.t. its pre-activations
-    and each source, given the gradient ``grad`` of [h | c]."""
+    and each source, given the gradient ``grad`` of [h | c] and the
+    node's ``value`` [h | c], whose tanh(c) it rebuilds."""
     n, d = len(sources) + 1, cand.shape[1]
     gh, gc = grad[:, :d], grad[:, d:]
+    tc = np.tanh(value[:, d:])
     dc = gc + gh * s[:, n * d:] * (1.0 - tc * tc)
     inputs = [cand, *sources]
     ds = np.concatenate([dc * x for x in inputs] + [gh * tc], axis=1) * s * (1.0 - s)
@@ -524,16 +526,16 @@ def _gated_backward(grad: np.ndarray, s, cand, sources: list, tc):
 
 
 def _lstm_fwd(x, h, c, w, b):
-    """(h, c, [x | h], gates, candidate, tanh(c)) of one LSTM step."""
+    """(h, c, [x | h], gates, candidate) of one LSTM step."""
     xh = _cat([x, h], -1)
-    h_new, c_new, s, cand, tc = _gated_fwd(xh @ w + b, c)
-    return h_new, c_new, xh, s, cand, tc
+    h_new, c_new, s, cand = _gated_fwd(xh @ w + b, c)
+    return h_new, c_new, xh, s, cand
 
 
 def _lstm_vjp(node, grad):
     x, h, c, w, b = node.parents
-    xh, s, cand, tc = node.saved
-    dz, (dc,) = _gated_backward(grad, s, cand, [c.data], tc)
+    xh, s, cand = node.saved
+    dz, (dc,) = _gated_backward(grad, node.data, s, cand, [c.data])
     _acc(b, dz)
     _defer(w, xh, dz)
     dxh = dz @ w.data.T
@@ -555,29 +557,37 @@ def lstm_cell(x, h, c, w, b) -> tuple[Tensor, Tensor]:
     return _apply("lstm_cell", tuple(map(_as_tensor, (x, h, c, w, b))), _lstm_vjp, _lstm_fwd)
 
 
-def _pooled_fwd(grid_shape, axis, h, c, g_prev, c_prev, w, b):
-    """(g, c, cell gates, mean h, forget gate, out gate, tanh(c)) of a
-    pooled cell."""
+def _pooled_gate(grid_shape, axis, h, g_prev, w, b):
+    """A pooled cell's cell gate, one row per grid cell, and every
+    gate's ``g_prev`` product, at pooled rows."""
     n = h.shape[-1]
-    g_part = g_prev @ w[..., n:, :]  # every gate's g_prev product, at pooled rows
+    g_part = g_prev @ w[..., n:, :]
     cell = _sigmoid((h @ w[..., :n, :n] + _spread(grid_shape, axis, g_part[..., :n]))
                     + b[..., :n])
+    return cell, g_part
+
+
+def _pooled_fwd(grid_shape, axis, h, c, g_prev, c_prev, w, b):
+    """(g, c, mean h, forget gate, out gate) of a pooled cell."""
+    n = h.shape[-1]
+    cell, g_part = _pooled_gate(grid_shape, axis, h, g_prev, w, b)
     h_mean = _pool(grid_shape, axis, h) * (1.0 / grid_shape[axis])
     fo = _sigmoid((h_mean @ w[..., :n, n:] + g_part[..., n:]) + b[..., n:])
     f, out = fo[..., :n], fo[..., n:]
     c_new = _pool(grid_shape, axis, cell * c) + f * c_prev
-    tc = np.tanh(c_new)
-    return out * tc, c_new, cell, h_mean, f, out, tc
+    return out * np.tanh(c_new), c_new, h_mean, f, out
 
 
 def _pooled_vjp(node, grad):
     h, c, g_prev, c_prev, w, b = node.parents
     grid_shape, axis = node.args
-    cell, h_mean, f, out, tc = node.saved
+    h_mean, f, out = node.saved
     n = out.shape[1]
     gg, gc = grad[:, :n], grad[:, n:]
+    tc = np.tanh(node.data[:, n:])
     dc = gc + gg * out * (1.0 - tc * tc)
     d_fo = np.concatenate([dc * c_prev.data * f * (1.0 - f), gg * tc * out * (1.0 - out)], axis=1)
+    cell = _pooled_gate(grid_shape, axis, h.data, g_prev.data, w.data, b.data)[0]
     spread = _spread(grid_shape, axis, dc).reshape(h.data.shape)
     d_cell = spread * c.data * cell * (1.0 - cell)
     # the three gates' pre-activation gradients at pooled rows, as g_prev
@@ -614,7 +624,10 @@ def pooled_cell(h, c, g_prev, c_prev, w, b, grid_shape, axis: int) -> tuple[Tens
     row back over it: ``g_prev`` is multiplied once, at pooled rows.
     The vjp likewise pools the cell gate's gradient before its products
     with ``g_prev`` and the bias, so those gradients differ from the
-    per-cell composition's at round-off.
+    per-cell composition's at round-off.  The node saves mean(h), f and
+    out, all at pooled rows; the vjp rebuilds tanh(c') from the node's
+    [g' | c'] and the per-cell gate from ``h``, ``g_prev`` and the
+    stacked (w, b) by the forward's own two products.
     """
     parents = tuple(map(_as_tensor, (h, c, g_prev, c_prev, w, b)))
     return _apply("pooled_cell", parents, _pooled_vjp, _pooled_fwd, grid_shape, axis)
@@ -672,39 +685,53 @@ def _grid_block(grid_shape, sp_mask, p, h, g_s, g_t) -> np.ndarray:
     return _cat([p, h_left, h_right, h, h_sp, *_grid_globals(grid_shape, g_s, g_t)], -1)
 
 
-def _grid_fwd(grid_shape, sp_mask, h, c, p, g_s, g_t, w, b, c_gs, c_gt):
-    """(h, c, gates, candidate, tanh(c)) of an encoder layer's grid cells."""
-    pre = _grid_block(grid_shape, sp_mask, p, h, g_s, g_t) @ w + b
+def _grid_cell_sources(grid_shape, sp_mask, c, c_gs, c_gt) -> list:
+    """The cell sources of every grid row, [c_left, c, c_right, c_sp,
+    cgs_rows, cgt_rows], in the gated cell's source order."""
     c_left, c_right, c_sp = _grid_sources(grid_shape, sp_mask, c)
-    return _gated_fwd(pre, c_left, c, c_right, c_sp, *_grid_globals(grid_shape, c_gs, c_gt))
+    return [c_left, c, c_right, c_sp, *_grid_globals(grid_shape, c_gs, c_gt)]
+
+
+def _grid_fwd(grid_shape, sp_mask, h, c, p, g_s, g_t, w, b, c_gs, c_gt):
+    """(h, c, gates, candidate) of an encoder layer's grid cells."""
+    pre = _grid_block(grid_shape, sp_mask, p, h, g_s, g_t) @ w + b
+    return _gated_fwd(pre, *_grid_cell_sources(grid_shape, sp_mask, c, c_gs, c_gt))
 
 
 def _grid_vjp(node, grad):
     h, c, p, g_s, g_t, w, b, c_gs, c_gt = node.parents
     grid_shape, sp_mask = node.args
-    s, cand, tc = node.saved
-    c_left, c_right, c_sp = _grid_sources(grid_shape, sp_mask, c.data)
+    s, cand = node.saved
+    # the walk peaks here, so each temporary goes once its last reader
+    # has run: the copies of c when _gated_backward returns, the block
+    # after its product, dpre after its product with w; the global
+    # states' gradients are pooled to their own rows at once
     dpre, (dc_left, dc_same, dc_right, dc_sp, dcgs, dcgt) = _gated_backward(
-        grad, s, cand, [c_left, c.data, c_right, c_sp,
-                        *_grid_globals(grid_shape, c_gs.data, c_gt.data)], tc)
+        grad, node.data, s, cand,
+        _grid_cell_sources(grid_shape, sp_mask, c.data, c_gs.data, c_gt.data))
+    dcgs, dcgt = _pool(grid_shape, 2, dcgs), _pool(grid_shape, 1, dcgt)
     # each parent's gradients in the order the walk of the composition
     # this op replaces added them, since h is c (and g_s is c_gs) at the
     # first layer: the cell's own c, the weight and the bias, the
     # block's p and h, h through its three shifts, c through its shifts,
     # and last each global state through its spread
     _acc(c, dc_same)
+    del dc_same
     _acc(w, _grid_block(grid_shape, sp_mask, p.data, h.data, g_s.data, g_t.data).T @ dpre)
     _acc(b, dpre)
+    d_src = dpre @ w.data.T
+    del dpre
     src_bounds = p.data.shape[1] + h.data.shape[1] * np.arange(6)  # p | l | r | h | sp | gs | gt
-    d_p, d_left, d_right, d_self, d_sp, d_gs, d_gt = np.split(dpre @ w.data.T, src_bounds, axis=1)
+    d_p, d_left, d_right, d_self, d_sp, d_gs, d_gt = np.split(d_src, src_bounds, axis=1)
+    d_gs, d_gt = _pool(grid_shape, 2, d_gs), _pool(grid_shape, 1, d_gt)
     _acc(p, d_p)
     _acc(h, d_self)
     for g in _grid_sources_vjp(grid_shape, sp_mask, d_left, d_right, d_sp):
         _acc(h, g)
     for g in _grid_sources_vjp(grid_shape, sp_mask, dc_left, dc_right, dc_sp):
         _acc(c, g)
-    for state, g, axis in ((g_s, d_gs, 2), (g_t, d_gt, 1), (c_gs, dcgs, 2), (c_gt, dcgt, 1)):
-        _acc(state, _pool(grid_shape, axis, g))
+    for state, g in ((g_s, d_gs), (g_t, d_gt), (c_gs, dcgs), (c_gt, dcgt)):
+        _acc(state, g)
 
 
 def grid_cell(h, c, p, g_s, g_t, w, b, c_gs, c_gt, grid_shape,
@@ -726,8 +753,9 @@ def grid_cell(h, c, p, g_s, g_t, w, b, c_gs, c_gt, grid_shape,
     sp are the sources of ``_grid_sources``, with ``sp_mask`` (rows, 1)
     0 at chain heads.  Values and gradients are bit-identical to that
     composition with one spread node per global state; the node saves
-    the gates, the candidate and tanh(c'), and its vjp recomputes the
-    block and the shifted and spread copies of c.
+    only the gates and the candidate, and its vjp rebuilds tanh(c') from
+    the node's [h | c'] and recomputes the block and the shifted and
+    spread copies of c, dropping each once its last reader has run.
     """
     parents = tuple(map(_as_tensor, (h, c, p, g_s, g_t, w, b, c_gs, c_gt)))
     return _apply("grid_cell", parents, _grid_vjp, _grid_fwd, grid_shape, sp_mask)

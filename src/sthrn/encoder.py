@@ -159,7 +159,8 @@ def encode(p: np.ndarray, params: dict[str, Tensor], layout: ChainLayout,
     w, b = _stacked(params, [[f"enc.gate.{gate}.{f}" for gate in GATE_ORDER]
                              for f in GATE_FIELDS])
     gt, gs = (_stacked(params, [[f"{prefix}.{f}" for f in GLOBAL_FIELDS[k::3]] for k in range(3)])
-              for prefix in ("enc.gt", "enc.gs"))
+              if on else None
+              for prefix, on in (("enc.gt", global_temporal), ("enc.gs", global_spatial)))
     sp_mask = (layout.spatial_prev() >= 0).astype(np.float64)
     sp_mask = np.tile(sp_mask, B * T)[:, None]  # (B*T*K, 1), 0 at chain heads
     for _ in range(layers):

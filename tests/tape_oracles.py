@@ -159,8 +159,8 @@ def shift_rows(a, n: int, block: int | None = None):
 
 def _gated_vjp(node, grad):
     pre, *sources = node.parents
-    s, cand, tc = node.saved
-    dpre, dsources = ad._gated_backward(grad, s, cand, [t.data for t in sources], tc)
+    s, cand = node.saved
+    dpre, dsources = ad._gated_backward(grad, node.data, s, cand, [t.data for t in sources])
     ad._acc(pre, dpre)
     for t, g in zip(sources, dsources):
         ad._acc(t, g)

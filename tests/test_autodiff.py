@@ -1300,3 +1300,58 @@ def test_cell_forward_over_a_probe_axis_equals_stacked_calls(cell):
             want = fwd(*args, *probes[p])
             for g, w in zip((*got, ad._value(got)), (*want, ad._value(want)), strict=True):
                 assert np.array_equal(g[p] if g.ndim > w.ndim else g, w), (probed, p)
+
+
+def _sig(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _lstm_saved(x, h, c, w, b):
+    xh = np.concatenate([x, h], axis=1)
+    pre = xh @ w + b
+    d = h.shape[1]
+    return [xh, _sig(pre[:, :3 * d]), np.tanh(pre[:, 3 * d:])]
+
+
+def _pooled_saved(h, c, g_prev, c_prev, w_c, z_c, b_c, w_f, z_f, b_f, w_o, z_o, b_o):
+    # OPS["pooled_cell"]: grid (3, 2, 2), pooled over axis 0
+    h_mean = h.reshape(3, 2, 2).mean(axis=0)
+    f = _sig(h_mean @ w_f + g_prev @ z_f + b_f)
+    out = _sig(h_mean @ w_o + g_prev @ z_o + b_o)
+    return [h_mean, f, out]
+
+
+def _grid_saved(h, c, p, g_s, g_t, u, w, z, gs, gt, b, c_gs, c_gt):
+    # OPS["grid_cell"]: grid (1, 2, 3, 2), the first cell of each frame a
+    # chain head; a row's frame neighbours sit 3 rows away
+    zero = np.zeros((3, 2))
+    left, right = np.concatenate([zero, h[:3]]), np.concatenate([h[3:], zero])
+    sp = np.concatenate([np.zeros((1, 2)), h[:-1]]) * np.array([[0.0], [1.0], [1.0]] * 2)
+    block = np.concatenate([p, left, right, h, sp, np.repeat(g_s, 3, axis=0),
+                            np.tile(g_t, (2, 1))], axis=1)
+    pre = block @ np.concatenate([u, w, z, gs, gt]) + b
+    return [_sig(pre[:, :16]), np.tanh(pre[:, 16:])]
+
+
+# fused cell op -> the arrays its node should save, from OPS's operands
+SAVED = {"lstm_cell": _lstm_saved, "pooled_cell": _pooled_saved, "grid_cell": _grid_saved}
+
+
+@pytest.mark.parametrize("op", sorted(SAVED))
+def test_a_fused_cell_saves_only_what_its_vjp_cannot_rebuild(op):
+    """A taped fused cell keeps exactly the arrays its forward's docstring
+    lists: the grid cell its gates and candidate, the LSTM [x | h], its
+    gates and candidate, the pooled cell mean(h) and its forget and out
+    gates.  tanh(c') is rebuilt from the node's own [h | c'] and the
+    pooled cell's per-cell gate from h, g_prev and (w, b)."""
+    fn, shapes = OPS[op]
+    # fresh operands of OPS's shapes: OPS's pooled cell reuses one
+    # (w, z, b) for all three gates, which would hide a swapped f and out
+    rng = np.random.default_rng(64)
+    arrays = [0.5 * rng.normal(size=np.shape(a)) for a in shapes]
+    cell = fn(*arrays)[0].parents[0]  # h is a narrow of the cell's node
+    assert cell.op == op
+    expected = SAVED[op](*arrays)
+    assert len(cell.saved) == len(expected)
+    for got, w in zip(cell.saved, expected):
+        np.testing.assert_allclose(got, w, rtol=1e-13, atol=1e-15)

@@ -490,6 +490,33 @@ def test_every_pooled_cell_reads_its_updaters_stacked_weight_and_bias(layers):
         assert np.array_equal(b.data, np.concatenate([field["b_c"], field["b_f"], field["b_o"]]))
 
 
+@pytest.mark.parametrize("ablated", ["temporal", "spatial"])
+def test_an_ablated_global_state_stacks_no_updater_weight(ablated, monkeypatch):
+    # an updater whose global state is off is never run, so encode must
+    # not build its stacked (w, b): four concat nodes (three rows and
+    # their stack) fewer, and no concat reads one of its parameters
+    lay = fork_layout()
+    params = random_params(3, seed=34)
+    p = np.random.default_rng(35).normal(size=(2, 3, 4, 3))
+    made, concat = [], ad.concat
+
+    def spy(parts, axis=0):
+        made.append(out := concat(parts, axis))
+        return out
+
+    monkeypatch.setattr(ad, "concat", spy)
+    counts = {}
+    for off in (None, ablated):
+        made.clear()
+        encode(p, params, lay, layers=2, global_temporal=off != "temporal",
+               global_spatial=off != "spatial")
+        counts[off] = sum(n.op == "concat" for n in made)
+    assert counts[None] - counts[ablated] == 4
+    prefix = {"temporal": "enc.gt.", "spatial": "enc.gs."}[ablated]
+    unread = {id(t) for name, t in params.items() if name.startswith(prefix)}
+    assert not any(id(q) in unread for n in made for q in n.parents)
+
+
 def test_encoder_gradients_against_differences():
     # a scalar of every state field exercises each custom op's vjp
     lay = ChainLayout((2,))

@@ -19,7 +19,10 @@ that goes first alternates from round to round.  The scenarios are:
 Prints, per scenario, each side's median and quartiles in ms and the
 median over rounds of the change's time over the parent's, and for
 ``gradcheck-tiny`` each side's median replay passes and calls of
-``f()`` per ``grad_check``, from its reports.  The two
+``f()`` per ``grad_check``, from its reports, and each side's
+tracemalloc peak from one more call, untimed, after the rounds: a
+change to what a run holds can be compared in one process, free of the
+heap-layout noise of ``peak_rss_mb``.  The two
 calls of a round run on the same host state and the same data, so that
 ratio is steadier than the ratio of two benchmark runs.  Each side
 reads its topologies from its own checkout's files, so a checkout
@@ -37,6 +40,7 @@ import itertools
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 SCENARIOS = ("train-human", "train-fork7-tiny", "predict-human", "gradcheck-tiny")
@@ -99,6 +103,16 @@ def scenarios(pkg, checkout: Path) -> dict:
     }
 
 
+def traced_peak_mb(call) -> float:
+    """The peak MB that one ``call()`` held allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / (1 << 20)
+    finally:
+        tracemalloc.stop()
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     q1, q2, q3 = statistics.quantiles(values, n=4)
     return q1, q2, q3
@@ -131,6 +145,7 @@ def main(argv=None) -> int:
                 result = sides[side][name]()
                 times[side].append((time.perf_counter() - t0) * 1e3)
                 reports[side].append(result)
+        peaks = {side: traced_peak_mb(calls[name]) for side, calls in sides.items()}
         (p1, pm, p3), (c1, cm, c3) = quartiles(times["parent"]), quartiles(times["change"])
         ratio = statistics.median(c / p for p, c in zip(times["parent"], times["change"]))
         counts = "".join(
@@ -139,7 +154,8 @@ def main(argv=None) -> int:
             for side, runs in reports.items()) if name == "gradcheck-tiny" else ""
         print(f"{name:17s} parent {pm:9.2f} ms [{p1:.2f}, {p3:.2f}]  "
               f"change {cm:9.2f} ms [{c1:.2f}, {c3:.2f}]  ratio {ratio:.3f}  "
-              f"({args.rounds} rounds){counts}", flush=True)
+              f"({args.rounds} rounds)  traced peak parent {peaks['parent']:.1f} MB, "
+              f"change {peaks['change']:.1f} MB{counts}", flush=True)
     return 0
 
 
