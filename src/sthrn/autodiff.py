@@ -9,8 +9,12 @@ tape node recording the op's parents, its forward, its vjp and the
 values the vjp needs; inside ``no_grad()``, a bare value with no
 parents.  The ops are the only way to make a tape value.
 
-``backward`` walks the tape once, in reverse topological order, from a
-scalar root, and every vjp adds its gradients into the parents through
+A fused cell is one node that holds [h; c], its two states stacked,
+read through its two outputs: nodes whose values are views of one
+state each and that have no vjp, since ``_acc`` adds a gradient for an
+output straight into its part of the cell's gradient.  ``backward``
+walks the tape once, in reverse topological order, from a scalar
+root, and every vjp adds its gradients into the parents through
 ``_acc``, with one exception: an LSTM cell reads its leaf weight at
 every step, so its vjp hands the walk the pair ([x | h], d
 pre-activation) instead (``_defer``), and the walk adds the leaf's
@@ -62,12 +66,16 @@ class Tensor:
 
     ``op`` is "leaf" for a tensor built directly (a parameter, or a
     value-only result), "const" for an array an op took as an operand,
-    or else the op that made this tape node.  A node holds its
-    ``parents``, the forward ``fwd`` and static ``args`` that made its
-    value, ``fwd(*args, *parent arrays)``, its ``vjp`` and the values
-    the vjp reads (``saved``).  ``backward`` gives leaves a ``grad``,
-    never consts, and leaves None on interior nodes, which are rebuilt
-    every forward pass.
+    "out" for one of a fused cell's two outputs, h or c, or else the op
+    that made this tape node.  A node holds its ``parents``, the forward
+    ``fwd`` and static ``args`` that made its value, ``fwd(*args,
+    *parent arrays)``, its ``vjp`` and the values the vjp reads
+    (``saved``).  An output's one parent is its cell, and its forward
+    picks state ``args[0]`` (0 for h, 1 for c) of the cell's [h; c]; it
+    has no vjp and is not a leaf, since a gradient for it adds into its
+    part of the cell's.  ``backward`` gives leaves a ``grad``, never
+    consts or outputs, and leaves None on interior nodes, which are
+    rebuilt every forward pass.
     """
 
     __slots__ = ("data", "grad", "op", "parents", "vjp", "saved", "fwd", "args", "__weakref__")
@@ -136,8 +144,9 @@ def _cat(arrays, axis: int) -> np.ndarray:
 
 def _value(out):
     """A forward's result as a node's value: a cell's (h, c, *saved)
-    becomes [h | c]."""
-    return _cat(out[:2], -1) if type(out) is tuple else out
+    becomes [h; c], the two states stacked on the third axis from the
+    last, (..., 2, rows, hidden)."""
+    return _cat([x[..., None, :, :] for x in out[:2]], -3) if type(out) is tuple else out
 
 
 def _apply(op: str, parents: tuple, vjp, fwd, *args):
@@ -151,16 +160,16 @@ def _apply(op: str, parents: tuple, vjp, fwd, *args):
     through ``_acc`` (or ``_defer``), reading ``node.args`` and
     ``node.saved``.  A fused cell's forward returns (h, c, *saved) and
     the cell comes back as an (h, c) pair: taped, one node holds
-    [h | c], keeps the rest as ``saved``, and the two states are
-    narrows of it.
+    [h; c] and keeps the rest as ``saved``, and h and c are its two
+    outputs, each a view of its state with no vjp of its own.
     """
     out = fwd(*args, *[p.data for p in parents])
     if type(out) is tuple:
         if not _grad_enabled:
             return _result(out[0]), _result(out[1])
         node = _result(_value(out), op, parents, vjp, out[2:], fwd, args)
-        d = out[0].shape[1]
-        return _narrow(node, np.s_[:, :d]), _narrow(node, np.s_[:, d:])
+        return (_result(node.data[0], "out", (node,), None, (), _out_fwd, (0,)),
+                _result(node.data[1], "out", (node,), None, (), _out_fwd, (1,)))
     if not _grad_enabled:
         return _result(out)
     return _result(out, op, parents, vjp, (), fwd, args)
@@ -168,8 +177,6 @@ def _apply(op: str, parents: tuple, vjp, fwd, *args):
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""
-    if g.shape == shape:
-        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -179,18 +186,24 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _acc(t: Tensor, g: np.ndarray, key: tuple | None = None) -> None:
+def _acc(t: Tensor, g: np.ndarray) -> None:
     """Add ``g``, summed back to ``t``'s shape where it was broadcast, into
-    ``t.grad`` (its ``key`` part if given), allocating zeros on the first
-    write; the one owner of gradient writes.  Consts never get one."""
+    ``t.grad``, allocating zeros on the first write; the one owner of
+    gradient writes.  Consts never get one, and a gradient for a cell's
+    output adds into the output's part of the cell's own gradient."""
     if t.op == "const":
         return
+    if g.shape != t.data.shape:
+        g = _unbroadcast(g, t.data.shape)
+    if t.op == "out":  # h or c: into its part of the cell's gradient
+        cell = t.parents[0]
+        if cell.grad is None:
+            cell.grad = np.zeros(cell.data.shape, cell.data.dtype)
+        cell.grad[t.args[0]] += g
+        return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    if key is None:
-        t.grad += _unbroadcast(g, t.data.shape)
-    else:
-        t.grad[key] += g
+        t.grad = np.zeros(t.data.shape, t.data.dtype)
+    t.grad += g
 
 
 # Leaf weights whose products the walk adds later: id -> [leaf, rows,
@@ -199,14 +212,14 @@ _deferred: dict[int, list] = {}
 
 
 def _defer(w: Tensor, x: np.ndarray, dz: np.ndarray) -> None:
-    """Add ``x.T @ dz`` into ``w``: at once if ``w`` is a tape node,
-    whose own vjp reads its gradient during the walk; else keep the pair.
+    """Add ``x.T @ dz`` into ``w``: at once unless ``w`` is a leaf, as a
+    tape node's vjp reads its gradient during the walk; else keep the pair.
     A leaf's kept pairs are added as one product once they stack to as
     many rows as ``w`` has, and the rest by ``_flush``: a weight read at
     each of T steps costs one product per ``w``-high stack, not T
     weight-sized products and adds, and its pairs never hold more rows
     than it has."""
-    if w.vjp is not None:
+    if w.op != "leaf":
         _acc(w, x.T @ dz)
         return
     entry = _deferred.setdefault(id(w), [w, 0, [], []])
@@ -350,21 +363,6 @@ def concat(parts, axis: int = 0) -> Tensor:
     return parts[0] if len(parts) == 1 else _apply("concat", parts, _concat_vjp, _concat_fwd, axis)
 
 
-def _narrow_fwd(nd, key, a):
-    return a[(slice(None),) * (a.ndim - nd) + key]
-
-
-def _narrow_vjp(node, g):
-    _acc(node.parents[0], g, node.args[1])
-
-
-def _narrow(a: Tensor, key: tuple) -> Tensor:
-    """``a[key]`` for a tuple of basic indices (ints, slices, ``...``,
-    ``None``), which select each element at most once, so its gradient
-    adds into the selected part."""
-    return _apply("narrow", (a,), _narrow_vjp, _narrow_fwd, a.data.ndim, key)
-
-
 # -- reductions -------------------------------------------------------------
 
 
@@ -489,10 +487,17 @@ def wrap_rows(a) -> Tensor:
 # sigmoid gate per input (the tanh candidate first, then each given
 # source), the sigmoid output gate, and the candidate's pre-activation,
 # each ``hidden`` wide.  The fused ops below compute exactly the values
-# of the equivalent narrow/sigmoid/tanh/mul/add composition, adding the
+# of the equivalent slice/sigmoid/tanh/mul/add composition, adding the
 # gated inputs in ``_tree_sum`` order, at one tape node: the node
-# holds [h | c] and the two states are narrows of it.  No cell saves
-# tanh(c): its vjp rebuilds it from the c half of the node's value.
+# holds [h; c], the two (rows, hidden) states stacked, and h and c are
+# its two outputs (``_out_fwd``), whose gradients ``_acc`` adds into the
+# node's own, so each state and its gradient is one contiguous array.
+# No cell saves tanh(c): its vjp rebuilds it from the node's c.
+
+
+def _out_fwd(i, a):
+    """A fused cell's output ``i``, h or c, of its [h; c]."""
+    return a[..., i, :, :]
 
 
 def _sigmoid(x):
@@ -511,12 +516,12 @@ def _gated_fwd(pre: np.ndarray, *sources):
 
 
 def _gated_backward(grad: np.ndarray, value: np.ndarray, s, cand, sources: list):
-    """Gradients of a gated cell's [h | c] w.r.t. its pre-activations
-    and each source, given the gradient ``grad`` of [h | c] and the
-    node's ``value`` [h | c], whose tanh(c) it rebuilds."""
+    """Gradients of a gated cell's [h; c] w.r.t. its pre-activations
+    and each source, given the gradient ``grad`` of [h; c] and the
+    node's ``value`` [h; c], whose tanh(c) it rebuilds."""
     n, d = len(sources) + 1, cand.shape[1]
-    gh, gc = grad[:, :d], grad[:, d:]
-    tc = np.tanh(value[:, d:])
+    gh, gc = grad
+    tc = np.tanh(value[1])
     dc = gc + gh * s[:, n * d:] * (1.0 - tc * tc)
     inputs = [cand, *sources]
     ds = np.concatenate([dc * x for x in inputs] + [gh * tc], axis=1) * s * (1.0 - s)
@@ -546,7 +551,8 @@ def _lstm_vjp(node, grad):
 
 
 def lstm_cell(x, h, c, w, b) -> tuple[Tensor, Tensor]:
-    """One LSTM step as a single tape node; returns the new (h, c).
+    """One LSTM step as a single tape node; returns the new (h, c), the
+    node's two outputs.
 
     ``w`` is (in + hidden, 4 * hidden) over the rows of [x | h] and
     ``b`` is (4 * hidden,), gate columns ordered input, forget, output,
@@ -583,8 +589,8 @@ def _pooled_vjp(node, grad):
     grid_shape, axis = node.args
     h_mean, f, out = node.saved
     n = out.shape[1]
-    gg, gc = grad[:, :n], grad[:, n:]
-    tc = np.tanh(node.data[:, n:])
+    gg, gc = grad
+    tc = np.tanh(node.data[1])
     dc = gc + gg * out * (1.0 - tc * tc)
     d_fo = np.concatenate([dc * c_prev.data * f * (1.0 - f), gg * tc * out * (1.0 - out)], axis=1)
     cell = _pooled_gate(grid_shape, axis, h.data, g_prev.data, w.data, b.data)[0]
@@ -605,7 +611,8 @@ def _pooled_vjp(node, grad):
 
 
 def pooled_cell(h, c, g_prev, c_prev, w, b, grid_shape, axis: int) -> tuple[Tensor, Tensor]:
-    """A global state pooled from a grid of cells; returns the new (g, c).
+    """A global state pooled from a grid of cells; returns the new (g, c),
+    the two outputs of one tape node.
 
     ``h`` and ``c`` are the grid's (rows, n) states, ``grid_shape``
     their (..., n) view, for example (B, T, K, n) for B windows, and the
@@ -626,7 +633,7 @@ def pooled_cell(h, c, g_prev, c_prev, w, b, grid_shape, axis: int) -> tuple[Tens
     with ``g_prev`` and the bias, so those gradients differ from the
     per-cell composition's at round-off.  The node saves mean(h), f and
     out, all at pooled rows; the vjp rebuilds tanh(c') from the node's
-    [g' | c'] and the per-cell gate from ``h``, ``g_prev`` and the
+    [g'; c'] and the per-cell gate from ``h``, ``g_prev`` and the
     stacked (w, b) by the forward's own two products.
     """
     parents = tuple(map(_as_tensor, (h, c, g_prev, c_prev, w, b)))
@@ -738,7 +745,8 @@ def grid_cell(h, c, p, g_s, g_t, w, b, c_gs, c_gt, grid_shape,
               sp_mask) -> tuple[Tensor, Tensor]:
     """One encoder layer's update of every cell of a (B, T, K, hidden)
     ``grid_shape`` grid with (rows, hidden) states ``h``, ``c`` and
-    (rows, 3) inputs ``p``; returns (h, c):
+    (rows, 3) inputs ``p``; returns (h, c), the two outputs of one tape
+    node:
 
         block = [p | h_left | h_right | h | h_sp | gs_rows | gt_rows]
         pre = block w + b
@@ -754,7 +762,7 @@ def grid_cell(h, c, p, g_s, g_t, w, b, c_gs, c_gt, grid_shape,
     0 at chain heads.  Values and gradients are bit-identical to that
     composition with one spread node per global state; the node saves
     only the gates and the candidate, and its vjp rebuilds tanh(c') from
-    the node's [h | c'] and recomputes the block and the shifted and
+    the node's [h; c'] and recomputes the block and the shifted and
     spread copies of c, dropping each once its last reader has run.
     """
     parents = tuple(map(_as_tensor, (h, c, p, g_s, g_t, w, b, c_gs, c_gt)))
@@ -789,20 +797,23 @@ def backward(root: Tensor, leaves=(), grads=None) -> list[Tensor]:
     """Populate ``.grad`` on the tensors that ``root`` depends on.
 
     After the walk, every leaf the root depends on (a tensor with no
-    vjp that is not a const, such as a parameter) and every tensor in
-    ``leaves`` holds its gradient; consts and interior nodes end with
-    ``grad = None``.  A tensor in ``leaves`` starts the walk with a
-    zero gradient: a fresh array on each call or, when ``grads`` is
-    given, its entry there; ``grads`` holds one zeroed array per leaf,
-    in the same order and shapes, such as the leaves' views of one flat
-    gradient buffer.  Any other buffer is allocated by the first vjp
-    that writes into it (``_acc``) and an interior node's is released
-    once its own vjp has run.  A leaf LSTM weight is the exception: its
-    vjps defer their products (``_defer``), and ``_flush`` adds those
-    still kept after the last vjp, also when a vjp raises.  The tape is
-    left intact, so repeated calls from the same root give identical
-    results.  Tensors in ``leaves`` that the root does not depend on
-    keep zero gradients.  Returns the tape it walked, in ``_tape_order``.
+    vjp that is neither a const nor a cell's output, such as a
+    parameter) and every tensor in ``leaves`` holds its gradient;
+    consts, outputs and interior nodes end with ``grad = None``.  An
+    output never holds one: ``_acc`` adds its gradient into its part of
+    its cell's, so the walk makes no vjp call for it.  A tensor in
+    ``leaves`` starts the walk with a zero gradient: a fresh array on
+    each call or, when ``grads`` is given, its entry there; ``grads``
+    holds one zeroed array per leaf, in the same order and shapes, such
+    as the leaves' views of one flat gradient buffer.  Any other buffer
+    is allocated by the first vjp that writes into it (``_acc``) and an
+    interior node's is released once its own vjp has run.  A leaf LSTM
+    weight is the exception: its vjps defer their products
+    (``_defer``), and ``_flush`` adds those still kept after the last
+    vjp, also when a vjp raises.  The tape is left intact, so repeated
+    calls from the same root give identical results.  Tensors in
+    ``leaves`` that the root does not depend on keep zero gradients.
+    Returns the tape it walked, in ``_tape_order``.
     """
     if root.data.size != 1:
         raise NonScalarRoot(f"backward root must be scalar, got shape {root.data.shape}")
@@ -811,10 +822,10 @@ def backward(root: Tensor, leaves=(), grads=None) -> list[Tensor]:
     order = _tape_order(root)
     for node in order:
         node.grad = None
-    fresh = (np.zeros_like(leaf.data) for leaf in leaves)
+    fresh = (np.zeros(leaf.data.shape, leaf.data.dtype) for leaf in leaves)
     for leaf, g in zip(leaves, fresh if grads is None else grads, strict=True):
         leaf.grad = g
-    root.grad = np.ones_like(root.data)
+    _acc(root, np.ones_like(root.data))
     try:
         for node in reversed(order):
             if node.vjp is None:
@@ -839,9 +850,9 @@ def backward(root: Tensor, leaves=(), grads=None) -> list[Tensor]:
 # (P, *its recorded shape), padded with ones to the rank of the node's
 # widest parent: a (4h,) bias is probed as (P, 1, 4h).  Every forward
 # is written over trailing axes, so it runs unchanged on the probe axis:
-# axis arguments count from the last axis, and ``reshape`` and
-# ``narrow`` record their operand's rank and act on that many trailing
-# axes.
+# axis arguments count from the last axis, ``reshape`` records its
+# operand's rank and acts on that many trailing axes, and a cell's
+# output picks its state on the third axis from the last.
 
 # A float64 probe holds its stacked copy of the leaf and its cone's
 # values, counted at twice the cone's recorded bytes for the forwards'

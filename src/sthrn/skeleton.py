@@ -465,13 +465,17 @@ def resample_fps(seq: MotionSequence, target_fps: float) -> MotionSequence:
     """Decimate to roughly ``target_fps`` by an integer stride.
 
     The stride is round(fps / target_fps) and the stored rate is the
-    true resulting rate fps / stride.
+    true resulting rate fps / stride.  A target above fps (a stride
+    under 1) is refused, and so is one so small that the stride
+    overflows to inf; a finite stride longer than the sequence keeps
+    its first frame.
     """
     if not target_fps > 0.0:
         raise UnsupportedRate(f"target frame rate must be positive, got {target_fps}")
-    if target_fps > seq.fps:
-        raise UnsupportedRate(f"cannot resample {seq.fps} fps up to {target_fps}")
-    stride = int(round(seq.fps / target_fps))
+    stride = seq.fps / target_fps
+    if not 1.0 <= stride < math.inf:
+        raise UnsupportedRate(f"cannot resample {seq.fps} fps to {target_fps} (stride {stride:g})")
+    stride = int(round(stride))
     return MotionSequence(
         fps=seq.fps / stride,
         frames=seq.frames[::stride].copy(),

@@ -7,7 +7,9 @@ chain-head mask, ``concat`` of the source block, ``linear`` and
 ``sthrn.autodiff.pooled_cell`` a ``spread_rows`` of the previous global
 state and the op-by-op global update.  Those compositions, and the
 ones that the LSTM cell and ``wrap_rows`` replace, also take
-``matmul``, ``sigmoid``, ``tanh`` and ``div`` nodes.  The ops below are
+``matmul``, ``narrow``, ``sigmoid``, ``tanh`` and ``div`` nodes.  A
+fused cell's h and c were once ``narrow`` nodes too; they are now the
+cell's two outputs, which have no vjp.  The ops below are
 those of the compositions, built the way the package builds its own
 ops (through ``_apply`` and ``_acc``).
 ``composed_grid_cell`` and ``unfused_pooled`` spell the two cells out
@@ -80,6 +82,25 @@ def matmul(a, b):
     return ad._apply("matmul", (a, b), _matmul_vjp, np.matmul)
 
 
+def _narrow_fwd(nd, key, a):
+    return a[(slice(None),) * (a.ndim - nd) + key]
+
+
+def _narrow_vjp(node, g):
+    a = node.parents[0]
+    scattered = np.zeros_like(a.data)
+    scattered[node.args[1]] = g
+    ad._acc(a, scattered)
+
+
+def narrow(a, key):
+    """``a[key]`` for a tuple of basic indices (ints, slices, ``...``,
+    ``None``), which select each element at most once, so its gradient
+    adds into the selected part."""
+    a = ad._as_tensor(a)
+    return ad._apply("narrow", (a,), _narrow_vjp, _narrow_fwd, a.data.ndim, key)
+
+
 def unfused_lstm(x, h, c, w, b):
     """The fifteen-op LSTM step that ``ad.lstm_cell`` fuses.  Its matmul
     node adds ``[x | h].T @ dz`` into ``w`` at every step, the layout
@@ -87,10 +108,10 @@ def unfused_lstm(x, h, c, w, b):
     the walk."""
     hidden = h.data.shape[1]
     z = ad.add(matmul(ad.concat([x, h], axis=1), w), b)
-    i = sigmoid(ad._narrow(z, np.s_[:, 0 * hidden:1 * hidden]))
-    f = sigmoid(ad._narrow(z, np.s_[:, 1 * hidden:2 * hidden]))
-    o = sigmoid(ad._narrow(z, np.s_[:, 2 * hidden:3 * hidden]))
-    g = tanh(ad._narrow(z, np.s_[:, 3 * hidden:4 * hidden]))
+    i = sigmoid(narrow(z, np.s_[:, 0 * hidden:1 * hidden]))
+    f = sigmoid(narrow(z, np.s_[:, 1 * hidden:2 * hidden]))
+    o = sigmoid(narrow(z, np.s_[:, 2 * hidden:3 * hidden]))
+    g = tanh(narrow(z, np.s_[:, 3 * hidden:4 * hidden]))
     c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
     h_new = ad.mul(o, tanh(c_new))
     return h_new, c_new

@@ -68,7 +68,7 @@ def test_shape_op_values():
     assert np.array_equal(ad.concat([b, c], axis=0).data, [[1, 2], [3, 4]])
     assert np.array_equal(ad.concat([b, c], axis=1).data, [[1, 2, 3, 4]])
     m = leaf(np.arange(12.0).reshape(3, 4))
-    assert np.array_equal(ad._narrow(m, np.s_[1:, :2]).data, [[4.0, 5.0], [8.0, 9.0]])
+    assert np.array_equal(oracle.narrow(m, np.s_[1:, :2]).data, [[4.0, 5.0], [8.0, 9.0]])
 
 
 def test_reduction_values():
@@ -133,7 +133,7 @@ def test_div_gradient_by_hand():
 
 def test_narrow_scatters_gradient():
     m = leaf(np.arange(6.0).reshape(2, 3))
-    backward(ad.tsum(ad._narrow(m, np.s_[0, 1:])), leaves=[m])
+    backward(ad.tsum(oracle.narrow(m, np.s_[0, 1:])), leaves=[m])
     assert np.array_equal(m.grad, [[0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
 
 
@@ -276,8 +276,8 @@ def unfused_gated(pre, sources):
     """Narrow, sigmoid, tanh, mul and add spelled out: the gated-cell oracle."""
     d = sources[0].data.shape[1]
     n = len(sources) + 1
-    gates = [oracle.sigmoid(ad._narrow(pre, np.s_[:, k * d:(k + 1) * d])) for k in range(n + 1)]
-    cand = oracle.tanh(ad._narrow(pre, np.s_[:, (n + 1) * d:]))
+    gates = [oracle.sigmoid(oracle.narrow(pre, np.s_[:, k * d:(k + 1) * d])) for k in range(n + 1)]
+    cand = oracle.tanh(oracle.narrow(pre, np.s_[:, (n + 1) * d:]))
     prods = [ad.mul(g, x) for g, x in zip(gates, [cand, *sources])]
     while len(prods) > 1:  # adjacent pairs, then pairs of pairs
         prods = [ad.add(prods[i], prods[i + 1]) if i + 1 < len(prods) else prods[i]
@@ -566,8 +566,8 @@ OPS = {
     "reshape/lower-rank": (lambda a: ad.reshape(a, (6, 2)), [_r(2, 3, 2)]),
     "concat": (lambda a, b, c: ad.concat([a, b, c], axis=1), [_r(3, 2), _r(3, 1), _r(3, 2)]),
     "concat/axis-0": (lambda a, b: ad.concat([a, b], axis=0), [_r(2, 3), _r(1, 3)]),
-    "narrow": (lambda a: ad._narrow(ad._as_tensor(a), np.s_[1:, ::2]), [_r(3, 4)]),
-    "narrow/int-none-ellipsis": (lambda a: ad._narrow(ad._as_tensor(a), np.s_[1, None, ..., ::2]),
+    "narrow": (lambda a: oracle.narrow(a, np.s_[1:, ::2]), [_r(3, 4)]),
+    "narrow/int-none-ellipsis": (lambda a: oracle.narrow(a, np.s_[1, None, ..., ::2]),
                                  [_r(3, 4, 5)]),
     "shift_rows": (lambda a: oracle.shift_rows(a, -1, block=2), [_r(4, 2)]),
     "tsum": (lambda a: ad.tsum(a, axis=0), [_r(3, 2)]),
@@ -584,7 +584,7 @@ OPS = {
     "pooled_cell": (lambda h, c, gp, cp, *w: ad.pooled_cell(h, c, gp, cp, *stack_global(*w),
                                                             (3, 2, 2), 0),
                     [_r(6, 2), _r(6, 2), _r(2, 2), _r(2, 2)]
-                    + [0.3 * _r(2, 2), 0.3 * _r(2, 2), _r(2)] * 3),
+                    + [a for _ in range(3) for a in (0.3 * _r(2, 2), 0.3 * _r(2, 2), _r(2))]),
     "grid_cell": (lambda h, c, p, g_s, g_t, u, w, z, gs, gt, b, c_gs, c_gt: ad.grid_cell(
                       h, c, p, g_s, g_t, ad.concat([u, w, z, gs, gt], axis=0), b, c_gs, c_gt,
                       (1, 2, 3, 2), np.array([[0.0], [1.0], [1.0]] * 2)),
@@ -595,7 +595,8 @@ OPS = {
 }
 # the test-local oracle ops take the same checks, since the tests of the
 # fused ops and of the wrap trust their values and gradients
-ORACLE_OPS = {"div", "sigmoid", "tanh", "matmul", "shift_rows", "gated_cell", "linear_terms"}
+ORACLE_OPS = {"div", "sigmoid", "tanh", "matmul", "narrow", "shift_rows", "gated_cell",
+              "linear_terms"}
 
 
 def test_op_table_covers_every_public_op():
@@ -603,8 +604,7 @@ def test_op_table_covers_every_public_op():
               if callable(value) and not name.startswith("_")
               and getattr(value, "__module__", None) == ad.__name__
               and not isinstance(value, type)}
-    # narrow is ``_narrow``, which the fused cells call inside the module
-    ops = {row.split("/")[0] for row in OPS} - ORACLE_OPS - {"narrow"}
+    ops = {row.split("/")[0] for row in OPS} - ORACLE_OPS
     assert public - {"backward", "grad_check"} == ops
 
 
@@ -685,9 +685,10 @@ def tape_nodes(root):
 
 def eager_backward(root, leaves=()):
     """Oracle: the walk that gives every tape node a zero gradient up
-    front and keeps them all afterwards (``_acc`` leaves a const's at
-    zero).  Like ``backward`` it ends with ``_flush``, which adds the
-    leaf LSTM weights' deferred products."""
+    front and keeps them all afterwards (``_acc`` leaves a const's and a
+    cell output's at zero, adding the output's into its cell's).  Like
+    ``backward`` it ends with ``_flush``, which adds the leaf LSTM
+    weights' deferred products."""
     order, seen = [], set()
     stack = [(root, False)]
     while stack:
@@ -759,16 +760,56 @@ def test_backward_matches_eager_walk_and_frees_interior_gradients(fixture):
     root, named = LOSS_FIXTURES[fixture]()
     nodes = tape_nodes(root)
     eager_backward(root, named.values())
-    want = {id(t): t.grad.copy() for t in nodes if t.vjp is None and t.op != "const"}
+    want = {id(t): t.grad.copy() for t in nodes
+            if t.vjp is None and t.op not in ("const", "out")}
     assert {id(t) for t in named.values()} <= set(want)
-    assert any(t.op == "const" for t in nodes)
+    assert {"const", "out"} <= {t.op for t in nodes}
     for _ in range(2):  # repeated calls from the same root agree
         backward(root, leaves=named.values())
         for t in nodes:
             if id(t) in want:
                 assert np.array_equal(t.grad, want[id(t)]), t
-            else:  # interior nodes and consts
+            else:  # interior nodes, consts and cell outputs
                 assert t.grad is None, t
+
+
+@pytest.mark.parametrize("fixture", sorted(LOSS_FIXTURES))
+def test_fused_cells_hand_back_two_outputs_that_the_walk_never_calls(fixture):
+    """No model tape holds a narrow: each fused cell's h and c are two
+    outputs of its node, views of its [h; c] with no vjp, and the walk
+    adds their gradients into the cell's without a vjp call or a
+    gradient of their own."""
+    root, named = LOSS_FIXTURES[fixture]()
+    nodes = tape_nodes(root)
+    assert "narrow" not in {t.op for t in nodes}
+    cells = {id(t): t for t in nodes if t.op in ("lstm_cell", "pooled_cell", "grid_cell")}
+    outputs = [t for t in nodes if t.op == "out"]
+    assert {"lstm_cell", "pooled_cell", "grid_cell"} == {t.op for t in cells.values()}
+    states = {}
+    for t in outputs:
+        (cell,) = t.parents
+        assert id(cell) in cells and t.vjp is None, t
+        (i,) = t.args
+        assert t.data.base is cell.data and np.array_equal(t.data, cell.data[i]), t
+        states.setdefault(id(cell), set()).add(i)
+    assert states.keys() == cells.keys()
+    assert any(h_and_c == {0, 1} for h_and_c in states.values())
+
+    called = []
+
+    def counted(vjp):
+        def run(node, g):
+            called.append(node)
+            vjp(node, g)
+        return run
+
+    for t in nodes:
+        if t.vjp is not None:
+            t.vjp = counted(t.vjp)
+    backward(root, leaves=named.values())
+    assert len(called) == len({id(t) for t in called}) == sum(t.vjp is not None for t in nodes)
+    assert all(t.op != "out" for t in called)
+    assert all(t.grad is None for t in outputs)
 
 
 def test_every_node_of_a_model_tape_holds_the_forward_that_made_it():
@@ -1342,14 +1383,10 @@ def test_a_fused_cell_saves_only_what_its_vjp_cannot_rebuild(op):
     """A taped fused cell keeps exactly the arrays its forward's docstring
     lists: the grid cell its gates and candidate, the LSTM [x | h], its
     gates and candidate, the pooled cell mean(h) and its forget and out
-    gates.  tanh(c') is rebuilt from the node's own [h | c'] and the
+    gates.  tanh(c') is rebuilt from the node's own [h; c'] and the
     pooled cell's per-cell gate from h, g_prev and (w, b)."""
-    fn, shapes = OPS[op]
-    # fresh operands of OPS's shapes: OPS's pooled cell reuses one
-    # (w, z, b) for all three gates, which would hide a swapped f and out
-    rng = np.random.default_rng(64)
-    arrays = [0.5 * rng.normal(size=np.shape(a)) for a in shapes]
-    cell = fn(*arrays)[0].parents[0]  # h is a narrow of the cell's node
+    fn, arrays = OPS[op]
+    cell = fn(*arrays)[0].parents[0]  # h is an output of the cell's node
     assert cell.op == op
     expected = SAVED[op](*arrays)
     assert len(cell.saved) == len(expected)

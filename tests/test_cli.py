@@ -647,6 +647,17 @@ def test_non_positive_frame_rates_exit_2(tmp_path, capsys, command):
     assert "must be positive" in capsys.readouterr().err
 
 
+def test_preprocess_refuses_a_rate_whose_stride_is_not_finite_exits_2(tmp_path, capsys):
+    out = tmp_path / "m.lie"
+    rc = main(["preprocess", "--in", joints_file(tmp_path, "raw.txt"),
+               "--topology", topo_file(tmp_path), "--fps", "1e-320", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(stride inf)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # -- config and flag plumbing -------------------------------------------------
 
 

@@ -340,7 +340,7 @@ def interior_nodes(state):
 
 def test_taped_layer_is_one_grid_cell_and_two_pooled_cells():
     # each layer adds one grid_cell, two pooled_cell and their six
-    # narrows; the global states enter the cells without spread copies
+    # outputs; the global states enter the cells without spread copies
     lay = fork_layout()
     params = random_params(3, seed=24)
     p = np.random.default_rng(25).normal(size=(2, 3, 4, 3))
@@ -349,7 +349,7 @@ def test_taped_layer_is_one_grid_cell_and_two_pooled_cells():
     assert "spread" not in ops[1]
     assert len(ops[1]) - len(ops[0]) == 9
     assert sorted(ops[1]) == sorted(ops[0] + ["grid_cell"] + ["pooled_cell"] * 2
-                                    + ["narrow"] * 6)
+                                    + ["out"] * 6)
 
 
 @pytest.mark.parametrize("layers", [1, 2, 3])

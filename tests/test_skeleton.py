@@ -505,6 +505,16 @@ def test_resample_rejects_upsampling():
         resample_fps(seq, 50.0)
 
 
+def test_resample_refuses_a_rate_whose_stride_is_not_finite():
+    seq = MotionSequence(fps=120.0, frames=np.arange(12.0).reshape(4, 1, 3), kind="lie")
+    with pytest.raises(UnsupportedRate, match=r"\(stride inf\)"):
+        resample_fps(seq, 1e-320)  # 120 / 1e-320 overflows to inf
+    # a finite stride longer than the sequence keeps its first frame
+    out = resample_fps(seq, 1e-300)
+    assert out.fps == 120.0 / int(round(120.0 / 1e-300))
+    assert np.array_equal(out.frames, seq.frames[:1])
+
+
 def test_normalize_lengths_means():
     topo = two_bone_chain()
     f1 = np.array([

@@ -16,14 +16,16 @@ that goes first alternates from round to round.  The scenarios are:
   each call on the motion of the next seed, as the benchmark varies it:
   how many components need extended precision depends on the data.
 
-Prints, per scenario, each side's median and quartiles in ms and the
-median over rounds of the change's time over the parent's, and for
+Prints, per scenario, each side's median and quartiles in ms, the
+median over rounds of the change's time over the parent's, and in how
+many rounds the change was faster.  That count is the one a gain claim
+is judged by (``tools/ab.py``'s rule wants at least 9 of every 10 pairs
+won), since a median ratio can move with a few slow rounds.  It also
+prints each side's tracemalloc peak from one more call, untimed, after
+the rounds, so that a change to what a run holds can be compared in
+one process, free of the heap-layout noise of ``peak_rss_mb``; and for
 ``gradcheck-tiny`` each side's median replay passes and calls of
-``f()`` per ``grad_check``, from its reports, and each side's
-tracemalloc peak from one more call, untimed, after the rounds: a
-change to what a run holds can be compared in one process, free of the
-heap-layout noise of ``peak_rss_mb``.  The two
-calls of a round run on the same host state and the same data, so that
+``f()`` per ``grad_check``, from its reports.  The two calls of a round run on the same host state and the same data, so that
 ratio is steadier than the ratio of two benchmark runs.  Each side
 reads its topologies from its own checkout's files, so a checkout
 whose ``builtin_topology`` reads another package's data runs too.
@@ -148,13 +150,14 @@ def main(argv=None) -> int:
         peaks = {side: traced_peak_mb(calls[name]) for side, calls in sides.items()}
         (p1, pm, p3), (c1, cm, c3) = quartiles(times["parent"]), quartiles(times["change"])
         ratio = statistics.median(c / p for p, c in zip(times["parent"], times["change"]))
+        faster = sum(c < p for p, c in zip(times["parent"], times["change"]))
         counts = "".join(
             f"  {side} {statistics.median(r.passes for r in runs):g} passes, "
             f"{statistics.median(r.forward_calls for r in runs):g} calls of f()"
             for side, runs in reports.items()) if name == "gradcheck-tiny" else ""
         print(f"{name:17s} parent {pm:9.2f} ms [{p1:.2f}, {p3:.2f}]  "
               f"change {cm:9.2f} ms [{c1:.2f}, {c3:.2f}]  ratio {ratio:.3f}  "
-              f"({args.rounds} rounds)  traced peak parent {peaks['parent']:.1f} MB, "
+              f"faster in {faster} of {args.rounds} rounds  traced peak parent {peaks['parent']:.1f} MB, "
               f"change {peaks['change']:.1f} MB{counts}", flush=True)
     return 0
 
